@@ -1,4 +1,4 @@
-.PHONY: verify test bench bench-read bench-repair bench-storage bench-consensus chaos obs-smoke
+.PHONY: verify test bench bench-e2e bench-e2e-short bench-read bench-repair bench-storage bench-consensus chaos obs-smoke
 
 verify:
 	./verify.sh
@@ -8,6 +8,16 @@ test:
 
 bench:
 	go test -bench=. -benchmem
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json): five REST
+# workloads over a loopback-TCP cluster, an untraced pass for the bounded
+# end-to-end metrics and a traced pass for the per-layer budget. See
+# bench/README.md. bench-e2e-short is its smoke scale.
+bench-e2e:
+	go run ./bench
+
+bench-e2e-short:
+	go run ./bench -short
 
 # bench-read runs the A8 read-path ablation (quorum-first / hedge / coalesce
 # vs the seed's wait-for-all read, one slow replica) at a fixed seed and

@@ -9,8 +9,7 @@ import (
 // TestClientGetMany round-trips the batched read: Client → MsgGetMany → the
 // serving node's coordinator GetMany → one MsgGetReplicaBatch per peer.
 func TestClientGetMany(t *testing.T) {
-	h := newHarness(t, 5)
-	h.converge(12)
+	h := newQuorumHarness(t, 5, 3, 2, 2) // reads its own writes: W + R > N
 	c := h.client(t)
 	ctx := context.Background()
 	want := map[string]string{}

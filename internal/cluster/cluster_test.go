@@ -18,21 +18,32 @@ import (
 // harness runs an in-process cluster over a MemNetwork with a virtual
 // clock, mirroring the paper's 5-node testbed (1 seed + 4 normal nodes).
 type harness struct {
-	t     *testing.T
-	net   *transport.MemNetwork
-	eps   []*transport.MemTransport
-	nodes []*Node
-	mu    sync.Mutex
-	now   time.Time
+	t      *testing.T
+	net    *transport.MemNetwork
+	quorum nwr.Config
+	eps    []*transport.MemTransport
+	nodes  []*Node
+	mu     sync.Mutex
+	now    time.Time
 }
 
 func addr(i int) string { return fmt.Sprintf("10.0.0.%d:19870", i+1) }
 
+// newHarness builds an unconverged cluster at the paper's (N,W,R) = (3,2,1).
+// At that setting a read may miss the caller's own acked write (DESIGN.md
+// §9); tests that read a key straight after writing it use newQuorumHarness
+// with W + R > N instead.
 func newHarness(t *testing.T, n int) *harness {
 	t.Helper()
-	h := &harness{t: t, net: transport.NewMemNetwork(), now: time.Unix(5000, 0)}
+	return newHarnessNWR(t, n, 3, 2, 1)
+}
+
+func newHarnessNWR(t *testing.T, nodes, n, w, r int) *harness {
+	t.Helper()
+	h := &harness{t: t, net: transport.NewMemNetwork(), now: time.Unix(5000, 0),
+		quorum: nwr.Config{N: n, W: w, R: r, Retries: 1, CallTimeout: time.Second}}
 	seeds := []string{addr(0)}
-	for i := 0; i < n; i++ {
+	for i := 0; i < nodes; i++ {
 		h.addNode(i, seeds)
 	}
 	return h
@@ -53,7 +64,7 @@ func (h *harness) addNode(i int, seeds []string) *Node {
 	node, err := NewNode(ep, Config{
 		Seeds:          seeds,
 		Weight:         1,
-		NWR:            nwr.Config{N: 3, W: 2, R: 1, Retries: 1, CallTimeout: time.Second},
+		NWR:            h.quorum,
 		GossipInterval: time.Second,
 		Now:            h.clock,
 	})
@@ -139,8 +150,7 @@ func TestClientConnectTestsConnection(t *testing.T) {
 }
 
 func TestClientPutGetDelete(t *testing.T) {
-	h := newHarness(t, 5)
-	h.converge(12)
+	h := newQuorumHarness(t, 5, 3, 2, 2) // reads its own writes: W + R > N
 	c := h.client(t)
 	ctx := context.Background()
 	if err := c.Put(ctx, "Resistor5", []byte("component-xml")); err != nil {
@@ -159,8 +169,7 @@ func TestClientPutGetDelete(t *testing.T) {
 }
 
 func TestClientDocQueries(t *testing.T) {
-	h := newHarness(t, 5)
-	h.converge(12)
+	h := newQuorumHarness(t, 5, 3, 2, 2) // GetDoc reads its own PutDoc: W + R > N
 	c := h.client(t)
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {

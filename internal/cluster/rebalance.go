@@ -33,10 +33,9 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 	self := n.Addr()
 
 	// Bucket the work in one scan. Docs passed by Each are shared, not
-	// cloned — records and ids are retained but never mutated.
+	// cloned — records are retained but never mutated.
 	type migration struct {
 		rec    nwr.Record
-		id     any
 		owners []string
 	}
 	perPeer := map[string][]nwr.Record{}
@@ -78,8 +77,7 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 		}
 		// The record now belongs elsewhere (a node joined). It goes to every
 		// owner; the local copy is dropped once at least one owner confirms.
-		id, _ := doc.Get("_id")
-		migrations = append(migrations, migration{rec: rec, id: id, owners: owners})
+		migrations = append(migrations, migration{rec: rec, owners: owners})
 		for _, o := range owners {
 			perPeer[o] = append(perPeer[o], rec)
 		}
@@ -148,10 +146,9 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 			incomplete = true
 			continue
 		}
-		if m.id != nil {
-			if _, err := coll.Delete(m.id); err == nil {
-				dropped++
-			}
+		// A record's _id is its self-key.
+		if _, err := coll.Delete(m.rec.Key); err == nil {
+			dropped++
 		}
 	}
 

@@ -145,12 +145,14 @@ func (c *Collection) DeleteCtx(ctx context.Context, id any) (bool, error) {
 	return true, nil
 }
 
-// Get returns the document with the given primary key.
+// Get returns the document with the given primary key. It is a lookup on the
+// primary index and counts as one index hit.
 func (c *Collection) Get(id any) (bson.D, bool) {
 	key, err := idKey(id)
 	if err != nil {
 		return nil, false
 	}
+	c.store.statIndexHit.Add(1)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	v, ok := c.primary.Get(key)
@@ -158,6 +160,21 @@ func (c *Collection) Get(id any) (bson.D, bool) {
 		return nil, false
 	}
 	return v.Clone(), true
+}
+
+// GetEach is Get for a batch of string primary keys under one read-lock
+// acquisition. The result is keyed by id; ids with no document are absent.
+func (c *Collection) GetEach(ids []string) map[string]bson.D {
+	out := make(map[string]bson.D, len(ids))
+	c.mu.RLock()
+	for _, id := range ids {
+		if v, ok := c.primary.Get(EncodeKey(id)); ok {
+			out[id] = v.Clone()
+		}
+	}
+	c.mu.RUnlock()
+	c.store.statIndexHit.Add(uint64(len(ids)))
+	return out
 }
 
 // EnsureIndex creates a secondary index over the given field path if one
@@ -247,46 +264,6 @@ func (c *Collection) FindOne(filter Filter) (bson.D, bool, error) {
 	return docs[0], true, nil
 }
 
-// FindOneEach returns, for each value, the first document whose field equals
-// that value, keyed by value — the batch counterpart of one FindOne per
-// value, paying a single read-lock acquisition and one index probe per value
-// instead of re-entering the collection N times. Values with no match are
-// simply absent from the result. An unindexed field falls back to per-value
-// FindOne.
-func (c *Collection) FindOneEach(field string, values []string) (map[string]bson.D, error) {
-	c.mu.RLock()
-	ix, indexed := c.indexes[field]
-	if !indexed {
-		c.mu.RUnlock()
-		out := make(map[string]bson.D, len(values))
-		for _, v := range values {
-			doc, found, err := c.FindOne(Filter{{Key: field, Value: v}})
-			if err != nil {
-				return nil, err
-			}
-			if found {
-				out[v] = doc
-			}
-		}
-		return out, nil
-	}
-	out := make(map[string]bson.D, len(values))
-	for _, v := range values {
-		if _, dup := out[v]; dup {
-			continue
-		}
-		for _, idk := range ix.lookupEq(v) {
-			if doc, ok := c.primary.Get([]byte(idk)); ok {
-				out[v] = doc.Clone()
-				break
-			}
-		}
-	}
-	c.mu.RUnlock()
-	c.store.statIndexHit.Add(uint64(len(values)))
-	return out, nil
-}
-
 // SetApplyObserver installs fn to run on every applied mutation with the
 // document's previous and new version (nil when absent): (nil, doc) for an
 // insert, (old, doc) for an update, (old, nil) for a delete. fn runs under
@@ -361,7 +338,9 @@ func (c *Collection) Find(filter Filter, opts FindOptions) ([]bson.D, error) {
 		}
 		return nil
 	}
-	if candidates != nil {
+	if usedIndex {
+		// An index that yields no candidates has answered the query: nothing
+		// matches, and there is nothing to scan for.
 		for _, idk := range candidates {
 			if v, ok := c.primary.Get([]byte(idk)); ok {
 				if err := verify(v); err != nil {

@@ -70,6 +70,12 @@ func TestPlannerEquivalenceProperty(t *testing.T) {
 			}}},
 			// $ne must consider documents the index never stored.
 			{{Key: "kind", Value: bson.D{{Key: "$ne", Value: kinds[rng.Intn(len(kinds))]}}}},
+			// Empty results: an index that finds nothing and a scan that
+			// finds nothing must agree.
+			{{Key: "kind", Value: "nobody"}},
+			{{Key: "kind", Value: bson.D{{Key: "$in", Value: bson.A{"nobody", "no-one"}}}}},
+			{{Key: "n", Value: bson.D{{Key: "$gte", Value: int64(1000)}}}},
+			{{Key: "_id", Value: "ghost"}},
 		}
 		for fi, filter := range filters {
 			got, err := c.Find(filter, FindOptions{})

@@ -208,6 +208,75 @@ func TestFindWithIndexAndScan(t *testing.T) {
 	}
 }
 
+// TestIndexMissNeverScans pins the planner contract the replica write path
+// leans on: an index that yields no candidates has answered the query. Each
+// miss returns nothing, counts one index hit and no scan — "nobody has this
+// value" must not be read as "there is no index".
+func TestIndexMissNeverScans(t *testing.T) {
+	s := memStore(t)
+	c := s.C("records")
+	for _, field := range []string{"self-key", "size"} {
+		if err := c.EnsureIndex(field, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		doc := record(fmt.Sprintf("key-%03d", i), 8).Set("_id", fmt.Sprintf("id-%03d", i)).Set("size", int64(i))
+		if _, err := c.Insert(doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	misses := []struct {
+		name   string
+		filter Filter
+	}{
+		{"implicit equality", Filter{{Key: "self-key", Value: "ghost"}}},
+		{"$eq", Filter{{Key: "self-key", Value: bson.D{{Key: "$eq", Value: "ghost"}}}}},
+		{"all-miss $in", Filter{{Key: "self-key", Value: bson.D{{Key: "$in", Value: bson.A{"ghost", "wraith"}}}}}},
+		{"empty range", Filter{{Key: "size", Value: bson.D{{Key: "$gte", Value: int64(1000)}}}}},
+		{"_id miss", Filter{{Key: "_id", Value: "id-999"}}},
+		{"_id all-miss $in", Filter{{Key: "_id", Value: bson.D{{Key: "$in", Value: bson.A{"id-998", "id-999"}}}}}},
+	}
+	for _, m := range misses {
+		before := s.Stats()
+		docs, err := c.Find(m.filter, FindOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", m.name, err)
+		}
+		after := s.Stats()
+		if len(docs) != 0 {
+			t.Errorf("%s: returned %d documents, want none", m.name, len(docs))
+		}
+		if after.Scans != before.Scans {
+			t.Errorf("%s: an index miss fell through to a scan", m.name)
+		}
+		if after.IndexHits != before.IndexHits+1 {
+			t.Errorf("%s: IndexHits moved by %d, want 1", m.name, after.IndexHits-before.IndexHits)
+		}
+	}
+	// Get is a primary-index lookup and is counted as one, hit or miss.
+	before := s.Stats()
+	if _, ok := c.Get("id-999"); ok {
+		t.Error("Get of an absent _id found a document")
+	}
+	if got := c.GetEach([]string{"id-001", "id-999", "id-002"}); len(got) != 2 {
+		t.Errorf("GetEach returned %d documents, want 2", len(got))
+	}
+	if after := s.Stats(); after.Scans != before.Scans || after.IndexHits != before.IndexHits+4 {
+		t.Errorf("Get + GetEach(3): scans %+d, index hits %+d; want 0 and 4",
+			after.Scans-before.Scans, after.IndexHits-before.IndexHits)
+	}
+	// A filter no index serves still scans, and still finds nothing.
+	before = s.Stats()
+	docs, err := c.Find(Filter{{Key: "isDel", Value: "1"}}, FindOptions{})
+	if err != nil || len(docs) != 0 {
+		t.Fatalf("unindexed miss = %d docs, %v", len(docs), err)
+	}
+	if after := s.Stats(); after.Scans != before.Scans+1 || after.IndexHits != before.IndexHits {
+		t.Error("a filter on an unindexed field did not scan")
+	}
+}
+
 func TestFindByPrimaryKey(t *testing.T) {
 	s := memStore(t)
 	c := s.C("records")

@@ -220,8 +220,10 @@ type hintRetryState struct {
 	nextTry  time.Time
 }
 
-// NewCoordinator wires a coordinator. The store gains a unique index on
-// self-key in the records collection and is otherwise used as-is.
+// NewCoordinator wires a coordinator. Records live under _id = self-key, so
+// the records collection needs no secondary index; one that declares a
+// self-key index was written by the previous layout (ObjectId _id) and is
+// refused, because none of its rows can be reached by key.
 func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transport, store *docstore.Store) (*Coordinator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -235,8 +237,12 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 		repairQ:    make(chan repairJob, cfg.RepairQueue),
 		repairQuit: make(chan struct{}),
 	}
-	if err := store.C(RecordCollection).EnsureIndex("self-key", true); err != nil {
-		return nil, err
+	for _, field := range store.C(RecordCollection).Indexes() {
+		if field == "self-key" {
+			return nil, fmt.Errorf("nwr: collection %q declares a self-key index: it was written by the "+
+				"previous record layout (ObjectId _id) and its rows cannot be read by key; "+
+				"there is no migration, start this node on an empty data directory", RecordCollection)
+		}
 	}
 	if err := store.C(HintCollection).EnsureIndex("target", false); err != nil {
 		return nil, err
@@ -562,12 +568,9 @@ func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) (err error)
 		}
 	}
 	coll := c.store.C(RecordCollection)
-	existing, found, err := coll.FindOne(docstore.Filter{{Key: "self-key", Value: rec.Key}})
-	if err != nil {
-		return err
-	}
+	existing, found := coll.Get(rec.Key)
 	if !found {
-		_, err := coll.InsertCtx(ctx, rec.WithId(c.cfg.Now()))
+		_, err := coll.InsertCtx(ctx, rec.WithId(time.Time{}))
 		if errors.Is(err, docstore.ErrDuplicate) {
 			// Raced with another writer for first materialization; retry as
 			// an update through the now-existing row.
@@ -582,9 +585,7 @@ func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) (err error)
 	if !rec.Newer(old) {
 		return nil // stale write; last write wins
 	}
-	id, _ := existing.Get("_id")
-	doc := append(bson.D{{Key: "_id", Value: id}}, rec.ToDoc()...)
-	return coll.UpdateCtx(ctx, doc)
+	return coll.UpdateCtx(ctx, rec.WithId(time.Time{}))
 }
 
 // GetLocal reads key's record from this node's store.
@@ -594,9 +595,9 @@ func (c *Coordinator) GetLocal(key string) (Record, bool, error) {
 			return Record{}, false, err
 		}
 	}
-	doc, found, err := c.store.C(RecordCollection).FindOne(docstore.Filter{{Key: "self-key", Value: key}})
-	if err != nil || !found {
-		return Record{}, false, err
+	doc, found := c.store.C(RecordCollection).Get(key)
+	if !found {
+		return Record{}, false, nil
 	}
 	rec, err := RecordFromDoc(doc)
 	if err != nil {

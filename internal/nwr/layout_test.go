@@ -1,0 +1,217 @@
+package nwr
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"mystore/internal/docstore"
+	"mystore/internal/lsm"
+	"mystore/internal/wal"
+)
+
+// Records are stored under _id = self-key, so the store's primary index is
+// the only index on the write path. These tests pin what that buys: a new
+// key costs no scan at any collection size, the records collection carries
+// no per-key index in memory, and a reopened store finds every record by key
+// without rebuilding anything.
+
+// lsmStore opens an lsm-backed store in dir with a memtable small enough
+// that a few hundred records flush to tables.
+func lsmStore(tb testing.TB, dir string, durable bool) *docstore.Store {
+	tb.Helper()
+	store, err := docstore.Open(docstore.Options{
+		Dir:     dir,
+		Engine:  "lsm",
+		WAL:     wal.Options{SyncEveryAppend: durable},
+		Storage: lsm.Tuning{MemtableBytes: 64 << 10},
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return store
+}
+
+func localCoordinator(tb testing.TB, store *docstore.Store) *Coordinator {
+	tb.Helper()
+	coord, err := NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", nil, nil, store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return coord
+}
+
+func newKeyRecord(i int, val []byte) Record {
+	return Record{Key: fmt.Sprintf("grow-%06d", i), Val: val, IsData: true, Ver: int64(i + 1), Origin: "self"}
+}
+
+func TestNewKeysNeverScan(t *testing.T) {
+	store := lsmStore(t, t.TempDir(), false)
+	defer store.Close()
+	coord := localCoordinator(t, store)
+	ctx := context.Background()
+	val := make([]byte, 128)
+	before := store.Stats()
+	const keys = 4096
+	for i := 0; i < keys; i++ {
+		if err := coord.ApplyLocalCtx(ctx, newKeyRecord(i, val)); err != nil {
+			t.Fatalf("apply %d: %v", i, err)
+		}
+	}
+	after := store.Stats()
+	if after.Scans != before.Scans {
+		t.Fatalf("%d new-key applies scanned the collection %d times", keys, after.Scans-before.Scans)
+	}
+	if after.IndexHits == before.IndexHits {
+		t.Fatal("new-key applies were not counted as index lookups")
+	}
+	if ix := store.C(RecordCollection).Indexes(); len(ix) != 0 {
+		t.Fatalf("records collection carries secondary indexes %v; the primary key is the self-key", ix)
+	}
+	if got := store.C(RecordCollection).Len(); got != keys {
+		t.Fatalf("records = %d, want %d", got, keys)
+	}
+}
+
+// TestDuplicateInsertRaceConverges races two appliers of each never-seen
+// key. One insert loses with ErrDuplicate and must retry as a versioned
+// update, so the survivor is the last-write-wins winner whichever applier
+// got there first.
+func TestDuplicateInsertRaceConverges(t *testing.T) {
+	store, err := docstore.Open(docstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord := localCoordinator(t, store)
+	const keys = 200
+	var wg sync.WaitGroup
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("raced-%03d", i)
+		for _, rec := range []Record{
+			{Key: key, Val: []byte("loser"), IsData: true, Ver: 10, Origin: "a"},
+			{Key: key, Val: []byte("winner"), IsData: true, Ver: 20, Origin: "b"},
+		} {
+			wg.Add(1)
+			go func(rec Record) {
+				defer wg.Done()
+				if err := coord.ApplyLocal(rec); err != nil {
+					t.Errorf("apply %s: %v", rec.Key, err)
+				}
+			}(rec)
+		}
+	}
+	wg.Wait()
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("raced-%03d", i)
+		rec, found, err := coord.GetLocal(key)
+		if err != nil || !found || string(rec.Val) != "winner" || rec.Ver != 20 {
+			t.Fatalf("%s = %+v (found %v, err %v), want the Ver 20 write", key, rec, found, err)
+		}
+	}
+	if got := store.C(RecordCollection).Len(); got != keys {
+		t.Fatalf("records = %d, want one row per key (%d)", got, keys)
+	}
+}
+
+// TestReopenFindsRecordsByKey: after a clean Close and after a Crash, the
+// reopened store serves every record by key, and opening it neither scans
+// the collection nor rebuilds an index.
+func TestReopenFindsRecordsByKey(t *testing.T) {
+	for _, how := range []string{"close", "crash"} {
+		t.Run(how, func(t *testing.T) {
+			dir := t.TempDir()
+			store := lsmStore(t, dir, true) // acked writes must survive the crash
+			coord := localCoordinator(t, store)
+			const keys = 400
+			val := make([]byte, 512)
+			for i := 0; i < keys; i++ {
+				if err := coord.ApplyLocal(newKeyRecord(i, val)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if how == "crash" {
+				store.Crash()
+			} else if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			store = lsmStore(t, dir, true)
+			defer store.Close()
+			coord = localCoordinator(t, store)
+			if st := store.Stats(); st.Scans != 0 {
+				t.Fatalf("opening the store scanned %d times", st.Scans)
+			}
+			if ix := store.C(RecordCollection).Indexes(); len(ix) != 0 {
+				t.Fatalf("reopened records collection carries indexes %v", ix)
+			}
+			for i := 0; i < keys; i++ {
+				want := newKeyRecord(i, val)
+				rec, found, err := coord.GetLocal(want.Key)
+				if err != nil || !found || rec.Ver != want.Ver {
+					t.Fatalf("after %s: %s = %+v (found %v, err %v)", how, want.Key, rec.Ver, found, err)
+				}
+			}
+			// The batched read goes through the same index.
+			batch, err := coord.GetLocalBatch([]string{"grow-000000", "grow-000399", "grow-absent"})
+			if err != nil || len(batch) != 2 {
+				t.Fatalf("GetLocalBatch = %d records, %v; want 2", len(batch), err)
+			}
+			if st := store.Stats(); st.Scans != 0 {
+				t.Fatalf("reading by key scanned %d times", st.Scans)
+			}
+		})
+	}
+}
+
+// TestOldRecordLayoutRefused: a records collection that declares a self-key
+// index was written when _id was an ObjectId. Its rows cannot be found by
+// key, so serving it would answer "not found" for data that is there.
+func TestOldRecordLayoutRefused(t *testing.T) {
+	store, err := docstore.Open(docstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := store.C(RecordCollection).EnsureIndex("self-key", true); err != nil {
+		t.Fatal(err)
+	}
+	_, err = NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", nil, nil, store)
+	if err == nil {
+		t.Fatal("NewCoordinator accepted a store in the previous record layout")
+	}
+	for _, want := range []string{RecordCollection, "self-key", "previous record layout"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
+	}
+}
+
+// BenchmarkApplyLocalNewKey is the replica write path's layer benchmark: the
+// first write of a key into an lsm-backed store that already holds n
+// records. The cost must not depend on n (within 2x between the two sizes).
+func BenchmarkApplyLocalNewKey(b *testing.B) {
+	for _, n := range []int{0, 16384} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			store := lsmStore(b, b.TempDir(), false)
+			defer store.Close()
+			coord := localCoordinator(b, store)
+			ctx := context.Background()
+			val := make([]byte, 1024)
+			for i := 0; i < n; i++ {
+				if err := coord.ApplyLocalCtx(ctx, newKeyRecord(i, val)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := coord.ApplyLocalCtx(ctx, newKeyRecord(n+i, val)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -53,9 +53,6 @@ func TestLWWConvergenceProperty(t *testing.T) {
 			}
 			defer store.Close()
 			coord := &Coordinator{cfg: Config{N: 1, W: 1, R: 1}.withDefaults(), self: "x", store: store}
-			if err := store.C(RecordCollection).EnsureIndex("self-key", true); err != nil {
-				t.Fatal(err)
-			}
 			for _, idx := range order {
 				if err := coord.ApplyLocal(writes[idx]); err != nil {
 					t.Fatal(err)

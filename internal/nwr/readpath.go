@@ -439,9 +439,9 @@ type peerAnswer struct {
 
 // GetMany reads many keys in one replica round: keys are grouped by replica
 // set, each peer receives a single MsgGetReplicaBatch RPC covering every key
-// it replicates (the local share is one indexed batch scan), and the call
-// returns as soon as every key has R answers. Straggling peers finish on a
-// detached context and feed read repair exactly like single-key reads.
+// it replicates (the local share is one batched primary-key read), and the
+// call returns as soon as every key has R answers. Straggling peers finish on
+// a detached context and feed read repair exactly like single-key reads.
 func (c *Coordinator) GetMany(ctx context.Context, keys []string) (results []KeyResult, err error) {
 	ctx, sp := trace.Start(ctx, "nwr.read.batch")
 	start := c.cfg.Now()
@@ -588,8 +588,8 @@ drain:
 }
 
 // readReplicaBatch fetches a key set from one peer in a single RPC (one
-// indexed scan when the peer is this node). The result holds only keys the
-// peer had a record for.
+// batched primary-key read when the peer is this node). The result holds
+// only keys the peer had a record for.
 func (c *Coordinator) readReplicaBatch(ctx context.Context, target string, keys []string) (map[string]Record, error) {
 	if target == c.self {
 		return c.GetLocalBatch(keys)
@@ -633,7 +633,7 @@ func (c *Coordinator) readReplicaBatch(ctx context.Context, target string, keys 
 	return out, nil
 }
 
-// GetLocalBatch reads many keys from the local store in one indexed pass —
+// GetLocalBatch reads many keys from the local store's primary index under
 // one read-lock acquisition instead of one per key. Missing keys are simply
 // absent from the result.
 func (c *Coordinator) GetLocalBatch(keys []string) (map[string]Record, error) {
@@ -642,10 +642,7 @@ func (c *Coordinator) GetLocalBatch(keys []string) (map[string]Record, error) {
 			return nil, err
 		}
 	}
-	docs, err := c.store.C(RecordCollection).FindOneEach("self-key", keys)
-	if err != nil {
-		return nil, err
-	}
+	docs := c.store.C(RecordCollection).GetEach(keys)
 	out := make(map[string]Record, len(docs))
 	transfer := 0
 	for k, doc := range docs {

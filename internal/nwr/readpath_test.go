@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"mystore/internal/docstore"
 	"mystore/internal/transport"
 )
 
@@ -50,9 +49,7 @@ func (tc *testCluster) staleVictim(t *testing.T, key string) *Coordinator {
 	t.Helper()
 	owners, _ := tc.ring.Successors(key, 3)
 	victim := tc.coordFor(t, owners[1])
-	doc, _, _ := victim.store.C(RecordCollection).FindOne(docstore.Filter{{Key: "self-key", Value: key}})
-	id, _ := doc.Get("_id")
-	victim.store.C(RecordCollection).Delete(id) //nolint:errcheck
+	victim.store.C(RecordCollection).Delete(key) //nolint:errcheck
 	if err := victim.ApplyLocal(Record{Key: key, Val: []byte("ancient"), Ver: 1, Origin: "old"}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"mystore/internal/bson"
-	"mystore/internal/uuid"
 )
 
 // RecordCollection is the docstore collection replicas live in; HintCollection
@@ -24,8 +23,8 @@ const (
 )
 
 // Record is the paper's five-field storage unit plus the version metadata
-// last-write-wins needs. The _id private key is assigned at first local
-// materialization; self-key is the user key records are read by.
+// last-write-wins needs. A replica stores it under _id = self-key, so the
+// store's primary index is the one (and only) index records are read by.
 type Record struct {
 	Key     string // self-key
 	Val     []byte // val: the data entity
@@ -62,9 +61,11 @@ func (r Record) ToDoc() bson.D {
 	return d
 }
 
-// WithId returns ToDoc prefixed with a fresh ObjectId _id, for insertion.
-func (r Record) WithId(at time.Time) bson.D {
-	return append(bson.D{{Key: "_id", Value: uuid.NewObjectIdAt(at)}}, r.ToDoc()...)
+// WithId returns the stored form of the record: ToDoc prefixed with
+// _id = self-key. The time argument is unused; the signature is fixed by
+// callers outside this module's control (the benchmark's probes).
+func (r Record) WithId(time.Time) bson.D {
+	return append(bson.D{{Key: "_id", Value: r.Key}}, r.ToDoc()...)
 }
 
 func boolFlag(b bool) string {

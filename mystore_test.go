@@ -17,6 +17,10 @@ import (
 	"mystore/internal/docstore"
 )
 
+// startTestCluster starts a cluster with opts. The default quorum is the
+// paper's (N,W,R) = (3,2,1), at which a read may miss the caller's own acked
+// write (DESIGN.md §9); tests that read a key straight after writing it pass
+// R: 2 so that W + R > N.
 func startTestCluster(t *testing.T, opts ClusterOptions) *Cluster {
 	t.Helper()
 	if opts.GossipInterval == 0 {
@@ -46,7 +50,7 @@ func TestStartClusterDefaultsAndConvergence(t *testing.T) {
 }
 
 func TestPublicAPICrud(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{Nodes: 5})
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, R: 2})
 	client, err := c.Client()
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +72,7 @@ func TestPublicAPICrud(t *testing.T) {
 }
 
 func TestPublicAPIDocQuery(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{Nodes: 3})
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, R: 2})
 	client, _ := c.Client()
 	ctx := context.Background()
 	for i := 0; i < 12; i++ {
@@ -184,7 +188,8 @@ func TestNetworkedClusterOverTCP(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	// Boot three TCP nodes; the first is the seed.
-	seedNode, err := ListenNode(ctx, "127.0.0.1:0", NodeOptions{GossipInterval: 20 * time.Millisecond})
+	// R: 2 — the test reads its own write (W + R > N).
+	seedNode, err := ListenNode(ctx, "127.0.0.1:0", NodeOptions{GossipInterval: 20 * time.Millisecond, R: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func TestNetworkedClusterOverTCP(t *testing.T) {
 	var nodes []*Node
 	nodes = append(nodes, seedNode)
 	for i := 0; i < 2; i++ {
-		n, err := ListenNode(ctx, "127.0.0.1:0", NodeOptions{Seeds: seeds, GossipInterval: 20 * time.Millisecond})
+		n, err := ListenNode(ctx, "127.0.0.1:0", NodeOptions{Seeds: seeds, GossipInterval: 20 * time.Millisecond, R: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +288,7 @@ func TestWeightedCluster(t *testing.T) {
 }
 
 func TestLargeObjectOverCluster(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{Nodes: 5})
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, R: 2})
 	client, _ := c.Client()
 	ctx := context.Background()
 	payload := make([]byte, 2<<20+77) // a guideline-video-sized object
