@@ -1,10 +1,20 @@
-.PHONY: verify test bench bench-e2e bench-e2e-short bench-read bench-repair bench-storage bench-consensus chaos obs-smoke
+.PHONY: verify test loc bench bench-e2e bench-e2e-short bench-read bench-repair bench-storage bench-consensus chaos obs-smoke
 
 verify:
 	./verify.sh
 
 test:
 	go test ./...
+
+# loc prints non-test Go lines per package, then the two totals ROADMAP
+# item 3 tracks: everything outside bench/, and the same without the
+# harness and entry points (internal/experiments, cmd, examples).
+GO_SRC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
+loc:
+	@$(GO_SRC) | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
+	@printf '%7d total outside bench/\n' "$$($(GO_SRC) | xargs cat | wc -l)"
+	@printf '%7d total also excluding internal/experiments, cmd, examples\n' "$$($(GO_SRC) -not -path './internal/experiments/*' -not -path './cmd/*' -not -path './examples/*' | xargs cat | wc -l)"
 
 bench:
 	go test -bench=. -benchmem
@@ -19,15 +29,15 @@ bench-e2e:
 bench-e2e-short:
 	go run ./bench -short
 
-# bench-read runs the A8 read-path ablation (quorum-first / hedge / coalesce
-# vs the seed's wait-for-all read, one slow replica) at a fixed seed and
-# records its rows under "read_path" in BENCH_results.json.
+# bench-read runs the A8 read-path study (quorum-first / hedge / coalesce
+# under one slow replica, plus the hot-key coalescing bound) at a fixed seed
+# and records its row under "read_path" in BENCH_results.json.
 bench-read:
 	go run ./cmd/mystore-bench -quick -seed 42 -json BENCH_results.json read_path
 
-# bench-repair runs the A9 repair ablation (Merkle anti-entropy + streamed
-# transfer vs the seed's flat digests + item-at-a-time movement, one diskless
-# crash on a loaded cluster) at a fixed seed and records its rows under
+# bench-repair runs the A9 repair study (Merkle anti-entropy + streamed
+# transfer rebuilding one diskless crash on a loaded cluster, plus foreground
+# reads under throttled repair) at a fixed seed and records its row under
 # "repair" in BENCH_results.json.
 bench-repair:
 	go run ./cmd/mystore-bench -quick -seed 42 -json BENCH_results.json repair

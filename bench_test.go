@@ -129,17 +129,6 @@ func BenchmarkAblation_All(b *testing.B) {
 		b.ReportMetric(res.VNodes.ModNMovePct, "modN_move_%")
 		b.ReportMetric(res.Hints.WithHintsPct, "hints_ok_%")
 		b.ReportMetric(res.Hints.WithoutHintsPct, "nohints_ok_%")
-		for _, row := range res.WritePath.Store {
-			switch row.Config {
-			case "full (gc + lock split)":
-				b.ReportMetric(row.OpsPerSec, "wp_full_puts/s")
-				b.ReportMetric(row.FsyncsPerOp, "wp_full_fsyncs/op")
-			case "seed (neither)":
-				b.ReportMetric(row.OpsPerSec, "wp_seed_puts/s")
-			}
-		}
-		b.ReportMetric(res.WritePath.MuxRPS, "mux_req/s")
-		b.ReportMetric(res.WritePath.LegacyRPS, "legacy_req/s")
 	}
 }
 

@@ -50,8 +50,6 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 
 	r.Register("mystore_ae_rounds_total", "Merkle anti-entropy rounds initiated by this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeRounds.Load()) })
-	r.Register("mystore_ae_fallback_rounds_total", "Flat-digest anti-entropy rounds initiated (Merkle disabled).", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(n.aeFallbackRounds.Load()) })
 	r.Register("mystore_ae_digest_bytes_total", "Reconciliation metadata shipped: tree hashes plus key/version digests.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeDigestBytes.Load()) })
 	r.Register("mystore_ae_leaves_diverged_total", "Merkle leaf ranges found divergent and reconciled.", metrics.TypeCounter, "node").
@@ -67,14 +65,13 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	r.Register("mystore_stream_throttle_wait_seconds_total", "Time streamed repair spent stalled in the bandwidth throttle.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.streamThrottleNanos.Load()) / 1e9 })
 
-	if bs := n.breakers; bs != nil {
-		r.Register("mystore_breaker_open", "Peer circuit breakers currently open.", metrics.TypeGauge, "node").
-			Add(addr, func() float64 { return float64(bs.OpenCount()) })
-		r.Register("mystore_breaker_opened_total", "Circuit-breaker closed/half-open to open transitions.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(bs.Stats().Opened) })
-		r.Register("mystore_breaker_fastfail_total", "Calls rejected instantly by an open breaker.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(bs.Stats().FastFailures) })
-	}
+	bs := n.breakers
+	r.Register("mystore_breaker_open", "Peer circuit breakers currently open.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(bs.OpenCount()) })
+	r.Register("mystore_breaker_opened_total", "Circuit-breaker closed/half-open to open transitions.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(bs.Stats().Opened) })
+	r.Register("mystore_breaker_fastfail_total", "Calls rejected instantly by an open breaker.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(bs.Stats().FastFailures) })
 
 	if eng := store.Engine(); eng != nil {
 		r.Register("mystore_lsm_memtable_bytes", "Bytes buffered in the lsm engine's mutable memtable.", metrics.TypeGauge, "node").

@@ -1,8 +1,7 @@
 // Package docstore implements the MongoDB-like document store MyStore
 // clusters: schema-free BSON collections with automatically assigned _id
 // keys, secondary indexes, a query engine with the shell operator dialect,
-// WAL-backed persistence with snapshot compaction, and (for the paper's
-// baseline comparison) master/slave oplog replication.
+// and WAL-backed persistence with snapshot compaction.
 package docstore
 
 import (
@@ -27,7 +26,6 @@ var (
 	ErrNotFound     = errors.New("docstore: document not found")
 	ErrDuplicate    = errors.New("docstore: duplicate key")
 	ErrBadFilter    = errors.New("docstore: malformed filter")
-	ErrReadOnly     = errors.New("docstore: store is read-only (slave)")
 	ErrNoCollection = errors.New("docstore: no such collection")
 )
 
@@ -38,15 +36,6 @@ type Options struct {
 	Dir string
 	// WAL tunes the write-ahead log when Dir is set.
 	WAL wal.Options
-	// ReadOnly rejects all mutations; slave replicas set this and apply
-	// ops through the replication channel instead.
-	ReadOnly bool
-	// SerializeWritePath reverts to the seed write path: validation, BSON
-	// encoding, WAL append (with its fsync), apply, and the replication
-	// hook all run under one global writeMu. Kept for the write-path
-	// ablation bench; the default path keeps only append+apply under
-	// writeMu.
-	SerializeWritePath bool
 	// Engine selects the storage engine: "map" (default — every decoded
 	// document in memory, snapshot + full WAL replay on restart) or "lsm"
 	// (documents in log-structured SSTables with a memtable in front; the
@@ -62,7 +51,7 @@ type Options struct {
 	Tracer *trace.Collector
 }
 
-// Op is one logical mutation, as written to the WAL and shipped to slaves.
+// Op is one logical mutation, as written to the WAL.
 type Op struct {
 	Kind   string // "insert", "update", "delete", "index", "dropcoll"
 	Coll   string
@@ -70,7 +59,6 @@ type Op struct {
 	Id     any    // delete: primary key
 	Field  string // index: field path
 	Unique bool   // index: uniqueness
-	Seq    uint64 // assigned in apply order, 1-based
 }
 
 // Store is a document database instance. All exported methods are safe for
@@ -78,21 +66,26 @@ type Op struct {
 //
 // Locking protocol (see DESIGN.md): writeMu serializes the WAL append and
 // in-memory apply of every mutation, which is what makes WAL order equal
-// apply order; mu guards the collection map and the closed flag; pubMu
-// guards the replication hook and the in-order publish queue. The write
+// apply order; mu guards the collection map and the closed flag. The write
 // path holds writeMu only for the authoritative re-check, the buffered WAL
-// append, and the apply — validation, BSON encoding, the durability wait
-// (where group commit coalesces fsyncs across writers) and the replication
-// fan-out all happen outside it.
+// append, and the apply — validation, BSON encoding and the durability wait
+// (where group commit coalesces fsyncs across writers) happen outside it.
 type Store struct {
 	writeMu sync.Mutex // serializes mutations so WAL order == apply order
 	mu      sync.RWMutex
-	opts    Options
-	log     *wal.Log
-	engine  *lsm.Engine // nil for the map engine
-	colls   map[string]*Collection
-	seq     uint64 // guarded by writeMu
-	closed  bool
+
+	// The query counters sit beside the locks, which every operation already
+	// writes, and not at the end of the struct: there they share a cache
+	// line with log, engine and colls, which every operation reads, and each
+	// indexed read's Add would invalidate it for the other cores.
+	statScans    atomic.Uint64
+	statIndexHit atomic.Uint64
+
+	opts   Options
+	log    *wal.Log
+	engine *lsm.Engine // nil for the map engine
+	colls  map[string]*Collection
+	closed bool
 
 	// recovering is true only during single-threaded open (snapshot load +
 	// WAL replay) and relaxes apply semantics to blind writes: insert of an
@@ -108,17 +101,6 @@ type Store struct {
 	// encode phase, outside every lock. Tests use it to prove concurrent
 	// writers are not blocked for the dump duration.
 	compactDocHook func()
-
-	// Replication publish queue: ops are delivered to onOp in seq order,
-	// off writeMu, and synchronously (mutate returns only after its own op
-	// has been delivered).
-	pubMu   sync.Mutex
-	pubCond *sync.Cond
-	pubNext uint64   // seq of the next op to deliver, 1-based
-	onOp    func(Op) // replication hook, guarded by pubMu
-
-	statScans    atomic.Uint64
-	statIndexHit atomic.Uint64
 }
 
 // Open opens a store. With a Dir, the map engine loads the latest snapshot
@@ -126,8 +108,7 @@ type Store struct {
 // store and replays only the WAL tail past the last flush checkpoint.
 // Without a Dir the store is purely in-memory.
 func Open(opts Options) (*Store, error) {
-	s := &Store{opts: opts, colls: make(map[string]*Collection), pubNext: 1}
-	s.pubCond = sync.NewCond(&s.pubMu)
+	s := &Store{opts: opts, colls: make(map[string]*Collection)}
 	if opts.Dir == "" {
 		if opts.Engine == "lsm" {
 			return nil, errors.New("docstore: lsm engine requires Dir")
@@ -217,15 +198,6 @@ func (s *Store) Engine() *lsm.Engine { return s.engine }
 // restart-cost measure the storage ablation compares across engines.
 func (s *Store) ReplayedOps() uint64 { return s.replayedOps.Load() }
 
-// SetReplicationHook installs fn to receive every mutation in apply order.
-// Pass nil to remove. The hook runs synchronously inside the write path:
-// when a mutation returns, its op has been delivered.
-func (s *Store) SetReplicationHook(fn func(Op)) {
-	s.pubMu.Lock()
-	defer s.pubMu.Unlock()
-	s.onOp = fn
-}
-
 // C returns the named collection, creating it on first use (the MongoDB
 // behaviour the paper's record examples rely on). The RLock fast path keeps
 // the hot case — the collection already exists — off the write lock.
@@ -262,7 +234,7 @@ func (s *Store) DropCollection(name string) error {
 	return s.mutate(Op{Kind: "dropcoll", Coll: name})
 }
 
-// mutate validates, logs, applies and publishes one op.
+// mutate validates, logs and applies one op.
 func (s *Store) mutate(op Op) error { return s.mutateCtx(context.Background(), op) }
 
 // mutateCtx is mutate with the caller's context, used only for tracing: the
@@ -270,18 +242,10 @@ func (s *Store) mutate(op Op) error { return s.mutateCtx(context.Background(), o
 // of a write sat waiting on the group fsync.
 func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 	s.mu.RLock()
-	closed, readOnly := s.closed, s.opts.ReadOnly
+	closed := s.closed
 	s.mu.RUnlock()
 	if closed {
 		return ErrClosed
-	}
-	if readOnly {
-		return ErrReadOnly
-	}
-	if s.opts.SerializeWritePath {
-		s.writeMu.Lock()
-		defer s.writeMu.Unlock()
-		return s.commitSerialized(op)
 	}
 
 	// Optimistic pre-check outside the write lock: rejects the common error
@@ -292,8 +256,7 @@ func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 	if err := s.checkOp(op); err != nil {
 		return err
 	}
-	// BSON-encode outside the lock; it is the expensive part of the old
-	// critical section.
+	// BSON-encode outside the lock; it is the expensive part of the write.
 	var rec []byte
 	if s.log != nil {
 		var err error
@@ -332,111 +295,14 @@ func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 		// state and WAL have diverged and continuing would corrupt data.
 		panic(fmt.Sprintf("docstore: apply after successful check failed: %v", err))
 	}
-	s.seq++
-	op.Seq = s.seq
 	s.writeMu.Unlock()
 
-	var syncErr error
-	if s.log != nil {
-		_, sp := trace.Start(ctx, "wal.commit")
-		syncErr = s.log.WaitDurable(lsn)
-		sp.End(syncErr)
+	if s.log == nil {
+		return nil
 	}
-	// Publish even when the durability wait failed: pubNext must advance or
-	// every later op would block forever. A failed fsync poisons the log, so
-	// the store is on its way down anyway.
-	s.publish(op)
-	return syncErr
-}
-
-// publish delivers op to the replication hook in seq order. Sequencing on
-// pubNext preserves apply order even though callers reach here outside
-// writeMu in arbitrary interleavings; each caller blocks until its own op is
-// delivered, keeping the hook synchronous.
-func (s *Store) publish(op Op) {
-	s.pubMu.Lock()
-	for s.pubNext != op.Seq {
-		s.pubCond.Wait()
-	}
-	hook := s.onOp
-	s.pubMu.Unlock()
-	if hook != nil {
-		hook(op)
-	}
-	s.pubMu.Lock()
-	s.pubNext++
-	s.pubCond.Broadcast()
-	s.pubMu.Unlock()
-}
-
-// commitSerialized is the seed write path, kept for the write-path ablation:
-// everything — check, encode, WAL append with fsync, apply, hook — under
-// writeMu. Caller holds writeMu.
-func (s *Store) commitSerialized(op Op) error {
-	// Validate by dry-applying before logging, so the WAL never holds a
-	// rejected op (e.g. a duplicate key insert).
-	if err := s.checkOp(op); err != nil {
-		return err
-	}
-	var lsn wal.LSN
-	if s.log != nil {
-		rec, err := bson.Marshal(encodeOp(op))
-		if err != nil {
-			return err
-		}
-		if lsn, err = s.log.Append(rec); err != nil {
-			return err
-		}
-	}
-	if err := s.applyLocked(op, uint64(lsn)); err != nil {
-		// checkOp guarantees this cannot happen; if it does, the in-memory
-		// state and WAL have diverged and continuing would corrupt data.
-		panic(fmt.Sprintf("docstore: apply after successful check failed: %v", err))
-	}
-	s.seq++
-	op.Seq = s.seq
-	s.pubMu.Lock()
-	hook := s.onOp
-	s.pubNext++ // keep the publish queue consistent with seq
-	s.pubMu.Unlock()
-	if hook != nil {
-		hook(op)
-	}
-	return nil
-}
-
-// ApplyReplicated applies an op received from a master, bypassing the
-// read-only check. Ops must arrive in master order.
-func (s *Store) ApplyReplicated(op Op) error {
-	s.writeMu.Lock()
-	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		s.writeMu.Unlock()
-		return ErrClosed
-	}
-	if err := s.checkOp(op); err != nil {
-		s.writeMu.Unlock()
-		return err
-	}
-	var lsn wal.LSN
-	if s.log != nil {
-		rec, err := bson.Marshal(encodeOp(op))
-		if err != nil {
-			s.writeMu.Unlock()
-			return err
-		}
-		if lsn, err = s.log.AppendNoWait(rec); err != nil {
-			s.writeMu.Unlock()
-			return err
-		}
-	}
-	err := s.applyLocked(op, uint64(lsn))
-	s.writeMu.Unlock()
-	if err == nil && s.log != nil {
-		err = s.log.WaitDurable(lsn)
-	}
+	_, sp := trace.Start(ctx, "wal.commit")
+	err := s.log.WaitDurable(lsn)
+	sp.End(err)
 	return err
 }
 

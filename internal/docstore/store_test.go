@@ -428,25 +428,6 @@ func TestDropCollection(t *testing.T) {
 	}
 }
 
-func TestReadOnlyStore(t *testing.T) {
-	s, err := Open(Options{ReadOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.C("x").Insert(record("a", 4)); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("err = %v, want ErrReadOnly", err)
-	}
-	// Replicated applies bypass read-only.
-	op := Op{Kind: "insert", Coll: "x", Doc: record("a", 4).Set("_id", "k")}
-	if err := s.ApplyReplicated(op); err != nil {
-		t.Fatalf("ApplyReplicated on read-only store: %v", err)
-	}
-	if s.C("x").Len() != 1 {
-		t.Fatal("replicated op not applied")
-	}
-}
-
 func TestClosedStore(t *testing.T) {
 	s, _ := Open(Options{})
 	s.Close()
@@ -507,33 +488,5 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 	wg.Wait()
 	if c.Len() != 800 {
 		t.Fatalf("Len = %d, want 800", c.Len())
-	}
-}
-
-func TestReplicationHookSeesOpsInOrder(t *testing.T) {
-	s := memStore(t)
-	var seqs []uint64
-	var kinds []string
-	s.SetReplicationHook(func(op Op) {
-		seqs = append(seqs, op.Seq)
-		kinds = append(kinds, op.Kind)
-	})
-	c := s.C("records")
-	id, _ := c.Insert(record("a", 4))
-	doc, _ := c.Get(id)
-	c.Update(doc.Set("isDel", "1")) //nolint:errcheck
-	c.Delete(id)                    //nolint:errcheck
-	if len(seqs) != 3 {
-		t.Fatalf("hook saw %d ops, want 3", len(seqs))
-	}
-	for i, want := range []uint64{1, 2, 3} {
-		if seqs[i] != want {
-			t.Fatalf("seqs = %v", seqs)
-		}
-	}
-	for i, want := range []string{"insert", "update", "delete"} {
-		if kinds[i] != want {
-			t.Fatalf("kinds = %v", kinds)
-		}
 	}
 }

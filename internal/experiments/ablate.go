@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"mystore"
-	"mystore/internal/bson"
 	"mystore/internal/gossip"
 	"mystore/internal/metrics"
 	"mystore/internal/ring"
@@ -15,16 +14,13 @@ import (
 	"mystore/internal/transport"
 )
 
-// AblationResult collects the design-choice studies DESIGN.md §5 lists plus
-// the A7 write-path study.
+// AblationResult collects the design-choice studies DESIGN.md §5 lists.
 type AblationResult struct {
-	VNodes    VNodesAblation
-	NWR       []NWRAblationRow
-	Hints     HintsAblation
-	Cache     CacheAblation
-	Gossip    GossipAblation
-	Pool      PoolAblation
-	WritePath WritePathAblation
+	VNodes VNodesAblation
+	NWR    []NWRAblationRow
+	Hints  HintsAblation
+	Cache  CacheAblation
+	Gossip GossipAblation
 }
 
 // String renders every ablation.
@@ -40,8 +36,6 @@ func (r AblationResult) String() string {
 	b.WriteString("\n" + r.Hints.String())
 	b.WriteString("\n" + r.Cache.String())
 	b.WriteString("\n" + r.Gossip.String())
-	b.WriteString("\n" + r.Pool.String())
-	b.WriteString("\n" + r.WritePath.String())
 	return b.String()
 }
 
@@ -327,55 +321,6 @@ func runGossipAblation() GossipAblation {
 
 // --- A6: connection pool ---
 
-// PoolAblation compares TCP call latency with and without the connection
-// pool (paper §5.1's Connect design).
-type PoolAblation struct {
-	PooledMeanUs   float64
-	UnpooledMeanUs float64
-}
-
-// String renders the study.
-func (a PoolAblation) String() string {
-	return fmt.Sprintf("A6 — connection pool: mean RPC %0.0fµs pooled vs %0.0fµs dialing per call\n",
-		a.PooledMeanUs, a.UnpooledMeanUs)
-}
-
-func runPoolAblation(calls int) (PoolAblation, error) {
-	var a PoolAblation
-	srv, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{})
-	if err != nil {
-		return a, err
-	}
-	defer srv.Close()
-	srv.SetHandler(func(ctx context.Context, msg transport.Message) (bson.D, error) {
-		return bson.D{{Key: "ok", Value: true}}, nil
-	})
-	measure := func(disablePool bool) (float64, error) {
-		cli, err := transport.ListenTCP("127.0.0.1:0", transport.TCPOptions{DisablePool: disablePool})
-		if err != nil {
-			return 0, err
-		}
-		defer cli.Close()
-		ctx := context.Background()
-		h := metrics.NewHistogram()
-		for i := 0; i < calls; i++ {
-			t0 := time.Now()
-			if _, err := cli.Call(ctx, srv.Addr(), transport.Message{Type: "ping"}); err != nil {
-				return 0, err
-			}
-			h.Observe(time.Since(t0))
-		}
-		return float64(h.Mean()) / 1e3, nil
-	}
-	if a.PooledMeanUs, err = measure(false); err != nil {
-		return a, err
-	}
-	if a.UnpooledMeanUs, err = measure(true); err != nil {
-		return a, err
-	}
-	return a, nil
-}
-
 // RunAblations runs every study at the given scale.
 func RunAblations(scale Scale) (AblationResult, error) {
 	scale = scale.withDefaults()
@@ -392,12 +337,6 @@ func RunAblations(scale Scale) (AblationResult, error) {
 		return result, err
 	}
 	result.Gossip = runGossipAblation()
-	if result.Pool, err = runPoolAblation(300); err != nil {
-		return result, err
-	}
-	if result.WritePath, err = RunWritePathAblation(64, scale.PutItems); err != nil {
-		return result, err
-	}
 	return result, nil
 }
 

@@ -16,33 +16,34 @@ import (
 // --- A8: the read path (quorum-first + hedging + coalescing) ---
 //
 // One replica of a 5-node cluster is made slow (+slowOneWay per message leg)
-// and the same uniform read load runs against four read-path configurations:
-// the full path (quorum-first return at R, hedged reserves, coalescer), the
-// hedge ablated, the coalescer ablated, and the seed's wait-for-all-N read.
-// Tail latency is the figure of merit: quorum-first plus hedging should cut
-// p99 by the slow replica's full round trip. A separate hot-key phase
-// measures the coalescer's RPC bound: concurrent reads of one key collapse
-// onto shared replica fan-out generations.
+// and a uniform read load runs against the read path (quorum-first return at
+// R, hedged reserves, coalescer). Tail latency is the figure of merit: a
+// read that had to wait for the slow replica cannot finish under slowOneWay,
+// so a p99 below it shows the path routed around that replica. A separate
+// hot-key phase measures the coalescer's RPC bound: concurrent reads of one
+// key collapse onto shared replica fan-out generations. The arms this study
+// used to compare against (no hedge, no coalescer, the seed's wait-for-all-N
+// read) are frozen in EXPERIMENTS.md "Retired baselines".
 
 // slowOneWay is the extra one-way delivery latency of the slow replica.
 const slowOneWay = 40 * time.Millisecond
 
-// ReadPathRow measures one read-path configuration.
+// ReadPathRow measures the read path under one slow replica.
 type ReadPathRow struct {
 	Config string
 	Reads  int
 	P50ms  float64
 	P95ms  float64
 	P99ms  float64
-	// HedgedReads counts reserve replica reads the configuration launched
-	// early (hedge timer or primary failure).
+	// HedgedReads counts reserve replica reads launched early (hedge timer
+	// or primary failure).
 	HedgedReads int64
 	Errors      int64
 }
 
 // ReadPathHotKey measures the coalescer's fan-out bound under a single-key
 // hammer: Generations is the number of replica fan-outs actually run for
-// Reads client reads (uncoalesced, it equals Reads).
+// Reads client reads (without coalescing it would equal Reads).
 type ReadPathHotKey struct {
 	Reads       int64
 	Generations int64
@@ -54,9 +55,8 @@ type ReadPathAblation struct {
 	Readers      int
 	Corpus       int
 	SlowOneWayMs float64
-	Rows         []ReadPathRow
-	HotCoalesced ReadPathHotKey // coalescer on
-	HotAblated   ReadPathHotKey // coalescer off
+	Row          ReadPathRow
+	HotKey       ReadPathHotKey
 }
 
 // String renders the study.
@@ -65,12 +65,11 @@ func (a ReadPathAblation) String() string {
 	fmt.Fprintf(&b, "A8 — read path (quorum-first / hedge / coalesce), %d readers, one replica +%.0fms/leg\n",
 		a.Readers, a.SlowOneWayMs)
 	fmt.Fprintf(&b, "  %-22s %8s %10s %10s %10s %8s %7s\n", "config", "reads", "p50", "p95", "p99", "hedged", "errors")
-	for _, row := range a.Rows {
-		fmt.Fprintf(&b, "  %-22s %8d %8.2fms %8.2fms %8.2fms %8d %7d\n",
-			row.Config, row.Reads, row.P50ms, row.P95ms, row.P99ms, row.HedgedReads, row.Errors)
-	}
-	fmt.Fprintf(&b, "  hot key: %d reads -> %d replica fan-out generations coalesced (%d reads piggybacked) vs %d uncoalesced\n",
-		a.HotCoalesced.Reads, a.HotCoalesced.Generations, a.HotCoalesced.Coalesced, a.HotAblated.Generations)
+	row := a.Row
+	fmt.Fprintf(&b, "  %-22s %8d %8.2fms %8.2fms %8.2fms %8d %7d\n",
+		row.Config, row.Reads, row.P50ms, row.P95ms, row.P99ms, row.HedgedReads, row.Errors)
+	fmt.Fprintf(&b, "  hot key: %d reads -> %d replica fan-out generations (%d reads piggybacked)\n",
+		a.HotKey.Reads, a.HotKey.Generations, a.HotKey.Coalesced)
 	return b.String()
 }
 
@@ -85,13 +84,12 @@ func coordStatTotals(cl *mystore.Cluster) (gets, hedged, coalesced int64) {
 	return gets, hedged, coalesced
 }
 
-// runReadPathConfig measures one configuration: preload a corpus, slow one
-// replica, and drive uniform random reads through the four fast nodes'
-// coordinators.
-func runReadPathConfig(name string, opts mystore.ClusterOptions, corpus, reads, readers int, seed int64) (ReadPathRow, error) {
-	row := ReadPathRow{Config: name, Reads: reads}
-	opts.Nodes = 5
-	cl, err := mystore.StartCluster(opts)
+// runReadPathSlowReplica preloads a corpus, slows one replica, and drives
+// uniform random reads through the four fast nodes' coordinators.
+func runReadPathSlowReplica(corpus, reads, readers int, seed int64) (ReadPathRow, error) {
+	// "full" is the row's name in the BENCH_results.json trajectory.
+	row := ReadPathRow{Config: "full", Reads: reads}
+	cl, err := mystore.StartCluster(mystore.ClusterOptions{Nodes: 5})
 	if err != nil {
 		return row, err
 	}
@@ -174,12 +172,9 @@ func runReadPathConfig(name string, opts mystore.ClusterOptions, corpus, reads, 
 
 // runReadPathHotKey hammers a single key with concurrent readers through one
 // coordinator and reports how many replica fan-out generations served them.
-func runReadPathHotKey(disableCoalesce bool, reads, readers int) (ReadPathHotKey, error) {
+func runReadPathHotKey(reads, readers int) (ReadPathHotKey, error) {
 	var hk ReadPathHotKey
-	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes:               5,
-		DisableReadCoalesce: disableCoalesce,
-	})
+	cl, err := mystore.StartCluster(mystore.ClusterOptions{Nodes: 5})
 	if err != nil {
 		return hk, err
 	}
@@ -229,30 +224,11 @@ func RunReadPathAblation(scale Scale) (ReadPathAblation, error) {
 		a.Corpus = 40
 	}
 	reads := scale.ReadItems * 4
-
-	configs := []struct {
-		name string
-		opts mystore.ClusterOptions
-	}{
-		{"full", mystore.ClusterOptions{}},
-		{"no hedge", mystore.ClusterOptions{DisableReadHedge: true}},
-		{"no coalesce", mystore.ClusterOptions{DisableReadCoalesce: true}},
-		{"wait-for-all (seed)", mystore.ClusterOptions{WaitForAllReads: true}},
-	}
-	for _, cfg := range configs {
-		row, err := runReadPathConfig(cfg.name, cfg.opts, a.Corpus, reads, a.Readers, scale.Seed)
-		if err != nil {
-			return a, err
-		}
-		a.Rows = append(a.Rows, row)
-	}
-
-	hotReads := scale.ReadItems * 4
 	var err error
-	if a.HotCoalesced, err = runReadPathHotKey(false, hotReads, a.Readers); err != nil {
+	if a.Row, err = runReadPathSlowReplica(a.Corpus, reads, a.Readers, scale.Seed); err != nil {
 		return a, err
 	}
-	if a.HotAblated, err = runReadPathHotKey(true, hotReads, a.Readers); err != nil {
+	if a.HotKey, err = runReadPathHotKey(reads, a.Readers); err != nil {
 		return a, err
 	}
 	return a, nil

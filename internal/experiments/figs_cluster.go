@@ -10,7 +10,6 @@ import (
 
 	"mystore"
 	"mystore/internal/bson"
-	"mystore/internal/docstore"
 	"mystore/internal/faults"
 	"mystore/internal/metrics"
 	"mystore/internal/simdisk"
@@ -256,7 +255,9 @@ func RunFig17(scale Scale) (Fig17Result, error) {
 	if result.MyStoreFault, err = runMyStoreArm(faults.NewInjector(faults.PaperTable2(), scale.Seed)); err != nil {
 		return result, err
 	}
-	result.MasterSlave = runMasterSlaveArm(corpus, scale, ops)
+	if result.MasterSlave, err = runMasterSlaveArm(corpus, scale, ops); err != nil {
+		return result, err
+	}
 	result.Ops = ops
 	return result, nil
 }
@@ -307,14 +308,12 @@ func putLatencies(put func(context.Context, string, []byte) error, corpus *workl
 // operator-assisted recovery a production deployment relies on, restoring
 // a broken node after two seconds. MyStore's arms need no such watchdog —
 // that asymmetry is the availability gap the paper measures.
-func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) []int {
-	master, _ := docstore.Open(docstore.Options{})
-	defer master.Close()
-	slave1, _ := docstore.Open(docstore.Options{ReadOnly: true})
-	defer slave1.Close()
-	slave2, _ := docstore.Open(docstore.Options{ReadOnly: true})
-	defer slave2.Close()
-	rs := docstore.NewReplicaSet(master, slave1, slave2)
+func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) ([]int, error) {
+	rs, err := newMasterSlave(2)
+	if err != nil {
+		return nil, err
+	}
+	defer rs.Close()
 
 	inj := faults.NewInjector(faults.PaperTable2(), scale.Seed+1)
 	disks := make([]*simdisk.Disk, 3)
@@ -322,7 +321,7 @@ func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) []int {
 		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
 	}
 	var currentSize atomic.Int64
-	rs.BeforeOp = func(node int, kind string) error {
+	rs.beforeOp = func(node int, kind string) error {
 		size := int(currentSize.Load())
 		// Every node-level operation pays one LAN hop (client→master or
 		// master→slave), the same wire model the MyStore arms run on.
@@ -372,9 +371,8 @@ func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) []int {
 			{Key: "self-key", Value: key},
 			{Key: "val", Value: val},
 		}
-		_, err := rs.Put("records", doc)
-		return err
+		return rs.Put(doc)
 	}
 	hist := putLatencies(put, corpus, scale, ops)
-	return hist.CumulativeWithin(Fig17Thresholds)
+	return hist.CumulativeWithin(Fig17Thresholds), nil
 }

@@ -63,10 +63,6 @@ func JSONSummary(res any) any {
 			"mystore_fault":    r.MyStoreFault,
 			"master_slave":     r.MasterSlave,
 		}
-	case AblationResult:
-		return map[string]any{"write_path": writePathJSON(r.WritePath)}
-	case WritePathAblation:
-		return writePathJSON(r)
 	case ReadPathAblation:
 		return readPathJSON(r)
 	case RepairAblation:
@@ -111,44 +107,16 @@ func fig13JSON(r Fig13Result) map[string]any {
 	return out
 }
 
-func writePathJSON(a WritePathAblation) map[string]any {
-	store := make([]map[string]any, 0, len(a.Store))
-	var full, seed float64
-	for _, row := range a.Store {
-		store = append(store, map[string]any{
-			"config":        row.Config,
-			"puts_per_sec":  round2(row.OpsPerSec),
-			"fsyncs_per_op": round2(row.FsyncsPerOp),
-			"mean_batch":    round2(row.MeanBatch),
-		})
-		switch row.Config {
-		case "full (gc + lock split)":
-			full = row.OpsPerSec
-		case "seed (neither)":
-			seed = row.OpsPerSec
-		}
-	}
-	out := map[string]any{
-		"writers":            a.Writers,
-		"store":              store,
-		"mux_req_per_sec":    round2(a.MuxRPS),
-		"legacy_req_per_sec": round2(a.LegacyRPS),
-	}
-	if seed > 0 && full > 0 {
-		out["full_over_seed"] = round2(full / seed)
-	}
-	return out
-}
-
-// readPathJSON emits the A8 rows plus the tail-latency headline: the seed
-// wait-for-all p99 over the full read path's p99 with one slow replica (the
-// read-path PR's acceptance check wants ≥5x), and the hot-key coalescing
-// bound (replica fan-out generations per client read).
+// readPathJSON emits the A8 row (tail latency with one slow replica) and
+// the hot-key coalescing bound (replica fan-out generations per client
+// read).
 func readPathJSON(a ReadPathAblation) map[string]any {
-	rows := make([]map[string]any, 0, len(a.Rows))
-	var fullP99, seedP99 float64
-	for _, row := range a.Rows {
-		rows = append(rows, map[string]any{
+	row := a.Row
+	return map[string]any{
+		"readers":                 a.Readers,
+		"corpus":                  a.Corpus,
+		"slow_replica_one_way_ms": round2(a.SlowOneWayMs),
+		"rows": []map[string]any{{
 			"config":       row.Config,
 			"reads":        row.Reads,
 			"p50_ms":       round2(row.P50ms),
@@ -156,41 +124,23 @@ func readPathJSON(a ReadPathAblation) map[string]any {
 			"p99_ms":       round2(row.P99ms),
 			"hedged_reads": row.HedgedReads,
 			"errors":       row.Errors,
-		})
-		switch row.Config {
-		case "full":
-			fullP99 = row.P99ms
-		case "wait-for-all (seed)":
-			seedP99 = row.P99ms
-		}
-	}
-	out := map[string]any{
-		"readers":                 a.Readers,
-		"corpus":                  a.Corpus,
-		"slow_replica_one_way_ms": round2(a.SlowOneWayMs),
-		"rows":                    rows,
+		}},
 		"hot_key": map[string]any{
-			"reads":                   a.HotCoalesced.Reads,
-			"generations":             a.HotCoalesced.Generations,
-			"coalesced_reads":         a.HotCoalesced.Coalesced,
-			"uncoalesced_generations": a.HotAblated.Generations,
+			"reads":           a.HotKey.Reads,
+			"generations":     a.HotKey.Generations,
+			"coalesced_reads": a.HotKey.Coalesced,
 		},
 	}
-	if fullP99 > 0 && seedP99 > 0 {
-		out["waitforall_over_full_p99"] = round2(seedP99 / fullP99)
-	}
-	return out
 }
 
-// repairJSON emits the A9 rows plus the repair PR's acceptance headlines:
-// seed recovery time over the Merkle+stream recovery time (wants ≥5x), the
-// steady-state digest-cost ratio (O(keys) vs O(log keys)), and foreground
-// read p99 during throttled repair vs quiescent.
+// repairJSON emits the A9 row (crash recovery time, reconciliation metadata
+// and streamed volume, steady-state digest cost) and foreground read p99
+// during throttled repair vs quiescent.
 func repairJSON(a RepairAblation) map[string]any {
-	rows := make([]map[string]any, 0, len(a.Rows))
-	var merkleMs, flatMs, merkleSteady, flatSteady float64
-	for _, row := range a.Rows {
-		rows = append(rows, map[string]any{
+	row := a.Row
+	return map[string]any{
+		"records": a.Corpus,
+		"rows": []map[string]any{{
 			"config":              row.Config,
 			"lost_replicas":       row.Lost,
 			"recovery_ms":         round2(row.RecoveryMs),
@@ -199,17 +149,7 @@ func repairJSON(a RepairAblation) map[string]any {
 			"stream_bytes":        row.StreamBytes,
 			"stream_records":      row.StreamRecords,
 			"steady_digest_bytes": row.SteadyDigestBytes,
-		})
-		switch row.Config {
-		case "merkle+stream":
-			merkleMs, merkleSteady = row.RecoveryMs, float64(row.SteadyDigestBytes)
-		case "flat+item (seed)":
-			flatMs, flatSteady = row.RecoveryMs, float64(row.SteadyDigestBytes)
-		}
-	}
-	out := map[string]any{
-		"records": a.Corpus,
-		"rows":    rows,
+		}},
 		"foreground": map[string]any{
 			"repair_bandwidth_bps": a.Foreground.BandwidthBps,
 			"reads":                a.Foreground.Reads,
@@ -218,13 +158,6 @@ func repairJSON(a RepairAblation) map[string]any {
 			"throttle_wait_ms":     round2(a.Foreground.ThrottleWaitMs),
 		},
 	}
-	if merkleMs > 0 && flatMs > 0 {
-		out["seed_over_full_recovery"] = round2(flatMs / merkleMs)
-	}
-	if merkleSteady > 0 && flatSteady > 0 {
-		out["seed_over_full_steady_digest"] = round2(flatSteady / merkleSteady)
-	}
-	return out
 }
 
 // storageJSON emits the A10 rows plus the storage PR's acceptance

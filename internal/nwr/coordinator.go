@@ -61,16 +61,6 @@ type Config struct {
 	// coordinator's read latency, floored at 1ms and capped at
 	// CallTimeout/2.
 	HedgeDelay time.Duration
-	// DisableHedge keeps the non-primary replica reads parked until the
-	// quorum settles or a primary fails — no hedge timer. Read-path
-	// ablation: isolates what the early launch is worth.
-	DisableHedge bool
-	// DisableCoalesce turns the per-key singleflight read coalescer off, so
-	// every concurrent reader of a hot key runs its own replica fan-out.
-	DisableCoalesce bool
-	// WaitForAllReads restores the seed read path: a read waits for every
-	// replica to answer before resolving, instead of returning at R.
-	WaitForAllReads bool
 	// RepairWorkers and RepairQueue size the async read-repair pool. Zero
 	// means 2 workers over a 256-job queue; jobs arriving on a full queue
 	// are dropped and counted in Stats.ReadRepairDropped.
@@ -429,18 +419,6 @@ func (c *Coordinator) callPeer(ctx context.Context, target, msgType string, body
 // open breaker fast-fails repair work exactly like foreground work.
 func (c *Coordinator) CallPeer(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
 	return c.callPeer(ctx, target, msgType, body)
-}
-
-// WriteReplicaTo applies rec on target (locally or over the wire),
-// reporting success. The cluster rebalancer uses it to push replicas during
-// migration and re-replication.
-func (c *Coordinator) WriteReplicaTo(ctx context.Context, target string, rec Record) bool {
-	return c.writeReplica(ctx, target, rec)
-}
-
-// ReadReplicaFrom fetches key's record from target (locally or remotely).
-func (c *Coordinator) ReadReplicaFrom(ctx context.Context, target, key string) (Record, bool, error) {
-	return c.readReplica(ctx, target, key)
 }
 
 // writeReplica applies rec on target (locally or over the wire).

@@ -66,9 +66,6 @@ func (c *Coordinator) GetEx(ctx context.Context, key string) (res GetResult, err
 		c.getLatency.ObserveDuration(c.cfg.Now().Sub(start))
 		sp.End(err)
 	}()
-	if c.cfg.DisableCoalesce {
-		return c.readQuorum(ctx, key)
-	}
 	return c.coalescedRead(ctx, key)
 }
 
@@ -145,7 +142,7 @@ type readOp struct {
 }
 
 // readQuorum runs one replica fan-out generation for key and returns at R
-// responses (or, in wait-for-all mode, when every replica has answered).
+// responses.
 func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, error) {
 	targets, err := c.ring.Successors(key, c.cfg.N)
 	if err != nil {
@@ -158,7 +155,7 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, er
 		answers: make(chan replicaAnswer, len(targets)),
 	}
 	primaries := c.cfg.R
-	if c.cfg.WaitForAllReads || primaries > len(targets) {
+	if primaries > len(targets) {
 		primaries = len(targets)
 	}
 	for _, t := range targets[:primaries] {
@@ -167,7 +164,7 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, er
 	op.pending = append(op.pending, targets[primaries:]...)
 
 	var hedgeCh <-chan time.Time
-	if len(op.pending) > 0 && !c.cfg.DisableHedge {
+	if len(op.pending) > 0 {
 		timer := time.NewTimer(c.hedgeDelay())
 		defer timer.Stop()
 		hedgeCh = timer.C
@@ -179,13 +176,13 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, er
 			op.collected = append(op.collected, a)
 			if a.err == nil {
 				op.responded++
-				if !c.cfg.WaitForAllReads && op.responded >= c.cfg.R {
+				if op.responded >= c.cfg.R {
 					return op.settle()
 				}
 			} else {
 				// A failed primary is the strongest hedge signal: launch the
-				// reserves now regardless of the timer (and regardless of
-				// DisableHedge — correctness, not a latency optimisation).
+				// reserves now regardless of the timer — correctness, not a
+				// latency optimisation.
 				op.launchPending(true)
 				hedgeCh = nil
 			}
@@ -199,9 +196,8 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, er
 		}
 	}
 	// Every dispatched replica has answered without reaching the early
-	// return: wait-for-all mode, or the fan-out fell short of R. (The loop
-	// cannot exit with reserves still parked — any primary failure launches
-	// them.)
+	// return: the fan-out fell short of R. (The loop cannot exit with
+	// reserves still parked — any primary failure launches them.)
 	return op.resolve()
 }
 
@@ -266,30 +262,24 @@ func (op *readOp) settle() (GetResult, error) {
 	return GetResult{Val: newest.Val}, nil
 }
 
-// resolve is the full-picture resolution: every dispatched replica has
-// answered. Reached in wait-for-all mode and when the fan-out falls short of
-// R (quorum failure or degraded read).
+// resolve handles a fan-out that fell short of R: every dispatched replica
+// has answered and fewer than R succeeded, so the read fails — or, with
+// DegradedReads, serves whatever the reachable minority knows, flagged so
+// callers can tell it may be stale.
 func (op *readOp) resolve() (GetResult, error) {
 	c := op.c
-	newest, haveNewest := newestOf(op.collected)
-	degraded := false
-	if op.responded < c.cfg.R {
-		if !c.cfg.DegradedReads || op.responded == 0 {
-			c.bump(func(s *Stats) { s.GetFailures++ })
-			return GetResult{}, fmt.Errorf("%w: %d/%d replicas answered for key %q",
-				ErrQuorumRead, op.responded, c.cfg.R, op.key)
-		}
-		// Degraded read: serve whatever the reachable minority knows,
-		// flagged so callers can tell it may be stale.
-		degraded = true
-		c.bump(func(s *Stats) { s.DegradedReads++ })
+	if !c.cfg.DegradedReads || op.responded == 0 {
+		c.bump(func(s *Stats) { s.GetFailures++ })
+		return GetResult{}, fmt.Errorf("%w: %d/%d replicas answered for key %q",
+			ErrQuorumRead, op.responded, c.cfg.R, op.key)
 	}
-	c.bump(func(s *Stats) { s.Gets++ })
+	c.bump(func(s *Stats) { s.Gets++; s.DegradedReads++ })
+	newest, haveNewest := newestOf(op.collected)
 	c.repairFromAnswers(op.bctx, op.key, op.collected)
 	if !haveNewest || newest.Deleted {
-		return GetResult{Degraded: degraded}, fmt.Errorf("%w: %q", ErrNotFound, op.key)
+		return GetResult{Degraded: true}, fmt.Errorf("%w: %q", ErrNotFound, op.key)
 	}
-	return GetResult{Val: newest.Val, Degraded: degraded}, nil
+	return GetResult{Val: newest.Val, Degraded: true}, nil
 }
 
 // finish runs after the caller already has its answer: launch the reserves
@@ -512,7 +502,7 @@ collect:
 				}
 				perKey[k] = append(perKey[k], ans)
 			}
-			if unsettled == 0 && !c.cfg.WaitForAllReads {
+			if unsettled == 0 {
 				break collect
 			}
 		case <-ctx.Done():

@@ -12,47 +12,31 @@ import (
 )
 
 // TestDeadlineRidesTheWire checks that a client deadline is visible to the
-// server-side handler's context, in both mux and legacy framing.
+// server-side handler's context.
 func TestDeadlineRidesTheWire(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts TCPOptions
-	}{
-		{"mux", TCPOptions{}},
-		{"legacy", TCPOptions{DisableMux: true}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			srv, err := ListenTCP("127.0.0.1:0", TCPOptions{})
-			if err != nil {
-				t.Fatal(err)
+	// The subtest name is the wire format's; the mem transport's propagation
+	// has its own test below.
+	t.Run("mux", func(t *testing.T) {
+		cli, srv := tcpPair(t)
+		var sawDeadline atomic.Int64
+		srv.SetHandler(func(ctx context.Context, msg Message) (bson.D, error) {
+			if dl, ok := ctx.Deadline(); ok {
+				sawDeadline.Store(dl.UnixNano())
 			}
-			defer srv.Close()
-			var sawDeadline atomic.Int64
-			srv.SetHandler(func(ctx context.Context, msg Message) (bson.D, error) {
-				if dl, ok := ctx.Deadline(); ok {
-					sawDeadline.Store(dl.UnixNano())
-				}
-				return bson.D{{Key: "ok", Value: true}}, nil
-			})
-
-			cli, err := ListenTCP("127.0.0.1:0", mode.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cli.Close()
-
-			want := time.Now().Add(3 * time.Second)
-			ctx, cancel := context.WithDeadline(context.Background(), want)
-			defer cancel()
-			if _, err := cli.Call(ctx, srv.Addr(), Message{Type: "t"}); err != nil {
-				t.Fatalf("call: %v", err)
-			}
-			got := time.Unix(0, sawDeadline.Load())
-			if got.IsZero() || got.Sub(want) > time.Millisecond || want.Sub(got) > time.Millisecond {
-				t.Fatalf("handler deadline = %v, want %v", got, want)
-			}
+			return bson.D{{Key: "ok", Value: true}}, nil
 		})
-	}
+
+		want := time.Now().Add(3 * time.Second)
+		ctx, cancel := context.WithDeadline(context.Background(), want)
+		defer cancel()
+		if _, err := cli.Call(ctx, srv.Addr(), Message{Type: "t"}); err != nil {
+			t.Fatalf("call: %v", err)
+		}
+		got := time.Unix(0, sawDeadline.Load())
+		if got.IsZero() || got.Sub(want) > time.Millisecond || want.Sub(got) > time.Millisecond {
+			t.Fatalf("handler deadline = %v, want %v", got, want)
+		}
+	})
 }
 
 // TestExpiredDeadlineDroppedServerSide exercises the server-side shed: a

@@ -14,15 +14,14 @@ import (
 	"mystore/internal/trace"
 )
 
-// Multiplexed TCP mode: many in-flight calls share one connection per peer
-// instead of checking a connection out of the pool for the full round trip.
-// A client opens the stream with the 4-byte magic "MUX1" (never a valid
-// legacy length prefix, whose first byte is ≤ 0x03 for frames under the
-// 64 MiB limit), then both directions carry frames of
+// The wire format: many in-flight calls share one connection per peer. A
+// client opens the stream with the 4-byte preamble "MUX1" (a server closes a
+// connection that opens with anything else), then both directions carry
+// frames of
 //
 //	payload length  uint32 (big endian)
 //	request id      uint64 (big endian)
-//	payload         BSON, same request/response documents as legacy mode
+//	payload         BSON request/response document (see tcp.go)
 //
 // Requests pipeline: writers append frames under a write mutex without
 // waiting for responses, a single demux reader routes each response to its
@@ -330,10 +329,10 @@ func (t *TCPTransport) serveMux(conn net.Conn) {
 }
 
 // handleRequest decodes one request payload and runs the handler, producing
-// the response document (shared by the legacy and mux server loops). A
-// propagated deadline ("dl") bounds the handler's context; a request whose
-// deadline already passed is dropped without invoking the handler at all —
-// the caller has given up, so the work would be wasted.
+// the response document. A propagated deadline ("dl") bounds the handler's
+// context; a request whose deadline already passed is dropped without
+// invoking the handler at all — the caller has given up, so the work would
+// be wasted.
 func (t *TCPTransport) handleRequest(payload []byte) bson.D {
 	req, err := bson.Unmarshal(payload)
 	if err != nil {

@@ -135,40 +135,6 @@ func TestMuxReconnectsAfterPeerRestart(t *testing.T) {
 	}
 }
 
-// TestMuxLegacyInterop: a DisableMux client must interoperate with a default
-// (mux-capable) server via the length-prefix sniff, and vice versa.
-func TestMuxLegacyInterop(t *testing.T) {
-	legacy, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Close()
-	legacy.SetHandler(echoHandler)
-	modern, err := ListenTCP("127.0.0.1:0", TCPOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer modern.Close()
-	modern.SetHandler(echoHandler)
-
-	// Legacy client -> mux-capable server.
-	resp, err := legacy.Call(context.Background(), modern.Addr(), Message{Type: "ping"})
-	if err != nil {
-		t.Fatalf("legacy->modern: %v", err)
-	}
-	if resp.StringOr("echo", "") != "ping" {
-		t.Fatalf("legacy->modern resp = %s", resp)
-	}
-	// Mux client -> legacy-mode server (serves both wire formats).
-	resp, err = modern.Call(context.Background(), legacy.Addr(), Message{Type: "pong"})
-	if err != nil {
-		t.Fatalf("modern->legacy: %v", err)
-	}
-	if resp.StringOr("echo", "") != "pong" {
-		t.Fatalf("modern->legacy resp = %s", resp)
-	}
-}
-
 // TestMuxManyConcurrent hammers one connection with pipelined calls and
 // verifies every response reaches its own caller (bodies must match).
 func TestMuxManyConcurrent(t *testing.T) {
@@ -210,29 +176,6 @@ func BenchmarkTCPCallMux(b *testing.B) {
 	defer srv.Close()
 	srv.SetHandler(echoHandler)
 	cli, err := ListenTCP("127.0.0.1:0", TCPOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := cli.Call(ctx, srv.Addr(), Message{Type: "ping"}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkTCPCallLegacy(b *testing.B) {
-	srv, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	srv.SetHandler(echoHandler)
-	cli, err := ListenTCP("127.0.0.1:0", TCPOptions{DisableMux: true})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -281,13 +281,19 @@ func TestTCPUnreachable(t *testing.T) {
 	}
 }
 
-func TestTCPPoolReuse(t *testing.T) {
+func TestTCPSequentialCallsShareOneConnection(t *testing.T) {
 	a, b := tcpPair(t)
 	b.SetHandler(echoHandler)
 	for i := 0; i < 50; i++ {
 		if _, err := a.Call(context.Background(), b.Addr(), Message{Type: "seq"}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
+	}
+	b.mu.Lock()
+	conns := len(b.serving)
+	b.mu.Unlock()
+	if conns != 1 {
+		t.Fatalf("server holds %d connections after 50 sequential calls, want 1", conns)
 	}
 }
 

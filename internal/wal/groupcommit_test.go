@@ -72,24 +72,6 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupCommitDisableSyncsEveryAppend checks the ablation mode keeps the
-// seed's one-fsync-per-append behaviour.
-func TestGroupCommitDisableSyncsEveryAppend(t *testing.T) {
-	l, _ := openTestLog(t, Options{
-		SyncEveryAppend: true,
-		GroupCommit:     GroupCommit{Disable: true},
-	})
-	for i := 0; i < 20; i++ {
-		if _, err := l.Append([]byte("x")); err != nil {
-			t.Fatalf("Append: %v", err)
-		}
-	}
-	st := l.Stats()
-	if st.Fsyncs != 20 {
-		t.Fatalf("Fsyncs = %d, want 20 (one per append with group commit disabled)", st.Fsyncs)
-	}
-}
-
 // TestWaitDurableNoSyncEveryAppend: WaitDurable is a no-op without
 // SyncEveryAppend, so the AppendNoWait+WaitDurable split is safe to use
 // unconditionally by the docstore.
@@ -230,27 +212,6 @@ func TestGroupCommitCloseWakesWaiters(t *testing.T) {
 func BenchmarkAppendSyncGroupCommit(b *testing.B) {
 	dir := b.TempDir()
 	l, err := Open(dir, Options{SyncEveryAppend: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer l.Close()
-	rec := make([]byte, 256)
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			if _, err := l.Append(rec); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	st := l.Stats()
-	if st.Appends > 0 {
-		b.ReportMetric(float64(st.Fsyncs)/float64(st.Appends), "fsyncs/op")
-	}
-}
-
-func BenchmarkAppendSyncPerRecord(b *testing.B) {
-	dir := b.TempDir()
-	l, err := Open(dir, Options{SyncEveryAppend: true, GroupCommit: GroupCommit{Disable: true}})
 	if err != nil {
 		b.Fatal(err)
 	}

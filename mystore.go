@@ -121,12 +121,6 @@ type ClusterOptions struct {
 	// (wal SyncEveryAppend). Only meaningful with DataDir. Concurrent
 	// writers share fsyncs through WAL group commit.
 	Durable bool
-	// DisableGroupCommit reverts durable appends to one fsync each
-	// (write-path ablation).
-	DisableGroupCommit bool
-	// SerializeWritePath reverts node stores to the single-lock write path
-	// (write-path ablation).
-	SerializeWritePath bool
 	// DisableHints turns hinted handoff off (ablation benches).
 	DisableHints bool
 	// DegradedReads lets a coordinator answer a read from fewer than R
@@ -136,36 +130,12 @@ type ClusterOptions struct {
 	// ReplicaCallTimeout bounds each replica RPC (default 2s). Chaos and
 	// fault experiments shorten it so dead peers are detected quickly.
 	ReplicaCallTimeout time.Duration
-	// DisableBreakers leaves the per-peer circuit breakers unwired
-	// (resilience ablation).
-	DisableBreakers bool
-	// DisableReadHedge keeps the N−R non-primary replica reads parked until
-	// the quorum settles or a primary fails — no hedge timer (read-path
-	// ablation).
-	DisableReadHedge bool
-	// DisableReadCoalesce turns the per-key singleflight read coalescer off
-	// (read-path ablation).
-	DisableReadCoalesce bool
-	// WaitForAllReads restores the seed read path: every read waits for all
-	// N replicas before answering (read-path ablation baseline).
-	WaitForAllReads bool
-	// ReadHedgeDelay overrides the adaptive hedge delay (default: the
-	// coordinator's recent p95 read latency, floor 1ms).
-	ReadHedgeDelay time.Duration
 	// Seed, when non-zero, seeds every node's background RNG (anti-entropy
 	// peer selection) with Seed+i, making repair schedules reproducible.
 	Seed int64
-	// DisableMerkleAE reverts anti-entropy to the flat per-record digest
-	// exchange (repair ablation baseline).
-	DisableMerkleAE bool
-	// DisableStreamTransfer reverts repair data movement to one RPC per
-	// record (repair ablation baseline).
-	DisableStreamTransfer bool
 	// RepairBandwidth caps streamed repair traffic per node, in bytes/sec
 	// (token bucket; 0 means unthrottled).
 	RepairBandwidth int64
-	// StreamBatchBytes bounds one streamed batch (default 256 KiB).
-	StreamBatchBytes int
 	// StorageEngine selects each node's local storage engine: "map"
 	// (default — every decoded document held in memory, full WAL replay on
 	// restart) or "lsm" (documents in log-structured SSTables behind a
@@ -296,31 +266,19 @@ func (c *Cluster) nodeConfig(i int) cluster.Config {
 		Weight: weight,
 		NWR: nwr.Config{
 			N: c.opts.N, W: c.opts.W, R: c.opts.R,
-			DisableHints:    c.opts.DisableHints,
-			DegradedReads:   c.opts.DegradedReads,
-			CallTimeout:     c.opts.ReplicaCallTimeout,
-			DisableHedge:    c.opts.DisableReadHedge,
-			DisableCoalesce: c.opts.DisableReadCoalesce,
-			WaitForAllReads: c.opts.WaitForAllReads,
-			HedgeDelay:      c.opts.ReadHedgeDelay,
+			DisableHints:  c.opts.DisableHints,
+			DegradedReads: c.opts.DegradedReads,
+			CallTimeout:   c.opts.ReplicaCallTimeout,
 		},
-		DisableBreakers:       c.opts.DisableBreakers,
 		Seed:                  seed,
 		StrongRanges:          c.opts.StrongRanges,
 		StrongElectionTimeout: c.opts.StrongElectionTimeout,
 		StrongLeaseDuration:   c.opts.StrongLeaseDuration,
-		DisableMerkleAE:       c.opts.DisableMerkleAE,
-		DisableStreamTransfer: c.opts.DisableStreamTransfer,
 		RepairBandwidth:       c.opts.RepairBandwidth,
-		StreamBatchBytes:      c.opts.StreamBatchBytes,
 		StoreDir:              dir,
 		Store: docstore.Options{
-			WAL: wal.Options{
-				SyncEveryAppend: c.opts.Durable,
-				GroupCommit:     wal.GroupCommit{Disable: c.opts.DisableGroupCommit},
-			},
-			SerializeWritePath: c.opts.SerializeWritePath,
-			Engine:             c.opts.StorageEngine,
+			WAL:    wal.Options{SyncEveryAppend: c.opts.Durable},
+			Engine: c.opts.StorageEngine,
 			Storage: lsm.Tuning{
 				MemtableBytes:       c.opts.MemtableBytes,
 				BlockCacheBytes:     c.opts.BlockCacheBytes,

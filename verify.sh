@@ -5,7 +5,11 @@
 # race detector on the write path (docstore, wal, transport, nwr), the
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
 # the CP tier (consensus), the repair path (merkle) and the observability
-# packages (metrics, trace).
+# packages (metrics, trace); then a short native-fuzz smoke of the wire frame
+# reader, and the switch guard: the system has one configuration, so a new
+# Disable*/WaitForAllReads/SerializeWritePath switch in non-test code fails
+# the gate (DisableHints is the paper's own §5.2 design ablation and stays;
+# bench/ is the frozen benchmark driver and is not scanned).
 # CI and pre-commit both run exactly this.
 set -eux
 
@@ -17,3 +21,12 @@ go test -count=20 -run 'TestPublicAPICrud' .
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
+go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
+
+set +x
+if grep -rnE '\b(Disable[A-Z][A-Za-z]*|WaitForAllReads|SerializeWritePath)\b' --include='*.go' . |
+	grep -v -e '^\./bench/' -e '_test\.go:' | grep -vE '\bDisableHints\b'; then
+	echo "verify.sh: ablation switch found in non-test code (see above); ROADMAP item 3 keeps one implementation per job" >&2
+	exit 1
+fi
+echo "verify.sh: ok"
