@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -362,6 +363,69 @@ func TestNodeJoinMigratesData(t *testing.T) {
 		}
 		if _, err := c.Get(ctx, key); err != nil {
 			t.Fatalf("Get(%s) after join: %v", key, err)
+		}
+	}
+}
+
+// TestRebalanceKeepsWriteAfterScan: rebalance scans for records this node no
+// longer owns, streams them to their owners, and drops the local copies the
+// owners confirm. A newer version written here between the scan and the drop
+// is not the one they confirmed: it must stay, and move on the re-armed pass.
+func TestRebalanceKeepsWriteAfterScan(t *testing.T) {
+	h := newHarness(t, 4)
+	h.converge(12)
+	ctx := context.Background()
+	stray := h.nodes[3]
+	var key string
+	var owners []string
+	for i := 0; key == ""; i++ {
+		k := fmt.Sprintf("moved-%03d", i)
+		os, err := stray.ring.Successors(k, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(os, stray.Addr()) {
+			key, owners = k, os
+		}
+	}
+	v1 := nwr.Record{Key: key, Val: []byte("v1"), IsData: true, Ver: 10, Origin: "a"}
+	v2 := nwr.Record{Key: key, Val: []byte("v2"), IsData: true, Ver: 20, Origin: "a"}
+	if err := stray.Coordinator().ApplyLocal(v1); err != nil {
+		t.Fatal(err)
+	}
+	// The first offer leaving the stray node proves its scan is over.
+	var once sync.Once
+	h.net.SetFault(func(from, to, msgType string) error {
+		if from == stray.Addr() && msgType == MsgStreamOffer {
+			once.Do(func() {
+				if err := stray.Coordinator().ApplyLocal(v2); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+		return nil
+	})
+	if _, dropped := stray.Rebalance(ctx); dropped != 0 {
+		t.Fatalf("rebalance dropped %d records; the only one here was rewritten after the scan", dropped)
+	}
+	if rec, found, _ := stray.Coordinator().GetLocal(key); !found || rec.Ver != v2.Ver {
+		t.Fatalf("stray node holds %+v (found %v), want the version written after the scan", rec, found)
+	}
+	stray.mu.Lock()
+	rearmed := stray.rebalanceWanted
+	stray.mu.Unlock()
+	if !rearmed {
+		t.Fatal("a record kept back did not re-arm the rebalance")
+	}
+
+	h.net.SetFault(nil)
+	if _, dropped := stray.Rebalance(ctx); dropped != 1 {
+		t.Fatalf("second pass dropped %d records, want 1", dropped)
+	}
+	for _, n := range h.nodes {
+		rec, found, _ := n.Coordinator().GetLocal(key)
+		if owner := slices.Contains(owners, n.Addr()); found != owner || (owner && rec.Ver != v2.Ver) {
+			t.Fatalf("%s (owner %v) holds %+v (found %v) after the migration", n.Addr(), owner, rec, found)
 		}
 	}
 }

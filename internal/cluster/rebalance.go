@@ -127,9 +127,19 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 			incomplete = true
 			continue
 		}
-		// A record's _id is its self-key.
-		if _, err := coll.Delete(m.rec.Key); err == nil {
+		// A record's _id is its self-key. The owners confirmed the version the
+		// scan saw; a newer one written here since stays and migrates on the
+		// re-armed pass.
+		newer := false
+		removed, _ := coll.DeleteIf(m.rec.Key, func(stored bson.D) (bool, error) {
+			cur, err := nwr.RecordFromDoc(stored)
+			newer = err != nil || cur.Newer(m.rec)
+			return !newer, nil
+		})
+		if removed {
 			dropped++
+		} else if newer {
+			incomplete = true
 		}
 	}
 

@@ -714,3 +714,75 @@ func TestRangeMapping(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusedVoteKeepsElectionDeadline: a vote request at a higher term from a
+// candidate whose log is behind ours is refused, its term adopted — and our
+// own election deadline left where it was. Only a vote we grant may push the
+// deadline back: otherwise a candidate that can never win keeps resetting the
+// one replica that can, and the range stays leaderless for as long as the
+// stale candidate's timeouts happen to fire first (seen as 13-election-
+// timeout failovers in TestStrongFailoverAcrossLeaderKill).
+func TestRefusedVoteKeepsElectionDeadline(t *testing.T) {
+	peers := []string{"a", "b", "c"}
+	m, err := NewManager(Options{
+		Ranges:            1,
+		ReplicationFactor: 3,
+		ElectionTimeout:   time.Hour, // no timer fires during the test
+		Seed:              1,
+	}, Env{
+		Self:     "a",
+		Call:     func(context.Context, string, string, bson.D) (bson.D, error) { return nil, errors.New("test: down") },
+		Replicas: func(uint32) ([]string, error) { return peers, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	g, err := m.groupFor(0, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A follower holding one entry of term 1 whose leader fell silent long ago.
+	g.mu.Lock()
+	g.term = 1
+	g.log = append(g.log, Entry{Index: 1, Term: 1, Noop: true})
+	g.leader = "c"
+	g.lastHeard = time.Time{}
+	before := g.electionDeadline
+	g.mu.Unlock()
+
+	vote := func(from string, term, lastIdx, lastTerm int64) bool {
+		t.Helper()
+		resp, err := m.HandleMessage(MsgVote, bson.D{
+			{Key: "rid", Value: int64(0)},
+			{Key: "peers", Value: peersDoc(peers)},
+			{Key: "term", Value: term},
+			{Key: "from", Value: from},
+			{Key: "lastIdx", Value: lastIdx},
+			{Key: "lastTerm", Value: lastTerm},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		granted, _ := resp.Get("granted")
+		return granted == true
+	}
+	state := func() (uint64, time.Time) {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.term, g.electionDeadline
+	}
+
+	if vote("b", 5, 0, 0) {
+		t.Fatal("granted a vote to a candidate with an empty log")
+	}
+	if term, deadline := state(); term != 5 || !deadline.Equal(before) {
+		t.Fatalf("after a refused vote: term %d (want 5), election deadline moved by %v (want 0)", term, deadline.Sub(before))
+	}
+	if !vote("b", 6, 1, 1) {
+		t.Fatal("refused a vote to an up-to-date candidate")
+	}
+	if _, deadline := state(); deadline.Equal(before) {
+		t.Fatal("a granted vote did not re-arm the election deadline")
+	}
+}

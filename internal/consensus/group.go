@@ -281,7 +281,16 @@ func (g *group) handleVote(body bson.D) (bson.D, error) {
 		return voteReply(g.term, false), nil
 	}
 	if candTerm > g.term {
+		// Adopt the term but keep our own election deadline: only a vote we
+		// grant (below) or a leader's append pushes it back. A candidate
+		// whose log is behind ours can never win, and if its requests reset
+		// our timer it holds the range leaderless for as long as its
+		// timeouts happen to fire before ours.
+		deadline, wasLeader := g.electionDeadline, g.role == roleLeader
 		g.stepDownLocked(candTerm, "")
+		if !wasLeader {
+			g.electionDeadline = deadline
+		}
 	}
 	upToDate := lastTerm > g.lastTerm() ||
 		(lastTerm == g.lastTerm() && lastIdx >= g.lastIndex())

@@ -62,6 +62,13 @@ func (c *Collection) DataBytes() int64 {
 	return c.dataBytes
 }
 
+// Cond decides, with every other writer excluded, whether a conditional write
+// goes ahead. stored is the document currently under the id — nil when there
+// is none — and must be treated as immutable. False refuses the write
+// quietly; an error refuses it and is returned to the caller. Either way
+// nothing is logged. A Cond must not call back into the store.
+type Cond func(stored bson.D) (bool, error)
+
 // Insert stores a new document. A missing _id is assigned a fresh ObjectId.
 // The (possibly augmented) document's id is returned. The document is cloned
 // before insertion, so the caller may reuse it.
@@ -79,7 +86,13 @@ func (c *Collection) InsertCtx(ctx context.Context, doc bson.D) (any, error) {
 		// Prepend _id, matching MongoDB's canonical layout.
 		doc = append(bson.D{{Key: "_id", Value: id}}, doc...)
 	}
-	if err := c.store.mutateCtx(ctx, Op{Kind: "insert", Coll: c.name, Doc: doc}); err != nil {
+	_, err := c.write(ctx, id, doc, func(stored bson.D) (bool, error) {
+		if stored != nil {
+			return false, fmt.Errorf("%w: _id %v", ErrDuplicate, id)
+		}
+		return true, nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return id, nil
@@ -94,10 +107,17 @@ func (c *Collection) Update(doc bson.D) error {
 // UpdateCtx is Update carrying the caller's context so the write's
 // durability wait appears in its trace.
 func (c *Collection) UpdateCtx(ctx context.Context, doc bson.D) error {
-	if !doc.Has("_id") {
+	id, ok := doc.Get("_id")
+	if !ok {
 		return fmt.Errorf("%w: update requires _id", ErrBadId)
 	}
-	return c.store.mutateCtx(ctx, Op{Kind: "update", Coll: c.name, Doc: doc.Clone()})
+	_, err := c.write(ctx, id, doc.Clone(), func(stored bson.D) (bool, error) {
+		if stored == nil {
+			return false, fmt.Errorf("%w: _id %v", ErrNotFound, id)
+		}
+		return true, nil
+	})
+	return err
 }
 
 // Upsert inserts doc if its _id is unknown and replaces the stored document
@@ -107,17 +127,22 @@ func (c *Collection) Upsert(doc bson.D) (any, error) {
 	if !ok {
 		return c.Insert(doc)
 	}
-	key, err := idKey(id)
-	if err != nil {
-		return nil, err
+	_, err := c.write(context.Background(), id, doc.Clone(), nil)
+	return id, err
+}
+
+// PutIf is Upsert under a condition: doc, which must carry an _id, replaces
+// whatever is stored under it only if cond, shown that stored document, says
+// so. The decision and the write are one step — no other writer runs between
+// them — which is what a compare-and-replace such as last-write-wins needs.
+// It reports whether doc was written, and counts as one primary-index hit.
+func (c *Collection) PutIf(ctx context.Context, doc bson.D, cond Cond) (bool, error) {
+	id, ok := doc.Get("_id")
+	if !ok {
+		return false, fmt.Errorf("%w: conditional put requires _id", ErrBadId)
 	}
-	c.mu.RLock()
-	_, exists := c.primary.Get(key)
-	c.mu.RUnlock()
-	if exists {
-		return id, c.Update(doc)
-	}
-	return c.Insert(doc)
+	c.store.statIndexHit.Add(1)
+	return c.write(ctx, id, doc.Clone(), cond)
 }
 
 // Delete removes the document with the given id, reporting whether it
@@ -129,20 +154,21 @@ func (c *Collection) Delete(id any) (bool, error) {
 // DeleteCtx is Delete carrying the caller's context so the write's
 // durability wait appears in its trace.
 func (c *Collection) DeleteCtx(ctx context.Context, id any) (bool, error) {
-	key, err := idKey(id)
-	if err != nil {
-		return false, err
-	}
-	c.mu.RLock()
-	_, exists := c.primary.Get(key)
-	c.mu.RUnlock()
-	if !exists {
-		return false, nil
-	}
-	if err := c.store.mutateCtx(ctx, Op{Kind: "delete", Coll: c.name, Id: id}); err != nil {
-		return false, err
-	}
-	return true, nil
+	return c.write(ctx, id, nil, func(stored bson.D) (bool, error) { return stored != nil, nil })
+}
+
+// DeleteIf removes the document with the given id only if it exists and cond,
+// shown the stored document, says so; like PutIf, the decision and the delete
+// are one step. Callers that pick victims from an earlier scan use it so a
+// write that landed since is not deleted with them. It reports whether a
+// document was removed.
+func (c *Collection) DeleteIf(id any, cond Cond) (bool, error) {
+	return c.write(context.Background(), id, nil, func(stored bson.D) (bool, error) {
+		if stored == nil {
+			return false, nil
+		}
+		return cond(stored)
+	})
 }
 
 // Get returns the document with the given primary key. It is a lookup on the
@@ -155,7 +181,7 @@ func (c *Collection) Get(id any) (bson.D, bool) {
 	c.store.statIndexHit.Add(1)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.primary.Get(key)
+	v, _, ok := c.primary.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -168,7 +194,7 @@ func (c *Collection) GetEach(ids []string) map[string]bson.D {
 	out := make(map[string]bson.D, len(ids))
 	c.mu.RLock()
 	for _, id := range ids {
-		if v, ok := c.primary.Get(EncodeKey(id)); ok {
+		if v, _, ok := c.primary.Get(EncodeKey(id)); ok {
 			out[id] = v.Clone()
 		}
 	}
@@ -210,7 +236,9 @@ func (c *Collection) EnsureIndex(field string, unique bool) error {
 			return fmt.Errorf("%w: existing documents collide on %q", ErrDuplicate, field)
 		}
 	}
-	return c.store.mutate(Op{Kind: "index", Coll: c.name, Field: field, Unique: unique})
+	_, err := c.store.mutate(context.Background(), Op{Kind: "index", Coll: c.name, Field: field, Unique: unique}, nil,
+		func(lsn uint64) error { return c.applyEnsureIndex(field, unique, lsn) })
+	return err
 }
 
 // Indexes lists the indexed field paths.
@@ -342,7 +370,7 @@ func (c *Collection) Find(filter Filter, opts FindOptions) ([]bson.D, error) {
 		// An index that yields no candidates has answered the query: nothing
 		// matches, and there is nothing to scan for.
 		for _, idk := range candidates {
-			if v, ok := c.primary.Get([]byte(idk)); ok {
+			if v, _, ok := c.primary.Get([]byte(idk)); ok {
 				if err := verify(v); err != nil {
 					c.mu.RUnlock()
 					return nil, err
@@ -416,7 +444,7 @@ func (c *Collection) planPrimaryLocked(operand any) ([]string, bool) {
 		if err != nil {
 			return nil, false
 		}
-		if _, ok := c.primary.Get(key); ok {
+		if _, _, ok := c.primary.Get(key); ok {
 			return []string{string(key)}, true
 		}
 		return nil, true // definitively empty
@@ -489,155 +517,108 @@ func planIndexPredicate(ix *fieldIndex, operand any) ([]string, bool) {
 	return ix.lookupRange(lo, hi, hiIncl), true
 }
 
-// --- internal apply/check operations (called with store.writeMu held) ---
+// --- the document mutation path ---
 
-func (c *Collection) checkInsert(doc bson.D) error {
+// write is the one path by which a document changes: doc replaces whatever is
+// stored under id, or, when doc is nil, id is deleted. Encoding happens
+// outside the locks. Under the store's writeMu the stored document is read
+// once; cond (nil means always) decides on it, a put is checked against the
+// unique indexes, and only then is the effect logged and applied in place of
+// the document just read. Nothing can change between that read and the apply
+// — writeMu excludes every other writer — so the read needs no collection
+// lock; c.mu is taken only to publish the change to readers. It reports
+// whether the collection changed.
+func (c *Collection) write(ctx context.Context, id any, doc bson.D, cond Cond) (bool, error) {
+	key, err := idKey(id)
+	if err != nil {
+		return false, err
+	}
+	op := Op{Kind: "delete", Coll: c.name, Id: id}
+	var enc []byte
+	if doc != nil {
+		op = Op{Kind: "put", Coll: c.name, Doc: doc}
+		if enc, err = bson.Marshal(doc); err != nil {
+			return false, err
+		}
+	}
+	var old bson.D
+	var oldLen int
+	return c.store.mutate(ctx, op, func() (bool, error) {
+		old, oldLen, _ = c.primary.Get(key)
+		if cond != nil {
+			if ok, err := cond(old); err != nil || !ok {
+				return false, err
+			}
+		}
+		if doc != nil {
+			for _, ix := range c.indexes {
+				if ix.wouldViolate(string(key), doc) {
+					return false, fmt.Errorf("%w: unique index on %q", ErrDuplicate, ix.field)
+				}
+			}
+		}
+		return true, nil
+	}, func(lsn uint64) error {
+		return c.set(key, old, oldLen, doc, enc, lsn)
+	})
+}
+
+// blindPut redoes a put during recovery: doc goes under its own _id.
+func (c *Collection) blindPut(doc bson.D, lsn uint64) error {
 	id, ok := doc.Get("_id")
 	if !ok {
-		return fmt.Errorf("%w: insert op missing _id", ErrBadId)
+		return fmt.Errorf("%w: recovered document missing _id", ErrBadId)
 	}
+	return c.blindSet(id, doc, lsn)
+}
+
+// blindSet is write without the decision: recovery (snapshot load and WAL
+// replay, both single-threaded) redoes an effect over whatever is there.
+func (c *Collection) blindSet(id any, doc bson.D, lsn uint64) error {
 	key, err := idKey(id)
 	if err != nil {
 		return err
 	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if _, exists := c.primary.Get(key); exists {
-		return fmt.Errorf("%w: _id %v", ErrDuplicate, id)
-	}
-	for _, ix := range c.indexes {
-		if ix.wouldViolate(string(key), doc) {
-			return fmt.Errorf("%w: unique index on %q", ErrDuplicate, ix.field)
+	var enc []byte
+	if doc != nil {
+		if enc, err = bson.Marshal(doc); err != nil {
+			return err
 		}
 	}
-	return nil
+	old, oldLen, _ := c.primary.Get(key)
+	return c.set(key, old, oldLen, doc, enc, lsn)
 }
 
-func (c *Collection) applyInsert(doc bson.D, lsn uint64) error {
-	id, _ := doc.Get("_id")
-	key, err := idKey(id)
-	if err != nil {
-		return err
-	}
-	enc, err := bson.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, exists := c.primary.Get(key); exists {
-		if c.store.recovering {
-			// Relaxed replay: a fuzzy snapshot (or checkpointed table state)
-			// may already hold ops at or past the replay position, so an
-			// insert of an existing document re-applies as an overwrite.
-			return c.replaceLocked(key, old, doc, enc, lsn)
-		}
-		return fmt.Errorf("%w: _id %v", ErrDuplicate, id)
-	}
-	return c.insertLocked(key, doc, enc, lsn)
-}
-
-// insertLocked stores a fresh document. Caller holds c.mu and has verified
-// the key is absent.
-func (c *Collection) insertLocked(key []byte, doc bson.D, enc []byte, lsn uint64) error {
-	if err := c.primary.Set(key, doc, enc, lsn, true); err != nil {
-		return err
-	}
-	for _, ix := range c.indexes {
-		ix.insert(string(key), doc)
-	}
-	c.dataBytes += int64(len(enc))
-	if c.observer != nil {
-		c.observer(nil, doc)
-	}
-	return nil
-}
-
-// replaceLocked swaps an existing document for doc. Caller holds c.mu.
-func (c *Collection) replaceLocked(key []byte, oldDoc, doc bson.D, enc []byte, lsn uint64) error {
-	if err := c.primary.Set(key, doc, enc, lsn, false); err != nil {
-		return err
-	}
-	oldEnc, _ := bson.Marshal(oldDoc)
-	for _, ix := range c.indexes {
-		ix.remove(string(key), oldDoc)
-		ix.insert(string(key), doc)
-	}
-	c.dataBytes += int64(len(enc)) - int64(len(oldEnc))
-	if c.observer != nil {
-		c.observer(oldDoc, doc)
-	}
-	return nil
-}
-
-func (c *Collection) checkUpdate(doc bson.D) error {
-	id, ok := doc.Get("_id")
-	if !ok {
-		return fmt.Errorf("%w: update op missing _id", ErrBadId)
-	}
-	key, err := idKey(id)
-	if err != nil {
-		return err
-	}
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if _, exists := c.primary.Get(key); !exists {
-		return fmt.Errorf("%w: _id %v", ErrNotFound, id)
-	}
-	for _, ix := range c.indexes {
-		if ix.wouldViolate(string(key), doc) {
-			return fmt.Errorf("%w: unique index on %q", ErrDuplicate, ix.field)
-		}
-	}
-	return nil
-}
-
-func (c *Collection) applyUpdate(doc bson.D, lsn uint64) error {
-	id, _ := doc.Get("_id")
-	key, err := idKey(id)
-	if err != nil {
-		return err
-	}
-	enc, err := bson.Marshal(doc)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, exists := c.primary.Get(key)
-	if !exists {
-		if c.store.recovering {
-			// Relaxed replay: the snapshot may reflect a later delete of this
-			// document; re-applying the update as an insert converges because
-			// that delete is also in the replayed tail.
-			return c.insertLocked(key, doc, enc, lsn)
-		}
-		return fmt.Errorf("%w: _id %v", ErrNotFound, id)
-	}
-	return c.replaceLocked(key, old, doc, enc, lsn)
-}
-
-func (c *Collection) applyDelete(id any, lsn uint64) error {
-	key, err := idKey(id)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, exists := c.primary.Get(key)
-	if !exists {
+// set installs doc (encoded as enc; nil deletes) at key in place of old, the
+// document stored there now (nil for none, oldLen its encoded length), keeps
+// the secondary indexes and the byte count in step, and tells the observer.
+// Caller holds the store's writeMu or is in single-threaded recovery.
+func (c *Collection) set(key []byte, old bson.D, oldLen int, doc bson.D, enc []byte, lsn uint64) error {
+	if old == nil && doc == nil {
 		return nil // deleting an absent document is a no-op on replay
 	}
-	oldEnc, _ := bson.Marshal(old)
-	for _, ix := range c.indexes {
-		ix.remove(string(key), old)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var err error
+	if doc != nil {
+		err = c.primary.Set(key, doc, enc, lsn, old == nil)
+	} else {
+		err = c.primary.Delete(key, lsn)
 	}
-	if err := c.primary.Delete(key, lsn); err != nil {
+	if err != nil {
 		return err
 	}
-	c.dataBytes -= int64(len(oldEnc))
+	for _, ix := range c.indexes {
+		if old != nil {
+			ix.remove(string(key), old)
+		}
+		if doc != nil {
+			ix.insert(string(key), doc)
+		}
+	}
+	c.dataBytes += int64(len(enc) - oldLen)
 	if c.observer != nil {
-		c.observer(old, nil)
+		c.observer(old, doc)
 	}
 	return nil
 }

@@ -32,13 +32,14 @@ import (
 // Callers treat returned documents as immutable, exactly like the btree
 // engine's stored documents.
 type primaryStore interface {
-	// Get returns the stored document for key.
-	Get(key []byte) (bson.D, bool)
+	// Get returns the stored document for key and the length of its BSON
+	// encoding, which both engines already hold.
+	Get(key []byte) (doc bson.D, encLen int, ok bool)
 	// Set stores doc (already encoded as enc) at key. isNew tells the
-	// engine whether key is a fresh insert (the caller has verified
-	// existence under the store's write lock).
+	// engine whether key is a fresh insert (the caller read the key under
+	// the store's write lock).
 	Set(key []byte, doc bson.D, enc []byte, lsn uint64, isNew bool) error
-	// Delete removes key; the caller has verified it exists.
+	// Delete removes key; the caller read it under the store's write lock.
 	Delete(key []byte, lsn uint64) error
 	// Ascend walks documents in key order until fn returns false.
 	Ascend(fn func(key []byte, doc bson.D) bool)
@@ -48,21 +49,28 @@ type primaryStore interface {
 
 // memPrimary is the seed engine: decoded documents in an in-memory btree.
 type memPrimary struct {
-	tree *btree.Tree // idKey -> bson.D
+	tree *btree.Tree // idKey -> memDoc
+}
+
+// memDoc is a stored document beside the length of its encoding.
+type memDoc struct {
+	doc    bson.D
+	encLen int
 }
 
 func newMemPrimary() *memPrimary { return &memPrimary{tree: btree.New()} }
 
-func (p *memPrimary) Get(key []byte) (bson.D, bool) {
+func (p *memPrimary) Get(key []byte) (bson.D, int, bool) {
 	v, ok := p.tree.Get(key)
 	if !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return v.(bson.D), true
+	d := v.(memDoc)
+	return d.doc, d.encLen, true
 }
 
 func (p *memPrimary) Set(key []byte, doc bson.D, enc []byte, lsn uint64, isNew bool) error {
-	p.tree.Set(key, doc)
+	p.tree.Set(key, memDoc{doc, len(enc)})
 	return nil
 }
 
@@ -73,7 +81,7 @@ func (p *memPrimary) Delete(key []byte, lsn uint64) error {
 
 func (p *memPrimary) Ascend(fn func(key []byte, doc bson.D) bool) {
 	p.tree.Ascend(func(it btree.Item) bool {
-		return fn(it.Key, it.Value.(bson.D))
+		return fn(it.Key, it.Value.(memDoc).doc)
 	})
 }
 
@@ -143,12 +151,13 @@ func (p *lsmPrimary) decode(val []byte, err error) (bson.D, bool) {
 	return doc, true
 }
 
-func (p *lsmPrimary) Get(key []byte) (bson.D, bool) {
+func (p *lsmPrimary) Get(key []byte) (bson.D, int, bool) {
 	val, ok, err := p.eng.Get(docKey(p.coll, key))
 	if err == nil && !ok {
-		return nil, false
+		return nil, 0, false
 	}
-	return p.decode(val, err)
+	doc, ok := p.decode(val, err)
+	return doc, len(val), ok
 }
 
 func (p *lsmPrimary) Set(key []byte, doc bson.D, enc []byte, lsn uint64, isNew bool) error {

@@ -33,8 +33,8 @@ const snapshotFile = "snapshot.bson"
 // immutable once applied, so holding pointers is safe), and all encoding
 // and file I/O runs outside every lock. Writers therefore stall for O(1)
 // lock work, not for the dump. The snapshot may include ops at or past its
-// recorded LSN; recovery replays the tail with relaxed (blind-write)
-// semantics, which converges to the same state.
+// recorded LSN; the WAL holds effects, so replaying the tail over them
+// converges to the same state.
 func (s *Store) Compact() error {
 	if s.opts.Dir == "" {
 		return nil
@@ -222,7 +222,7 @@ func (s *Store) loadSnapshot() (wal.LSN, error) {
 			if !isDoc {
 				return 0, fmt.Errorf("docstore: snapshot doc is %T", docVal)
 			}
-			if err := c.applyInsert(doc, 0); err != nil {
+			if err := c.blindPut(doc, 0); err != nil {
 				return 0, err
 			}
 			continue

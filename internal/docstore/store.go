@@ -51,11 +51,15 @@ type Options struct {
 	Tracer *trace.Collector
 }
 
-// Op is one logical mutation, as written to the WAL.
+// Op is one applied mutation, as written to the WAL. The log records effects,
+// not intentions: a "put" is the document now stored under its _id whatever
+// was there before, a "delete" the id now absent, so replay re-applies without
+// validating. Logs written before this layout hold "insert" and "update"
+// records; both replay as "put".
 type Op struct {
-	Kind   string // "insert", "update", "delete", "index", "dropcoll"
+	Kind   string // "put", "delete", "index", "dropcoll"
 	Coll   string
-	Doc    bson.D // insert/update: full document
+	Doc    bson.D // put: full document
 	Id     any    // delete: primary key
 	Field  string // index: field path
 	Unique bool   // index: uniqueness
@@ -64,12 +68,13 @@ type Op struct {
 // Store is a document database instance. All exported methods are safe for
 // concurrent use.
 //
-// Locking protocol (see DESIGN.md): writeMu serializes the WAL append and
-// in-memory apply of every mutation, which is what makes WAL order equal
-// apply order; mu guards the collection map and the closed flag. The write
-// path holds writeMu only for the authoritative re-check, the buffered WAL
-// append, and the apply — validation, BSON encoding and the durability wait
-// (where group commit coalesces fsyncs across writers) happen outside it.
+// Locking protocol (see DESIGN.md): writeMu serializes every mutation's
+// check, WAL append and apply, which is what makes WAL order equal apply
+// order and a precondition true of the state it is applied to; mu guards the
+// collection map and the closed flag. The write path holds writeMu only for
+// the one read of current state, the buffered WAL append, and the apply —
+// BSON encoding and the durability wait (where group commit coalesces fsyncs
+// across writers) happen outside it.
 type Store struct {
 	writeMu sync.Mutex // serializes mutations so WAL order == apply order
 	mu      sync.RWMutex
@@ -86,14 +91,6 @@ type Store struct {
 	engine *lsm.Engine // nil for the map engine
 	colls  map[string]*Collection
 	closed bool
-
-	// recovering is true only during single-threaded open (snapshot load +
-	// WAL replay) and relaxes apply semantics to blind writes: insert of an
-	// existing document overwrites, update of a missing one inserts. The
-	// fuzzy snapshot and the lsm checkpoint both allow the recovery baseline
-	// to run slightly ahead of the replay position; relaxed replay makes
-	// re-application converge instead of erroring.
-	recovering bool
 
 	replayedOps atomic.Uint64 // WAL records re-applied by the last open
 
@@ -166,7 +163,9 @@ func Open(opts Options) (*Store, error) {
 		}
 		s.log = log
 	}
-	s.recovering = true
+	// Replay is blind: every record is an effect to redo. The fuzzy snapshot
+	// and the lsm checkpoint both let the recovery baseline run slightly ahead
+	// of the replay position, and redoing an effect already present converges.
 	err := s.log.Replay(from, func(lsn wal.LSN, rec []byte) error {
 		doc, err := bson.Unmarshal(rec)
 		if err != nil {
@@ -177,9 +176,8 @@ func Open(opts Options) (*Store, error) {
 			return err
 		}
 		s.replayedOps.Add(1)
-		return s.applyLocked(op, uint64(lsn))
+		return s.replayOp(op, uint64(lsn))
 	})
-	s.recovering = false
 	if err != nil {
 		if s.engine != nil {
 			s.engine.Crash()
@@ -231,30 +229,27 @@ func (s *Store) Collections() []string {
 
 // DropCollection removes a collection and its documents.
 func (s *Store) DropCollection(name string) error {
-	return s.mutate(Op{Kind: "dropcoll", Coll: name})
+	_, err := s.mutate(context.Background(), Op{Kind: "dropcoll", Coll: name}, nil,
+		func(lsn uint64) error { return s.applyDropColl(name, lsn) })
+	return err
 }
 
-// mutate validates, logs and applies one op.
-func (s *Store) mutate(op Op) error { return s.mutateCtx(context.Background(), op) }
-
-// mutateCtx is mutate with the caller's context, used only for tracing: the
-// durability wait gets its own "wal.commit" span so a trace shows how much
-// of a write sat waiting on the group fsync.
-func (s *Store) mutateCtx(ctx context.Context, op Op) error {
+func (s *Store) isClosed() bool {
 	s.mu.RLock()
-	closed := s.closed
-	s.mu.RUnlock()
-	if closed {
-		return ErrClosed
-	}
+	defer s.mu.RUnlock()
+	return s.closed
+}
 
-	// Optimistic pre-check outside the write lock: rejects the common error
-	// cases (duplicate _id, missing update target) without serializing. It
-	// is advisory only — a concurrent writer can invalidate it — so the
-	// authoritative re-check below runs under writeMu before anything
-	// reaches the WAL.
-	if err := s.checkOp(op); err != nil {
-		return err
+// mutate is the store's one write protocol. op is encoded outside the locks;
+// under writeMu, check (when non-nil) reads current state and says whether the
+// mutation goes ahead — false or an error refuses it and nothing reaches the
+// WAL; then the record is appended and apply runs with its LSN (0 for an
+// in-memory store). The durability wait follows the unlock, under its own
+// "wal.commit" span so a trace shows how much of a write sat waiting on the
+// group fsync. It reports whether the mutation was applied.
+func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), apply func(lsn uint64) error) (bool, error) {
+	if s.isClosed() {
+		return false, ErrClosed
 	}
 	// BSON-encode outside the lock; it is the expensive part of the write.
 	var rec []byte
@@ -262,21 +257,20 @@ func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 		var err error
 		rec, err = bson.Marshal(encodeOp(op))
 		if err != nil {
-			return err
+			return false, err
 		}
 	}
 
 	s.writeMu.Lock()
-	s.mu.RLock()
-	closed = s.closed
-	s.mu.RUnlock()
-	if closed {
+	if s.isClosed() {
 		s.writeMu.Unlock()
-		return ErrClosed
+		return false, ErrClosed
 	}
-	if err := s.checkOp(op); err != nil {
-		s.writeMu.Unlock()
-		return err
+	if check != nil {
+		if ok, err := check(); err != nil || !ok {
+			s.writeMu.Unlock()
+			return false, err
+		}
 	}
 	var lsn wal.LSN
 	if s.log != nil {
@@ -287,68 +281,52 @@ func (s *Store) mutateCtx(ctx context.Context, op Op) error {
 		lsn, err = s.log.AppendNoWait(rec)
 		if err != nil {
 			s.writeMu.Unlock()
-			return err
+			return false, err
 		}
 	}
-	if err := s.applyLocked(op, uint64(lsn)); err != nil {
-		// checkOp guarantees this cannot happen; if it does, the in-memory
-		// state and WAL have diverged and continuing would corrupt data.
-		panic(fmt.Sprintf("docstore: apply after successful check failed: %v", err))
-	}
+	// An apply can fail only in the storage engine (crashed or closed under
+	// us). The record is logged and the caller is told the write failed; if
+	// the record proves durable, the next open redoes it.
+	err := apply(uint64(lsn))
 	s.writeMu.Unlock()
-
+	if err != nil {
+		return false, err
+	}
 	if s.log == nil {
-		return nil
+		return true, nil
 	}
 	_, sp := trace.Start(ctx, "wal.commit")
-	err := s.log.WaitDurable(lsn)
+	err = s.log.WaitDurable(lsn)
 	sp.End(err)
-	return err
+	return err == nil, err
 }
 
-// checkOp verifies op can apply cleanly.
-func (s *Store) checkOp(op Op) error {
+// replayOp redoes one logged op during single-threaded open.
+func (s *Store) replayOp(op Op, lsn uint64) error {
 	switch op.Kind {
-	case "insert":
-		return s.C(op.Coll).checkInsert(op.Doc)
-	case "update":
-		return s.C(op.Coll).checkUpdate(op.Doc)
+	case "put", "insert", "update":
+		return s.C(op.Coll).blindPut(op.Doc, lsn)
 	case "delete":
-		_, err := idKey(op.Id)
-		return err
-	case "index", "dropcoll":
-		return nil
-	default:
-		return fmt.Errorf("docstore: unknown op kind %q", op.Kind)
-	}
-}
-
-// applyLocked mutates store state; lsn is the op's WAL position (0 for an
-// in-memory store), threaded to the storage engine for checkpointing.
-// Caller holds writeMu (or is in single-threaded recovery).
-func (s *Store) applyLocked(op Op, lsn uint64) error {
-	switch op.Kind {
-	case "insert":
-		return s.C(op.Coll).applyInsert(op.Doc, lsn)
-	case "update":
-		return s.C(op.Coll).applyUpdate(op.Doc, lsn)
-	case "delete":
-		return s.C(op.Coll).applyDelete(op.Id, lsn)
+		return s.C(op.Coll).blindSet(op.Id, nil, lsn)
 	case "index":
 		return s.C(op.Coll).applyEnsureIndex(op.Field, op.Unique, lsn)
 	case "dropcoll":
-		if s.engine != nil {
-			if err := s.dropCollLSM(op.Coll, lsn); err != nil {
-				return err
-			}
-		}
-		s.mu.Lock()
-		delete(s.colls, op.Coll)
-		s.mu.Unlock()
-		return nil
+		return s.applyDropColl(op.Coll, lsn)
 	default:
 		return fmt.Errorf("docstore: unknown op kind %q", op.Kind)
 	}
+}
+
+func (s *Store) applyDropColl(name string, lsn uint64) error {
+	if s.engine != nil {
+		if err := s.dropCollLSM(name, lsn); err != nil {
+			return err
+		}
+	}
+	s.mu.Lock()
+	delete(s.colls, name)
+	s.mu.Unlock()
+	return nil
 }
 
 // Stats summarize the store for monitoring and tests.

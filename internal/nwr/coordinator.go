@@ -530,7 +530,8 @@ func (c *Coordinator) readReplica(ctx context.Context, target, key string) (Reco
 	return rec, true, nil
 }
 
-// ApplyLocal merges rec into this node's store under last-write-wins.
+// ApplyLocal merges rec into this node's store under last-write-wins: it is
+// stored unless the replica already holds a record that is not older.
 func (c *Coordinator) ApplyLocal(rec Record) error {
 	return c.ApplyLocalCtx(context.Background(), rec)
 }
@@ -545,25 +546,20 @@ func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) (err error)
 			return err
 		}
 	}
-	coll := c.store.C(RecordCollection)
-	existing, found := coll.Get(rec.Key)
-	if !found {
-		_, err := coll.InsertCtx(ctx, rec.WithId(time.Time{}))
-		if errors.Is(err, docstore.ErrDuplicate) {
-			// Raced with another writer for first materialization; retry as
-			// an update through the now-existing row.
-			return c.ApplyLocalCtx(ctx, rec)
+	// One conditional put: the store shows the predicate the record it holds
+	// with every other writer excluded, so of any number of concurrent
+	// appliers of one key the newest lands last on this replica.
+	_, err = c.store.C(RecordCollection).PutIf(ctx, rec.WithId(time.Time{}), func(stored bson.D) (bool, error) {
+		if stored == nil {
+			return true, nil
 		}
-		return err
-	}
-	old, err := RecordFromDoc(existing)
-	if err != nil {
-		return err
-	}
-	if !rec.Newer(old) {
-		return nil // stale write; last write wins
-	}
-	return coll.UpdateCtx(ctx, rec.WithId(time.Time{}))
+		old, err := RecordFromDoc(stored)
+		if err != nil {
+			return false, err
+		}
+		return rec.Newer(old), nil // a stale write is dropped; last write wins
+	})
+	return err
 }
 
 // GetLocal reads key's record from this node's store.
@@ -620,13 +616,19 @@ func (c *Coordinator) PurgeTombstones(cutoff time.Time) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// The scan is only a list of candidates: a write may have landed since, so
+	// each one goes only if what is stored now is still an old tombstone.
+	stillPurgeable := func(stored bson.D) (bool, error) {
+		rec, err := RecordFromDoc(stored)
+		return err == nil && rec.Deleted && rec.Ver < cutoff.UnixNano(), nil
+	}
 	purged := 0
 	for _, doc := range docs {
 		id, ok := doc.Get("_id")
 		if !ok {
 			continue
 		}
-		removed, err := coll.Delete(id)
+		removed, err := coll.DeleteIf(id, stillPurgeable)
 		if err != nil {
 			return purged, err
 		}

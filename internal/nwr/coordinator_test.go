@@ -4,9 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"mystore/internal/bson"
 	"mystore/internal/docstore"
 	"mystore/internal/ring"
 	"mystore/internal/transport"
@@ -485,6 +488,62 @@ func TestPurgeTombstones(t *testing.T) {
 	// Idempotent.
 	if again, _ := coord.PurgeTombstones(cutoff); again != 0 {
 		t.Fatalf("second purge removed %d", again)
+	}
+}
+
+// TestPurgeSparesWriteAfterScan: the purge picks its victims in a scan and
+// deletes them one by one afterwards; a key rewritten in between must keep
+// its new record. A writer starts the moment the first victim goes — the scan
+// is over by then — and rewrites every key from the far end, so it reaches
+// most keys after the scan and before their delete.
+func TestPurgeSparesWriteAfterScan(t *testing.T) {
+	store, err := docstore.Open(docstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	coord := localCoordinator(t, store)
+	const keys = 400
+	key := func(i int) string { return fmt.Sprintf("gone-%03d", i) }
+	for i := 0; i < keys; i++ {
+		if err := coord.ApplyLocal(Record{Key: key(i), IsData: true, Deleted: true, Ver: 10, Origin: "a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scanned := make(chan struct{})
+	var once sync.Once
+	store.C(RecordCollection).SetApplyObserver(func(old, new bson.D) {
+		if new == nil {
+			once.Do(func() { close(scanned) })
+			runtime.Gosched() // let the writer in even on one core
+		}
+	})
+	rewritten := make(chan error, 1)
+	go func() {
+		<-scanned
+		for i := keys - 1; i >= 0; i-- {
+			if err := coord.ApplyLocal(Record{Key: key(i), Val: []byte("back"), IsData: true, Ver: 20, Origin: "a"}); err != nil {
+				rewritten <- err
+				return
+			}
+		}
+		rewritten <- nil
+	}()
+	purged, err := coord.PurgeTombstones(time.Unix(0, 15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-rewritten; err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for i := 0; i < keys; i++ {
+		if rec, found, _ := coord.GetLocal(key(i)); !found || rec.Ver != 20 || rec.Deleted {
+			lost++
+		}
+	}
+	if lost > 0 {
+		t.Fatalf("purge deleted %d of %d records written after its scan (it purged %d)", lost, keys, purged)
 	}
 }
 

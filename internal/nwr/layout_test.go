@@ -75,44 +75,79 @@ func TestNewKeysNeverScan(t *testing.T) {
 	}
 }
 
-// TestDuplicateInsertRaceConverges races two appliers of each never-seen
-// key. One insert loses with ErrDuplicate and must retry as a versioned
-// update, so the survivor is the last-write-wins winner whichever applier
-// got there first.
+// TestDuplicateInsertRaceConverges races appliers of one key on both engines:
+// two over a never-seen key, and eight of distinct versions over a key the
+// store already holds. The replica apply is one conditional put whose
+// predicate runs with writers excluded, so whichever applier gets there first
+// the survivor is the last-write-wins winner and the key has one row.
 func TestDuplicateInsertRaceConverges(t *testing.T) {
-	store, err := docstore.Open(docstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	coord := localCoordinator(t, store)
 	const keys = 200
-	var wg sync.WaitGroup
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("raced-%03d", i)
-		for _, rec := range []Record{
-			{Key: key, Val: []byte("loser"), IsData: true, Ver: 10, Origin: "a"},
-			{Key: key, Val: []byte("winner"), IsData: true, Ver: 20, Origin: "b"},
-		} {
-			wg.Add(1)
-			go func(rec Record) {
-				defer wg.Done()
-				if err := coord.ApplyLocal(rec); err != nil {
-					t.Errorf("apply %s: %v", rec.Key, err)
+	engines := []struct {
+		name string
+		open func(t *testing.T) *docstore.Store
+	}{
+		{"map", func(t *testing.T) *docstore.Store {
+			store, err := docstore.Open(docstore.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return store
+		}},
+		{"lsm", func(t *testing.T) *docstore.Store { return lsmStore(t, t.TempDir(), false) }},
+	}
+	for _, tc := range []struct {
+		name     string
+		preload  bool
+		appliers int
+	}{
+		{"absent key, 2 appliers", false, 2},
+		{"existing key, 8 appliers", true, 8},
+	} {
+		for _, engine := range engines {
+			t.Run(tc.name+"/"+engine.name, func(t *testing.T) {
+				store := engine.open(t)
+				defer store.Close()
+				coord := localCoordinator(t, store)
+				key := func(i int) string { return fmt.Sprintf("raced-%03d", i) }
+				if tc.preload {
+					for i := 0; i < keys; i++ {
+						if err := coord.ApplyLocal(Record{Key: key(i), Val: []byte("old"), IsData: true, Ver: 1, Origin: "z"}); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
-			}(rec)
+				top := int64(10 + tc.appliers - 1)
+				var wg sync.WaitGroup
+				for i := 0; i < keys; i++ {
+					for a := 0; a < tc.appliers; a++ {
+						wg.Add(1)
+						go func(rec Record) {
+							defer wg.Done()
+							if err := coord.ApplyLocal(rec); err != nil {
+								t.Errorf("apply %s: %v", rec.Key, err)
+							}
+						}(Record{Key: key(i), Val: []byte(fmt.Sprintf("v%d", 10+a)), IsData: true, Ver: int64(10 + a), Origin: "a"})
+					}
+				}
+				wg.Wait()
+				regressed := 0
+				for i := 0; i < keys; i++ {
+					rec, found, err := coord.GetLocal(key(i))
+					if err != nil || !found {
+						t.Fatalf("%s: found %v, err %v", key(i), found, err)
+					}
+					if rec.Ver != top || string(rec.Val) != fmt.Sprintf("v%d", top) {
+						regressed++
+					}
+				}
+				if regressed > 0 {
+					t.Errorf("%d of %d keys ended below version %d: an older applier landed last", regressed, keys, top)
+				}
+				if got := store.C(RecordCollection).Len(); got != keys {
+					t.Fatalf("records = %d, want one row per key (%d)", got, keys)
+				}
+			})
 		}
-	}
-	wg.Wait()
-	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("raced-%03d", i)
-		rec, found, err := coord.GetLocal(key)
-		if err != nil || !found || string(rec.Val) != "winner" || rec.Ver != 20 {
-			t.Fatalf("%s = %+v (found %v, err %v), want the Ver 20 write", key, rec, found, err)
-		}
-	}
-	if got := store.C(RecordCollection).Len(); got != keys {
-		t.Fatalf("records = %d, want one row per key (%d)", got, keys)
 	}
 }
 
@@ -213,5 +248,31 @@ func BenchmarkApplyLocalNewKey(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkApplyLocalOverwrite is the other half of the replica write path:
+// a newer version of a 4 KiB record the lsm-backed store already holds — what
+// every overwriting POST costs each of its N replicas.
+func BenchmarkApplyLocalOverwrite(b *testing.B) {
+	store := lsmStore(b, b.TempDir(), false)
+	defer store.Close()
+	coord := localCoordinator(b, store)
+	ctx := context.Background()
+	val := make([]byte, 4096)
+	const keys = 512
+	for i := 0; i < keys; i++ {
+		if err := coord.ApplyLocalCtx(ctx, newKeyRecord(i, val)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rec := newKeyRecord(i%keys, val)
+		rec.Ver = int64(keys + i + 1)
+		if err := coord.ApplyLocalCtx(ctx, rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

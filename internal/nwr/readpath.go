@@ -404,10 +404,13 @@ func (c *Coordinator) RepairBacklog() int64 { return c.pendingRepairs.Load() }
 
 // Close stops the repair workers. It never closes the job channel, so a read
 // that settles after Close still enqueues safely (the job just no longer
-// drains).
+// drains). It claims the start latch first: workers being started by such a
+// read are either all counted before the Wait or never started at all — a
+// WaitGroup must not see its first Add race its Wait.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.repairQuit)
+		c.repairOnce.Do(func() {})
 		c.repairWG.Wait()
 	})
 }
