@@ -74,9 +74,11 @@ func TestStrongFailoverAcrossLeaderKill(t *testing.T) {
 				time.Since(killed), 10*et, err)
 		}
 	}
-	if d := time.Since(killed); d > 10*et {
+	d := time.Since(killed)
+	if d > 10*et {
 		t.Fatalf("failover took %v, want < %v", d, 10*et)
 	}
+	t.Logf("failover took %v = %.1f election timeouts", d, float64(d)/float64(et))
 
 	// A different node now leads the range.
 	for i, node := range c.Nodes() {
@@ -123,5 +125,44 @@ func strongGetEventually(t *testing.T, client *Client, key, want string, deadlin
 			t.Fatalf("StrongGet %s never succeeded after failover: %v", key, err)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestStrongClientGoesStraightToTheLeader: once a range's leader has served
+// the client, later strong operations on that range's keys go to it first —
+// no NotLeader bounce.
+func TestStrongClientGoesStraightToTheLeader(t *testing.T) {
+	const ranges = 4
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, StrongRanges: ranges})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rejects := func() (n int64) {
+		for _, node := range c.Nodes() {
+			n += node.Consensus().Stats().NotLeaderRejects
+		}
+		return n
+	}
+	put := func(i int) {
+		t.Helper()
+		key := fmt.Sprintf("hop-%d", i)
+		if err := client.StrongPut(ctx, key, []byte(key)); err != nil {
+			t.Fatalf("StrongPut %s: %v", key, err)
+		}
+		if got, err := client.StrongGet(ctx, key); err != nil || string(got) != key {
+			t.Fatalf("StrongGet %s = %q, %v", key, got, err)
+		}
+	}
+	for i := 0; i < 64; i++ { // touches every range; bounces are expected here
+		put(i)
+	}
+	before := rejects()
+	for i := 64; i < 264; i++ {
+		put(i)
+	}
+	if bounced := rejects() - before; bounced != 0 {
+		t.Fatalf("%d NotLeader rejections over 400 strong ops on ranges whose leaders the client had met", bounced)
 	}
 }

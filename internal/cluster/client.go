@@ -11,6 +11,7 @@ import (
 	"mystore/internal/consensus"
 	"mystore/internal/docstore"
 	"mystore/internal/resilience"
+	"mystore/internal/ring"
 	"mystore/internal/trace"
 	"mystore/internal/transport"
 )
@@ -30,6 +31,12 @@ type Client struct {
 	mu    sync.Mutex
 	nodes []string
 	next  int
+	// Strong-op routing: the node that last served a strong operation of each
+	// consensus range, tried first the next time. ranges is the cluster's
+	// range count as strong replies report it (0 until one has), so leaders
+	// never holds more entries than that.
+	ranges  int
+	leaders map[int]string
 }
 
 // ClientOptions are the connection parameters (the paper's
@@ -171,11 +178,52 @@ func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) 
 // following its hint must not consume the caller's retry budget.
 const maxLeaderRedirects = 3
 
-// callStrong performs one strong operation: the request carries
-// consistency=strong, NotLeader rejections are treated as retryable, and a
-// rejection's leader hint is followed first — as a free hop within the same
-// attempt, then as the preferred target of the next attempt.
-func (c *Client) callStrong(ctx context.Context, msgType string, body bson.D) (bson.D, error) {
+// leaderOf returns the node remembered as leading key's range ("" if none).
+func (c *Client) leaderOf(key string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ranges == 0 {
+		return ""
+	}
+	return c.leaders[consensus.RangeOf(ring.Hash(key), c.ranges)]
+}
+
+// rememberLeader records that node served a strong operation on key; resp
+// carries the range count that maps the key to its range.
+func (c *Client) rememberLeader(key, node string, resp bson.D) {
+	v, _ := resp.Get("ranges")
+	ranges, _ := v.(int64)
+	if ranges <= 0 {
+		return
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if int(ranges) != c.ranges {
+		c.ranges, c.leaders = int(ranges), make(map[int]string, ranges)
+	}
+	c.leaders[consensus.RangeOf(ring.Hash(key), c.ranges)] = node
+}
+
+// forgetLeader drops node as the remembered leader of key's range.
+func (c *Client) forgetLeader(key, node string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ranges == 0 {
+		return
+	}
+	if rid := consensus.RangeOf(ring.Hash(key), c.ranges); c.leaders[rid] == node {
+		delete(c.leaders, rid)
+	}
+}
+
+// callStrong performs one strong operation on key: the request carries
+// consistency=strong and goes first to the node remembered as leading the
+// key's range (Spinnaker's clients route to the cohort leader the same way),
+// else to the next node in rotation. NotLeader rejections are treated as
+// retryable, and a rejection's leader hint is followed as a free hop within
+// the same attempt. The node that serves the operation is remembered; one
+// that rejects it as not the leader, or cannot be reached, is forgotten.
+func (c *Client) callStrong(ctx context.Context, msgType, key string, body bson.D) (bson.D, error) {
 	ctx, sp := trace.Start(ctx, "cluster.call.strong")
 	req := make(bson.D, 0, len(body)+1)
 	req = append(req, body...)
@@ -183,15 +231,13 @@ func (c *Client) callStrong(ctx context.Context, msgType string, body bson.D) (b
 
 	var failed map[string]bool
 	var lastErr error
-	hint := ""
 	for i := 0; i < c.opts.Attempts; i++ {
 		if i > 0 {
 			if resilience.Sleep(ctx, c.opts.RetryBackoff.Delay(i-1, nil)) != nil {
 				break // caller gave up mid-backoff
 			}
 		}
-		node := hint
-		hint = ""
+		node := c.leaderOf(key)
 		if node == "" {
 			node = c.pick(failed)
 		}
@@ -201,11 +247,16 @@ func (c *Client) callStrong(ctx context.Context, msgType string, body bson.D) (b
 			cancel()
 			c.opts.Breakers.Report(node, err == nil || transport.IsRemote(err))
 			if err == nil {
+				c.rememberLeader(key, node, resp)
 				sp.End(nil)
 				return resp, nil
 			}
 			lastErr = err
-			if leader, isNL := consensus.ParseNotLeader(err); isNL {
+			leader, isNL := consensus.ParseNotLeader(err)
+			if isNL || !transport.IsRemote(err) {
+				c.forgetLeader(key, node)
+			}
+			if isNL {
 				// The node answered — it just isn't the leader. Its hint is
 				// a free redirect; without one (mid-election) fall through
 				// to the next attempt, whose backoff rides the election out.
@@ -230,7 +281,7 @@ func (c *Client) callStrong(ctx context.Context, msgType string, body bson.D) (b
 // StrongPut writes key through the owning range's replicated log: the ack
 // means a majority of the range's replicas hold the write durably.
 func (c *Client) StrongPut(ctx context.Context, key string, val []byte) error {
-	_, err := c.callStrong(ctx, MsgPut, bson.D{
+	_, err := c.callStrong(ctx, MsgPut, key, bson.D{
 		{Key: "self-key", Value: key},
 		{Key: "val", Value: val},
 	})
@@ -240,7 +291,7 @@ func (c *Client) StrongPut(ctx context.Context, key string, val []byte) error {
 // StrongGet reads key from the range leader under its lease — linearizable
 // with respect to StrongPut/StrongDelete acks.
 func (c *Client) StrongGet(ctx context.Context, key string) ([]byte, error) {
-	resp, err := c.callStrong(ctx, MsgGet, bson.D{{Key: "self-key", Value: key}})
+	resp, err := c.callStrong(ctx, MsgGet, key, bson.D{{Key: "self-key", Value: key}})
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +308,7 @@ func (c *Client) StrongGet(ctx context.Context, key string) ([]byte, error) {
 
 // StrongDelete replicates a tombstone for key through the range's log.
 func (c *Client) StrongDelete(ctx context.Context, key string) error {
-	_, err := c.callStrong(ctx, MsgDelete, bson.D{{Key: "self-key", Value: key}})
+	_, err := c.callStrong(ctx, MsgDelete, key, bson.D{{Key: "self-key", Value: key}})
 	return err
 }
 

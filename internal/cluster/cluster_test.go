@@ -537,7 +537,10 @@ func TestShortFailureHintsAndWriteback(t *testing.T) {
 }
 
 func TestReadsSurviveSingleNodeLoss(t *testing.T) {
-	h := newHarness(t, 5)
+	// R = 2: the test reads keys it has just written, and at (3,2,1) one
+	// replica answering before the third write lands is a legal miss
+	// (DESIGN.md §9) — 6 to 13 runs in 300 failed on it.
+	h := newHarnessNWR(t, 5, 3, 2, 2)
 	h.converge(12)
 	c := h.client(t)
 	ctx := context.Background()
@@ -584,5 +587,42 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	}
 	if err := h.nodes[0].Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClientLeaderCacheIsKeyedByRange: the strong-op leader cache holds one
+// entry per consensus range however many keys pass through it, forgets a
+// node only while it is the one remembered, and starts over when the
+// cluster reports a different range count.
+func TestClientLeaderCacheIsKeyedByRange(t *testing.T) {
+	c := &Client{}
+	reply := func(ranges int64) bson.D { return bson.D{{Key: "ok", Value: true}, {Key: "ranges", Value: ranges}} }
+	if c.leaderOf("k") != "" {
+		t.Fatal("a client that has met no leader remembers one")
+	}
+	c.rememberLeader("k", "a", bson.D{{Key: "ok", Value: true}}) // an eventual-tier reply: no range count
+	if c.leaderOf("k") != "" {
+		t.Fatal("remembered a leader without knowing the range count")
+	}
+	for i := 0; i < 1000; i++ {
+		c.rememberLeader(fmt.Sprintf("key-%d", i), "a", reply(4))
+	}
+	if len(c.leaders) != 4 {
+		t.Fatalf("%d cache entries for 4 ranges", len(c.leaders))
+	}
+	if c.leaderOf("key-7") != "a" {
+		t.Fatalf("leaderOf = %q, want a", c.leaderOf("key-7"))
+	}
+	c.forgetLeader("key-7", "b") // b was never remembered: a stale failure must not evict a
+	if c.leaderOf("key-7") != "a" {
+		t.Fatal("forgetting another node evicted the remembered leader")
+	}
+	c.forgetLeader("key-7", "a")
+	if c.leaderOf("key-7") != "" || len(c.leaders) != 3 {
+		t.Fatalf("after forget: leaderOf = %q, %d entries", c.leaderOf("key-7"), len(c.leaders))
+	}
+	c.rememberLeader("key-7", "b", reply(8))
+	if len(c.leaders) != 1 || c.leaderOf("key-7") != "b" {
+		t.Fatalf("after the range count changed: %d entries, leaderOf = %q", len(c.leaders), c.leaderOf("key-7"))
 	}
 }

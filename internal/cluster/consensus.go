@@ -42,9 +42,14 @@ func (n *Node) startConsensus() error {
 		Call: func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
 			return n.coord.CallPeer(ctx, target, msgType, body)
 		},
+		// A committed entry is durable in a majority's consensus logs and is
+		// re-applied from there after a crash, so its apply logs into the
+		// store's WAL without waiting for that WAL's fsync; SyncApplied is the
+		// wait, taken once per log compaction instead of once per entry.
 		Apply: func(ctx context.Context, rec nwr.Record) error {
-			return n.coord.ApplyLocalCtx(ctx, rec)
+			return n.coord.ApplyLocalUnsynced(ctx, rec)
 		},
+		SyncApplied: n.store.SyncWAL,
 		Read: func(key string) (nwr.Record, bool, error) {
 			return n.coord.GetLocal(key)
 		},
@@ -72,6 +77,13 @@ func (n *Node) startConsensus() error {
 
 // Consensus exposes the consensus manager (nil when the tier is off).
 func (n *Node) Consensus() *consensus.Manager { return n.cns }
+
+// strongReply is the answer to a served strong operation. It carries the
+// range count, from which a client derives the key's range and remembers this
+// node as its leader (Client.callStrong).
+func (n *Node) strongReply(fields ...bson.E) bson.D {
+	return append(bson.D(fields), bson.E{Key: "ranges", Value: int64(n.cfg.StrongRanges)})
+}
 
 // StrongPut writes key through the range's replicated log.
 func (n *Node) StrongPut(ctx context.Context, key string, val []byte) error {

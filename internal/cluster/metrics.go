@@ -5,6 +5,7 @@ import (
 
 	"mystore/internal/metrics"
 	"mystore/internal/transport"
+	"mystore/internal/wal"
 )
 
 // RegisterMetrics adds this node's subsystem metrics to r, labeled
@@ -156,6 +157,21 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 			Add(addr, func() float64 { return float64(cns.Stats().StrongReads) })
 		r.Register("mystore_consensus_propose_seconds", "Strong write latency through the replicated log (propose to commit).", metrics.TypeHistogram, "node").
 			AddHistogram(addr, 1e-9, cns.ProposeLatency().Snapshot)
+		// Applies trail the commit index off the reply path; the lag is the
+		// only place a stalled applier shows.
+		lagFamily := r.Register("mystore_consensus_apply_lag", "Committed log entries not yet applied to the local store, per range.", metrics.TypeGauge, "node_range")
+		for rid := 0; rid < n.cfg.StrongRanges; rid++ {
+			lagFamily.Add(fmt.Sprintf("%s r%d", addr, rid), func() float64 { return float64(cns.ApplyLag(rid)) })
+		}
+		if _, ok := cns.WALStats(); ok {
+			walStats := func() wal.SyncStats { st, _ := cns.WALStats(); return st }
+			r.Register("mystore_consensus_wal_appends_total", "Records appended to the consensus log's WAL.", metrics.TypeCounter, "node").
+				Add(addr, func() float64 { return float64(walStats().Appends) })
+			r.Register("mystore_consensus_wal_fsyncs_total", "fsync syscalls issued by the consensus log's WAL.", metrics.TypeCounter, "node").
+				Add(addr, func() float64 { return float64(walStats().Fsyncs) })
+			r.Register("mystore_consensus_wal_batched_records_total", "Consensus WAL records made durable by group fsyncs.", metrics.TypeCounter, "node").
+				Add(addr, func() float64 { return float64(walStats().BatchedRecords) })
+		}
 	}
 
 	if ins, ok := n.tr.(transport.Instrumented); ok {

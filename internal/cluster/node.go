@@ -404,7 +404,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 			if err != nil {
 				return nil, err
 			}
-			return bson.D{{Key: "ok", Value: true}}, nil
+			return n.strongReply(bson.E{Key: "ok", Value: true}), nil
 		}
 		if err := n.coord.Put(ctx, key, b); err != nil {
 			return nil, err
@@ -417,12 +417,12 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 			val, err := n.StrongGet(sctx, key)
 			cancel()
 			if errors.Is(err, consensus.ErrNotFound) {
-				return bson.D{{Key: "found", Value: false}}, nil
+				return n.strongReply(bson.E{Key: "found", Value: false}), nil
 			}
 			if err != nil {
 				return nil, err
 			}
-			return bson.D{{Key: "found", Value: true}, {Key: "val", Value: val}}, nil
+			return n.strongReply(bson.E{Key: "found", Value: true}, bson.E{Key: "val", Value: val}), nil
 		}
 		val, err := n.coord.Get(ctx, key)
 		if errors.Is(err, nwr.ErrNotFound) {
@@ -443,7 +443,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 			if err != nil {
 				return nil, err
 			}
-			return bson.D{{Key: "ok", Value: true}}, nil
+			return n.strongReply(bson.E{Key: "ok", Value: true}), nil
 		}
 		if err := n.coord.Delete(ctx, key); err != nil {
 			return nil, err

@@ -253,8 +253,15 @@ type Env struct {
 	// Call performs one RPC to target (breaker-gated).
 	Call func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error)
 	// Apply merges one committed record into the local store (LWW merge,
-	// idempotent across replay).
+	// idempotent across replay). It need not be durable on return: the entry
+	// stays in the consensus log, and is re-applied from it after a crash,
+	// until SyncApplied has covered it.
 	Apply func(ctx context.Context, rec nwr.Record) error
+	// SyncApplied returns once every Apply that has returned is durable in
+	// the local store. The manager calls it before a compaction or snapshot
+	// marker lets go of the log prefix those applies came from. nil means
+	// Apply is durable on return (or the store is in memory).
+	SyncApplied func() error
 	// Read fetches a key's record from the local store.
 	Read func(key string) (nwr.Record, bool, error)
 	// Replicas derives the replica set for a range from its start hash

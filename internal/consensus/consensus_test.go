@@ -23,11 +23,18 @@ type testCluster struct {
 }
 
 type testNode struct {
-	addr     string
-	m        *Manager
-	mu       sync.Mutex
-	store    map[string]nwr.Record
-	readHook func(key string) // called at the top of every Env.Read
+	addr      string
+	m         *Manager
+	mu        sync.Mutex
+	store     map[string]nwr.Record
+	readHook  func(key string) // called at the top of every Env.Read
+	applyHook func(key string) // called at the top of every Env.Apply
+}
+
+func (tn *testNode) setApplyHook(h func(key string)) {
+	tn.mu.Lock()
+	defer tn.mu.Unlock()
+	tn.applyHook = h
 }
 
 func (tn *testNode) setReadHook(h func(key string)) {
@@ -106,6 +113,12 @@ func newTestCluster(t *testing.T, n int, walDirs []string) *testCluster {
 				return peer.m.HandleMessage(msgType, body)
 			},
 			Apply: func(ctx context.Context, rec nwr.Record) error {
+				tn.mu.Lock()
+				h := tn.applyHook
+				tn.mu.Unlock()
+				if h != nil {
+					h(rec.Key)
+				}
 				tn.apply(rec)
 				return nil
 			},
@@ -174,6 +187,33 @@ func newTestCluster(t *testing.T, n int, walDirs []string) *testCluster {
 		}
 	})
 	return tc
+}
+
+// waitFor polls cond until it holds or timeout passes.
+func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out after %v waiting for %s", timeout, what)
+		}
+	}
+}
+
+// electLeader strong-puts key until some node accepts it and returns that
+// node, the range's leader.
+func (tc *testCluster) electLeader(t *testing.T, key string) *testNode {
+	t.Helper()
+	var leader *testNode
+	waitFor(t, 3*time.Second, "a leader for "+key, func() bool {
+		for _, tn := range tc.nodes {
+			if tn.m.Put(context.Background(), key, []byte("v0"), true) == nil {
+				leader = tn
+				return true
+			}
+		}
+		return false
+	})
+	return leader
 }
 
 func inRange(h, lo, hi uint32) bool {
@@ -607,6 +647,23 @@ func TestFollowerCommitCappedAtVerifiedPrefix(t *testing.T) {
 	}
 	if ok, _ := resp.Get("ok"); ok != true {
 		t.Fatalf("heartbeat refused: %v", resp)
+	}
+	// The apply trails the reply: wait for the applier to reach the commit
+	// index, which the heartbeat must have left at the verified prefix.
+	g, err := m.groupFor(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, "the applier to reach the commit index", func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.appliedIndex == g.commitIndex && !g.applying
+	})
+	g.mu.Lock()
+	commitIndex := g.commitIndex
+	g.mu.Unlock()
+	if commitIndex != 1 {
+		t.Fatalf("commit index %d after a heartbeat that verified only index 1", commitIndex)
 	}
 	mu.Lock()
 	defer mu.Unlock()

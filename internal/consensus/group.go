@@ -2,6 +2,7 @@ package consensus
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -49,6 +50,7 @@ type group struct {
 
 	commitIndex  uint64
 	appliedIndex uint64
+	applying     bool   // applyLoop is running
 	durableIndex uint64 // highest self entry known durable in the WAL
 	maxVer       int64  // highest record version in the log (leader-monotonic)
 
@@ -127,7 +129,7 @@ func (g *group) entryAt(idx uint64) Entry { return g.log[idx-g.firstIndex] }
 // heartbeats, the lease step-down, and retrying stalled applies.
 func (g *group) tick(now time.Time) {
 	g.mu.Lock()
-	g.applyCommittedLocked()
+	g.kickApplyLocked()
 	switch g.role {
 	case roleLeader:
 		if now.After(g.leaseUntil) {
@@ -165,12 +167,17 @@ func (g *group) startElectionLocked(now time.Time) {
 	g.votedFor = g.m.env.Self
 	g.role = roleCandidate
 	g.leader = ""
-	g.persistStateLocked()
+	err := g.persistStateLocked()
 	g.electionDeadline = now.Add(g.m.randTimeout())
 	electionTerm := g.term
 	lastIdx, lastTerm := g.lastIndex(), g.lastTerm()
 	peers := g.peers
 	g.mu.Unlock()
+	if err != nil {
+		// A self-vote that is not on disk must not be solicited on: after a
+		// restart this node could vote again in the same term.
+		return
+	}
 	g.m.elections.Add(1)
 
 	if len(peers) <= 1 {
@@ -251,13 +258,18 @@ func (g *group) tryBecomeLeader(electionTerm uint64, votes int) {
 	g.m.leaderChanges.Add(1)
 	// Commit barrier (Raft §8): a no-op of the new term establishes the
 	// commit index before any leader-local read is served.
-	lsn := g.appendLeaderEntryLocked(Entry{Noop: true})
+	lsn, err := g.appendLeaderEntryLocked(Entry{Noop: true})
+	if err != nil {
+		g.stepDownLocked(g.term, "") // a leader that cannot log cannot lead
+		g.mu.Unlock()
+		return
+	}
 	noopIdx := g.lastIndex()
 	g.noopIndex = noopIdx
 	g.noopTerm = g.term
 	g.mu.Unlock()
-	g.finishAppend(lsn, noopIdx)
 	g.broadcast()
+	g.finishAppend(lsn, noopIdx, electionTerm)
 }
 
 // handleVote serves a RequestVote.
@@ -297,7 +309,11 @@ func (g *group) handleVote(body bson.D) (bson.D, error) {
 	grant := (g.votedFor == "" || g.votedFor == from) && upToDate
 	if grant {
 		g.votedFor = from
-		g.persistStateLocked()
+		if g.persistStateLocked() != nil {
+			// Kept in memory, so no one else gets this term's vote either; but
+			// a vote that is not on disk is not given.
+			return voteReply(g.term, false), nil
+		}
 		g.electionDeadline = now.Add(g.m.randTimeout())
 	}
 	return voteReply(g.term, grant), nil
@@ -314,7 +330,9 @@ func (g *group) stepDownLocked(term uint64, leader string) {
 	if term > g.term {
 		g.term = term
 		g.votedFor = ""
-		g.persistStateLocked()
+		// Best effort: restarting at the older term is safe — no vote was cast
+		// in this one, and the first message from it teaches the term again.
+		_ = g.persistStateLocked()
 	}
 	if g.role == roleLeader {
 		g.m.leaderChanges.Add(1)
@@ -336,8 +354,9 @@ func (g *group) failWaitersLocked() {
 
 // appendLeaderEntryLocked assigns the next index (and a monotonic record
 // version) to e, appends it, and persists it. Returns the WAL position the
-// caller must wait durable before counting self toward the quorum.
-func (g *group) appendLeaderEntryLocked(e Entry) wal.LSN {
+// caller must wait durable before counting self toward the quorum. An entry
+// the WAL refused is not appended at all.
+func (g *group) appendLeaderEntryLocked(e Entry) (wal.LSN, error) {
 	e.Index = g.lastIndex() + 1
 	e.Term = g.term
 	if !e.Noop {
@@ -351,26 +370,46 @@ func (g *group) appendLeaderEntryLocked(e Entry) wal.LSN {
 		// drain, anti-entropy, rebalance) leave _strong records to the
 		// replicated log and its snapshot catch-up.
 		e.Rec.Strong = true
-		g.maxVer = v
+	}
+	lsn, err := g.persistEntryLocked(e)
+	if err != nil {
+		return 0, err
+	}
+	if !e.Noop {
+		g.maxVer = e.Rec.Ver
 	}
 	g.log = append(g.log, e)
-	return g.persistEntryLocked(e)
+	return lsn, nil
 }
 
-// finishAppend waits the entry durable, marks self's quorum contribution,
-// and advances the commit index if a majority already has it.
-func (g *group) finishAppend(lsn wal.LSN, idx uint64) {
-	g.m.waitDurable(lsn)
-	g.mu.Lock()
-	if idx > g.durableIndex {
-		g.durableIndex = idx
+// finishAppend waits the leader's own entry (idx, of term) durable, marks
+// self's quorum contribution, and advances the commit index if a majority
+// already has it. When the wait fails the leader does not count itself: the
+// entry can still commit on the followers alone.
+func (g *group) finishAppend(lsn wal.LSN, idx, term uint64) {
+	if g.m.waitDurable(lsn) != nil {
+		return
 	}
+	g.mu.Lock()
+	g.markDurableLocked(idx, term)
 	g.maybeCommitLocked()
 	g.mu.Unlock()
 }
 
+// markDurableLocked records that this replica's log is on disk through idx,
+// unless the entry there is no longer the one (of term) the caller waited for.
+func (g *group) markDurableLocked(idx, term uint64) {
+	if idx > g.durableIndex && g.termAt(idx) == term {
+		g.durableIndex = idx
+	}
+}
+
 // propose replicates rec through the group's log, returning once the entry
-// is committed by a majority and applied locally.
+// is committed by a majority and applied locally. The entry goes out to the
+// followers before the leader waits for its own WAL (Spinnaker's "send in
+// parallel with the log force"), so the fsync between request and ack is the
+// slower of the leader's and the second-fastest replica's, not their sum; the
+// leader still votes for the entry only once its own copy is durable.
 func (g *group) propose(ctx context.Context, rec nwr.Record) (err error) {
 	ctx, sp := trace.Start(ctx, "cns.propose")
 	start := g.m.opts.Now()
@@ -386,14 +425,18 @@ func (g *group) propose(ctx context.Context, rec nwr.Record) (err error) {
 		return &ErrNotLeader{Leader: leader}
 	}
 	g.m.proposals.Add(1)
-	lsn := g.appendLeaderEntryLocked(Entry{Rec: rec})
+	lsn, err := g.appendLeaderEntryLocked(Entry{Rec: rec})
+	if err != nil {
+		g.mu.Unlock()
+		return &quorumError{cause: err}
+	}
 	idx := g.lastIndex()
 	w := &waiter{term: g.term, ch: make(chan error, 1)}
 	g.waiters[idx] = w
 	g.mu.Unlock()
 
-	g.finishAppend(lsn, idx)
 	g.broadcast()
+	g.finishAppend(lsn, idx, w.term)
 
 	select {
 	case err := <-w.ch:
@@ -581,42 +624,74 @@ func (g *group) maybeCommitLocked() {
 	sort.Slice(idxs, func(i, j int) bool { return idxs[i] > idxs[j] })
 	candidate := idxs[g.majority()-1]
 	if candidate > g.commitIndex && g.termAt(candidate) == g.term {
+		g.m.commits.Add(int64(candidate - g.commitIndex))
 		g.commitIndex = candidate
-		g.m.commits.Add(int64(candidate - g.appliedIndex))
-		g.applyCommittedLocked()
+		g.kickApplyLocked()
 	}
 }
 
-// applyCommittedLocked applies every committed-but-unapplied entry to the
-// document store in log order and resolves its waiter. Applies ride the LWW
-// merge, so re-applying after a crash-replay is a no-op. A failed apply
-// (fault injection, disk trouble) stops the loop; the next tick retries.
-func (g *group) applyCommittedLocked() {
-	for g.appliedIndex < g.commitIndex {
-		idx := g.appliedIndex + 1
-		if idx < g.firstIndex {
+// kickApplyLocked starts the group's applier unless it is running or has
+// nothing to do.
+func (g *group) kickApplyLocked() {
+	if g.applying || g.appliedIndex >= g.commitIndex {
+		return
+	}
+	g.applying = true
+	g.m.spawn(g.applyLoop)
+}
+
+// applyLoop is the group's one applier. It applies committed entries to the
+// document store in log order — off the append RPC's reply path, and without
+// holding mu across the store call, so the next proposal appends meanwhile —
+// and resolves each entry's propose waiter once it is applied. Applies ride
+// the LWW merge, so re-applying after a crash-replay is a no-op. A failed
+// apply (fault injection, disk trouble) ends the loop; the next tick restarts
+// it.
+func (g *group) applyLoop(ctx context.Context) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	defer func() { g.applying = false }()
+	for ctx.Err() == nil {
+		if g.appliedIndex < g.firstIndex-1 {
 			// Compacted below the snapshot point: the store already has it.
 			g.appliedIndex = g.firstIndex - 1
-			continue
 		}
-		e := g.entryAt(idx)
-		if !e.Noop {
-			if err := g.m.env.Apply(g.m.baseCtx, e.Rec); err != nil {
-				return
+		hi := min(g.commitIndex, g.lastIndex())
+		if g.appliedIndex >= hi {
+			return
+		}
+		batch := append([]Entry(nil), g.log[g.appliedIndex+1-g.firstIndex:hi+1-g.firstIndex]...)
+		g.mu.Unlock()
+		done := 0
+		var err error
+		for _, e := range batch {
+			if !e.Noop {
+				if err = g.m.env.Apply(ctx, e.Rec); err != nil {
+					break
+				}
+				g.m.applies.Add(1)
 			}
-			g.m.applies.Add(1)
+			done++
 		}
-		g.appliedIndex = idx
-		if w, ok := g.waiters[idx]; ok {
-			if w.term == e.Term {
-				w.ch <- nil
-			} else {
-				w.ch <- &ErrNotLeader{Leader: g.leader}
+		g.mu.Lock()
+		for _, e := range batch[:done] {
+			if e.Index > g.appliedIndex { // a snapshot install may have passed us
+				g.appliedIndex = e.Index
 			}
-			delete(g.waiters, idx)
+			if w, ok := g.waiters[e.Index]; ok {
+				if w.term == e.Term {
+					w.ch <- nil
+				} else {
+					w.ch <- &ErrNotLeader{Leader: g.leader}
+				}
+				delete(g.waiters, e.Index)
+			}
 		}
+		if err != nil {
+			return
+		}
+		g.compactLocked()
 	}
-	g.compactLocked()
 }
 
 // --- follower side -------------------------------------------------------
@@ -693,7 +768,7 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 	// tracks the highest index this RPC verified: prevIdx (checked by the
 	// log-matching test above) plus every entry matched in place or appended.
 	var maxLSN wal.LSN
-	appended := uint64(0)
+	var logErr error
 	lastCovered := prevIdx
 	if v, ok := body.Get("entries"); ok {
 		if arr, isArr := v.(bson.A); isArr {
@@ -716,28 +791,40 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 				if e.Index != g.lastIndex()+1 {
 					break // gap; leader will back up
 				}
+				// An entry the WAL refused stays out of memory too, or the
+				// leader's retry would find it "already here" and be acked.
+				if maxLSN, logErr = g.persistEntryLocked(e); logErr != nil {
+					break
+				}
 				g.log = append(g.log, e)
 				if !e.Noop && e.Rec.Ver > g.maxVer {
 					g.maxVer = e.Rec.Ver
 				}
-				if lsn := g.persistEntryLocked(e); lsn > maxLSN {
-					maxLSN = lsn
-				}
 				lastCovered = e.Index
-				appended++
 			}
 		}
 	}
+	// Durability before ack: the leader counts this follower toward the commit
+	// quorum on our reply, so every covered entry not yet known durable —
+	// appended just now, or matched in memory after an earlier wait failed —
+	// is waited for, and a failure answers with an error, not an ack.
+	unsynced := lastCovered > g.durableIndex
+	if unsynced && maxLSN == 0 {
+		maxLSN = g.m.logEnd()
+	}
+	coveredTerm := g.termAt(lastCovered)
 	matched := g.lastIndex()
 	g.mu.Unlock()
 
-	if appended > 0 {
-		// Durability before ack: the leader counts this follower toward the
-		// commit quorum on our reply.
-		g.m.waitDurable(maxLSN)
+	if logErr == nil && unsynced {
+		logErr = g.m.waitDurable(maxLSN)
+	}
+	if logErr != nil {
+		return nil, fmt.Errorf("cns: append to the log of %s: %w", g.m.env.Self, logErr)
 	}
 
 	g.mu.Lock()
+	g.markDurableLocked(lastCovered, coveredTerm)
 	if commit > g.commitIndex {
 		// Raft's "index of last new entry" rule: advance the commit index
 		// only through the prefix this RPC verified. Capping at our own
@@ -752,7 +839,9 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 			g.commitIndex = c
 		}
 	}
-	g.applyCommittedLocked()
+	// Committed entries are applied by the group's applier, after this reply:
+	// the leader's quorum waits for our log, not for our store.
+	g.kickApplyLocked()
 	g.mu.Unlock()
 	return bson.D{
 		{Key: "term", Value: int64(term)},
@@ -768,7 +857,12 @@ func (g *group) truncateFromLocked(idx uint64) {
 		return
 	}
 	g.log = g.log[:idx-g.firstIndex]
-	g.m.persist(bson.D{
+	if g.durableIndex >= idx {
+		g.durableIndex = idx - 1
+	}
+	// Best effort: a cut that does not reach disk leaves an uncommitted suffix
+	// for the next replay, which the next leader's appends overwrite again.
+	_, _ = g.m.persist(bson.D{
 		{Key: "t", Value: "x"},
 		{Key: "rid", Value: int64(g.rid)},
 		{Key: "from", Value: int64(idx)},
@@ -847,6 +941,12 @@ func (g *group) handleSnapshot(body bson.D) (bson.D, error) {
 	g.lastHeard = now
 	g.electionDeadline = now.Add(g.m.randTimeout())
 	if snapIdx > g.snapIdx {
+		// The marker below promises the store holds everything through
+		// snapIdx. The streamed records are durable; entries this replica
+		// applied itself may not be yet.
+		if err := g.m.syncApplied(); err != nil {
+			return nil, err
+		}
 		if snapIdx >= g.lastIndex() || g.termAt(snapIdx) != snapTerm {
 			g.log = nil
 		} else {
@@ -871,24 +971,36 @@ func (g *group) handleSnapshot(body bson.D) (bson.D, error) {
 // compactLocked drops the applied log prefix once the in-memory log exceeds
 // the configured bound. The document store is the snapshot; the WAL keeps a
 // compaction marker (plus the retained tail, re-appended) so replay can
-// start from the marker and the segments before it become removable.
+// start from the marker and the segments before it become removable. A marker
+// is a promise that the store holds everything at or below it, and applies
+// do not wait for the store's own fsync — so the store is synced first, with
+// mu released (the applier is the caller; nothing else moves appliedIndex
+// down or the log's applied prefix away, except a snapshot install, which is
+// checked for).
 func (g *group) compactLocked() {
 	max := g.m.opts.MaxLogEntries
 	if len(g.log) <= max || g.appliedIndex < g.firstIndex+uint64(max)/2 {
 		return
 	}
-	g.snapTerm = g.termAt(g.appliedIndex)
-	g.snapIdx = g.appliedIndex
-	g.log = append([]Entry(nil), g.log[g.appliedIndex+1-g.firstIndex:]...)
-	g.firstIndex = g.appliedIndex + 1
+	upto := g.appliedIndex
+	g.mu.Unlock()
+	err := g.m.syncApplied()
+	g.mu.Lock()
+	if err != nil || upto < g.firstIndex {
+		return // keep the log: the store is not durable, or a snapshot overtook us
+	}
+	g.snapTerm = g.termAt(upto)
+	g.snapIdx = upto
+	g.log = append([]Entry(nil), g.log[upto+1-g.firstIndex:]...)
+	g.firstIndex = upto + 1
 	g.persistCompactionLocked()
 }
 
 // persistCompactionLocked writes the compaction marker plus the retained
 // tail; everything before the marker's LSN is no longer needed for this
-// group.
+// group — provided all of it was written, or replay keeps its older floor.
 func (g *group) persistCompactionLocked() {
-	lsn := g.m.persist(bson.D{
+	lsn, err := g.m.persist(bson.D{
 		{Key: "t", Value: "c"},
 		{Key: "rid", Value: int64(g.rid)},
 		{Key: "snapIdx", Value: int64(g.snapIdx)},
@@ -898,9 +1010,11 @@ func (g *group) persistCompactionLocked() {
 		{Key: "peers", Value: peersDoc(g.peers)},
 	})
 	for _, e := range g.log {
-		g.persistEntryLocked(e)
+		if _, perr := g.persistEntryLocked(e); err == nil {
+			err = perr
+		}
 	}
-	if lsn > 0 {
+	if err == nil && lsn > 0 {
 		g.compactLSN = lsn
 	}
 }
@@ -932,17 +1046,20 @@ func (g *group) leaderRead() error {
 
 // persistStateLocked makes (term, votedFor) durable before it is acted on;
 // voting twice in a term after a restart would break election safety.
-func (g *group) persistStateLocked() {
-	lsn := g.m.persist(bson.D{
+func (g *group) persistStateLocked() error {
+	lsn, err := g.m.persist(bson.D{
 		{Key: "t", Value: "s"},
 		{Key: "rid", Value: int64(g.rid)},
 		{Key: "term", Value: int64(g.term)},
 		{Key: "vote", Value: g.votedFor},
 	})
-	g.m.waitDurable(lsn)
+	if err != nil {
+		return err
+	}
+	return g.m.waitDurable(lsn)
 }
 
-func (g *group) persistEntryLocked(e Entry) wal.LSN {
+func (g *group) persistEntryLocked(e Entry) (wal.LSN, error) {
 	doc := bson.D{
 		{Key: "t", Value: "e"},
 		{Key: "rid", Value: int64(g.rid)},

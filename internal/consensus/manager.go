@@ -3,6 +3,7 @@ package consensus
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -228,12 +229,18 @@ func (m *Manager) groupFor(rid int, peers []string) (*group, error) {
 	// Group creation is durable before first use so a restarted node
 	// recreates its groups (and the rebalance guard over their ranges)
 	// from replay alone.
-	lsn := m.persist(bson.D{
+	lsn, err := m.persist(bson.D{
 		{Key: "t", Value: "p"},
 		{Key: "rid", Value: int64(rid)},
 		{Key: "peers", Value: peersDoc(peers)},
 	})
-	m.waitDurable(lsn)
+	if err == nil {
+		err = m.waitDurable(lsn)
+	}
+	if err != nil {
+		delete(m.groups, rid)
+		return nil, fmt.Errorf("cns: create group %d: %w", rid, err)
+	}
 	g.compactLSN = lsn
 	return g, nil
 }
@@ -444,26 +451,38 @@ func (m *Manager) HandleMessage(msgType string, body bson.D) (bson.D, error) {
 // persist appends one consensus record to the shared WAL (no-op without
 // one). Durability is the caller's business: quorum-relevant records wait
 // via waitDurable before they count.
-func (m *Manager) persist(doc bson.D) wal.LSN {
+func (m *Manager) persist(doc bson.D) (wal.LSN, error) {
 	if m.log == nil {
-		return 0
+		return 0, nil
 	}
 	raw, err := bson.Marshal(doc)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	lsn, err := m.log.AppendNoWait(raw)
-	if err != nil {
-		return 0
-	}
-	return lsn
+	return m.log.AppendNoWait(raw)
 }
 
-func (m *Manager) waitDurable(lsn wal.LSN) {
+func (m *Manager) waitDurable(lsn wal.LSN) error {
 	if m.log == nil || lsn == 0 {
-		return
+		return nil
 	}
-	m.log.WaitDurable(lsn)
+	return m.log.WaitDurable(lsn)
+}
+
+// logEnd is the WAL position of the newest record appended by any group.
+func (m *Manager) logEnd() wal.LSN {
+	if m.log == nil {
+		return 0
+	}
+	return m.log.NextLSN() - 1
+}
+
+// syncApplied makes every apply that has returned durable in the local store.
+func (m *Manager) syncApplied() error {
+	if m.env.SyncApplied == nil {
+		return nil
+	}
+	return m.env.SyncApplied()
 }
 
 // replay rebuilds every group from the consensus WAL. Record kinds:
@@ -639,6 +658,29 @@ func (m *Manager) Stats() Stats {
 		SnapshotsInstalled: m.snapshotsInstalled.Load(),
 		StrongReads:        m.strongReads.Load(),
 	}
+}
+
+// ApplyLag reports how many committed entries of range rid this replica has
+// yet to apply to its store (0 when it holds no group for the range).
+func (m *Manager) ApplyLag(rid int) uint64 {
+	m.mu.Lock()
+	g, ok := m.groups[rid]
+	m.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.commitIndex - g.appliedIndex
+}
+
+// WALStats reports the consensus log's commit counters; the second result is
+// false when the log is in memory.
+func (m *Manager) WALStats() (wal.SyncStats, bool) {
+	if m.log == nil {
+		return wal.SyncStats{}, false
+	}
+	return m.log.Stats(), true
 }
 
 // ProposeLatency exposes the propose latency histogram for metrics wiring.

@@ -86,7 +86,7 @@ func (c *Collection) InsertCtx(ctx context.Context, doc bson.D) (any, error) {
 		// Prepend _id, matching MongoDB's canonical layout.
 		doc = append(bson.D{{Key: "_id", Value: id}}, doc...)
 	}
-	_, err := c.write(ctx, id, doc, func(stored bson.D) (bool, error) {
+	_, err := c.write(ctx, id, doc, waitSync, func(stored bson.D) (bool, error) {
 		if stored != nil {
 			return false, fmt.Errorf("%w: _id %v", ErrDuplicate, id)
 		}
@@ -111,7 +111,7 @@ func (c *Collection) UpdateCtx(ctx context.Context, doc bson.D) error {
 	if !ok {
 		return fmt.Errorf("%w: update requires _id", ErrBadId)
 	}
-	_, err := c.write(ctx, id, doc.Clone(), func(stored bson.D) (bool, error) {
+	_, err := c.write(ctx, id, doc.Clone(), waitSync, func(stored bson.D) (bool, error) {
 		if stored == nil {
 			return false, fmt.Errorf("%w: _id %v", ErrNotFound, id)
 		}
@@ -127,7 +127,7 @@ func (c *Collection) Upsert(doc bson.D) (any, error) {
 	if !ok {
 		return c.Insert(doc)
 	}
-	_, err := c.write(context.Background(), id, doc.Clone(), nil)
+	_, err := c.write(context.Background(), id, doc.Clone(), waitSync, nil)
 	return id, err
 }
 
@@ -137,12 +137,24 @@ func (c *Collection) Upsert(doc bson.D) (any, error) {
 // them — which is what a compare-and-replace such as last-write-wins needs.
 // It reports whether doc was written, and counts as one primary-index hit.
 func (c *Collection) PutIf(ctx context.Context, doc bson.D, cond Cond) (bool, error) {
+	return c.putIf(ctx, doc, cond, waitSync)
+}
+
+// PutIfUnsynced is PutIf without the wait for the WAL's fsync: doc is logged
+// and applied when it returns, and durable only after the next Store.SyncWAL,
+// lsm flush or Compact. It is for a caller whose write is already durable in a
+// log of its own, from which it is redone after a crash.
+func (c *Collection) PutIfUnsynced(ctx context.Context, doc bson.D, cond Cond) (bool, error) {
+	return c.putIf(ctx, doc, cond, skipSync)
+}
+
+func (c *Collection) putIf(ctx context.Context, doc bson.D, cond Cond, mode syncMode) (bool, error) {
 	id, ok := doc.Get("_id")
 	if !ok {
 		return false, fmt.Errorf("%w: conditional put requires _id", ErrBadId)
 	}
 	c.store.statIndexHit.Add(1)
-	return c.write(ctx, id, doc.Clone(), cond)
+	return c.write(ctx, id, doc.Clone(), mode, cond)
 }
 
 // Delete removes the document with the given id, reporting whether it
@@ -154,7 +166,7 @@ func (c *Collection) Delete(id any) (bool, error) {
 // DeleteCtx is Delete carrying the caller's context so the write's
 // durability wait appears in its trace.
 func (c *Collection) DeleteCtx(ctx context.Context, id any) (bool, error) {
-	return c.write(ctx, id, nil, func(stored bson.D) (bool, error) { return stored != nil, nil })
+	return c.write(ctx, id, nil, waitSync, func(stored bson.D) (bool, error) { return stored != nil, nil })
 }
 
 // DeleteIf removes the document with the given id only if it exists and cond,
@@ -163,7 +175,7 @@ func (c *Collection) DeleteCtx(ctx context.Context, id any) (bool, error) {
 // write that landed since is not deleted with them. It reports whether a
 // document was removed.
 func (c *Collection) DeleteIf(id any, cond Cond) (bool, error) {
-	return c.write(context.Background(), id, nil, func(stored bson.D) (bool, error) {
+	return c.write(context.Background(), id, nil, waitSync, func(stored bson.D) (bool, error) {
 		if stored == nil {
 			return false, nil
 		}
@@ -237,7 +249,7 @@ func (c *Collection) EnsureIndex(field string, unique bool) error {
 		}
 	}
 	_, err := c.store.mutate(context.Background(), Op{Kind: "index", Coll: c.name, Field: field, Unique: unique}, nil,
-		func(lsn uint64) error { return c.applyEnsureIndex(field, unique, lsn) })
+		func(lsn uint64) error { return c.applyEnsureIndex(field, unique, lsn) }, waitSync)
 	return err
 }
 
@@ -524,11 +536,12 @@ func planIndexPredicate(ix *fieldIndex, operand any) ([]string, bool) {
 // outside the locks. Under the store's writeMu the stored document is read
 // once; cond (nil means always) decides on it, a put is checked against the
 // unique indexes, and only then is the effect logged and applied in place of
-// the document just read. Nothing can change between that read and the apply
+// the document just read; mode says whether to wait for the record's fsync
+// (see syncMode). Nothing can change between that read and the apply
 // — writeMu excludes every other writer — so the read needs no collection
 // lock; c.mu is taken only to publish the change to readers. It reports
 // whether the collection changed.
-func (c *Collection) write(ctx context.Context, id any, doc bson.D, cond Cond) (bool, error) {
+func (c *Collection) write(ctx context.Context, id any, doc bson.D, mode syncMode, cond Cond) (bool, error) {
 	key, err := idKey(id)
 	if err != nil {
 		return false, err
@@ -560,7 +573,7 @@ func (c *Collection) write(ctx context.Context, id any, doc bson.D, cond Cond) (
 		return true, nil
 	}, func(lsn uint64) error {
 		return c.set(key, old, oldLen, doc, enc, lsn)
-	})
+	}, mode)
 }
 
 // blindPut redoes a put during recovery: doc goes under its own _id.

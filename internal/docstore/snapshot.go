@@ -58,6 +58,12 @@ func (s *Store) Compact() error {
 	s.mu.RUnlock()
 	upto := s.log.NextLSN()
 	s.writeMu.Unlock()
+	// The snapshot header promises every record below upto; the log must hold
+	// them durably first, or after a power loss it reopens short of upto and
+	// hands those LSNs out again — to records the next replay skips.
+	if err := s.log.WaitDurable(upto - 1); err != nil {
+		return err
+	}
 
 	// Gather phase: per-collection read lock, pointer copies only.
 	type collDump struct {

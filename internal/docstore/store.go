@@ -130,6 +130,10 @@ func Open(opts Options) (*Store, error) {
 			// everything below the checkpoint; the WAL tail before it is dead
 			// weight and can go.
 			Checkpoint: func(lsn uint64) { log.TruncateBefore(wal.LSN(lsn)) },
+			// A mutation is applied to the memtable before its WAL record is
+			// known durable (and an unsynced one is never waited for by its
+			// writer), so the flush waits instead.
+			LogDurable: func(lsn uint64) error { return log.WaitDurable(wal.LSN(lsn)) },
 		})
 		if err != nil {
 			log.Close()
@@ -230,7 +234,7 @@ func (s *Store) Collections() []string {
 // DropCollection removes a collection and its documents.
 func (s *Store) DropCollection(name string) error {
 	_, err := s.mutate(context.Background(), Op{Kind: "dropcoll", Coll: name}, nil,
-		func(lsn uint64) error { return s.applyDropColl(name, lsn) })
+		func(lsn uint64) error { return s.applyDropColl(name, lsn) }, waitSync)
 	return err
 }
 
@@ -240,14 +244,28 @@ func (s *Store) isClosed() bool {
 	return s.closed
 }
 
+// syncMode says whether a mutation waits for its WAL record's fsync.
+type syncMode bool
+
+const (
+	// waitSync returns once the record is on stable storage (under
+	// SyncEveryAppend): the caller's ack is a durability promise.
+	waitSync syncMode = true
+	// skipSync returns once the record is appended and applied. It is for a
+	// caller whose write is already durable in a log of its own and redone
+	// from there after a crash; SyncWAL, the lsm flush and Compact are the
+	// barriers that make such records durable before anything relies on them.
+	skipSync syncMode = false
+)
+
 // mutate is the store's one write protocol. op is encoded outside the locks;
 // under writeMu, check (when non-nil) reads current state and says whether the
 // mutation goes ahead — false or an error refuses it and nothing reaches the
 // WAL; then the record is appended and apply runs with its LSN (0 for an
-// in-memory store). The durability wait follows the unlock, under its own
-// "wal.commit" span so a trace shows how much of a write sat waiting on the
-// group fsync. It reports whether the mutation was applied.
-func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), apply func(lsn uint64) error) (bool, error) {
+// in-memory store). Under waitSync the durability wait follows the unlock,
+// under its own "wal.commit" span so a trace shows how much of a write sat
+// waiting on the group fsync. It reports whether the mutation was applied.
+func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), apply func(lsn uint64) error, mode syncMode) (bool, error) {
 	if s.isClosed() {
 		return false, ErrClosed
 	}
@@ -292,7 +310,7 @@ func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), a
 	if err != nil {
 		return false, err
 	}
-	if s.log == nil {
+	if s.log == nil || mode == skipSync {
 		return true, nil
 	}
 	_, sp := trace.Start(ctx, "wal.commit")
@@ -363,6 +381,16 @@ func (s *Store) Stats() Stats {
 // (fsync latency, batch sizes) with a metrics registry. Nil for an in-memory
 // store.
 func (s *Store) WAL() *wal.Log { return s.log }
+
+// SyncWAL returns once every mutation applied so far is durable in the WAL
+// (under SyncEveryAppend; a no-op otherwise and for an in-memory store) — the
+// barrier a skipSync writer runs before it lets go of its own copy.
+func (s *Store) SyncWAL() error {
+	if s.log == nil {
+		return nil
+	}
+	return s.log.WaitDurable(s.log.NextLSN() - 1)
+}
 
 // WALStats reports the write-ahead log's commit counters (appends, fsyncs,
 // group-commit batch sizes). The second result is false for an in-memory

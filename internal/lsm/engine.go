@@ -102,6 +102,13 @@ type Options struct {
 	// Dir is the directory holding SSTables and the manifest. Required.
 	Dir string
 	Tuning
+	// LogDurable, when non-nil, is invoked before a flush's manifest commit
+	// with the highest LSN the flushed memtable holds, and must return only
+	// once the owner's log is durable through it. A manifest naming a
+	// checkpoint above the log's durable point would, after a power loss, let
+	// the reopened log hand out LSNs below the checkpoint again — records the
+	// replay after that skips.
+	LogDurable func(lsn uint64) error
 	// Checkpoint, when non-nil, is invoked after each flush's manifest
 	// commit with the new checkpoint LSN (the first LSN not yet durable in
 	// SSTables). The docstore wires it to WAL truncation.
@@ -407,9 +414,9 @@ func (e *Engine) flusher() {
 	}
 }
 
-// flushOne writes the oldest frozen memtable to a new L0 table, commits the
-// manifest, advances the WAL checkpoint, and wakes stalled writers. It
-// reports whether it did work.
+// flushOne waits for the owner's log to be durable through the oldest frozen
+// memtable, writes it to a new L0 table, commits the manifest, advances the
+// WAL checkpoint, and wakes stalled writers. It reports whether it did work.
 func (e *Engine) flushOne() bool {
 	e.mu.Lock()
 	if len(e.imm) == 0 || e.flushErr != nil || e.crashed.Load() {
@@ -422,7 +429,16 @@ func (e *Engine) flushOne() bool {
 	e.mu.Unlock()
 
 	sp := e.span("memtable.flush")
-	t, err := e.writeMemtable(m, num)
+	var t *table
+	var err error
+	if e.opts.LogDurable != nil && m.maxLSN > 0 {
+		if err = e.opts.LogDurable(m.maxLSN); err != nil && e.crashed.Load() {
+			err = errFlushAborted // the owner's log went down with the process
+		}
+	}
+	if err == nil {
+		t, err = e.writeMemtable(m, num)
+	}
 	if err != nil {
 		sp.End(err)
 		if errors.Is(err, errFlushAborted) {

@@ -538,7 +538,20 @@ func (c *Coordinator) ApplyLocal(rec Record) error {
 
 // ApplyLocalCtx is ApplyLocal carrying the caller's context so the store
 // mutation (and its WAL commit wait) appears in the request's trace.
-func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) (err error) {
+func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) error {
+	return c.applyLocal(ctx, rec, c.store.C(RecordCollection).PutIf)
+}
+
+// ApplyLocalUnsynced is ApplyLocalCtx without the wait for the store's WAL
+// fsync (docstore.Collection.PutIfUnsynced): for the consensus tier, whose
+// committed entries are durable in its own log and re-applied from it after
+// a crash.
+func (c *Coordinator) ApplyLocalUnsynced(ctx context.Context, rec Record) error {
+	return c.applyLocal(ctx, rec, c.store.C(RecordCollection).PutIfUnsynced)
+}
+
+func (c *Coordinator) applyLocal(ctx context.Context, rec Record,
+	putIf func(context.Context, bson.D, docstore.Cond) (bool, error)) (err error) {
 	ctx, sp := trace.Start(ctx, "docstore.apply")
 	defer func() { sp.End(err) }()
 	if c.OnLocalOp != nil {
@@ -549,7 +562,7 @@ func (c *Coordinator) ApplyLocalCtx(ctx context.Context, rec Record) (err error)
 	// One conditional put: the store shows the predicate the record it holds
 	// with every other writer excluded, so of any number of concurrent
 	// appliers of one key the newest lands last on this replica.
-	_, err = c.store.C(RecordCollection).PutIf(ctx, rec.WithId(time.Time{}), func(stored bson.D) (bool, error) {
+	_, err = putIf(ctx, rec.WithId(time.Time{}), func(stored bson.D) (bool, error) {
 		if stored == nil {
 			return true, nil
 		}

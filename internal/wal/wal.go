@@ -464,6 +464,14 @@ func (l *Log) Sync() error {
 	return err
 }
 
+// DurableLSN returns the highest LSN known to be on stable storage. Records
+// above it are appended but a power loss may still take them.
+func (l *Log) DurableLSN() LSN {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	return l.syncedLSN
+}
+
 // NextLSN returns the LSN the next appended record will receive.
 func (l *Log) NextLSN() LSN {
 	l.mu.Lock()

@@ -168,6 +168,9 @@ func TestObsSmoke(t *testing.T) {
 		"mystore_consensus_applies_total",
 		"mystore_consensus_strong_reads_total",
 		"mystore_consensus_propose_seconds",
+		"mystore_consensus_apply_lag",
+		"mystore_consensus_wal_appends_total",
+		"mystore_consensus_wal_fsyncs_total",
 	}
 	for _, fam := range required {
 		if !strings.Contains(page, "# TYPE "+fam+" ") {
