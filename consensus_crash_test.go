@@ -46,21 +46,30 @@ func cutStoreWAL(t *testing.T, dataDir string, i int, keep uint64) (dropped int)
 			t.Fatal(err)
 		}
 		// Record layout (internal/wal): magic byte, crc32, length, payload.
-		var off int64
+		// Segments are preallocated: past the last record come zeros, or a
+		// recycled segment's stale records.
+		const magic = 0xA6
 		hdr := make([]byte, 9)
-		for ; lsn <= keep; lsn++ {
-			if _, err := f.ReadAt(hdr, off); err != nil {
-				break
+		next := func(off int64) (int64, bool) {
+			if _, err := f.ReadAt(hdr, off); err != nil || hdr[0] != magic {
+				return off, false
 			}
-			off += int64(len(hdr)) + int64(binary.LittleEndian.Uint32(hdr[5:9]))
+			return off + int64(len(hdr)) + int64(binary.LittleEndian.Uint32(hdr[5:9])), true
 		}
-		for end := off; ; dropped++ {
-			if _, err := f.ReadAt(hdr, end); err != nil {
-				break
-			}
-			end += int64(len(hdr)) + int64(binary.LittleEndian.Uint32(hdr[5:9]))
+		var off int64
+		for ok := true; ok && lsn <= keep; lsn++ {
+			off, ok = next(off)
 		}
-		if err := f.Truncate(off); err != nil {
+		for end, ok := next(off); ok; end, ok = next(end) {
+			dropped++
+		}
+		// What a power loss leaves of a block it never wrote: the zeros the
+		// segment was prepared with. The file keeps its size.
+		st, err := f.Stat()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteAt(make([]byte, st.Size()-off), off); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()

@@ -126,6 +126,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 			AddHistogram(addr, 1e-9, log.FsyncLatency().Snapshot)
 		r.Register("mystore_wal_batch_records", "Records made durable per group-commit fsync.", metrics.TypeHistogram, "node").
 			AddHistogram(addr, 1, log.BatchSizes().Snapshot)
+		registerWALSegments(r, "mystore_wal", "write-ahead log", addr, log.Stats)
 	}
 
 	if cns := n.cns; cns != nil {
@@ -171,6 +172,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 				Add(addr, func() float64 { return float64(walStats().Fsyncs) })
 			r.Register("mystore_consensus_wal_batched_records_total", "Consensus WAL records made durable by group fsyncs.", metrics.TypeCounter, "node").
 				Add(addr, func() float64 { return float64(walStats().BatchedRecords) })
+			registerWALSegments(r, "mystore_consensus_wal", "consensus log's WAL", addr, walStats)
 		}
 	}
 
@@ -180,4 +182,16 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		r.Register("mystore_transport_deadline_dropped_total", "Requests dropped on arrival because the propagated deadline had expired.", metrics.TypeCounter, "node").
 			Add(addr, func() float64 { return float64(ins.DeadlineDropped()) })
 	}
+}
+
+// registerWALSegments exports what a log's cheap fsync depends on: appends
+// overwrite preallocated blocks only while spares keep arriving. A node whose
+// cold_appends keeps rising is one whose spare never does.
+func registerWALSegments(r *metrics.Registry, prefix, what, addr string, stats func() wal.SyncStats) {
+	r.Register(prefix+"_segments_prepared_total", "Spare segments zero-filled for the "+what+".", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(stats().SegmentsPrepared) })
+	r.Register(prefix+"_segments_reused_total", "Dropped segments of the "+what+" recycled as its spare instead of deleted.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(stats().SegmentsReused) })
+	r.Register(prefix+"_cold_appends_total", "Appends to the "+what+" that landed in a segment not preallocated (the fsync behind them also extends the file).", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(stats().ColdAppends) })
 }

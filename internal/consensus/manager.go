@@ -26,6 +26,9 @@ type Manager struct {
 	opts Options
 	env  Env
 	log  *wal.Log // nil when running in memory
+	// truncatedTo is the last floor passed to log.TruncateBefore; only the
+	// tick loop touches it.
+	truncatedTo wal.LSN
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -584,7 +587,12 @@ func (m *Manager) finishReplay() {
 }
 
 // truncateWAL drops consensus WAL segments below every group's compaction
-// floor. Groups that never compacted floor at their creation record.
+// floor. Groups that never compacted floor at their creation record. Nothing
+// waited for a marker and the tail re-appended behind it, and the segments
+// below hold the only other copy of that tail, of the hard state and of the
+// group record — and the log overwrites a dropped segment within seconds. So
+// the log is synced through its end first: every marker a floor was read from
+// lies, with its tail, below that. Called from the tick loop only.
 func (m *Manager) truncateWAL() {
 	if m.log == nil {
 		return
@@ -600,8 +608,14 @@ func (m *Manager) truncateWAL() {
 			min, first = f, false
 		}
 	}
-	if !first && min > 0 {
-		m.log.TruncateBefore(min)
+	if first || min <= m.truncatedTo {
+		return // nothing new to drop since the last tick
+	}
+	if m.log.DurableLSN() < m.logEnd() && m.log.Sync() != nil {
+		return // the floor is not on disk: keep the segments, try next tick
+	}
+	if m.log.TruncateBefore(min) == nil {
+		m.truncatedTo = min
 	}
 }
 

@@ -254,6 +254,12 @@ func runConsensusFailover(scale Scale) (ConsensusFailover, error) {
 
 	for _, k := range keys {
 		got, err := client.StrongGet(ctx, k)
+		// The keys spread over every range the victim led, and only the
+		// probe's has been waited for: an error while another one elects is
+		// downtime, not loss.
+		for err != nil && time.Now().Before(deadline) {
+			got, err = client.StrongGet(ctx, k)
+		}
 		if err != nil || string(got) != k {
 			f.Lost++
 		}

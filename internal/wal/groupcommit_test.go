@@ -115,77 +115,97 @@ func TestGroupCommitAcrossSegmentRoll(t *testing.T) {
 
 // TestGroupCommitCrashPrefix is the crash-consistency test: concurrent
 // writers append under group commit, then we simulate a crash by copying the
-// live segment files and truncating the tail copy at an arbitrary byte
-// offset. Replaying the copy must always yield an exact LSN prefix of the
-// full log — never a hole, never a reordering, never a corrupt record
-// surviving.
+// live segment files and cutting the newest copy at an arbitrary byte offset
+// — truncated there when the segment is a growing file, zero from there on
+// when it is preallocated (the bytes a crash never wrote). Replaying the copy
+// must always yield an exact LSN prefix of the full log — never a hole, never
+// a reordering, never a corrupt record surviving.
 func TestGroupCommitCrashPrefix(t *testing.T) {
-	l, dir := openTestLog(t, Options{SyncEveryAppend: true})
-	const writers, perWriter = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
-					t.Errorf("Append: %v", err)
-					return
+	for _, layout := range layouts {
+		t.Run(layout, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{SyncEveryAppend: true, SegmentSize: 64 << 10}
+			l, _ := openLayout(t, dir, layout, opts)
+			const writers, perWriter = 8, 25
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						if _, err := l.Append([]byte(fmt.Sprintf("w%d-%d", w, i))); err != nil {
+							t.Errorf("Append: %v", err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			full := collect(t, l, 1)
+			if err := l.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+
+			segs, err := listSegments(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := segs[len(segs)-1]
+			data, err := os.ReadFile(filepath.Join(dir, last.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			end := len(data)
+			if layout == "prepared" {
+				offs := recordOffsets(t, filepath.Join(dir, last.name), last.first)
+				end = int(offs[len(offs)-1])
+			}
+			if int(last.first)-1+writers*perWriter > len(full) {
+				t.Fatalf("the writers' records are not in the newest segment (first LSN %d of %d)", last.first, len(full))
+			}
+
+			// Cut at a spread of arbitrary offsets, including mid-header and
+			// mid-payload cuts, and check the recovered log each time.
+			for _, cut := range []int{0, 1, 5, headerSize - 1, headerSize, headerSize + 3,
+				end / 7, end / 3, end / 2, end - 11, end - 1, end} {
+				crashDir := t.TempDir()
+				for _, s := range segs[:len(segs)-1] {
+					older, err := os.ReadFile(filepath.Join(dir, s.name))
+					if err != nil {
+						t.Fatal(err)
+					}
+					os.WriteFile(filepath.Join(crashDir, s.name), older, 0o644) //nolint:errcheck
+				}
+				crashed := data[:cut]
+				if layout == "prepared" {
+					crashed = append(append([]byte(nil), crashed...), make([]byte, len(data)-cut)...)
+				}
+				if err := os.WriteFile(filepath.Join(crashDir, last.name), crashed, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				rl, err := Open(crashDir, opts)
+				if err != nil {
+					t.Fatalf("reopen after cut at %d: %v", cut, err)
+				}
+				recovered := collect(t, rl, 1)
+				rl.Close()
+
+				// Prefix property: recovered LSNs are exactly 1..k for some k, and
+				// each record matches the full log byte for byte.
+				for lsn := LSN(1); lsn <= LSN(len(recovered)); lsn++ {
+					rec, ok := recovered[lsn]
+					if !ok {
+						t.Fatalf("cut at %d: hole at lsn %d (recovered %d records)", cut, lsn, len(recovered))
+					}
+					if string(rec) != string(full[lsn]) {
+						t.Fatalf("cut at %d: lsn %d = %q, want %q", cut, lsn, rec, full[lsn])
+					}
+				}
+				if len(recovered) > len(full) || (cut == end) != (len(recovered) == len(full)) {
+					t.Fatalf("cut at %d of %d: recovered %d records from a %d-record log", cut, end, len(recovered), len(full))
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	full := collect(t, l, 1)
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("expected a single segment, got %d", len(segs))
-	}
-	segPath := filepath.Join(dir, segs[0].name)
-	data, err := os.ReadFile(segPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Truncate at a spread of arbitrary offsets, including mid-header and
-	// mid-payload cuts, and check the recovered log each time.
-	for _, cut := range []int{0, 1, 5, headerSize - 1, headerSize, headerSize + 3,
-		len(data) / 7, len(data) / 3, len(data) / 2, len(data) - 11, len(data) - 1, len(data)} {
-		if cut < 0 || cut > len(data) {
-			continue
-		}
-		crashDir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(crashDir, segs[0].name), data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		rl, err := Open(crashDir, Options{})
-		if err != nil {
-			t.Fatalf("reopen after cut at %d: %v", cut, err)
-		}
-		recovered := collect(t, rl, 1)
-		rl.Close()
-
-		// Prefix property: recovered LSNs are exactly 1..k for some k, and
-		// each record matches the full log byte for byte.
-		for lsn := LSN(1); lsn <= LSN(len(recovered)); lsn++ {
-			rec, ok := recovered[lsn]
-			if !ok {
-				t.Fatalf("cut at %d: hole at lsn %d (recovered %d records)", cut, lsn, len(recovered))
-			}
-			if string(rec) != string(full[lsn]) {
-				t.Fatalf("cut at %d: lsn %d = %q, want %q", cut, lsn, rec, full[lsn])
-			}
-		}
-		if len(recovered) > len(full) {
-			t.Fatalf("cut at %d: recovered %d records from a %d-record log", cut, len(recovered), len(full))
-		}
+		})
 	}
 }
 

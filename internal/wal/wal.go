@@ -6,21 +6,44 @@
 //
 // Record layout on disk:
 //
-//	magic   byte   (0xA5)
-//	crc32   uint32 (little endian, over length+payload)
+//	magic   byte   (0xA6)
+//	crc32   uint32 (little endian, over lsn (uint64, little endian) + length + payload)
 //	length  uint32 (little endian)
 //	payload length bytes
 //
 // Segment files are named wal-<firstLSN, 16 hex digits>.seg. LSNs are
-// 1-based, dense, monotonically increasing record sequence numbers.
+// 1-based, dense, monotonically increasing record sequence numbers. A
+// record's LSN is not stored: it follows from the file name and the record's
+// position, and the checksum covers it.
+//
+// Segments are preallocated and recycled so that an append overwrites blocks
+// that are already written and inside the file's size, and the fsync before
+// an ack has only the record's own pages to flush (extending a file makes
+// every fsync commit the filesystem journal too). A segment goes through
+// four states:
+//
+//	prepare   a background goroutine zero-fills SegmentSize bytes into
+//	          wal-spare.tmp and fsyncs it
+//	activate  rollSegment renames the spare to wal-<firstLSN>.seg and fsyncs
+//	          the directory; appends are WriteAt the running offset
+//	retire    TruncateBefore drops the segment once a checkpoint covers it
+//	reuse     the first dropped full-size segment becomes the spare instead
+//	          of being deleted, so the zero-fill is paid per log, not per
+//	          segment
+//
+// A reused segment is full of last life's records, well-formed but for their
+// LSN, which is why the checksum covers it. Until a spare exists appends go
+// to a cold segment: an empty file that grows, at the old cost.
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -33,11 +56,17 @@ import (
 )
 
 const (
-	recordMagic   = 0xA5
-	headerSize    = 1 + 4 + 4
-	segmentSuffix = ".seg"
-	segmentPrefix = "wal-"
+	recordMagic    = 0xA6
+	oldRecordMagic = 0xA5 // records whose checksum did not cover the LSN
+	headerSize     = 1 + 4 + 4
+	segmentSuffix  = ".seg"
+	segmentPrefix  = "wal-"
+	spareName      = "wal-spare.tmp"
+	pageSize       = 4096
+	maxKeptFrame   = 1 << 20 // a larger record's frame is not kept for the next append
 )
+
+var zeroPage [pageSize]byte
 
 // LSN is a log sequence number: the 1-based index of a record in the log.
 type LSN uint64
@@ -103,9 +132,22 @@ type Log struct {
 	dir    string
 	opts   Options
 	file   *os.File // active segment
-	size   int64    // bytes written to active segment
+	size   int64    // offset of the next record in the active segment
 	next   LSN      // LSN the next appended record will receive
 	closed bool
+	frame  []byte // LSN+header+payload of the record being appended, reused under mu
+
+	// Segment lifecycle, guarded by mu. prepared: the active segment is a
+	// full-size file of written blocks (a spare that was activated), not a
+	// cold one that grows. spareReady: wal-spare.tmp is complete and synced.
+	// preparing: the preparer owns wal-spare.tmp; it stays set after a failed
+	// fill, so a log that cannot prepare stays cold instead of retrying on
+	// every append.
+	prepared   bool
+	spareReady bool
+	preparing  bool
+	stop       chan struct{} // closed by Close/Abandon; stops the preparer
+	preparer   sync.WaitGroup
 
 	// Group-commit state. Lock order: mu may be taken with syncMu NOT held
 	// by the same goroutine (a sync leader releases syncMu before touching
@@ -126,6 +168,12 @@ type Log struct {
 	batchedRecs metrics.Counter // records made durable by those fsyncs
 	maxBatch    int64           // largest single-fsync batch, guarded by syncMu
 
+	// What the cheap fsync depends on: spares filled, segments recycled, and
+	// appends that found neither.
+	segsPrepared metrics.Counter
+	segsReused   metrics.Counter
+	coldAppends  metrics.Counter
+
 	// Production distributions behind /metrics: how long each fsync took and
 	// how many records it covered.
 	fsyncDur  *metrics.BucketedHistogram
@@ -141,7 +189,8 @@ func (l *Log) FsyncLatency() *metrics.BucketedHistogram { return l.fsyncDur }
 func (l *Log) BatchSizes() *metrics.BucketedHistogram { return l.batchSize }
 
 // Open opens (creating if needed) the log in dir, scans existing segments,
-// truncates a torn tail if one exists, and positions the log for appending.
+// wipes whatever follows the last valid record, and positions the log for
+// appending. A log written in the old record format fails with ErrCorrupt.
 func Open(dir string, opts Options) (*Log, error) {
 	opts = opts.withDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -151,11 +200,17 @@ func Open(dir string, opts Options) (*Log, error) {
 		dir:       dir,
 		opts:      opts,
 		next:      1,
+		stop:      make(chan struct{}),
 		fsyncDur:  metrics.NewBucketedHistogram(nil),
 		batchSize: metrics.NewBucketedHistogram(metrics.DefaultSizeBounds()),
 	}
 	l.syncCond = sync.NewCond(&l.syncMu)
 
+	// A spare left by the last process may be half-filled, and nothing is
+	// lost with it.
+	if err := os.Remove(filepath.Join(dir, spareName)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("wal: discard spare: %w", err)
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, err
@@ -166,38 +221,71 @@ func Open(dir string, opts Options) (*Log, error) {
 		}
 		return l, nil
 	}
-	// Count records in all but the last segment, then scan (and possibly
-	// repair) the last.
-	for _, s := range segs[:len(segs)-1] {
-		n, _, err := scanSegment(filepath.Join(dir, s.name), opts.MaxRecordSize)
+	// Count records in every segment; the last one is repaired and appended to.
+	var validBytes int64
+	for _, s := range segs {
+		n, end, err := readSegment(filepath.Join(dir, s.name), s.first, 0, opts.MaxRecordSize, nil)
 		if err != nil {
 			return nil, fmt.Errorf("wal: segment %s: %w", s.name, err)
 		}
-		l.next = s.first + LSN(n)
+		l.next, validBytes = s.first+LSN(n), end
 	}
-	last := segs[len(segs)-1]
-	n, validBytes, err := scanSegment(filepath.Join(dir, last.name), opts.MaxRecordSize)
-	if err != nil {
-		return nil, fmt.Errorf("wal: segment %s: %w", last.name, err)
-	}
-	l.next = last.first + LSN(n)
-
-	f, err := os.OpenFile(filepath.Join(dir, last.name), os.O_RDWR, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, segs[len(segs)-1].name), os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open segment: %w", err)
 	}
-	if err := f.Truncate(validBytes); err != nil {
+	fileSize, err := wipeTail(f, validBytes)
+	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("wal: repair torn tail: %w", err)
 	}
-	if _, err := f.Seek(validBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
 	l.file = f
 	l.size = validBytes
+	l.prepared = fileSize == opts.SegmentSize
 	l.syncedLSN = l.next - 1 // everything recovered from disk is durable
 	return l, nil
+}
+
+// wipeTail zeroes f from the end of its last valid record to the end of the
+// file, unless it is all zero already, and returns the file's size. Truncating
+// there instead would give a prepared segment's blocks back. Leaving the bytes
+// is not an option: a crash can persist record k+1 and tear record k, and once
+// a new record k of the same length fills the gap the old k+1 reads as valid
+// again — an unacked record resurrected, or an acked one's successor forged.
+// The wipe is synced before the log accepts an append; a crash in the middle
+// of it leaves a tail that the next Open finds non-zero and wipes again.
+func wipeTail(f *os.File, from int64) (fileSize int64, err error) {
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	page := make([]byte, pageSize)
+	for off := from; off < st.Size(); {
+		n, err := f.ReadAt(page, off)
+		if n == 0 {
+			return 0, err // ReadAt explains every short read
+		}
+		if !bytes.Equal(page[:n], zeroPage[:n]) {
+			return st.Size(), writeZeros(f, from, st.Size())
+		}
+		off += int64(n)
+	}
+	return st.Size(), nil
+}
+
+// writeZeros overwrites [off, end) of f with zeros, one page per write, and
+// syncs them. Larger writes make the kernel build large page-cache folios,
+// and every record-sized write into one later dirties — and every fsync
+// flushes — the whole folio.
+func writeZeros(f *os.File, off, end int64) error {
+	for off < end {
+		n := min(pageSize-off%pageSize, end-off)
+		if _, err := f.WriteAt(zeroPage[:n], off); err != nil {
+			return err
+		}
+		off += n
+	}
+	return f.Sync()
 }
 
 type segmentInfo struct {
@@ -227,20 +315,27 @@ func listSegments(dir string) ([]segmentInfo, error) {
 	return segs, nil
 }
 
-// scanSegment counts complete valid records and returns the byte offset just
-// past the last valid record. A torn or corrupt tail simply ends the scan.
-func scanSegment(path string, maxRecord int) (records int, validBytes int64, err error) {
+// readSegment walks the segment at path, whose first record has LSN first,
+// and returns how many valid records it holds and the offset just past the
+// last one; fn, when not nil, gets every record with lsn >= from. A torn,
+// corrupt, zero or stale record simply ends the walk. A segment that begins
+// with the old format's magic is an error: read as empty, it would be wiped.
+func readSegment(path string, first, from LSN, maxRecord int, fn func(LSN, []byte) error) (records int, validBytes int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
 	var off int64
-	hdr := make([]byte, headerSize)
+	buf := make([]byte, 8+headerSize)
+	lsnBytes, hdr := buf[:8], buf[8:]
 	var payload []byte
-	for {
+	for lsn := first; ; lsn++ {
 		if _, err := io.ReadFull(f, hdr); err != nil {
 			return records, off, nil // clean EOF or torn header: stop here
+		}
+		if off == 0 && hdr[0] == oldRecordMagic {
+			return 0, 0, fmt.Errorf("%w: old record format (magic %#x)", ErrCorrupt, oldRecordMagic)
 		}
 		if hdr[0] != recordMagic {
 			return records, off, nil
@@ -250,25 +345,45 @@ func scanSegment(path string, maxRecord int) (records int, validBytes int64, err
 		if length < 0 || length > maxRecord {
 			return records, off, nil
 		}
-		if cap(payload) < length {
-			payload = make([]byte, length)
+		if fn != nil || cap(payload) < length {
+			payload = make([]byte, length) // fn may keep what it is given
 		}
 		payload = payload[:length]
 		if _, err := io.ReadFull(f, payload); err != nil {
 			return records, off, nil // torn payload
 		}
-		if crc32.ChecksumIEEE(append(hdr[5:9:9], payload...)) != crc {
-			return records, off, nil // corrupt record ends the log
+		binary.LittleEndian.PutUint64(lsnBytes, uint64(lsn))
+		if checksum(lsnBytes, hdr[5:9], payload) != crc {
+			return records, off, nil // corrupt or stale record ends the log
+		}
+		if fn != nil && lsn >= from {
+			if err := fn(lsn, payload); err != nil {
+				return records, off, err
+			}
 		}
 		records++
 		off += int64(headerSize + length)
 	}
 }
 
+// checksum covers the LSN (8 bytes, little endian) with the length and the
+// payload, so that a record is valid only at the position in the log it was
+// written for. Callers keep the LSN in the buffer their header is in: a local
+// array here would be heap-allocated per record.
+func checksum(lsn, length, payload []byte) uint32 {
+	crc := crc32.Update(0, crc32.IEEETable, lsn)
+	crc = crc32.Update(crc, crc32.IEEETable, length)
+	return crc32.Update(crc, crc32.IEEETable, payload)
+}
+
 func segmentName(first LSN) string {
 	return fmt.Sprintf("%s%016x%s", segmentPrefix, uint64(first), segmentSuffix)
 }
 
+// rollSegment makes the outgoing segment durable and activates the next one:
+// the spare when there is one, an empty cold file otherwise. The directory is
+// synced before the first append, so no record is acked from a file whose
+// name a crash could lose. Called with mu held.
 func (l *Log) rollSegment() error {
 	if l.file != nil {
 		if err := l.file.Sync(); err != nil {
@@ -279,13 +394,92 @@ func (l *Log) rollSegment() error {
 		}
 		l.markDurable(l.next - 1) // the outgoing segment is fully synced
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.next)), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	path := filepath.Join(l.dir, segmentName(l.next))
+	if l.spareReady {
+		// Over an empty cold segment of the same name, when the spare came
+		// before that segment's first record.
+		if err := os.Rename(filepath.Join(l.dir, spareName), path); err != nil {
+			return fmt.Errorf("wal: activate segment: %w", err)
+		}
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: create segment: %w", err)
 	}
-	l.file = f
-	l.size = 0
+	if err := fsyncDir(l.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: create segment: %w", err)
+	}
+	// A log that rolls out of a cold segment is one spare short of its steady
+	// state (active + spare, refilled by TruncateBefore): fill the second now
+	// instead of going cold again at the next roll.
+	wasCold := l.file != nil && !l.prepared
+	l.file, l.size = f, 0
+	l.prepared, l.spareReady = l.spareReady, false
+	if wasCold {
+		l.startPreparer()
+	}
 	return nil
+}
+
+func fsyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// startPreparer fills a spare in the background unless one exists or is being
+// filled. Called with mu held.
+func (l *Log) startPreparer() {
+	if l.spareReady || l.preparing {
+		return
+	}
+	l.preparing = true
+	l.preparer.Add(1)
+	go func() {
+		defer l.preparer.Done()
+		path := filepath.Join(l.dir, spareName)
+		err := l.fillSpare(path)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if err != nil || l.closed {
+			os.Remove(path) // preparing stays set: no retry in this life
+			return
+		}
+		l.preparing, l.spareReady = false, true
+		l.segsPrepared.Inc()
+	}()
+}
+
+// fillSpare writes the spare as background work: a chunk, its fsync, a pause.
+// Synced per chunk because the file is growing: its unsynced pages ride the
+// filesystem's next journal commit, which is what the fsync behind a
+// concurrent append — on this log or any other on the disk — waits for; with
+// one sync at the end the first puts after a boot took 10–30 ms. Paused
+// because fills that are always runnable (five nodes in one process boot
+// together) keep every P busy, and a request then waited ≈ 10 ms per network
+// hop to be noticed. Measured in TestTracePropagationAcrossCluster.
+func (l *Log) fillSpare(path string) error {
+	const chunk, pause = 256 << 10, time.Millisecond
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	for off := int64(0); off < l.opts.SegmentSize && err == nil; off += chunk {
+		select {
+		case <-l.stop:
+			err = ErrClosed
+		case <-time.After(pause):
+			err = writeZeros(f, off, min(off+chunk, l.opts.SegmentSize))
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Append writes one record and returns its LSN. With SyncEveryAppend it
@@ -317,24 +511,35 @@ func (l *Log) AppendNoWait(rec []byte) (LSN, error) {
 	if len(rec) > l.opts.MaxRecordSize {
 		return 0, ErrRecordTooBig
 	}
-	if l.size >= l.opts.SegmentSize {
+	// Roll when the record would not fit in what is left of the segment, and
+	// out of a cold segment as soon as there is a spare to move into.
+	need := int64(headerSize + len(rec))
+	if (l.size > 0 && l.size+need > l.opts.SegmentSize) || (!l.prepared && l.spareReady) {
 		if err := l.rollSegment(); err != nil {
 			return 0, err
 		}
 	}
-	buf := make([]byte, headerSize+len(rec))
-	buf[0] = recordMagic
-	binary.LittleEndian.PutUint32(buf[5:9], uint32(len(rec)))
-	copy(buf[headerSize:], rec)
-	crc := crc32.ChecksumIEEE(buf[5:])
-	binary.LittleEndian.PutUint32(buf[1:5], crc)
-	if _, err := l.file.Write(buf); err != nil {
+	if !l.prepared {
+		l.coldAppends.Inc()
+		l.startPreparer()
+	}
+	// The frame is built behind its LSN, which is checksummed and not written.
+	buf := binary.LittleEndian.AppendUint64(l.frame[:0], uint64(l.next))
+	buf = append(buf, recordMagic, 0, 0, 0, 0)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rec)))
+	buf = append(buf, rec...)
+	hdr := buf[8:]
+	binary.LittleEndian.PutUint32(hdr[1:5], checksum(buf[:8], hdr[5:9], rec))
+	if cap(buf) <= maxKeptFrame {
+		l.frame = buf
+	}
+	if _, err := l.file.WriteAt(hdr, l.size); err != nil {
 		return 0, fmt.Errorf("wal: append: %w", err)
 	}
 	l.appends.Inc()
 	lsn := l.next
 	l.next++
-	l.size += int64(len(buf))
+	l.size += need
 	return lsn, nil
 }
 
@@ -501,52 +706,18 @@ func (l *Log) Replay(from LSN, fn func(lsn LSN, rec []byte) error) error {
 		return err
 	}
 	for _, s := range segs {
-		if err := replaySegment(filepath.Join(dir, s.name), s.first, from, maxRecord, fn); err != nil {
+		if _, _, err := readSegment(filepath.Join(dir, s.name), s.first, from, maxRecord, fn); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func replaySegment(path string, first, from LSN, maxRecord int, fn func(LSN, []byte) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	hdr := make([]byte, headerSize)
-	lsn := first
-	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
-			return nil
-		}
-		if hdr[0] != recordMagic {
-			return nil
-		}
-		crc := binary.LittleEndian.Uint32(hdr[1:5])
-		length := int(binary.LittleEndian.Uint32(hdr[5:9]))
-		if length < 0 || length > maxRecord {
-			return nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return nil
-		}
-		if crc32.ChecksumIEEE(append(hdr[5:9:9], payload...)) != crc {
-			return nil
-		}
-		if lsn >= from {
-			if err := fn(lsn, payload); err != nil {
-				return err
-			}
-		}
-		lsn++
-	}
-}
-
-// TruncateBefore removes whole segments all of whose records have LSN < upto.
+// TruncateBefore drops whole segments all of whose records have LSN < upto.
 // It is called after the owning store writes a snapshot covering those
-// records. The active segment is never removed.
+// records. The active segment is never dropped. When the log has no spare, the
+// first dropped segment that is a full-size file becomes it; the rest are
+// deleted, so at most one spare exists.
 func (l *Log) TruncateBefore(upto LSN) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -560,13 +731,36 @@ func (l *Log) TruncateBefore(upto LSN) error {
 	for i := 0; i < len(segs)-1; i++ {
 		// A segment is removable when the next segment starts at or below
 		// upto, meaning every record in this one is < upto.
-		if segs[i+1].first <= upto {
-			if err := os.Remove(filepath.Join(l.dir, segs[i].name)); err != nil {
-				return fmt.Errorf("wal: truncate: %w", err)
-			}
+		if segs[i+1].first > upto {
+			break
+		}
+		path := filepath.Join(l.dir, segs[i].name)
+		if l.keepAsSpare(path) {
+			continue
+		}
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("wal: truncate: %w", err)
 		}
 	}
 	return nil
+}
+
+// keepAsSpare recycles the dropped segment at path as the spare, if the log
+// has none (ready or being filled) and the file is a full-size one. Called
+// with mu held.
+func (l *Log) keepAsSpare(path string) bool {
+	if l.spareReady || l.preparing {
+		return false
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() != l.opts.SegmentSize {
+		return false
+	}
+	if os.Rename(path, filepath.Join(l.dir, spareName)) != nil {
+		return false // TruncateBefore deletes it instead
+	}
+	l.spareReady = true
+	l.segsReused.Inc()
+	return true
 }
 
 // SegmentCount reports how many segment files exist, for tests and stats.
@@ -577,21 +771,27 @@ func (l *Log) SegmentCount() (int, error) {
 	return len(segs), err
 }
 
-// Close syncs and closes the active segment. Further operations return
-// ErrClosed.
+// Close syncs and closes the active segment and waits for the preparer to
+// exit, so nothing writes into the directory after it returns. Further
+// operations return ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
+		l.mu.Unlock()
 		return nil
 	}
 	l.closed = true
-	if err := l.file.Sync(); err != nil {
-		l.file.Close()
-		return err
+	close(l.stop)
+	err := l.file.Sync()
+	if err == nil {
+		l.markDurable(l.next - 1) // close's fsync covers every appended record
 	}
-	l.markDurable(l.next - 1) // close's fsync covers every appended record
-	return l.file.Close()
+	if cerr := l.file.Close(); err == nil {
+		err = cerr
+	}
+	l.mu.Unlock()
+	l.preparer.Wait()
+	return err
 }
 
 // Abandon closes the log as an abrupt process death would: the active
@@ -606,6 +806,7 @@ func (l *Log) Abandon() {
 		return
 	}
 	l.closed = true
+	close(l.stop)
 	l.file.Close() // deliberately no Sync
 	l.mu.Unlock()
 	l.syncMu.Lock()
@@ -614,6 +815,7 @@ func (l *Log) Abandon() {
 	}
 	l.syncCond.Broadcast()
 	l.syncMu.Unlock()
+	l.preparer.Wait()
 }
 
 // SyncStats snapshots the commit counters. FsyncsPerAppend =
@@ -625,6 +827,10 @@ type SyncStats struct {
 	Batches        int64 // group fsyncs that covered at least one record
 	BatchedRecords int64 // records made durable by those group fsyncs
 	MaxBatch       int64 // largest single-fsync cohort observed
+
+	SegmentsPrepared int64 // spares zero-filled by the preparer
+	SegmentsReused   int64 // dropped segments kept as the spare
+	ColdAppends      int64 // appends into a segment that was not preallocated
 }
 
 // Stats returns a snapshot of the commit counters.
@@ -638,5 +844,9 @@ func (l *Log) Stats() SyncStats {
 		Batches:        l.batches.Value(),
 		BatchedRecords: l.batchedRecs.Value(),
 		MaxBatch:       mb,
+
+		SegmentsPrepared: l.segsPrepared.Value(),
+		SegmentsReused:   l.segsReused.Value(),
+		ColdAppends:      l.coldAppends.Value(),
 	}
 }

@@ -101,7 +101,9 @@ func TestPublicAPIDocQuery(t *testing.T) {
 }
 
 func TestClusterSurvivesNodeStopAndRestart(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{Nodes: 5})
+	// Reads its own writes, so W + R > N (DESIGN.md §9): at (3,2,1) one Get in
+	// ~600 lands on the replica the acked Put has not reached yet.
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, R: 2})
 	client, _ := c.Client()
 	ctx := context.Background()
 	for i := 0; i < 30; i++ {

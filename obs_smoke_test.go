@@ -131,6 +131,9 @@ func TestObsSmoke(t *testing.T) {
 		"mystore_wal_fsync_seconds",
 		"mystore_wal_batch_records",
 		"mystore_wal_replay_ops_total",
+		"mystore_wal_segments_prepared_total",
+		"mystore_wal_segments_reused_total",
+		"mystore_wal_cold_appends_total",
 		// lsm storage engine
 		"mystore_lsm_memtable_bytes",
 		"mystore_lsm_flushes_total",
@@ -171,6 +174,9 @@ func TestObsSmoke(t *testing.T) {
 		"mystore_consensus_apply_lag",
 		"mystore_consensus_wal_appends_total",
 		"mystore_consensus_wal_fsyncs_total",
+		"mystore_consensus_wal_segments_prepared_total",
+		"mystore_consensus_wal_segments_reused_total",
+		"mystore_consensus_wal_cold_appends_total",
 	}
 	for _, fam := range required {
 		if !strings.Contains(page, "# TYPE "+fam+" ") {

@@ -7,9 +7,10 @@
 # race detector on the write path (docstore, wal, transport, nwr), the
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
 # the CP tier (consensus), the repair path (merkle) and the observability
-# packages (metrics, trace); then short native-fuzz smokes of the two readers
-# that take bytes they did not just write — the wire frame reader and the
-# docstore's WAL replay — and the switch guard: the system has one
+# packages (metrics, trace); then short native-fuzz smokes of the three readers
+# that take bytes they did not just write — the wire frame reader, the
+# docstore's WAL replay and the WAL's segment scan-and-repair on open — and
+# the switch guard: the system has one
 # configuration, so a new Disable*/WaitForAllReads/SerializeWritePath switch
 # in non-test code fails the gate (DisableHints is the paper's own §5.2
 # design ablation and stays; bench/ is the frozen benchmark driver and is not
@@ -28,6 +29,7 @@ go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/trans
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
 go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzReplayRecord -fuzztime 5s ./internal/docstore
+go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 5s ./internal/wal
 
 set +x
 if grep -rnE '\b(Disable[A-Z][A-Za-z]*|WaitForAllReads|SerializeWritePath)\b' --include='*.go' . |
