@@ -124,6 +124,13 @@ func testStrongCrashRecovery(t *testing.T, engine string, ranges, writes int, wa
 			if keep[i] <= before[i] {
 				t.Fatalf("node %d: store WAL durable through %d, no further than before the writes (%d): the consensus log never compacted, or compacted without syncing the store", i, keep[i], before[i])
 			}
+			// The kill lands between a trim and the next marker: a replica
+			// holding fewer entries in memory than were written after the
+			// first marker has dropped some that only the WAL tail above
+			// that marker still has.
+			if held := n.Consensus().LogEntries(0); held >= writes-markerEvery {
+				t.Fatalf("node %d holds %d log entries in memory: nothing was trimmed past its marker", i, held)
+			}
 		}
 	}
 	for i := range c.Nodes() {
@@ -157,10 +164,15 @@ func TestStrongWritesSurviveLosingTheStoreWALTail(t *testing.T) {
 	}
 }
 
+// markerEvery is how many applied entries a consensus group spaces its
+// compaction markers by: consensus.Options.MaxLogEntries at its default.
+const markerEvery = 1024
+
 // TestStrongWritesSurviveCrashAfterLogCompaction: enough writes into one range
-// that its log compacts (1024 entries) along the way. Entries below the
-// marker are gone from the consensus log, so the store must hold them durably;
-// entries above it are redone.
+// that its log compacts (one marker per markerEvery applied entries) along the
+// way, and is trimmed in memory past that marker before the kill. Entries
+// below the marker are gone from the consensus log, so the store must hold
+// them durably; entries above it are redone from the WAL.
 func TestStrongWritesSurviveCrashAfterLogCompaction(t *testing.T) {
-	testStrongCrashRecovery(t, "lsm", 1, 1100, true)
+	testStrongCrashRecovery(t, "lsm", 1, markerEvery+300, true)
 }

@@ -161,8 +161,13 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		// Applies trail the commit index off the reply path; the lag is the
 		// only place a stalled applier shows.
 		lagFamily := r.Register("mystore_consensus_apply_lag", "Committed log entries not yet applied to the local store, per range.", metrics.TypeGauge, "node_range")
+		// A follower that stops acking pins its range's log: the range's
+		// entries stay near MaxLogEntries instead of the few in flight.
+		heldFamily := r.Register("mystore_consensus_log_entries", "Log entries held in memory, per range.", metrics.TypeGauge, "node_range")
 		for rid := 0; rid < n.cfg.StrongRanges; rid++ {
-			lagFamily.Add(fmt.Sprintf("%s r%d", addr, rid), func() float64 { return float64(cns.ApplyLag(rid)) })
+			label := fmt.Sprintf("%s r%d", addr, rid)
+			lagFamily.Add(label, func() float64 { return float64(cns.ApplyLag(rid)) })
+			heldFamily.Add(label, func() float64 { return float64(cns.LogEntries(rid)) })
 		}
 		if _, ok := cns.WALStats(); ok {
 			walStats := func() wal.SyncStats { st, _ := cns.WALStats(); return st }

@@ -7,73 +7,19 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"mystore/internal/bson"
-	"mystore/internal/nwr"
-	"mystore/internal/transport"
 )
 
-// benchGroup boots three managers over transport/mem with durable WALs under
-// b.TempDir() and map stores, and returns the manager leading key's range.
-// The stores cost nothing, so the figure is the consensus layer's own: the
-// log append, its fsync, one replication round and the commit.
+// benchGroup boots three members over transport/mem with durable WALs and
+// map stores (newMemGroup), and returns the manager leading key's range. The
+// stores cost nothing, so the figure is the consensus layer's own: the log
+// append, its fsync, one replication round and the commit.
 func benchGroup(b *testing.B, key string) *Manager {
 	b.Helper()
-	net := transport.NewMemNetwork()
-	addrs := []string{"b0", "b1", "b2"}
-	managers := make([]*Manager, len(addrs))
-	for i, addr := range addrs {
-		ep, err := net.Endpoint(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var mu sync.Mutex
-		store := map[string]nwr.Record{}
-		m, err := NewManager(Options{
-			Ranges:            4,
-			ReplicationFactor: len(addrs),
-			// Long enough that a slow fsync never looks like a dead leader.
-			ElectionTimeout: 500 * time.Millisecond,
-			WALDir:          b.TempDir(),
-			SyncEveryAppend: true,
-			Seed:            int64(7 + i),
-		}, Env{
-			Self: addr,
-			Call: func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
-				return ep.Call(ctx, target, transport.Message{Type: msgType, Body: body})
-			},
-			Apply: func(_ context.Context, rec nwr.Record) error {
-				mu.Lock()
-				store[rec.Key] = rec
-				mu.Unlock()
-				return nil
-			},
-			Read: func(key string) (nwr.Record, bool, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				rec, ok := store[key]
-				return rec, ok, nil
-			},
-			Replicas: func(uint32) ([]string, error) { return addrs, nil },
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { m.Close() })
-		ep.SetHandler(func(_ context.Context, msg transport.Message) (bson.D, error) {
-			return m.HandleMessage(msg.Type, msg.Body)
-		})
-		managers[i] = m
-	}
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-		for _, m := range managers {
-			if m.Put(context.Background(), key, []byte("warm"), true) == nil {
-				return m
-			}
-		}
-	}
-	b.Fatal("no leader within 10s")
-	return nil
+	_, nodes := newMemGroup(b, 3, Options{
+		// Long enough that a slow fsync never looks like a dead leader.
+		ElectionTimeout: 500 * time.Millisecond,
+	})
+	return memLeader(b, nodes, key).m
 }
 
 // BenchmarkPropose times one strong put of a 4 KiB record through a

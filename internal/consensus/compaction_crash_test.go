@@ -112,10 +112,11 @@ func TestCompactionMarkerDurableBeforeSegmentsDrop(t *testing.T) {
 		t.Fatal("the log never compacted")
 	}
 	g := m.groupList()[0]
-	groupState := func() (term, snapIdx, commit, applied uint64, applying bool) {
+	// markIdx is the durable marker's index: what a reopen restores.
+	groupState := func() (term, markIdx, commit, applied uint64, applying bool) {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		return g.term, g.snapIdx, g.commitIndex, g.appliedIndex, g.applying
+		return g.term, g.markIdx, g.commitIndex, g.appliedIndex, g.applying
 	}
 	// The applier is parked in SyncApplied. One more put commits behind it and
 	// waits for its apply; it will be the compaction's tail, and the last put.
@@ -145,9 +146,9 @@ func TestCompactionMarkerDurableBeforeSegmentsDrop(t *testing.T) {
 			t.Fatalf("the segment below the compaction marker (%s) was never dropped: the test exercises nothing", first)
 		}
 	}
-	term, snapIdx, commit, applied, applying := groupState()
-	if snapIdx == 0 || applying || applied != commit {
-		t.Fatalf("snapIdx=%d applied=%d commit=%d applying=%v: expected a compacted, quiet group", snapIdx, applied, commit, applying)
+	term, markIdx, commit, applied, applying := groupState()
+	if markIdx == 0 || applying || applied != commit {
+		t.Fatalf("markIdx=%d applied=%d commit=%d applying=%v: expected a compacted, quiet group", markIdx, applied, commit, applying)
 	}
 	keep := m.log.DurableLSN()
 	if err := m.Close(); err != nil {
@@ -191,8 +192,8 @@ func TestCompactionMarkerDurableBeforeSegmentsDrop(t *testing.T) {
 		t.Fatalf("%d groups after the crash, want the one that was compacted", len(groups))
 	}
 	g = groups[0]
-	if term2, snap2, _, _, _ := groupState(); term2 < term || snap2 != snapIdx {
-		t.Fatalf("after the crash term=%d snapIdx=%d, before it term=%d snapIdx=%d", term2, snap2, term, snapIdx)
+	if term2, mark2, _, _, _ := groupState(); term2 < term || mark2 != markIdx {
+		t.Fatalf("after the crash term=%d markIdx=%d, before it term=%d markIdx=%d", term2, mark2, term, markIdx)
 	}
 	for i := 0; i < int(acked.Load()); i++ {
 		key := fmt.Sprintf("k%02d", i)

@@ -187,8 +187,10 @@ type Options struct {
 	// leader still believes its lease, because followers refuse votes while
 	// they hear a leader. Default = ElectionTimeout.
 	LeaseDuration time.Duration
-	// MaxLogEntries is the per-group in-memory log size that triggers
-	// compaction of the applied prefix. Default 1024.
+	// MaxLogEntries bounds how many entries a follower that stops acking
+	// keeps in each group's in-memory log (past it, the follower catches up
+	// by snapshot), and spaces the WAL's compaction markers: one per
+	// MaxLogEntries applied entries. Default 1024.
 	MaxLogEntries int
 	// WALDir, when non-empty, persists the consensus log there; empty keeps
 	// it in memory (diskless nodes).

@@ -42,11 +42,19 @@ type group struct {
 	leader   string // last known leader ("" when unknown)
 
 	// Log state. log[0] has index firstIndex; everything at or below
-	// snapIdx was compacted away (its effect lives in the document store).
+	// snapIdx (= firstIndex-1) was trimmed from memory: it is applied here
+	// and its effect lives in the document store.
 	log        []Entry
 	firstIndex uint64
 	snapIdx    uint64
 	snapTerm   uint64
+	// floor is the highest index every follower holds: on the leader its
+	// least match index, on a follower what the leader last sent. Entries
+	// above it stay in memory so this replica can feed them if it leads.
+	floor uint64
+	// markIdx is the snapshot index of the latest compaction marker: replay
+	// starts there, and the next marker is due MaxLogEntries applies later.
+	markIdx uint64
 
 	commitIndex  uint64
 	appliedIndex uint64
@@ -518,6 +526,7 @@ func (g *group) appendLoop(ctx context.Context, peer string) {
 			{Key: "prevTerm", Value: int64(prevTerm)},
 			{Key: "entries", Value: entries},
 			{Key: "commit", Value: int64(commit)},
+			{Key: "floor", Value: int64(g.floor)},
 		}
 		g.mu.Unlock()
 
@@ -549,6 +558,7 @@ func (g *group) appendLoop(ctx context.Context, peer string) {
 			}
 			g.recomputeLeaseLocked()
 			g.maybeCommitLocked()
+			g.trimLocked()
 			if g.nextIndex[peer] > g.lastIndex() {
 				g.inflight[peer] = false
 				g.mu.Unlock()
@@ -690,7 +700,8 @@ func (g *group) applyLoop(ctx context.Context) {
 		if err != nil {
 			return
 		}
-		g.compactLocked()
+		g.trimLocked()
+		g.checkpointLocked()
 	}
 }
 
@@ -703,6 +714,7 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 	prevIdx := uint64(int64Or(body, "prevIdx", 0))
 	prevTerm := uint64(int64Or(body, "prevTerm", 0))
 	commit := uint64(int64Or(body, "commit", 0))
+	floor := uint64(int64Or(body, "floor", 0))
 
 	g.mu.Lock()
 	if term < g.term {
@@ -842,6 +854,8 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 	// Committed entries are applied by the group's applier, after this reply:
 	// the leader's quorum waits for our log, not for our store.
 	g.kickApplyLocked()
+	g.floor = floor
+	g.trimLocked()
 	g.mu.Unlock()
 	return bson.D{
 		{Key: "term", Value: int64(term)},
@@ -882,8 +896,7 @@ func (g *group) sendSnapshot(ctx context.Context, peer string, term uint64) {
 		g.mu.Unlock()
 	}()
 	g.mu.Lock()
-	snapIdx := g.firstIndex - 1
-	snapTerm := g.snapTerm
+	snapIdx, snapTerm, maxVer := g.snapIdx, g.snapTerm, g.maxVer
 	lo, hi := g.lo, g.hi
 	g.mu.Unlock()
 	g.m.snapshotsSent.Add(1)
@@ -900,6 +913,7 @@ func (g *group) sendSnapshot(ctx context.Context, peer string, term uint64) {
 		{Key: "leader", Value: g.m.env.Self},
 		{Key: "snapIdx", Value: int64(snapIdx)},
 		{Key: "snapTerm", Value: int64(snapTerm)},
+		{Key: "maxVer", Value: maxVer},
 	})
 	sp.End(err)
 	if err != nil {
@@ -940,6 +954,9 @@ func (g *group) handleSnapshot(body bson.D) (bson.D, error) {
 	now := g.m.opts.Now()
 	g.lastHeard = now
 	g.electionDeadline = now.Add(g.m.randTimeout())
+	// The streamed records carry the leader's versions: a later entry this
+	// replica stamps must not fall below them, whatever its clock says.
+	g.maxVer = max(g.maxVer, int64Or(body, "maxVer", 0))
 	if snapIdx > g.snapIdx {
 		// The marker below promises the store holds everything through
 		// snapIdx. The streamed records are durable; entries this replica
@@ -968,37 +985,63 @@ func (g *group) handleSnapshot(body bson.D) (bson.D, error) {
 
 // --- compaction ----------------------------------------------------------
 
-// compactLocked drops the applied log prefix once the in-memory log exceeds
-// the configured bound. The document store is the snapshot; the WAL keeps a
-// compaction marker (plus the retained tail, re-appended) so replay can
-// start from the marker and the segments before it become removable. A marker
-// is a promise that the store holds everything at or below it, and applies
-// do not wait for the store's own fsync — so the store is synced first, with
-// mu released (the applier is the caller; nothing else moves appliedIndex
-// down or the log's applied prefix away, except a snapshot install, which is
-// checked for).
-func (g *group) compactLocked() {
-	max := g.m.opts.MaxLogEntries
-	if len(g.log) <= max || g.appliedIndex < g.firstIndex+uint64(max)/2 {
+// trimLocked drops from memory the log prefix no replica needs from this one
+// any more: applied here and held by every follower (floor). A follower that
+// stops acking pins at most MaxLogEntries entries; past that the trim goes to
+// appliedIndex and that follower catches up by snapshot. Memory only: the WAL
+// keeps the entries until the next compaction marker. The dropped slots are
+// cleared, or the backing array would keep their payloads reachable.
+func (g *group) trimLocked() {
+	if g.role == roleLeader {
+		g.floor = g.lastIndex()
+		for _, p := range g.peers {
+			if p != g.m.env.Self {
+				g.floor = min(g.floor, g.matchIndex[p])
+			}
+		}
+	}
+	upto := max(min(g.appliedIndex, g.floor), g.snapIdx)
+	if g.lastIndex()-upto > uint64(g.m.opts.MaxLogEntries) {
+		upto = g.appliedIndex
+	}
+	if upto <= g.snapIdx {
+		return
+	}
+	k := upto - g.snapIdx
+	g.snapTerm = g.termAt(upto)
+	clear(g.log[:k])
+	g.log = g.log[k:]
+	g.snapIdx, g.firstIndex = upto, upto+1
+}
+
+// checkpointLocked writes a compaction marker at the trim point once
+// MaxLogEntries entries have applied since the last one. The document store
+// is the snapshot; the WAL keeps the marker (plus the in-memory tail,
+// re-appended) so replay can start from it and the segments before it become
+// removable. A marker is a promise that the store holds everything at or
+// below it, and applies do not wait for the store's own fsync — so the store
+// is synced first, with mu released (the applier is the caller; nothing else
+// moves appliedIndex, except a snapshot install, which writes its own marker
+// and is checked for).
+func (g *group) checkpointLocked() {
+	if g.appliedIndex < g.markIdx+uint64(g.m.opts.MaxLogEntries) {
 		return
 	}
 	upto := g.appliedIndex
 	g.mu.Unlock()
 	err := g.m.syncApplied()
 	g.mu.Lock()
-	if err != nil || upto < g.firstIndex {
-		return // keep the log: the store is not durable, or a snapshot overtook us
+	if err != nil || g.snapIdx > upto {
+		return // keep the old marker: the store is not durable, or a snapshot overtook us
 	}
-	g.snapTerm = g.termAt(upto)
-	g.snapIdx = upto
-	g.log = append([]Entry(nil), g.log[upto+1-g.firstIndex:]...)
-	g.firstIndex = upto + 1
 	g.persistCompactionLocked()
 }
 
 // persistCompactionLocked writes the compaction marker plus the retained
 // tail; everything before the marker's LSN is no longer needed for this
 // group — provided all of it was written, or replay keeps its older floor.
+// markIdx moves either way (memory-only managers write nothing), so the
+// cadence holds.
 func (g *group) persistCompactionLocked() {
 	lsn, err := g.m.persist(bson.D{
 		{Key: "t", Value: "c"},
@@ -1008,12 +1051,14 @@ func (g *group) persistCompactionLocked() {
 		{Key: "term", Value: int64(g.term)},
 		{Key: "vote", Value: g.votedFor},
 		{Key: "peers", Value: peersDoc(g.peers)},
+		{Key: "maxVer", Value: g.maxVer},
 	})
 	for _, e := range g.log {
 		if _, perr := g.persistEntryLocked(e); err == nil {
 			err = perr
 		}
 	}
+	g.markIdx = g.snapIdx
 	if err == nil && lsn > 0 {
 		g.compactLSN = lsn
 	}

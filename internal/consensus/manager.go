@@ -29,6 +29,8 @@ type Manager struct {
 	// truncatedTo is the last floor passed to log.TruncateBefore; only the
 	// tick loop touches it.
 	truncatedTo wal.LSN
+	encMu       sync.Mutex
+	encBuf      []byte // persist's record encoding, reused
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -458,10 +460,15 @@ func (m *Manager) persist(doc bson.D) (wal.LSN, error) {
 	if m.log == nil {
 		return 0, nil
 	}
-	raw, err := bson.Marshal(doc)
+	// AppendNoWait copies the record into the log's own frame, so one
+	// encode buffer serves every group.
+	m.encMu.Lock()
+	defer m.encMu.Unlock()
+	raw, err := bson.AppendTo(m.encBuf[:0], doc)
 	if err != nil {
 		return 0, err
 	}
+	m.encBuf = raw
 	return m.log.AppendNoWait(raw)
 }
 
@@ -494,9 +501,10 @@ func (m *Manager) syncApplied() error {
 //	"s" hard state {rid, term, vote}
 //	"e" log entry {rid, idx, term, rec|noop}
 //	"x" truncate-from {rid, from} (conflict suffix removal)
-//	"c" compaction marker {rid, snapIdx, snapTerm, term, vote, peers};
-//	    the retained tail is re-appended after it, so replay from the
-//	    latest "c" alone is complete for that group.
+//	"c" compaction marker {rid, snapIdx, snapTerm, term, vote, peers,
+//	    maxVer}; the retained tail is re-appended after it, so replay from
+//	    the latest "c" alone is complete for that group. A marker written
+//	    without maxVer replays it as 0.
 //
 // Everything replays as a follower; elections start fresh after the first
 // election timeout.
@@ -567,8 +575,9 @@ func (m *Manager) replay() error {
 			g.snapIdx = uint64(int64Or(doc, "snapIdx", 0))
 			g.snapTerm = uint64(int64Or(doc, "snapTerm", 0))
 			g.firstIndex = g.snapIdx + 1
+			g.markIdx = g.snapIdx
 			g.log = nil
-			g.maxVer = 0
+			g.maxVer = int64Or(doc, "maxVer", 0)
 			g.compactLSN = lsn
 		}
 		return nil
@@ -686,6 +695,21 @@ func (m *Manager) ApplyLag(rid int) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.commitIndex - g.appliedIndex
+}
+
+// LogEntries reports how many log entries of range rid this replica holds in
+// memory (0 when it holds no group for the range). A follower that stops
+// acking shows as a range stuck near MaxLogEntries.
+func (m *Manager) LogEntries(rid int) int {
+	m.mu.Lock()
+	g, ok := m.groups[rid]
+	m.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.log)
 }
 
 // WALStats reports the consensus log's commit counters; the second result is

@@ -292,11 +292,16 @@ func TestLeaderWithoutLogFailsProposal(t *testing.T) {
 // TestCompactionSyncsStoreBeforeMarker: applies do not wait for the store's
 // own fsync, so the compaction marker — a promise that the store holds
 // everything at or below it — may only be written after SyncApplied, and not
-// at all when SyncApplied fails.
+// at all when SyncApplied fails. markIdx is the marker's index, what a reopen
+// restores; the in-memory log is trimmed either way.
 func TestCompactionSyncsStoreBeforeMarker(t *testing.T) {
-	var mu sync.Mutex
-	applied, syncedThrough, syncs := 0, 0, 0
-	var syncErr error
+	var (
+		mu            sync.Mutex
+		syncs         int
+		syncedThrough uint64 // appliedIndex at the last successful sync
+		syncErr       error
+		g             *group
+	)
 	m, err := NewManager(Options{
 		Ranges:            1,
 		ReplicationFactor: 1,
@@ -312,13 +317,13 @@ func TestCompactionSyncsStoreBeforeMarker(t *testing.T) {
 		},
 		Replicas: func(uint32) ([]string, error) { return []string{"solo"}, nil },
 		Read:     func(string) (nwr.Record, bool, error) { return nwr.Record{}, false, nil },
-		Apply: func(context.Context, nwr.Record) error {
-			mu.Lock()
-			applied++
-			mu.Unlock()
-			return nil
-		},
+		Apply:    func(context.Context, nwr.Record) error { return nil },
+		// Called by the applier with the group lock released: every entry
+		// through appliedIndex has been applied when it runs.
 		SyncApplied: func() error {
+			g.mu.Lock()
+			applied := g.appliedIndex
+			g.mu.Unlock()
 			mu.Lock()
 			defer mu.Unlock()
 			syncs++
@@ -341,29 +346,22 @@ func TestCompactionSyncsStoreBeforeMarker(t *testing.T) {
 			})
 		}
 	}
-	g, err := m.groupFor(0, nil)
-	if err != nil {
+	if g, err = m.groupFor(0, nil); err != nil {
 		t.Fatal(err)
 	}
-	snap := func() (snapIdx uint64, recs int) {
+	markIdx := func() uint64 {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		n := 0
-		for _, e := range g.log {
-			if !e.Noop {
-				n++
-			}
-		}
-		return g.snapIdx, n
+		return g.markIdx
 	}
 
-	// While the store cannot be synced the log is kept whole.
+	// While the store cannot be synced no marker is written.
 	mu.Lock()
 	syncErr = errors.New("test: store fsync failed")
 	mu.Unlock()
 	put(40)
-	if snapIdx, _ := snap(); snapIdx != 0 {
-		t.Fatalf("compacted to %d although the store never became durable", snapIdx)
+	if mark := markIdx(); mark != 0 {
+		t.Fatalf("compacted to %d although the store never became durable", mark)
 	}
 	mu.Lock()
 	if syncs == 0 {
@@ -372,14 +370,14 @@ func TestCompactionSyncsStoreBeforeMarker(t *testing.T) {
 	syncErr = nil
 	mu.Unlock()
 
-	// Once it can, every compacted entry was applied before the sync that
-	// preceded its marker.
+	// Once it can, every entry the marker covers was applied before the sync
+	// that preceded it.
 	put(40)
-	waitFor(t, 2*time.Second, "a compaction", func() bool { snapIdx, _ := snap(); return snapIdx > 0 })
-	_, kept := snap()
+	waitFor(t, 2*time.Second, "a compaction", func() bool { return markIdx() > 0 })
+	mark := markIdx()
 	mu.Lock()
 	defer mu.Unlock()
-	if compacted := applied - kept; compacted > syncedThrough {
-		t.Fatalf("marker covers %d applied records, the store was synced through %d", compacted, syncedThrough)
+	if mark > syncedThrough {
+		t.Fatalf("marker covers entries through %d, the store was synced through %d", mark, syncedThrough)
 	}
 }

@@ -66,6 +66,37 @@ func writeTestTable(t *testing.T, dir string, num uint64, n int) *table {
 	return tbl
 }
 
+// BenchmarkTableWrite is the flush's layer benchmark: one table of 64 4 KiB
+// values (a 256 KiB memtable's worth) through the writer, its fsync, rename
+// and directory fsync, and the open that makes it readable.
+func BenchmarkTableWrite(b *testing.B) {
+	dir := b.TempDir()
+	val := bytes.Repeat([]byte("v"), 4<<10)
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%06d", i))
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(keys) * len(val)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tw, err := newTableWriter(dir, uint64(i+1), DefaultBlockBytes, DefaultBloomBitsPerKey)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range keys {
+			if err := tw.add(k, val, false); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tbl, err := tw.finish()
+		if err != nil {
+			b.Fatal(err)
+		}
+		tbl.markObsolete()
+	}
+}
+
 func TestTableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	tbl := writeTestTable(t, dir, 1, 500)

@@ -172,6 +172,7 @@ func TestObsSmoke(t *testing.T) {
 		"mystore_consensus_strong_reads_total",
 		"mystore_consensus_propose_seconds",
 		"mystore_consensus_apply_lag",
+		"mystore_consensus_log_entries",
 		"mystore_consensus_wal_appends_total",
 		"mystore_consensus_wal_fsyncs_total",
 		"mystore_consensus_wal_segments_prepared_total",

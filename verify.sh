@@ -3,7 +3,9 @@
 # repeats of the packages whose tests read their own writes through a quorum
 # (a read-your-writes flake shows up within twenty runs, not in one), five of
 # the strong tier's failover and crash-recovery tests (commits are applied off
-# the reply path, so their timing is what a regression there moves), and the
+# the reply path, so their timing is what a regression there moves) and of its
+# log-horizon tests (what each replica keeps in memory, and the versions a
+# restarted or snapshotted leader stamps), and the
 # race detector on the write path (docstore, wal, transport, nwr), the
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
 # the CP tier (consensus), the repair path (merkle) and the observability
@@ -23,7 +25,8 @@ go build ./...
 go test ./...
 go test -count=20 ./internal/nwr ./internal/cluster
 go test -count=20 -run 'TestPublicAPICrud' .
-go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurvive' .
+go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
+	. ./internal/consensus
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
