@@ -14,9 +14,8 @@
 // time, reconciliation metadata and bytes moved for Merkle anti-entropy
 // with streamed transfer, plus foreground read p99 under
 // bandwidth-throttled repair. The storage experiment is the A10
-// study: restart cost with a checkpointed WAL vs full-history replay,
-// resident heap for a dataset ~10x the memtable budget, and foreground
-// read p99 during rate-limited background compaction. The consensus
+// study: foreground read p99 during rate-limited background compaction.
+// The consensus
 // experiment is the A11 study: the write-latency cost of linearizable
 // (consensus-replicated) puts against eventual quorum puts, lease-served
 // leader-local strong reads against quorum reads, and strong-write downtime

@@ -26,9 +26,8 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:19870", "address to listen on")
 	seeds := flag.String("seeds", "", "comma-separated seed node addresses (include this node's address to make it a seed)")
-	dataDir := flag.String("data", "", "persistence directory (empty = in-memory)")
+	dataDir := flag.String("data", "", "persistence directory: WAL plus lsm tables (empty = in-memory)")
 	durable := flag.Bool("durable", false, "fsync every write before acknowledging (group-committed)")
-	engine := flag.String("engine", "", `storage engine: "map" (in-memory, default) or "lsm" (persistent SSTables, needs -data)`)
 	memtable := flag.Int64("memtable", 0, "lsm memtable budget in bytes before flushing to an SSTable (0 = default 4 MiB)")
 	weight := flag.Int("weight", 1, "capacity weight (scales virtual nodes)")
 	n := flag.Int("n", 3, "replication factor N")
@@ -57,7 +56,6 @@ func main() {
 		R:                     *r,
 		DataDir:               *dataDir,
 		Durable:               *durable,
-		StorageEngine:         *engine,
 		MemtableBytes:         *memtable,
 		StrongRanges:          *strongRanges,
 		StrongElectionTimeout: *strongElection,

@@ -77,12 +77,12 @@ func cutStoreWAL(t *testing.T, dataDir string, i int, keep uint64) (dropped int)
 	return dropped
 }
 
-func testStrongCrashRecovery(t *testing.T, engine string, ranges, writes int, wantCompaction bool) {
+func testStrongCrashRecovery(t *testing.T, ranges, writes int, wantCompaction bool) {
 	const et = 100 * time.Millisecond
 	dataDir := t.TempDir()
 	c := startTestCluster(t, ClusterOptions{
 		Nodes: 3, N: 3,
-		DataDir: dataDir, Durable: true, StorageEngine: engine,
+		DataDir: dataDir, Durable: true,
 		StrongRanges: ranges, StrongElectionTimeout: et,
 	})
 	client, err := c.Client()
@@ -159,9 +159,7 @@ func testStrongCrashRecovery(t *testing.T, engine string, ranges, writes int, wa
 // TestStrongWritesSurviveLosingTheStoreWALTail: the acked writes are in no
 // store WAL after the crash; the consensus log redoes them.
 func TestStrongWritesSurviveLosingTheStoreWALTail(t *testing.T) {
-	for _, engine := range []string{"lsm", "map"} {
-		t.Run(engine, func(t *testing.T) { testStrongCrashRecovery(t, engine, 4, 40, false) })
-	}
+	t.Run("lsm", func(t *testing.T) { testStrongCrashRecovery(t, 4, 40, false) })
 }
 
 // markerEvery is how many applied entries a consensus group spaces its
@@ -174,5 +172,5 @@ const markerEvery = 1024
 // below the marker are gone from the consensus log, so the store must hold
 // them durably; entries above it are redone from the WAL.
 func TestStrongWritesSurviveCrashAfterLogCompaction(t *testing.T) {
-	testStrongCrashRecovery(t, "lsm", 1, markerEvery+300, true)
+	testStrongCrashRecovery(t, 1, markerEvery+300, true)
 }

@@ -333,8 +333,8 @@ func (n *Node) Tick(ctx context.Context) {
 		n.AntiEntropyRound(ctx)
 	}
 	if compactDue {
-		// Periodic snapshot compaction bounds WAL growth on persistent
-		// nodes (a no-op for in-memory stores).
+		// A forced memtable flush checkpoints the WAL, bounding the tail a
+		// restart replays on persistent nodes (a no-op for in-memory stores).
 		n.store.Compact() //nolint:errcheck // best-effort; the WAL remains authoritative
 	}
 }

@@ -32,7 +32,7 @@ type Collection struct {
 
 func newCollection(s *Store, name string) *Collection {
 	var primary primaryStore
-	if s.engine != nil {
+	if s.persistent() {
 		primary = newLsmPrimary(s.engine, name)
 	} else {
 		primary = newMemPrimary()
@@ -585,8 +585,8 @@ func (c *Collection) blindPut(doc bson.D, lsn uint64) error {
 	return c.blindSet(id, doc, lsn)
 }
 
-// blindSet is write without the decision: recovery (snapshot load and WAL
-// replay, both single-threaded) redoes an effect over whatever is there.
+// blindSet is write without the decision: recovery (single-threaded WAL
+// replay) redoes an effect over whatever is there.
 func (c *Collection) blindSet(id any, doc bson.D, lsn uint64) error {
 	key, err := idKey(id)
 	if err != nil {

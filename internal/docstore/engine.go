@@ -9,10 +9,10 @@ import (
 	"mystore/internal/lsm"
 )
 
-// The store's primary index is pluggable: the seed "map" engine keeps every
-// decoded document in an in-memory btree (snapshot + full WAL replay for
-// persistence), while the "lsm" engine keeps documents in the log-structured
-// table store and only the working set in memory. Collections talk to either
+// A collection's primary index is one of two: a persistent store keeps
+// documents in the log-structured table store (lsm) and only the working set
+// in memory, while an in-memory store, which has no log and no recovery,
+// keeps every decoded document in a btree. Collections talk to either
 // through primaryStore; mutations additionally carry the op's WAL LSN so the
 // lsm engine can checkpoint (truncate) the log as memtables flush.
 //
@@ -29,11 +29,10 @@ import (
 // declare them.
 
 // primaryStore is the primary (_id -> document) index of one collection.
-// Callers treat returned documents as immutable, exactly like the btree
-// engine's stored documents.
+// Callers treat returned documents as immutable.
 type primaryStore interface {
 	// Get returns the stored document for key and the length of its BSON
-	// encoding, which both engines already hold.
+	// encoding, which both primaries already hold.
 	Get(key []byte) (doc bson.D, encLen int, ok bool)
 	// Set stores doc (already encoded as enc) at key. isNew tells the
 	// engine whether key is a fresh insert (the caller read the key under
@@ -47,7 +46,8 @@ type primaryStore interface {
 	Len() int
 }
 
-// memPrimary is the seed engine: decoded documents in an in-memory btree.
+// memPrimary is an in-memory store's primary index: decoded documents in a
+// btree, with no log behind them.
 type memPrimary struct {
 	tree *btree.Tree // idKey -> memDoc
 }

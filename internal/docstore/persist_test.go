@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mystore/internal/bson"
@@ -61,9 +62,16 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestCompactAndRecoverFromSnapshot(t *testing.T) {
+// TestCompactAndRecoverFromTablesAndWALTail: Compact flushes the memtable to
+// tables and checkpoints the WAL past it; after a crash, reopen loads the
+// tables and replays exactly the records written since.
+func TestCompactAndRecoverFromTablesAndWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s := diskStore(t, dir)
+	opts := Options{Dir: dir, WAL: wal.Options{SegmentSize: 4096, SyncEveryAppend: true}}
+	s, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	c := s.C("records")
 	c.EnsureIndex("self-key", true) //nolint:errcheck
 	for i := 0; i < 100; i++ {
@@ -72,27 +80,35 @@ func TestCompactAndRecoverFromSnapshot(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("snapshot file missing: %v", err)
+	if tables, _ := filepath.Glob(filepath.Join(dir, "tables", "*.sst")); len(tables) == 0 {
+		t.Fatal("Compact wrote no table")
 	}
-	// Write more after the snapshot so recovery = snapshot + WAL tail.
-	for i := 100; i < 120; i++ {
+	// Write more after the flush, then crash so nothing flushes them:
+	// recovery = tables + WAL tail.
+	const tail = 20
+	for i := 100; i < 100+tail; i++ {
 		c.Insert(record(fmt.Sprintf("k%03d", i), 128)) //nolint:errcheck
 	}
-	s.Close()
+	s.Crash()
 
-	s2 := diskStore(t, dir)
+	s2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer s2.Close()
+	if got := s2.ReplayedOps(); got != tail {
+		t.Fatalf("reopen replayed %d WAL records, want the %d written after Compact", got, tail)
+	}
 	c2 := s2.C("records")
 	if c2.Len() != 120 {
-		t.Fatalf("Len after snapshot recovery = %d, want 120", c2.Len())
+		t.Fatalf("Len after recovery = %d, want 120", c2.Len())
 	}
-	// Unique index survived the snapshot.
+	// The unique index survived in the tables.
 	if _, err := c2.Insert(record("k050", 8)); err == nil {
-		t.Fatal("unique index lost through snapshot")
+		t.Fatal("unique index lost through the flush")
 	}
 	if got, _ := c2.Find(Filter{{Key: "self-key", Value: "k115"}}, FindOptions{}); len(got) != 1 {
-		t.Fatal("post-snapshot WAL tail not replayed")
+		t.Fatal("post-flush WAL tail not replayed")
 	}
 }
 
@@ -162,15 +178,34 @@ func TestDropCollectionPersists(t *testing.T) {
 	}
 }
 
-func TestSnapshotHeaderValidation(t *testing.T) {
-	dir := t.TempDir()
-	// Write garbage where the snapshot should be.
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
+// TestOpenRefusesMapEngineDirectory: the retired map engine kept its documents
+// in a snapshot file over a WAL truncated below it. Opening such a directory
+// as lsm would serve a store missing the snapshot's contents, so Open refuses
+// it, names the file, and leaves the directory as it was. A request for the
+// map engine by name is refused too.
+func TestOpenRefusesMapEngineDirectory(t *testing.T) {
+	for _, name := range []string{"snapshot.bson", "snapshot.bson.tmp"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, name), []byte("map engine contents"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Open(Options{Dir: dir})
+			if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "map engine") {
+				t.Fatalf("Open over a map-engine directory = %v, want an error naming %s and the map engine", err, name)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "wal")); !os.IsNotExist(err) {
+				t.Fatalf("the refused Open created a WAL: %v", err)
+			}
+		})
 	}
-	if _, err := Open(Options{Dir: dir}); err == nil {
-		t.Fatal("Open accepted corrupt snapshot")
-	}
+	t.Run("engine map", func(t *testing.T) {
+		for _, dir := range []string{t.TempDir(), ""} {
+			if _, err := Open(Options{Dir: dir, Engine: "map"}); err == nil || !strings.Contains(err.Error(), `"map"`) {
+				t.Fatalf("Open(Dir %q, Engine map) = %v, want an error naming the engine", dir, err)
+			}
+		}
+	})
 }
 
 func TestLargeDocumentPersistence(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // "delete" and "index" records in that encoder's field layout (op, coll, then
 // doc | id | field+unique). It includes the two cases that needed a relaxed
 // replay mode then — an insert over an existing document and an update of a
-// missing one, both of which a fuzzy snapshot or a checkpoint can produce.
+// missing one, both of which a checkpoint running ahead of replay can produce.
 func legacyWAL(tb testing.TB) [][]byte {
 	tb.Helper()
 	op := func(kind, coll string, rest ...bson.E) bson.D {
@@ -44,70 +44,68 @@ func legacyWAL(tb testing.TB) [][]byte {
 	return recs
 }
 
-// TestReplayLegacyWAL: a log written before the WAL recorded effects reopens,
-// on both engines, to the documents and indexes it describes.
+// TestReplayLegacyWAL: a log written before the WAL recorded effects reopens
+// to the documents and indexes it describes.
 func TestReplayLegacyWAL(t *testing.T) {
-	for _, engine := range []string{"map", "lsm"} {
-		t.Run(engine, func(t *testing.T) {
-			dir := t.TempDir()
-			log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
-			if err != nil {
+	t.Run("lsm", func(t *testing.T) {
+		dir := t.TempDir()
+		log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := legacyWAL(t)
+		for _, rec := range recs {
+			if _, err := log.Append(rec); err != nil {
 				t.Fatal(err)
 			}
-			recs := legacyWAL(t)
-			for _, rec := range recs {
-				if _, err := log.Append(rec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := log.Close(); err != nil {
-				t.Fatal(err)
-			}
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			s, err := Open(Options{Dir: dir, Engine: engine, Storage: testTuning()})
-			if err != nil {
-				t.Fatalf("open over a legacy log: %v", err)
+		s, err := Open(Options{Dir: dir, Storage: testTuning()})
+		if err != nil {
+			t.Fatalf("open over a legacy log: %v", err)
+		}
+		defer s.Close()
+		if got := s.ReplayedOps(); got != uint64(len(recs)) {
+			t.Fatalf("replayed %d records, want %d", got, len(recs))
+		}
+		got := contents(s)
+		want := map[string]map[string]int64{
+			"records": {"a": 2, "d": 4},
+			"hints":   {"7": 2},
+		}
+		if len(got) != len(want) {
+			t.Fatalf("collections = %v", s.Collections())
+		}
+		for coll, docs := range want {
+			if len(got[coll]) != len(docs) {
+				t.Fatalf("%s holds %d documents, want %d: %v", coll, len(got[coll]), len(docs), got[coll])
 			}
-			defer s.Close()
-			if got := s.ReplayedOps(); got != uint64(len(recs)) {
-				t.Fatalf("replayed %d records, want %d", got, len(recs))
-			}
-			got := contents(s)
-			want := map[string]map[string]int64{
-				"records": {"a": 2, "d": 4},
-				"hints":   {"7": 2},
-			}
-			if len(got) != len(want) {
-				t.Fatalf("collections = %v", s.Collections())
-			}
-			for coll, docs := range want {
-				if len(got[coll]) != len(docs) {
-					t.Fatalf("%s holds %d documents, want %d: %v", coll, len(got[coll]), len(docs), got[coll])
+			for id, n := range docs {
+				if v, _ := got[coll][id].Get("n"); v != n {
+					t.Fatalf("%s/%s = %v, want n=%d", coll, id, got[coll][id], n)
 				}
-				for id, n := range docs {
-					if v, _ := got[coll][id].Get("n"); v != n {
-						t.Fatalf("%s/%s = %v, want n=%d", coll, id, got[coll][id], n)
-					}
-				}
 			}
+		}
 
-			// The index came back, follows the update, and still guards.
-			c := s.C("records")
-			before := s.Stats()
-			for selfKey, hits := range map[string]int{"ka2": 1, "kd": 1, "ka": 0, "kb": 0} {
-				docs, err := c.Find(Filter{{Key: "self-key", Value: selfKey}}, FindOptions{})
-				if err != nil || len(docs) != hits {
-					t.Fatalf("Find self-key=%s: %d documents, %v; want %d", selfKey, len(docs), err, hits)
-				}
+		// The index came back, follows the update, and still guards.
+		c := s.C("records")
+		before := s.Stats()
+		for selfKey, hits := range map[string]int{"ka2": 1, "kd": 1, "ka": 0, "kb": 0} {
+			docs, err := c.Find(Filter{{Key: "self-key", Value: selfKey}}, FindOptions{})
+			if err != nil || len(docs) != hits {
+				t.Fatalf("Find self-key=%s: %d documents, %v; want %d", selfKey, len(docs), err, hits)
 			}
-			if after := s.Stats(); after.Scans != before.Scans {
-				t.Fatal("lookups on the replayed index scanned")
-			}
-			if _, err := c.Insert(bson.D{{Key: "_id", Value: "e"}, {Key: "self-key", Value: "kd"}}); err == nil {
-				t.Fatal("replayed unique index admitted a colliding insert")
-			}
-		})
-	}
+		}
+		if after := s.Stats(); after.Scans != before.Scans {
+			t.Fatal("lookups on the replayed index scanned")
+		}
+		if _, err := c.Insert(bson.D{{Key: "_id", Value: "e"}, {Key: "self-key", Value: "kd"}}); err == nil {
+			t.Fatal("replayed unique index admitted a colliding insert")
+		}
+	})
 }
 
 // FuzzReplayRecord pushes arbitrary bytes down the replay path — Unmarshal,

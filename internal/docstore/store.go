@@ -1,7 +1,7 @@
 // Package docstore implements the MongoDB-like document store MyStore
 // clusters: schema-free BSON collections with automatically assigned _id
 // keys, secondary indexes, a query engine with the shell operator dialect,
-// and WAL-backed persistence with snapshot compaction.
+// and WAL-backed persistence in a log-structured table store (internal/lsm).
 package docstore
 
 import (
@@ -31,20 +31,21 @@ var (
 
 // Options configure a Store.
 type Options struct {
-	// Dir is the persistence directory. Empty means a purely in-memory
-	// store (used heavily by simulations and tests).
+	// Dir is the persistence directory: a WAL plus the lsm engine's tables.
+	// Documents live in SSTables behind a memtable, every memtable flush
+	// checkpoints the WAL, and a restart replays only the unflushed tail.
+	// Empty means an unlogged in-memory store with no recovery (used heavily
+	// by simulations and tests).
 	Dir string
 	// WAL tunes the write-ahead log when Dir is set.
 	WAL wal.Options
-	// Engine selects the storage engine: "map" (default — every decoded
-	// document in memory, snapshot + full WAL replay on restart) or "lsm"
-	// (documents in log-structured SSTables with a memtable in front; the
-	// WAL is checkpointed on every memtable flush so restart replays only
-	// the unflushed tail, and resident memory is bounded by the memtable
-	// and block-cache budgets rather than the dataset). "lsm" requires Dir.
+	// Engine names the storage engine.
+	//
+	// Deprecated: a store with a Dir always runs lsm. "" and "lsm" are
+	// accepted; any other name is refused.
 	Engine string
 	// Storage tunes the lsm engine (memtable budget, block cache size,
-	// compaction bandwidth, ...). Ignored by the map engine.
+	// compaction bandwidth, ...) when Dir is set.
 	Storage lsm.Tuning
 	// Tracer, when non-nil, records the lsm engine's background spans
 	// (memtable.flush, compaction.run).
@@ -87,24 +88,21 @@ type Store struct {
 	statIndexHit atomic.Uint64
 
 	opts   Options
-	log    *wal.Log
-	engine *lsm.Engine // nil for the map engine
+	log    *wal.Log    // nil, like engine, for an in-memory store
+	engine *lsm.Engine // nil, like log, for an in-memory store
 	colls  map[string]*Collection
 	closed bool
 
 	replayedOps atomic.Uint64 // WAL records re-applied by the last open
-
-	// compactDocHook, when non-nil, runs once per document during Compact's
-	// encode phase, outside every lock. Tests use it to prove concurrent
-	// writers are not blocked for the dump duration.
-	compactDocHook func()
 }
 
-// Open opens a store. With a Dir, the map engine loads the latest snapshot
-// (if any) and replays the WAL from it; the lsm engine opens its table
-// store and replays only the WAL tail past the last flush checkpoint.
-// Without a Dir the store is purely in-memory.
+// Open opens a store. With a Dir it opens the WAL and the lsm table store
+// and replays only the WAL tail past the last flush checkpoint. Without a Dir
+// the store is purely in-memory.
 func Open(opts Options) (*Store, error) {
+	if opts.Engine != "" && opts.Engine != "lsm" {
+		return nil, fmt.Errorf("docstore: storage engine %q is retired: a store with a Dir runs lsm, one without is in memory", opts.Engine)
+	}
 	s := &Store{opts: opts, colls: make(map[string]*Collection)}
 	if opts.Dir == "" {
 		if opts.Engine == "lsm" {
@@ -112,65 +110,60 @@ func Open(opts Options) (*Store, error) {
 		}
 		return s, nil
 	}
+	// A directory the retired map engine wrote holds its documents in a
+	// snapshot (or one mid-write) over a WAL truncated below it: lsm would
+	// open empty tables, replay that tail and serve a store missing
+	// everything the snapshot held.
+	for _, name := range []string{"snapshot.bson", "snapshot.bson.tmp"} {
+		_, err := os.Stat(filepath.Join(opts.Dir, name))
+		if err == nil {
+			return nil, fmt.Errorf("docstore: %s holds %s, written by the retired map engine; lsm cannot recover it", opts.Dir, name)
+		}
+		if !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("docstore: %w", err)
+		}
+	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("docstore: create dir: %w", err)
 	}
-	var from wal.LSN
-	if opts.Engine == "lsm" {
-		log, err := wal.Open(filepath.Join(opts.Dir, "wal"), opts.WAL)
-		if err != nil {
-			return nil, err
-		}
-		s.log = log
-		eng, err := lsm.Open(lsm.Options{
-			Dir:    filepath.Join(opts.Dir, "tables"),
-			Tuning: opts.Storage,
-			Tracer: opts.Tracer,
-			// After every flush the engine's manifest is the durable root for
-			// everything below the checkpoint; the WAL tail before it is dead
-			// weight and can go.
-			Checkpoint: func(lsn uint64) { log.TruncateBefore(wal.LSN(lsn)) },
-			// A mutation is applied to the memtable before its WAL record is
-			// known durable (and an unsynced one is never waited for by its
-			// writer), so the flush waits instead.
-			LogDurable: func(lsn uint64) error { return log.WaitDurable(wal.LSN(lsn)) },
-		})
-		if err != nil {
-			log.Close()
-			return nil, err
-		}
-		s.engine = eng
-		defs, err := s.loadLSMMeta()
-		if err == nil {
-			for _, def := range defs {
-				c := s.C(def.coll)
-				c.mu.Lock()
-				c.buildIndexLocked(def.field, def.unique)
-				c.mu.Unlock()
-			}
-		}
-		if err != nil {
-			eng.Crash()
-			log.Close()
-			return nil, err
-		}
-		from = wal.LSN(eng.CheckpointLSN())
-	} else {
-		var err error
-		from, err = s.loadSnapshot()
-		if err != nil {
-			return nil, err
-		}
-		log, err := wal.Open(filepath.Join(opts.Dir, "wal"), opts.WAL)
-		if err != nil {
-			return nil, err
-		}
-		s.log = log
+	log, err := wal.Open(filepath.Join(opts.Dir, "wal"), opts.WAL)
+	if err != nil {
+		return nil, err
 	}
-	// Replay is blind: every record is an effect to redo. The fuzzy snapshot
-	// and the lsm checkpoint both let the recovery baseline run slightly ahead
-	// of the replay position, and redoing an effect already present converges.
-	err := s.log.Replay(from, func(lsn wal.LSN, rec []byte) error {
+	eng, err := lsm.Open(lsm.Options{
+		Dir:    filepath.Join(opts.Dir, "tables"),
+		Tuning: opts.Storage,
+		Tracer: opts.Tracer,
+		// After every flush the engine's manifest is the durable root for
+		// everything below the checkpoint; the WAL tail before it is dead
+		// weight and can go.
+		Checkpoint: func(lsn uint64) { log.TruncateBefore(wal.LSN(lsn)) },
+		// A mutation is applied to the memtable before its WAL record is
+		// known durable (and an unsynced one is never waited for by its
+		// writer), so the flush waits instead.
+		LogDurable: func(lsn uint64) error { return log.WaitDurable(wal.LSN(lsn)) },
+	})
+	if err != nil {
+		log.Close()
+		return nil, err
+	}
+	s.log, s.engine = log, eng
+	defs, err := s.loadLSMMeta()
+	if err != nil {
+		eng.Crash()
+		log.Close()
+		return nil, err
+	}
+	for _, def := range defs {
+		c := s.C(def.coll)
+		c.mu.Lock()
+		c.buildIndexLocked(def.field, def.unique)
+		c.mu.Unlock()
+	}
+	// Replay is blind: every record is an effect to redo. The checkpoint can
+	// run slightly ahead of the replay position, and redoing an effect already
+	// present converges.
+	err = log.Replay(wal.LSN(eng.CheckpointLSN()), func(lsn wal.LSN, rec []byte) error {
 		doc, err := bson.Unmarshal(rec)
 		if err != nil {
 			return fmt.Errorf("docstore: corrupt WAL record: %w", err)
@@ -183,21 +176,23 @@ func Open(opts Options) (*Store, error) {
 		return s.replayOp(op, uint64(lsn))
 	})
 	if err != nil {
-		if s.engine != nil {
-			s.engine.Crash()
-		}
-		s.log.Close()
+		eng.Crash()
+		log.Close()
 		return nil, err
 	}
 	return s, nil
 }
 
-// Engine exposes the lsm engine for metrics and tests; nil when the store
-// runs the map engine.
+// persistent reports whether the store has a Dir, and so a WAL and an lsm
+// engine; an in-memory store has neither.
+func (s *Store) persistent() bool { return s.engine != nil }
+
+// Engine exposes the lsm engine for metrics and tests; nil for an in-memory
+// store.
 func (s *Store) Engine() *lsm.Engine { return s.engine }
 
-// ReplayedOps reports how many WAL records the last Open re-applied — the
-// restart-cost measure the storage ablation compares across engines.
+// ReplayedOps reports how many WAL records the last Open re-applied: the
+// unflushed tail past the lsm checkpoint, which is what a restart costs.
 func (s *Store) ReplayedOps() uint64 { return s.replayedOps.Load() }
 
 // C returns the named collection, creating it on first use (the MongoDB
@@ -271,7 +266,7 @@ func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), a
 	}
 	// BSON-encode outside the lock; it is the expensive part of the write.
 	var rec []byte
-	if s.log != nil {
+	if s.persistent() {
 		var err error
 		rec, err = bson.Marshal(encodeOp(op))
 		if err != nil {
@@ -291,7 +286,7 @@ func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), a
 		}
 	}
 	var lsn wal.LSN
-	if s.log != nil {
+	if s.persistent() {
 		var err error
 		// Buffered append only: the fsync wait happens after writeMu is
 		// released, so concurrent writers form one group-commit cohort
@@ -310,7 +305,7 @@ func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), a
 	if err != nil {
 		return false, err
 	}
-	if s.log == nil || mode == skipSync {
+	if !s.persistent() || mode == skipSync {
 		return true, nil
 	}
 	_, sp := trace.Start(ctx, "wal.commit")
@@ -336,7 +331,7 @@ func (s *Store) replayOp(op Op, lsn uint64) error {
 }
 
 func (s *Store) applyDropColl(name string, lsn uint64) error {
-	if s.engine != nil {
+	if s.persistent() {
 		if err := s.dropCollLSM(name, lsn); err != nil {
 			return err
 		}
@@ -356,7 +351,7 @@ type Stats struct {
 	Scans       uint64
 }
 
-// Stats returns current aggregate statistics. With the lsm engine,
+// Stats returns current aggregate statistics. In a persistent store,
 // DataBytes reports on-disk table bytes plus the memtable (per-collection
 // running deltas reset at restart), and the first call after a restart pays
 // one discovery scan per collection to learn document counts.
@@ -370,7 +365,7 @@ func (s *Store) Stats() Stats {
 		st.DataBytes += c.dataBytes
 		c.mu.RUnlock()
 	}
-	if s.engine != nil {
+	if s.persistent() {
 		est := s.engine.Stats()
 		st.DataBytes = est.TableBytes + est.MemtableBytes
 	}
@@ -386,23 +381,33 @@ func (s *Store) WAL() *wal.Log { return s.log }
 // (under SyncEveryAppend; a no-op otherwise and for an in-memory store) — the
 // barrier a skipSync writer runs before it lets go of its own copy.
 func (s *Store) SyncWAL() error {
-	if s.log == nil {
+	if !s.persistent() {
 		return nil
 	}
 	return s.log.WaitDurable(s.log.NextLSN() - 1)
+}
+
+// Compact bounds WAL growth: it flushes the memtable to a table, and the
+// flush's checkpoint truncates the WAL below what the tables now hold. A
+// no-op for an in-memory store.
+func (s *Store) Compact() error {
+	if !s.persistent() {
+		return nil
+	}
+	return s.engine.Flush()
 }
 
 // WALStats reports the write-ahead log's commit counters (appends, fsyncs,
 // group-commit batch sizes). The second result is false for an in-memory
 // store, which has no log.
 func (s *Store) WALStats() (wal.SyncStats, bool) {
-	if s.log == nil {
+	if !s.persistent() {
 		return wal.SyncStats{}, false
 	}
 	return s.log.Stats(), true
 }
 
-// Close flushes and closes the store. With the lsm engine, the final
+// Close flushes and closes the store. In a persistent store the final
 // memtable flush checkpoints the WAL, so the next open replays nothing.
 func (s *Store) Close() error {
 	s.writeMu.Lock()
@@ -413,14 +418,12 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var err error
-	if s.engine != nil {
-		err = s.engine.Close()
+	if !s.persistent() {
+		return nil
 	}
-	if s.log != nil {
-		if cerr := s.log.Close(); err == nil {
-			err = cerr
-		}
+	err := s.engine.Close()
+	if cerr := s.log.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }
@@ -441,10 +444,8 @@ func (s *Store) Crash() {
 	// Order matters: crash the engine first so stalled writers unblock with
 	// the engine refusing work, then abandon the log so durability waiters
 	// fail out rather than fsync.
-	if s.engine != nil {
+	if s.persistent() {
 		s.engine.Crash()
-	}
-	if s.log != nil {
 		s.log.Abandon()
 	}
 }

@@ -54,8 +54,8 @@ func TestPutIfUnsyncedSkipsOnlyTheWait(t *testing.T) {
 	}
 }
 
-// TestCheckpointNeverPassesDurableWAL: memtable flushes racing appends nobody
-// waits for must not publish a checkpoint (lsm) or a snapshot position (map)
+// TestCheckpointNeverPassesDurableWAL: memtable flushes, background or forced
+// by Compact, over appends nobody waits for must not publish a checkpoint
 // above the WAL's durable point. If one did, a power loss would reopen the log
 // short of it and hand those LSNs out again, to records the next replay skips.
 func TestCheckpointNeverPassesDurableWAL(t *testing.T) {
@@ -68,7 +68,6 @@ func TestCheckpointNeverPassesDurableWAL(t *testing.T) {
 		s, err := Open(Options{
 			Dir:     t.TempDir(),
 			WAL:     wal.Options{SyncEveryAppend: true},
-			Engine:  "lsm",
 			Storage: lsm.Tuning{MemtableBytes: 8 << 10},
 		})
 		if err != nil {
@@ -103,7 +102,7 @@ func TestCheckpointNeverPassesDurableWAL(t *testing.T) {
 		}
 	})
 
-	t.Run("map snapshot", func(t *testing.T) {
+	t.Run("compact", func(t *testing.T) {
 		s, err := Open(Options{Dir: t.TempDir(), WAL: wal.Options{SyncEveryAppend: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -117,8 +116,8 @@ func TestCheckpointNeverPassesDurableWAL(t *testing.T) {
 		if err := s.Compact(); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := s.WAL().DurableLSN(), s.WAL().NextLSN()-1; got != want {
-			t.Fatalf("snapshot covers LSNs through %d, the WAL is durable through %d", want, got)
+		if ckpt, durable := s.Engine().CheckpointLSN(), uint64(s.WAL().DurableLSN()); ckpt != durable+1 {
+			t.Fatalf("Compact checkpointed at %d with the WAL durable through %d", ckpt, durable)
 		}
 	})
 }

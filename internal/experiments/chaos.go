@@ -112,8 +112,8 @@ func (r ChaosResult) String() string {
 // invariant allows at most this much overshoot past an op's own deadline.
 const chaosCallTimeout = 300 * time.Millisecond
 
-// RunChaos drives the soak. dir hosts the nodes' durable stores (WAL +
-// snapshots); crash-restarted nodes recover from it.
+// RunChaos drives the soak. dir hosts the nodes' durable stores (WAL + lsm
+// tables); crash-restarted nodes recover from it.
 func RunChaos(scale Scale, dir string) (ChaosResult, error) {
 	scale = scale.withDefaults()
 	result := ChaosResult{Duration: 4 * scale.StepDuration, FaultsFired: map[faults.Kind]int64{}}
@@ -128,7 +128,6 @@ func RunChaos(scale Scale, dir string) (ChaosResult, error) {
 		Durable:            true,
 		ReplicaCallTimeout: chaosCallTimeout,
 		GossipInterval:     100 * time.Millisecond,
-		StorageEngine:      "lsm",
 		MemtableBytes:      32 << 10,
 		StrongRanges:       4,
 	})

@@ -160,54 +160,22 @@ func repairJSON(a RepairAblation) map[string]any {
 	}
 }
 
-// storageJSON emits the A10 rows plus the storage PR's acceptance
-// headlines: map restart time over lsm (checkpointed WAL, wants ≥10x), heap
-// growth ratio for a dataset ~10x the memtable budget, and the foreground
-// p99 penalty while rate-limited compaction runs (wants ≤25%).
+// storageJSON emits the A10 row plus its acceptance headline: the
+// foreground p99 penalty while rate-limited compaction runs (wants ≤1.25).
 func storageJSON(a StorageAblation) map[string]any {
-	restart := make([]map[string]any, 0, len(a.Restart))
-	for _, row := range a.Restart {
-		restart = append(restart, map[string]any{
-			"engine":       row.Engine,
-			"history_ops":  row.Ops,
-			"replayed_ops": row.ReplayedOps,
-			"open_ms":      round2(row.OpenMs),
-		})
-	}
-	m := a.Memory
-	f := a.Foreground
 	out := map[string]any{
-		"restart": restart,
-		"memory": map[string]any{
-			"docs":            m.Docs,
-			"dataset_bytes":   m.DatasetBytes,
-			"memtable_bytes":  m.MemtableBudget,
-			"map_heap_bytes":  m.MapHeapBytes,
-			"lsm_heap_bytes":  m.LsmHeapBytes,
-			"cold_p99_ms":     round2(m.ColdP99ms),
-			"warm_p99_ms":     round2(m.WarmP99ms),
-			"cache_hits":      m.CacheHits,
-			"cache_misses":    m.CacheMisses,
-			"bloom_negatives": m.BloomNegatives,
-		},
 		"foreground": map[string]any{
-			"reads":                    f.Reads,
-			"compaction_bandwidth_bps": f.BandwidthBps,
-			"idle_p99_ms":              round2(f.IdleP99ms),
-			"compacting_p99_ms":        round2(f.CompactingP99ms),
-			"compactions":              f.Compactions,
-			"compact_bytes":            f.CompactBytes,
-			"throttle_wait_ms":         round2(f.ThrottleWaitMs),
+			"reads":                    a.Reads,
+			"compaction_bandwidth_bps": a.BandwidthBps,
+			"idle_p99_ms":              round2(a.IdleP99ms),
+			"compacting_p99_ms":        round2(a.CompactingP99ms),
+			"compactions":              a.Compactions,
+			"compact_bytes":            a.CompactBytes,
+			"throttle_wait_ms":         round2(a.ThrottleWaitMs),
 		},
 	}
-	if s := a.restartSpeedup(); s > 0 {
-		out["map_over_lsm_restart"] = round2(s)
-	}
-	if m.LsmHeapBytes > 0 {
-		out["map_over_lsm_heap"] = round2(float64(m.MapHeapBytes) / float64(m.LsmHeapBytes))
-	}
-	if f.IdleP99ms > 0 {
-		out["compacting_over_idle_p99"] = round2(f.CompactingP99ms / f.IdleP99ms)
+	if a.IdleP99ms > 0 {
+		out["compacting_over_idle_p99"] = round2(a.CompactingP99ms / a.IdleP99ms)
 	}
 	return out
 }

@@ -540,8 +540,8 @@ func (e *Engine) span(name string) *trace.Span {
 }
 
 // Flush synchronously rotates the mutable memtable and waits until the
-// whole flush queue is on disk (tests, graceful close, the retired
-// Compact() path).
+// whole flush queue is on disk (tests, graceful close, the docstore's
+// Compact).
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	e.rotateLocked()

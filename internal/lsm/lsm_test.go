@@ -97,6 +97,59 @@ func BenchmarkTableWrite(b *testing.B) {
 	}
 }
 
+// BenchmarkGet is the read path's layer benchmark over 4 KiB values: a
+// memtable hit, a table hit on a block already in the cache, and a miss the
+// table's bloom filter answers without reading a block.
+func BenchmarkGet(b *testing.B) {
+	e, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	val := bytes.Repeat([]byte("v"), 4<<10)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%06d", i)) }
+	const tableKeys = 256 // even numbers only, so odd ones fall inside the table's range
+	for i := 0; i < tableKeys; i++ {
+		if err := e.Apply(key(2*i), val, uint64(i+1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Apply([]byte("mem-key"), val, tableKeys+1); err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		key   []byte
+		found bool
+	}{
+		{"memtable", []byte("mem-key"), true},
+		{"table-cached-block", key(tableKeys), true},
+		{"bloom-miss", key(tableKeys + 1), false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			// The first read fills the block cache and shows the case is the
+			// one named: a miss has to be the bloom filter's.
+			negatives := e.Stats().BloomNegatives
+			if _, ok, err := e.Get(bc.key); err != nil || ok != bc.found {
+				b.Fatalf("Get(%s) = %v, %v; want found = %v", bc.key, ok, err, bc.found)
+			}
+			if bloomed := e.Stats().BloomNegatives > negatives; bloomed == bc.found {
+				b.Fatalf("Get(%s): bloom negative = %v", bc.key, bloomed)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := e.Get(bc.key); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func TestTableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	tbl := writeTestTable(t, dir, 1, 500)

@@ -115,7 +115,11 @@ type ClusterOptions struct {
 	// GossipInterval is the background tick period (default 200ms for
 	// in-process clusters).
 	GossipInterval time.Duration
-	// DataDir, when set, persists node stores under DataDir/node-<i>.
+	// DataDir, when set, persists node stores under DataDir/node-<i>: a WAL
+	// plus log-structured SSTables behind a memtable, whose resident memory is
+	// bounded by the memtable and block-cache budgets and whose restart
+	// replays only the WAL tail past the last flush. Empty keeps every node's
+	// documents in memory, unlogged.
 	DataDir string
 	// Durable makes every store mutation fsync before acknowledging
 	// (wal SyncEveryAppend). Only meaningful with DataDir. Concurrent
@@ -136,13 +140,6 @@ type ClusterOptions struct {
 	// RepairBandwidth caps streamed repair traffic per node, in bytes/sec
 	// (token bucket; 0 means unthrottled).
 	RepairBandwidth int64
-	// StorageEngine selects each node's local storage engine: "map"
-	// (default — every decoded document held in memory, full WAL replay on
-	// restart) or "lsm" (documents in log-structured SSTables behind a
-	// memtable; resident memory is bounded by the memtable and block-cache
-	// budgets, and the WAL is checkpointed on every flush so restart
-	// replays only the unflushed tail). "lsm" requires DataDir.
-	StorageEngine string
 	// MemtableBytes sizes the lsm write buffer per node (default 4 MiB).
 	MemtableBytes int64
 	// BlockCacheBytes sizes the lsm block cache per node (default 32 MiB).
@@ -277,8 +274,7 @@ func (c *Cluster) nodeConfig(i int) cluster.Config {
 		RepairBandwidth:       c.opts.RepairBandwidth,
 		StoreDir:              dir,
 		Store: docstore.Options{
-			WAL:    wal.Options{SyncEveryAppend: c.opts.Durable},
-			Engine: c.opts.StorageEngine,
+			WAL: wal.Options{SyncEveryAppend: c.opts.Durable},
 			Storage: lsm.Tuning{
 				MemtableBytes:       c.opts.MemtableBytes,
 				BlockCacheBytes:     c.opts.BlockCacheBytes,
@@ -416,7 +412,7 @@ func (c *Cluster) RestartNode(i int) {
 
 // CrashNode simulates a hard process crash of node i: the node stops
 // serving and its store is torn down. With a DataDir configured its WAL and
-// snapshot stay on disk, so RestartNodeFresh can recover it; without one
+// tables stay on disk, so RestartNodeFresh can recover it; without one
 // the node's local data is gone, exactly as a crashed diskless process.
 func (c *Cluster) CrashNode(i int) error {
 	eps, nodes := c.members()
@@ -443,8 +439,8 @@ func (c *Cluster) KillNode(i int) error {
 }
 
 // RestartNodeFresh boots a brand-new node process in place of a crashed
-// node i: same address, same store directory. State is rebuilt by WAL
-// replay (plus snapshot load) from the directory, then gossip re-admits the
+// node i: same address, same store directory. State is rebuilt from the
+// directory (lsm tables plus WAL tail replay), then gossip re-admits the
 // node and parked hints flow back — the recovery path of paper §5.2.
 // Optional configure hooks run on the new node before it starts serving
 // (fault-injection experiments re-attach their instrumentation here).
@@ -510,12 +506,15 @@ type NodeOptions struct {
 	Weight int
 	// N, W, R are the replication settings (default 3, 2, 1).
 	N, W, R int
-	// DataDir persists the store; empty means in-memory.
+	// DataDir persists the store (WAL plus lsm tables); empty means
+	// in-memory.
 	DataDir string
 	// Durable fsyncs every mutation before acknowledging (group-committed).
 	Durable bool
-	// StorageEngine selects the local engine: "map" (default) or "lsm"
-	// (requires DataDir). See ClusterOptions.StorageEngine.
+	// StorageEngine names the local storage engine.
+	//
+	// Deprecated: a node with a DataDir always runs lsm. "" and "lsm" are
+	// accepted; any other name is refused.
 	StorageEngine string
 	// MemtableBytes sizes the lsm write buffer (default 4 MiB).
 	MemtableBytes int64

@@ -23,11 +23,10 @@ import (
 
 func TestObsSmoke(t *testing.T) {
 	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes:         5,
-		DataDir:       t.TempDir(),
-		Durable:       true,
-		StorageEngine: "lsm",
-		StrongRanges:  4,
+		Nodes:        5,
+		DataDir:      t.TempDir(),
+		Durable:      true,
+		StrongRanges: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

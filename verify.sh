@@ -1,5 +1,8 @@
 #!/bin/sh
-# verify.sh — the repo's tier-1 gate: vet, build, full test suite, twenty
+# verify.sh — the repo's tier-1 gate: vet, build, the line ceiling (make
+# loc-check: non-test Go lines outside bench/ must not exceed the Makefile's
+# LOC_CEILING; a change that needs more raises it in the same diff and says
+# why in CHANGES.md), full test suite, twenty
 # repeats of the packages whose tests read their own writes through a quorum
 # (a read-your-writes flake shows up within twenty runs, not in one), five of
 # the strong tier's failover and crash-recovery tests (commits are applied off
@@ -22,6 +25,7 @@ set -eux
 
 go vet ./...
 go build ./...
+make -s loc-check
 go test ./...
 go test -count=20 ./internal/nwr ./internal/cluster
 go test -count=20 -run 'TestPublicAPICrud' .
