@@ -1,26 +1,15 @@
 // mystore-bench regenerates the paper's evaluation: every figure of §6,
-// the §6.1 context scalars, a shortened soak, and the design-choice
-// ablations. Results print in the same rows/series the paper reports.
+// the §6.1 context scalars, a shortened soak, the chaos gate and the §5
+// design-choice ablations. Results print in the same rows/series the paper
+// reports.
 //
 // Usage:
 //
 //	mystore-bench [flags] <experiment>
 //
-// Experiments: fig11, fig12, fig13 (covers Fig 14 too), fig15, fig16,
-// fig17, context, soak, chaos, ablate, read_path, repair, storage, all. The
-// read_path experiment is the A8 study: read tail latency under one slow
-// replica for the quorum-first/hedged/coalesced read path, plus the hot-key
-// coalescing bound. The repair experiment is the A9 study: crash recovery
-// time, reconciliation metadata and bytes moved for Merkle anti-entropy
-// with streamed transfer, plus foreground read p99 under
-// bandwidth-throttled repair. The storage experiment is the A10
-// study: foreground read p99 during rate-limited background compaction.
-// The consensus
-// experiment is the A11 study: the write-latency cost of linearizable
-// (consensus-replicated) puts against eventual quorum puts, lease-served
-// leader-local strong reads against quorum reads, and strong-write downtime
-// across a leader kill -9. The chaos experiment
-// is the resilience gate: randomized Table 2 faults plus kill -9
+// Experiments: fig11, fig12, fig13 (covers Fig 14 too; fig14 is an alias),
+// fig15, fig16, fig17, context, soak, chaos, ablate (A1–A5), all. The chaos
+// experiment is the resilience gate: randomized Table 2 faults plus kill -9
 // crash-restarts and partitions over lsm-engine nodes, exiting non-zero if
 // any acked write is lost, any hint queue fails to drain, any request
 // overruns its deadline by more than one replica call timeout, repair
@@ -43,6 +32,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"mystore/internal/experiments"
@@ -56,11 +47,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "RNG seed")
 	jsonPath := flag.String("json", "", "merge per-figure results into this JSON file")
 	flag.Parse()
-
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: mystore-bench [flags] fig11|fig12|fig13|fig15|fig16|fig17|context|soak|chaos|ablate|read_path|repair|storage|consensus|all")
-		os.Exit(2)
-	}
 
 	scale := experiments.Scale{}
 	if *quick {
@@ -79,28 +65,45 @@ func main() {
 		scale.Seed = *seed
 	}
 
+	var tmp string // scratch directory, created once the name is known
+	table := []struct {
+		name string
+		run  func() (fmt.Stringer, error)
+	}{
+		{"fig11", func() (fmt.Stringer, error) { return experiments.RunFig11(scale, tmp) }},
+		{"fig12", func() (fmt.Stringer, error) { return experiments.RunFig12(scale, tmp) }},
+		{"fig13", func() (fmt.Stringer, error) { return experiments.RunFig13(scale) }},
+		{"fig15", func() (fmt.Stringer, error) { return experiments.RunFig15(scale) }},
+		{"fig16", func() (fmt.Stringer, error) { return experiments.RunFig16(scale) }},
+		{"fig17", func() (fmt.Stringer, error) { return experiments.RunFig17(scale) }},
+		{"context", func() (fmt.Stringer, error) { return experiments.RunContext(scale) }},
+		{"soak", func() (fmt.Stringer, error) { return experiments.RunSoak(scale) }},
+		{"chaos", func() (fmt.Stringer, error) {
+			res, err := experiments.RunChaos(scale, filepath.Join(tmp, "chaos"))
+			if err == nil && res.Violations() > 0 {
+				fmt.Println(res.String())
+				err = fmt.Errorf("chaos: %d invariant violations", res.Violations())
+			}
+			return res, err
+		}},
+		{"ablate", func() (fmt.Stringer, error) { return experiments.RunAblations(scale) }},
+	}
+
+	names := make([]string, 0, len(table)+1)
+	for _, e := range table {
+		names = append(names, e.name)
+	}
+	names = append(names, "all")
 	which := flag.Arg(0)
 	if which == "fig14" {
 		which = "fig13" // one sweep produces both figures' series
 	}
-	run := func(name string, fn func() (fmt.Stringer, error)) {
-		if which != name && which != "all" {
-			return
+	if flag.NArg() != 1 || !slices.Contains(names, which) {
+		if flag.NArg() == 1 {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		}
-		start := time.Now()
-		res, err := fn()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Printf("[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
-		if *jsonPath != "" {
-			if err := recordJSON(*jsonPath, name, res); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: record %s: %v\n", name, *jsonPath, err)
-				os.Exit(1)
-			}
-		}
+		fmt.Fprintf(os.Stderr, "usage: mystore-bench [flags] %s\n", strings.Join(names, "|"))
+		os.Exit(2)
 	}
 
 	tmp, err := os.MkdirTemp("", "mystore-bench-*")
@@ -110,35 +113,24 @@ func main() {
 	}
 	defer os.RemoveAll(tmp)
 
-	run("fig11", func() (fmt.Stringer, error) { return experiments.RunFig11(scale, tmp) })
-	run("fig12", func() (fmt.Stringer, error) { return experiments.RunFig12(scale, tmp) })
-	run("fig13", func() (fmt.Stringer, error) { return experiments.RunFig13(scale) })
-	run("fig15", func() (fmt.Stringer, error) { return experiments.RunFig15(scale) })
-	run("fig16", func() (fmt.Stringer, error) { return experiments.RunFig16(scale) })
-	run("fig17", func() (fmt.Stringer, error) { return experiments.RunFig17(scale) })
-	run("context", func() (fmt.Stringer, error) { return experiments.RunContext(scale) })
-	run("soak", func() (fmt.Stringer, error) { return experiments.RunSoak(scale) })
-	run("chaos", func() (fmt.Stringer, error) {
-		res, err := experiments.RunChaos(scale, filepath.Join(tmp, "chaos"))
-		if err == nil && res.Violations() > 0 {
-			fmt.Println(res.String())
-			err = fmt.Errorf("chaos: %d invariant violations", res.Violations())
+	for _, e := range table {
+		if which != e.name && which != "all" {
+			continue
 		}
-		return res, err
-	})
-	run("ablate", func() (fmt.Stringer, error) { return experiments.RunAblations(scale) })
-	run("read_path", func() (fmt.Stringer, error) { return experiments.RunReadPathAblation(scale) })
-	run("repair", func() (fmt.Stringer, error) { return experiments.RunRepairAblation(scale) })
-	run("storage", func() (fmt.Stringer, error) {
-		return experiments.RunStorageAblation(scale, filepath.Join(tmp, "storage"))
-	})
-	run("consensus", func() (fmt.Stringer, error) { return experiments.RunConsensusAblation(scale) })
-
-	switch which {
-	case "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "context", "soak", "chaos", "ablate", "read_path", "repair", "storage", "consensus", "all":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
-		os.Exit(2)
+		start := time.Now()
+		res, err := e.run()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			os.Exit(1)
+		}
+		fmt.Println(res.String())
+		fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		if *jsonPath != "" {
+			if err := recordJSON(*jsonPath, e.name, res); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: record %s: %v\n", e.name, *jsonPath, err)
+				os.Exit(1)
+			}
+		}
 	}
 }
 
@@ -147,7 +139,7 @@ func main() {
 func recordJSON(path, name string, res fmt.Stringer) error {
 	summary := experiments.JSONSummary(res)
 	if summary == nil {
-		return nil // experiment has no recorded form (context, soak)
+		return nil // experiment has no recorded form (context, soak, chaos, ablate)
 	}
 	all := map[string]json.RawMessage{}
 	if raw, err := os.ReadFile(path); err == nil {

@@ -152,6 +152,20 @@ func TestMerkleDivergenceRepairConvergence(t *testing.T) {
 		}
 	}
 	t.Logf("healed %d corruptions in %d full rounds", len(corrupted), rounds)
+
+	// On the healed cluster a round compares tree hashes, not records: it
+	// ships less than a per-record exchange (a 24-byte digest per replica).
+	digestBytes := func() (sum int64) {
+		for _, n := range h.nodes {
+			sum += n.AEStats().DigestBytes
+		}
+		return sum
+	}
+	before := digestBytes()
+	fullAERound(h)
+	if shipped, perRecord := digestBytes()-before, int64(24*3*records); shipped <= 0 || shipped >= perRecord {
+		t.Fatalf("steady-state round shipped %dB of digests, want in (0, %d)", shipped, perRecord)
+	}
 }
 
 func TestStreamTransferCrashMidBatch(t *testing.T) {

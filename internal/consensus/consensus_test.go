@@ -392,6 +392,11 @@ func TestLeaderStepsDownOnLeaseExpiryUnderPartition(t *testing.T) {
 	}
 	// Cut the leader off from both followers.
 	tc.partition(leader.addr)
+	// While its lease is live it still serves strong reads: a leaseholder
+	// read needs no peer.
+	if rec, err := leader.m.Get(ctx, key); err != nil || string(rec.Val) != "v1" {
+		t.Fatalf("leaseholder read behind a partition = %q, %v; want v1", rec.Val, err)
+	}
 	// Its lease must expire and it must stop claiming leadership.
 	deadline := time.Now().Add(2 * time.Second)
 	for leader.m.LeadsKey(key) {

@@ -7,11 +7,11 @@ import (
 	"time"
 
 	"mystore"
+	"mystore/internal/cache"
 	"mystore/internal/gossip"
-	"mystore/internal/metrics"
 	"mystore/internal/ring"
-	"mystore/internal/simdisk"
 	"mystore/internal/transport"
+	"mystore/internal/workload"
 )
 
 // AblationResult collects the design-choice studies DESIGN.md §5 lists.
@@ -156,7 +156,7 @@ func runNWRAblation(ops int) ([]NWRAblationRow, error) {
 			return nil, err
 		}
 		ctx := context.Background()
-		putH, getH := metrics.NewHistogram(), metrics.NewHistogram()
+		putH, getH := workload.NewHistogram(), workload.NewHistogram()
 		payload := make([]byte, 32<<10)
 		for i := 0; i < ops; i++ {
 			key := fmt.Sprintf("nwr-%s-%d", cfg.name, i)
@@ -319,8 +319,6 @@ func runGossipAblation() GossipAblation {
 	}
 }
 
-// --- A6: connection pool ---
-
 // RunAblations runs every study at the given scale.
 func RunAblations(scale Scale) (AblationResult, error) {
 	scale = scale.withDefaults()
@@ -344,42 +342,20 @@ func RunAblations(scale Scale) (AblationResult, error) {
 // lives here but reuses the HTTP helpers from figs_http.go.
 func runCacheAblation(scale Scale) (CacheAblation, error) {
 	var a CacheAblation
-	// With cache: the standard MyStore system (tier included).
-	sys, _, err := newMyStoreSystem(nil)
-	if err != nil {
+	run := func(tier *cache.Tier) (meanMs, hitRatePct float64, err error) {
+		sys, err := newMyStoreSystem(tier)
+		if err != nil {
+			return 0, 0, err
+		}
+		defer sys.Close()
+		return cacheReadRun(sys, scale)
+	}
+	var err error
+	if a.WithCacheMeanMs, a.HitRatePct, err = run(paperTier()); err != nil {
 		return a, err
 	}
-	withMs, hitRate, err := cacheReadRun(sys, scale)
-	sys.Close()
-	if err != nil {
+	if a.WithoutCacheMeanMs, _, err = run(nil); err != nil {
 		return a, err
 	}
-	// Without cache: same cluster assembly, gateway built tier-less.
-	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes: 5, LatencyBase: lanBase, Bandwidth: lanBandwidth,
-	})
-	if err != nil {
-		return a, err
-	}
-	disks := make([]*simdisk.Disk, 5)
-	for i := range disks {
-		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-	}
-	wireFaults(cl, nil, disks)
-	client, err := cl.Client()
-	if err != nil {
-		cl.Close()
-		return a, err
-	}
-	plain := newSystem("MyStore-nocache", mystore.ClusterBackend{Client: client}, nil,
-		func() { cl.Close() })
-	withoutMs, _, err := cacheReadRun(plain, scale)
-	plain.Close()
-	if err != nil {
-		return a, err
-	}
-	a.WithCacheMeanMs = withMs
-	a.WithoutCacheMeanMs = withoutMs
-	a.HitRatePct = hitRate
 	return a, nil
 }

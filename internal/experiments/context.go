@@ -12,7 +12,6 @@ import (
 
 	"mystore"
 	"mystore/internal/faults"
-	"mystore/internal/simdisk"
 	"mystore/internal/workload"
 )
 
@@ -36,7 +35,7 @@ func (r ContextResult) String() string {
 func RunContext(scale Scale) (ContextResult, error) {
 	scale = scale.withDefaults()
 	var result ContextResult
-	sys, _, err := newMyStoreSystem(nil)
+	sys, err := newMyStoreSystem(paperTier())
 	if err != nil {
 		return result, err
 	}
@@ -130,10 +129,6 @@ func RunSoak(scale Scale) (SoakResult, error) {
 		return result, err
 	}
 	defer cl.Close()
-	disks := make([]*simdisk.Disk, 5)
-	for i := range disks {
-		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek / 4, BytesPerSec: diskBW, Spindles: diskSpindles})
-	}
 	// Short-failure-only plan: the soak's churn injects its own outages.
 	inj := faults.NewInjector(faults.Plan{
 		faults.NetworkException: 0.05,
@@ -142,7 +137,7 @@ func RunSoak(scale Scale) (SoakResult, error) {
 	}, scale.Seed)
 	inj.BlockDelay = 2 * time.Millisecond
 	inj.NetworkDelay = 2 * time.Millisecond // keep the short soak moving
-	wireFaults(cl, inj, disks)
+	wireFaults(cl, inj, newDisks(5, diskSeek/4))
 	client, err := cl.Client()
 	if err != nil {
 		return result, err

@@ -12,7 +12,6 @@ import (
 	"mystore/internal/bson"
 	"mystore/internal/faults"
 	"mystore/internal/metrics"
-	"mystore/internal/simdisk"
 	"mystore/internal/workload"
 )
 
@@ -141,22 +140,11 @@ func RunFig16(scale Scale) (Fig16Result, error) {
 	duration := scale.StepDuration * 3
 
 	runArm := func(inj *faults.Injector) ([]int64, float64, error) {
-		cl, err := mystore.StartCluster(mystore.ClusterOptions{
-			Nodes: 5, LatencyBase: lanBase, Bandwidth: lanBandwidth,
-		})
+		cl, client, err := startLANCluster(inj)
 		if err != nil {
 			return nil, 0, err
 		}
 		defer cl.Close()
-		disks := make([]*simdisk.Disk, 5)
-		for i := range disks {
-			disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-		}
-		wireFaults(cl, inj, disks)
-		client, err := cl.Client()
-		if err != nil {
-			return nil, 0, err
-		}
 		picker := workload.NewGaussianPicker(corpus, scale.Seed)
 		series := metrics.NewTimeSeries(time.Now(), time.Second)
 		ctx := context.Background()
@@ -228,22 +216,11 @@ func RunFig17(scale Scale) (Fig17Result, error) {
 	ops := scale.PutItems
 
 	runMyStoreArm := func(inj *faults.Injector) ([]int, error) {
-		cl, err := mystore.StartCluster(mystore.ClusterOptions{
-			Nodes: 5, LatencyBase: lanBase, Bandwidth: lanBandwidth,
-		})
+		cl, client, err := startLANCluster(inj)
 		if err != nil {
 			return nil, err
 		}
 		defer cl.Close()
-		disks := make([]*simdisk.Disk, 5)
-		for i := range disks {
-			disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-		}
-		wireFaults(cl, inj, disks)
-		client, err := cl.Client()
-		if err != nil {
-			return nil, err
-		}
 		hist := putLatencies(client.Put, corpus, scale, ops)
 		return hist.CumulativeWithin(Fig17Thresholds), nil
 	}
@@ -266,9 +243,9 @@ func RunFig17(scale Scale) (Fig17Result, error) {
 // histogram of operations that ultimately succeeded (failed quorums are
 // retried by the client up to three times, their total time counted — the
 // paper measures "the consuming time of every Put operation").
-func putLatencies(put func(context.Context, string, []byte) error, corpus *workload.Corpus, scale Scale, ops int) *metrics.Histogram {
+func putLatencies(put func(context.Context, string, []byte) error, corpus *workload.Corpus, scale Scale, ops int) *workload.Histogram {
 	picker := workload.NewGaussianPicker(corpus, scale.Seed)
-	hist := metrics.NewHistogram()
+	hist := workload.NewHistogram()
 	// Eight closed-loop writers: enough concurrency to exercise queueing
 	// without the client loop itself dominating the latency distribution.
 	procs := scale.LoadProcesses / 8
@@ -316,10 +293,7 @@ func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) ([]int, er
 	defer rs.Close()
 
 	inj := faults.NewInjector(faults.PaperTable2(), scale.Seed+1)
-	disks := make([]*simdisk.Disk, 3)
-	for i := range disks {
-		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-	}
+	disks := newDisks(3, diskSeek)
 	var currentSize atomic.Int64
 	rs.beforeOp = func(node int, kind string) error {
 		size := int(currentSize.Load())

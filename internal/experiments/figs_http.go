@@ -162,7 +162,7 @@ func RunFig11(scale Scale, tmpDir string) (Fig11Result, error) {
 }
 
 func buildThreeSystems(tmpDir string) ([]*system, error) {
-	my, _, err := newMyStoreSystem(nil)
+	my, err := newMyStoreSystem(paperTier())
 	if err != nil {
 		return nil, err
 	}
@@ -279,7 +279,7 @@ func RunFig13(scale Scale) (Fig13Result, error) {
 	scale = scale.withDefaults()
 	corpus := workload.NewCorpus(workload.ReadCorpusConfig(scale.ReadItems, scale.Seed))
 	var result Fig13Result
-	sys, _, err := newMyStoreSystem(nil)
+	sys, err := newMyStoreSystem(paperTier())
 	if err != nil {
 		return result, err
 	}

@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"net/http/httptest"
 	"sync"
+	"time"
 
 	"mystore"
 	"mystore/internal/baseline/fsstore"
@@ -85,37 +85,48 @@ func wireNodeFaults(node *mystore.Node, inj *faults.Injector, disk *simdisk.Disk
 	}
 }
 
-// newMyStoreSystem boots the full MyStore stack: a 5-node cluster over the
-// simulated LAN, per-node simulated disks, the 4-server cache tier of the
-// paper's deployment, and the REST gateway. inj may be nil (no-fault arm).
-func newMyStoreSystem(inj *faults.Injector) (*system, *mystore.Cluster, error) {
+// newDisks returns n simulated disks of the shared hardware model, each
+// seeking in seek.
+func newDisks(n int, seek time.Duration) []*simdisk.Disk {
+	disks := make([]*simdisk.Disk, n)
+	for i := range disks {
+		disks[i] = simdisk.New(simdisk.Params{Seek: seek, BytesPerSec: diskBW, Spindles: diskSpindles})
+	}
+	return disks
+}
+
+// startLANCluster boots the cluster every MyStore arm runs on: five nodes
+// over the simulated LAN, one simulated disk per node, and inj's Table 2
+// faults (nil for the no-fault arm). The caller closes the cluster.
+func startLANCluster(inj *faults.Injector) (*mystore.Cluster, *mystore.Client, error) {
 	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes:       5,
-		N:           3,
-		W:           2,
-		R:           1,
-		LatencyBase: lanBase,
-		Bandwidth:   lanBandwidth,
+		Nodes: 5, LatencyBase: lanBase, Bandwidth: lanBandwidth,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	disks := make([]*simdisk.Disk, 5)
-	for i := range disks {
-		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-	}
-	wireFaults(cl, inj, disks)
+	wireFaults(cl, inj, newDisks(5, diskSeek))
 	client, err := cl.Client()
 	if err != nil {
 		cl.Close()
 		return nil, nil, err
 	}
-	// Four cache servers (deployed on the four normal DB nodes in Fig 10),
-	// 64 MB each at laptop scale.
-	tier := cache.NewTier(4, 64<<20)
-	sys := newSystem("MyStore", mystore.ClusterBackend{Client: client}, tier,
-		func() { cl.Close() })
-	return sys, cl, nil
+	return cl, client, nil
+}
+
+// paperTier is the cache tier of the paper's deployment: four cache servers
+// (on the four normal DB nodes in Fig 10), 64 MB each at laptop scale.
+func paperTier() *cache.Tier { return cache.NewTier(4, 64<<20) }
+
+// newMyStoreSystem boots the full MyStore stack: the LAN cluster without
+// faults behind the REST gateway, fronted by tier (nil for none).
+func newMyStoreSystem(tier *cache.Tier) (*system, error) {
+	cl, client, err := startLANCluster(nil)
+	if err != nil {
+		return nil, err
+	}
+	return newSystem("MyStore", mystore.ClusterBackend{Client: client}, tier,
+		func() { cl.Close() }), nil
 }
 
 // newFSSystem is the ext3 baseline: one file server on one simulated disk,
@@ -140,7 +151,7 @@ func newFSBackend(dir string) (*fsBackend, error) {
 	}
 	return &fsBackend{
 		inner: inner,
-		disk:  simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles}),
+		disk:  newDisks(1, diskSeek)[0],
 	}, nil
 }
 
@@ -168,7 +179,7 @@ func (b *fsBackend) Delete(ctx context.Context, key string) error {
 // master's disk write and the synchronous slave writes, and reads are
 // served by the master's disk. No cache tier, no partitioning.
 func newSQLSystem() *system {
-	b := newSQLBackend(nil)
+	b := &sqlBackend{inner: sqlstore.New(2), disks: newDisks(3, diskSeek)}
 	return newSystem("MySQL-MS", b, nil)
 }
 
@@ -176,25 +187,6 @@ type sqlBackend struct {
 	inner   *sqlstore.Store
 	writeMu sync.Mutex
 	disks   []*simdisk.Disk
-	inj     *faults.Injector
-}
-
-func newSQLBackend(inj *faults.Injector) *sqlBackend {
-	disks := make([]*simdisk.Disk, 3)
-	for i := range disks {
-		disks[i] = simdisk.New(simdisk.Params{Seek: diskSeek, BytesPerSec: diskBW, Spindles: diskSpindles})
-	}
-	return &sqlBackend{inner: sqlstore.New(2), disks: disks, inj: inj}
-}
-
-func (b *sqlBackend) node(i int) string { return fmt.Sprintf("mysql-%d", i) }
-
-func (b *sqlBackend) roll(i int) error {
-	if b.inj == nil {
-		return nil
-	}
-	_, err := b.inj.Roll(b.node(i))
-	return err
 }
 
 func (b *sqlBackend) Put(ctx context.Context, key string, val []byte) error {
@@ -202,19 +194,13 @@ func (b *sqlBackend) Put(ctx context.Context, key string, val []byte) error {
 	// replication to both slaves.
 	b.writeMu.Lock()
 	defer b.writeMu.Unlock()
-	for i := 0; i < 3; i++ {
-		if err := b.roll(i); err != nil {
-			return err
-		}
-		b.disks[i].Access(len(val))
+	for _, d := range b.disks {
+		d.Access(len(val))
 	}
 	return b.inner.Put(ctx, key, val)
 }
 
 func (b *sqlBackend) Get(ctx context.Context, key string) ([]byte, error) {
-	if err := b.roll(0); err != nil {
-		return nil, err
-	}
 	val, err := b.inner.Get(ctx, key)
 	if err != nil {
 		return nil, err
@@ -226,11 +212,8 @@ func (b *sqlBackend) Get(ctx context.Context, key string) ([]byte, error) {
 func (b *sqlBackend) Delete(ctx context.Context, key string) error {
 	b.writeMu.Lock()
 	defer b.writeMu.Unlock()
-	for i := 0; i < 3; i++ {
-		if err := b.roll(i); err != nil {
-			return err
-		}
-		b.disks[i].Access(0)
+	for _, d := range b.disks {
+		d.Access(0)
 	}
 	return b.inner.Delete(ctx, key)
 }

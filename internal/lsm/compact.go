@@ -29,7 +29,7 @@ func (e *Engine) compactor() {
 		case <-e.compactSignal():
 		case <-tick.C:
 		}
-		for !e.paused.Load() {
+		for {
 			did, err := e.compactOnce()
 			if err != nil || !did {
 				break
@@ -338,8 +338,8 @@ func insertByKey(level, added []*table) []*table {
 	return out
 }
 
-// CompactNow synchronously drains all due compactions (tests and the
-// storage ablation use it for deterministic shaping).
+// CompactNow synchronously drains all due compactions (tests use it for
+// deterministic shaping).
 func (e *Engine) CompactNow() error {
 	for {
 		did, err := e.compactOnce()

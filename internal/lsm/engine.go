@@ -152,7 +152,6 @@ type Engine struct {
 	flushErr   error // sticky: a failed flush poisons the engine
 
 	crashed atomic.Bool
-	paused  atomic.Bool
 
 	// compactMu serializes compactions (background loop vs CompactNow).
 	compactMu sync.Mutex
@@ -563,16 +562,6 @@ func (e *Engine) CheckpointLSN() uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.checkpoint
-}
-
-// PauseCompaction suspends (true) or resumes (false) background compaction;
-// the storage ablation uses it to measure foreground latency with and
-// without an active compaction backlog.
-func (e *Engine) PauseCompaction(paused bool) {
-	e.paused.Store(paused)
-	if !paused {
-		e.maybeScheduleCompaction()
-	}
 }
 
 // Scrub re-reads every data block of every live table and verifies its

@@ -1,203 +1,15 @@
-// Package metrics provides the measurement primitives the evaluation harness
-// uses to reproduce the paper's figures: latency histograms with percentile
-// extraction (TTFB/TTLB), throughput and request-rate counters, and
-// time-series samplers for the Put-success-over-time experiment (Fig 16).
+// Package metrics provides the measurement primitives: the bucketed latency
+// histograms and registry the running system exports, throughput and
+// request-rate counters, and time-series samplers for the
+// Put-success-over-time experiment (Fig 16).
 package metrics
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// DefaultSampleCap bounds how many exact samples a Histogram retains. A full
-// reservoir is 8 MiB; beyond it, incoming samples displace retained ones
-// uniformly at random (Vitter's algorithm R), so a multi-hour chaos run keeps
-// a statistically faithful window instead of growing memory linearly.
-const DefaultSampleCap = 1 << 20
-
-// Histogram records durations and extracts order statistics. It keeps exact
-// samples up to a cap (the experiments record at most a few hundred thousand
-// operations, well under it), guarded by a mutex so load-generator goroutines
-// can record concurrently. Count, Mean, Min and Max stay exact past the cap;
-// quantiles and cumulative counts become reservoir estimates.
-type Histogram struct {
-	mu      sync.Mutex
-	samples []time.Duration
-	sorted  bool
-	cap     int
-	seen    int64 // total observations, including displaced ones
-	sum     time.Duration
-	min     time.Duration
-	max     time.Duration
-	rng     uint64
-}
-
-// NewHistogram returns an empty histogram retaining up to DefaultSampleCap
-// samples.
-func NewHistogram() *Histogram {
-	return &Histogram{cap: DefaultSampleCap, rng: 0x9E3779B97F4A7C15}
-}
-
-// NewHistogramCap returns an empty histogram retaining up to n samples
-// (n <= 0 means DefaultSampleCap).
-func NewHistogramCap(n int) *Histogram {
-	h := NewHistogram()
-	if n > 0 {
-		h.cap = n
-	}
-	return h
-}
-
-// Observe records one duration.
-func (h *Histogram) Observe(d time.Duration) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.seen++
-	h.sum += d
-	if h.seen == 1 || d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
-	if h.cap <= 0 { // zero value: retain everything (legacy behavior)
-		h.samples = append(h.samples, d)
-		h.sorted = false
-		return
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, d)
-		h.sorted = false
-		return
-	}
-	// Reservoir full: keep d with probability cap/seen, displacing a
-	// uniformly random resident (xorshift64, cheap and already under h.mu).
-	h.rng ^= h.rng << 13
-	h.rng ^= h.rng >> 7
-	h.rng ^= h.rng << 17
-	if j := h.rng % uint64(h.seen); j < uint64(h.cap) {
-		h.samples[j] = d
-		h.sorted = false
-	}
-}
-
-// Count returns the number of observed samples, including any no longer
-// retained by the reservoir.
-func (h *Histogram) Count() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return int(h.seen)
-}
-
-func (h *Histogram) sortLocked() {
-	if !h.sorted {
-		sort.Slice(h.samples, func(i, j int) bool { return h.samples[i] < h.samples[j] })
-		h.sorted = true
-	}
-}
-
-// Quantile returns the q-th (0 ≤ q ≤ 1) order statistic, or zero when empty.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if len(h.samples) == 0 {
-		return 0
-	}
-	h.sortLocked()
-	idx := int(q * float64(len(h.samples)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.samples) {
-		idx = len(h.samples) - 1
-	}
-	return h.samples[idx]
-}
-
-// Mean returns the arithmetic mean over every observation (exact even past
-// the reservoir cap), or zero when empty.
-func (h *Histogram) Mean() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.seen == 0 {
-		return 0
-	}
-	return h.sum / time.Duration(h.seen)
-}
-
-// Min returns the smallest observation (exact even past the reservoir cap),
-// or zero when empty.
-func (h *Histogram) Min() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest observation (exact even past the reservoir cap),
-// or zero when empty.
-func (h *Histogram) Max() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Stddev returns the sample standard deviation, or zero for fewer than two
-// samples.
-func (h *Histogram) Stddev() time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	n := len(h.samples)
-	if n < 2 {
-		return 0
-	}
-	var mean float64
-	for _, s := range h.samples {
-		mean += float64(s)
-	}
-	mean /= float64(n)
-	var variance float64
-	for _, s := range h.samples {
-		d := float64(s) - mean
-		variance += d * d
-	}
-	variance /= float64(n - 1)
-	return time.Duration(math.Sqrt(variance))
-}
-
-// Samples returns a copy of the recorded samples in insertion order is not
-// guaranteed; callers treating them as a distribution must not rely on order.
-func (h *Histogram) Samples() []time.Duration {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]time.Duration, len(h.samples))
-	copy(out, h.samples)
-	return out
-}
-
-// CumulativeWithin returns how many samples are ≤ each of the given
-// thresholds. This is the statistic Fig 17 plots: "the sum of all the Put
-// operations whose consuming time is less than the consuming time specified
-// by the horizontal axis".
-func (h *Histogram) CumulativeWithin(thresholds []time.Duration) []int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.sortLocked()
-	out := make([]int, len(thresholds))
-	for i, t := range thresholds {
-		n := sort.Search(len(h.samples), func(j int) bool { return h.samples[j] > t })
-		if int64(len(h.samples)) < h.seen {
-			// Reservoir displaced samples: scale the retained fraction back
-			// up to an estimate over every observation.
-			n = int(float64(n) * float64(h.seen) / float64(len(h.samples)))
-		}
-		out[i] = n
-	}
-	return out
-}
 
 // Counter is a concurrency-safe monotonically increasing counter. It is
 // lock-free so hot paths (WAL appends, cache lookups) can bump it without

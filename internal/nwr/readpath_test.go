@@ -159,6 +159,10 @@ func TestCoalescedConcurrentReads(t *testing.T) {
 	if st.Gets+st.CoalescedReads != readers {
 		t.Fatalf("generations (%d) + coalesced (%d) != %d client reads", st.Gets, st.CoalescedReads, readers)
 	}
+	// Coalescing bounds a hot key's replica fan-outs to O(generations).
+	if st.Gets > readers/2 {
+		t.Fatalf("%d fan-out generations for %d concurrent reads of one key", st.Gets, readers)
+	}
 }
 
 // TestCoalescerHammer races GetEx/GetMany/Put over a handful of hot keys from

@@ -47,8 +47,8 @@ type Options struct {
 
 // Result is the measured outcome of a load run.
 type Result struct {
-	TTFB       *metrics.Histogram
-	TTLB       *metrics.Histogram
+	TTFB       *Histogram
+	TTLB       *Histogram
 	Throughput metrics.Throughput
 }
 
@@ -61,7 +61,7 @@ func Run(ctx context.Context, opts Options, op Op) Result {
 	if opts.Requests <= 0 && opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	res := Result{TTFB: metrics.NewHistogram(), TTLB: metrics.NewHistogram()}
+	res := Result{TTFB: NewHistogram(), TTLB: NewHistogram()}
 	var bytes, ops, errs atomic.Int64
 	var budget atomic.Int64
 	budget.Store(int64(opts.Requests))

@@ -201,7 +201,7 @@ func TestRunTTFBSubstitution(t *testing.T) {
 	if res.TTFB.Count() != 3 {
 		t.Fatalf("TTFB samples = %d", res.TTFB.Count())
 	}
-	if res.TTFB.Min() <= 0 {
+	if res.TTFB.Quantile(0) <= 0 {
 		t.Fatal("TTFB not substituted with total latency")
 	}
 }
@@ -211,7 +211,7 @@ func TestRunExplicitTTFB(t *testing.T) {
 		func(ctx context.Context, rng *rand.Rand) OpResult {
 			return OpResult{Bytes: 1, TTFB: 42 * time.Microsecond}
 		})
-	if got := res.TTFB.Min(); got != 42*time.Microsecond {
+	if got := res.TTFB.Quantile(0); got != 42*time.Microsecond {
 		t.Fatalf("TTFB = %v", got)
 	}
 }

@@ -11,8 +11,9 @@
 # restarted or snapshotted leader stamps), and the
 # race detector on the write path (docstore, wal, transport, nwr), the
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
-# the CP tier (consensus), the repair path (merkle) and the observability
-# packages (metrics, trace); then short native-fuzz smokes of the three readers
+# the CP tier (consensus), the repair path (merkle), the observability
+# packages (metrics, trace) and the load generator's histogram (workload);
+# then short native-fuzz smokes of the three readers
 # that take bytes they did not just write — the wire frame reader, the
 # docstore's WAL replay and the WAL's segment scan-and-repair on open — and
 # the switch guard: the system has one
@@ -34,6 +35,7 @@ go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurviv
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
+go test -race -run '^TestHistogram' ./internal/workload
 go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzReplayRecord -fuzztime 5s ./internal/docstore
 go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 5s ./internal/wal
