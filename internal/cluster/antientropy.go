@@ -525,7 +525,6 @@ func (n *Node) pullRecords(ctx context.Context, peer string, keys []string) (pul
 			n.streamBatches.Add(1)
 			n.streamRecords.Add(int64(batchRecords))
 			n.streamBytes.Add(int64(batchBytes))
-			n.throttleWait(ctx, batchBytes)
 		}
 		consumed := int64(0)
 		if cv, ok := resp.Get("consumed"); ok {
@@ -564,10 +563,9 @@ type AEStats struct {
 	DigestBytes int64
 	// LeavesDiverged counts leaf ranges that needed reconciliation.
 	LeavesDiverged int64
-	// Stream transfer volume and throttle stalls (all streaming users:
-	// anti-entropy, rebalance, hint drain).
+	// Stream transfer volume (all streaming users: anti-entropy,
+	// rebalance, hint drain).
 	StreamBatches, StreamRecords, StreamBytes int64
-	ThrottleWaitNanos                         int64
 	// VersionRegressions counts applied mutations that replaced a record
 	// with an older version — must stay zero (chaos invariant 5).
 	VersionRegressions int64
@@ -582,7 +580,6 @@ func (n *Node) AEStats() AEStats {
 		StreamBatches:      n.streamBatches.Load(),
 		StreamRecords:      n.streamRecords.Load(),
 		StreamBytes:        n.streamBytes.Load(),
-		ThrottleWaitNanos:  n.streamThrottleNanos.Load(),
 		VersionRegressions: n.aeRegressions.Load(),
 	}
 }

@@ -26,11 +26,13 @@ import (
 // parameters, and the version query performs the real connection test — the
 // client is only usable once a node has actually answered.
 type Client struct {
-	tr    transport.Transport
-	opts  ClientOptions
-	mu    sync.Mutex
-	nodes []string
-	next  int
+	tr   transport.Transport
+	opts ClientOptions
+	// attempts is the number of tries per operation: 2 with AutoRetry, else 1.
+	attempts int
+	mu       sync.Mutex
+	nodes    []string
+	next     int
 	// Strong-op routing: the node that last served a strong operation of each
 	// consensus range, tried first the next time. ranges is the cluster's
 	// range count as strong replies report it (0 until one has), so leaders
@@ -46,18 +48,9 @@ type ClientOptions struct {
 	ConnectTimeout time.Duration
 	// CallTimeout bounds each data operation. Zero means 10s.
 	CallTimeout time.Duration
-	// AutoRetry, when true, retries a failed operation on the next node in
-	// rotation (legacy switch: equivalent to Attempts=2).
+	// AutoRetry, when true, retries a failed operation once on the next
+	// node in rotation, after a jittered backoff.
 	AutoRetry bool
-	// Attempts is the total number of tries per operation; it overrides
-	// AutoRetry when set. Zero defers to AutoRetry (2 attempts) or 1.
-	Attempts int
-	// RetryBackoff spaces the attempts with jittered exponential delays.
-	// The zero value uses the resilience package defaults.
-	RetryBackoff resilience.Backoff
-	// Breakers, when non-nil, skips nodes whose breaker is open when
-	// picking, and feeds call outcomes back per node.
-	Breakers *resilience.BreakerSet
 }
 
 func (o ClientOptions) withDefaults() ClientOptions {
@@ -66,12 +59,6 @@ func (o ClientOptions) withDefaults() ClientOptions {
 	}
 	if o.CallTimeout <= 0 {
 		o.CallTimeout = 10 * time.Second
-	}
-	if o.Attempts <= 0 {
-		o.Attempts = 1
-		if o.AutoRetry {
-			o.Attempts = 2
-		}
 	}
 	return o
 }
@@ -91,7 +78,10 @@ func Connect(ctx context.Context, tr transport.Transport, nodes []string, opts C
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes
 	}
-	c := &Client{tr: tr, opts: opts.withDefaults(), nodes: append([]string(nil), nodes...)}
+	c := &Client{tr: tr, opts: opts.withDefaults(), attempts: 1, nodes: append([]string(nil), nodes...)}
+	if opts.AutoRetry {
+		c.attempts = 2
+	}
 	var lastErr error
 	for _, node := range nodes {
 		cctx, cancel := context.WithTimeout(ctx, c.opts.ConnectTimeout)
@@ -111,9 +101,9 @@ func Connect(ctx context.Context, tr transport.Transport, nodes []string, opts C
 }
 
 // pick returns the next node in rotation, preferring nodes that have not
-// just failed this operation (avoid) and whose breaker admits calls. When
-// every node is excluded it falls back to plain rotation — trying a
-// doubtful node beats failing without trying at all.
+// just failed this operation (avoid). When every node is excluded it falls
+// back to plain rotation — trying a doubtful node beats failing without
+// trying at all.
 func (c *Client) pick(avoid map[string]bool) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -124,9 +114,6 @@ func (c *Client) pick(avoid map[string]bool) string {
 		if avoid[node] {
 			continue
 		}
-		if c.opts.Breakers != nil && !c.opts.Breakers.Allow(node) {
-			continue
-		}
 		return node
 	}
 	node := c.nodes[c.next%n]
@@ -134,7 +121,7 @@ func (c *Client) pick(avoid map[string]bool) string {
 	return node
 }
 
-// call performs one operation with up to opts.Attempts tries, jittered
+// call performs one operation with up to c.attempts tries, jittered
 // exponential backoff between them, skipping nodes that already failed this
 // operation while others remain.
 func (c *Client) call(ctx context.Context, msgType string, body bson.D) (bson.D, error) {
@@ -147,9 +134,9 @@ func (c *Client) call(ctx context.Context, msgType string, body bson.D) (bson.D,
 func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) (bson.D, error) {
 	var failed map[string]bool
 	var lastErr error
-	for i := 0; i < c.opts.Attempts; i++ {
+	for i := 0; i < c.attempts; i++ {
 		if i > 0 {
-			if resilience.Sleep(ctx, c.opts.RetryBackoff.Delay(i-1, nil)) != nil {
+			if resilience.Sleep(ctx, resilience.Backoff{}.Delay(i-1, nil)) != nil {
 				break // caller gave up mid-backoff
 			}
 		}
@@ -157,13 +144,12 @@ func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) 
 		cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 		resp, err := c.tr.Call(cctx, node, transport.Message{Type: msgType, Body: body})
 		cancel()
-		c.opts.Breakers.Report(node, err == nil || transport.IsRemote(err))
 		if err == nil {
 			return resp, nil
 		}
 		lastErr = err
 		if failed == nil {
-			failed = make(map[string]bool, c.opts.Attempts)
+			failed = make(map[string]bool, c.attempts)
 		}
 		failed[node] = true
 		// Remote application errors will not improve on another node if
@@ -231,9 +217,9 @@ func (c *Client) callStrong(ctx context.Context, msgType, key string, body bson.
 
 	var failed map[string]bool
 	var lastErr error
-	for i := 0; i < c.opts.Attempts; i++ {
+	for i := 0; i < c.attempts; i++ {
 		if i > 0 {
-			if resilience.Sleep(ctx, c.opts.RetryBackoff.Delay(i-1, nil)) != nil {
+			if resilience.Sleep(ctx, resilience.Backoff{}.Delay(i-1, nil)) != nil {
 				break // caller gave up mid-backoff
 			}
 		}
@@ -245,7 +231,6 @@ func (c *Client) callStrong(ctx context.Context, msgType, key string, body bson.
 			cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 			resp, err := c.tr.Call(cctx, node, transport.Message{Type: msgType, Body: req})
 			cancel()
-			c.opts.Breakers.Report(node, err == nil || transport.IsRemote(err))
 			if err == nil {
 				c.rememberLeader(key, node, resp)
 				sp.End(nil)
@@ -268,7 +253,7 @@ func (c *Client) callStrong(ctx context.Context, msgType, key string, body bson.
 			}
 			// Transport-level failure: this node is out for this operation.
 			if failed == nil {
-				failed = make(map[string]bool, c.opts.Attempts)
+				failed = make(map[string]bool, c.attempts)
 			}
 			failed[node] = true
 			break

@@ -18,9 +18,6 @@ import (
 func (n *Node) startConsensus() error {
 	cfg := n.cfg
 	rf := cfg.NWR.N
-	if rf <= 0 {
-		rf = 3
-	}
 	walDir := ""
 	if cfg.StoreDir != "" {
 		walDir = filepath.Join(cfg.StoreDir, "consensus")
@@ -29,7 +26,6 @@ func (n *Node) startConsensus() error {
 		Ranges:            cfg.StrongRanges,
 		ReplicationFactor: rf,
 		ElectionTimeout:   cfg.StrongElectionTimeout,
-		LeaseDuration:     cfg.StrongLeaseDuration,
 		WALDir:            walDir,
 		SyncEveryAppend:   cfg.Store.WAL.SyncEveryAppend,
 		Seed:              cfg.Seed,

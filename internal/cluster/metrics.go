@@ -63,8 +63,6 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		Add(addr, func() float64 { return float64(n.streamRecords.Load()) })
 	r.Register("mystore_stream_bytes_total", "Payload bytes moved by streamed repair from this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.streamBytes.Load()) })
-	r.Register("mystore_stream_throttle_wait_seconds_total", "Time streamed repair spent stalled in the bandwidth throttle.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(n.streamThrottleNanos.Load()) / 1e9 })
 
 	bs := n.breakers
 	r.Register("mystore_breaker_open", "Peer circuit breakers currently open.", metrics.TypeGauge, "node").
@@ -105,8 +103,6 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 			Add(addr, func() float64 { return float64(eng.Stats().CompactBytesIn) })
 		r.Register("mystore_lsm_compaction_written_bytes_total", "Bytes written by background compaction.", metrics.TypeCounter, "node").
 			Add(addr, func() float64 { return float64(eng.Stats().CompactBytesOut) })
-		r.Register("mystore_lsm_compaction_throttle_wait_seconds_total", "Time compaction spent stalled in the bandwidth throttle.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().ThrottleWaitNanos) / 1e9 })
 		r.Register("mystore_lsm_block_cache_hits_total", "SSTable block reads served from the block cache.", metrics.TypeCounter, "node").
 			Add(addr, func() float64 { return float64(eng.Stats().BlockCacheHits) })
 		r.Register("mystore_lsm_block_cache_misses_total", "SSTable block reads that went to disk.", metrics.TypeCounter, "node").

@@ -63,18 +63,10 @@ type Config struct {
 	Store docstore.Options
 	// GossipInterval is the gossip tick period (default 1s).
 	GossipInterval time.Duration
-	// Breakers tunes the per-peer circuit breakers every replica RPC is
-	// gated on; zero values take the resilience defaults.
-	Breakers resilience.BreakerConfig
 	// Seed, when non-zero, seeds the node's background-work RNG (anti-entropy
 	// peer selection) so chaos and ablation runs are reproducible. Zero keeps
 	// the process-global RNG.
 	Seed int64
-	// RepairBandwidth caps background transfer (streaming batches: rebalance,
-	// re-replication, anti-entropy leaf sync, hint drain) at this many bytes
-	// per second via a token bucket, so repair traffic cannot starve
-	// foreground puts/gets. Zero means unthrottled.
-	RepairBandwidth int64
 	// StreamBatchBytes bounds one node.stream.records batch (default 256 KiB).
 	StreamBatchBytes int
 	// Tracer, when non-nil, is this node's trace collector. Transports that
@@ -93,9 +85,6 @@ type Config struct {
 	// StrongElectionTimeout is the consensus election timeout base (see
 	// consensus.Options.ElectionTimeout). Zero takes the default.
 	StrongElectionTimeout time.Duration
-	// StrongLeaseDuration bounds leader-local strong reads (clamped to the
-	// election timeout). Zero takes the default.
-	StrongLeaseDuration time.Duration
 	// Now injects a clock for deterministic simulations.
 	Now func() time.Time
 }
@@ -128,8 +117,6 @@ type Node struct {
 
 	breakers *resilience.BreakerSet
 
-	// throttle paces background streaming transfer (nil when unthrottled).
-	throttle *tokenBucket
 	// rng drives anti-entropy peer selection; seeded from cfg.Seed for
 	// reproducible runs. Guarded by mu.
 	rng *rand.Rand
@@ -138,14 +125,13 @@ type Node struct {
 	ae aeState
 
 	// Background-transfer instrumentation (see stream.go, antientropy.go).
-	streamBatches       atomic.Int64
-	streamRecords       atomic.Int64
-	streamBytes         atomic.Int64
-	streamThrottleNanos atomic.Int64
-	aeRounds            atomic.Int64
-	aeDigestBytes       atomic.Int64
-	aeLeavesDiverged    atomic.Int64
-	aeRegressions       atomic.Int64
+	streamBatches    atomic.Int64
+	streamRecords    atomic.Int64
+	streamBytes      atomic.Int64
+	aeRounds         atomic.Int64
+	aeDigestBytes    atomic.Int64
+	aeLeavesDiverged atomic.Int64
+	aeRegressions    atomic.Int64
 
 	mu                 sync.Mutex
 	closed             bool
@@ -172,14 +158,13 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		ring:   ring.New(),
 		inRing: map[string]bool{},
 	}
-	n.throttle = newTokenBucket(cfg.RepairBandwidth, cfg.Now)
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = rand.Int63() // unseeded runs stay random
 	}
 	n.rng = rand.New(rand.NewSource(seed))
 	if cfg.NWR.Breakers == nil {
-		cfg.NWR.Breakers = resilience.NewBreakerSet(cfg.Breakers)
+		cfg.NWR.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{})
 	}
 	n.breakers = cfg.NWR.Breakers
 	if cfg.NWR.RetryBudget == nil {
@@ -497,7 +482,7 @@ func (n *Node) handleGetMany(ctx context.Context, body bson.D) (bson.D, error) {
 		case kr.Err == nil:
 			entry = append(entry,
 				bson.E{Key: "found", Value: true},
-				bson.E{Key: "val", Value: kr.Res.Val})
+				bson.E{Key: "val", Value: kr.Val})
 		case errors.Is(kr.Err, nwr.ErrNotFound):
 			entry = append(entry, bson.E{Key: "found", Value: false})
 		default:

@@ -22,7 +22,7 @@ import (
 // One in-place pass over the records collection (no deep-cloned snapshot)
 // buckets work per destination peer; each peer then gets a digest offer —
 // so records it already holds current move no payload — and the wanted
-// records in streamed, throttled batches. Peers whose circuit breaker is
+// records in streamed batches. Peers whose circuit breaker is
 // open are skipped before any dial. It returns how many records were pushed
 // and how many were dropped locally. A pass that could not complete — a
 // peer unreachable, its breaker open, a migrated record unconfirmed — re-

@@ -3,8 +3,6 @@ package cluster
 import (
 	"context"
 	"errors"
-	"sync"
-	"time"
 
 	"mystore/internal/bson"
 	"mystore/internal/nwr"
@@ -15,9 +13,8 @@ import (
 // re-replication after a departure, anti-entropy leaf sync, hint drain)
 // ships records in size-bounded batches over one RPC instead of one RPC per
 // record — Spinnaker's recovery catch-up and DynoStore's bulk movement
-// argument. Every batch passes through the node's token-bucket throttle so
-// repair traffic cannot starve foreground puts and gets, and through the
-// coordinator's breaker-gated call path so a dead peer fast-fails.
+// argument. Every batch passes through the coordinator's breaker-gated call
+// path so a dead peer fast-fails.
 const (
 	// MsgStreamRecords pushes one batch of records; the receiver merges each
 	// last-write-wins, which makes the stream idempotent and resumable — a
@@ -45,75 +42,9 @@ const (
 
 // recordWireSize approximates one record's on-wire footprint: payload plus
 // per-field BSON overhead. It only has to be proportionally right — the batch
-// limit and the token bucket both consume it consistently.
+// limit consumes it consistently.
 func recordWireSize(rec nwr.Record) int {
 	return len(rec.Key) + len(rec.Val) + len(rec.Origin) + 64
-}
-
-// tokenBucket is a byte-rate limiter for background transfer. take reserves
-// bytes immediately and returns how long the caller must stall first, so one
-// oversized batch borrows ahead rather than blocking forever.
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // bytes per second
-	burst  float64
-	tokens float64
-	last   time.Time
-	now    func() time.Time
-}
-
-// newTokenBucket returns nil (unthrottled) for a non-positive rate. The burst
-// is one second of rate, floored at one default batch so a tiny cap can still
-// pass a full batch through.
-func newTokenBucket(bytesPerSec int64, now func() time.Time) *tokenBucket {
-	if bytesPerSec <= 0 {
-		return nil
-	}
-	burst := float64(bytesPerSec)
-	if burst < float64(defaultStreamBatchBytes) {
-		burst = float64(defaultStreamBatchBytes)
-	}
-	return &tokenBucket{rate: float64(bytesPerSec), burst: burst, now: now}
-}
-
-// take reserves n bytes and returns the stall the caller owes.
-func (b *tokenBucket) take(n int) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := b.now()
-	if b.last.IsZero() {
-		b.tokens = b.burst
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	b.tokens -= float64(n)
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / b.rate * float64(time.Second))
-}
-
-// throttleWait charges nBytes against the repair-bandwidth budget, sleeping
-// out any stall the bucket demands (cut short if ctx ends).
-func (n *Node) throttleWait(ctx context.Context, nBytes int) {
-	if n.throttle == nil {
-		return
-	}
-	d := n.throttle.take(nBytes)
-	if d <= 0 {
-		return
-	}
-	n.streamThrottleNanos.Add(int64(d))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-ctx.Done():
-	}
 }
 
 // streamSender accumulates records bound for one peer and flushes them in
@@ -169,7 +100,6 @@ func (s *streamSender) Flush(ctx context.Context) bool {
 		return true
 	}
 	n := s.n
-	n.throttleWait(ctx, s.bytes)
 	sctx, sp := trace.Start(ctx, "stream.batch")
 	sp.SetPeer(s.peer)
 	_, err := n.coord.CallPeer(sctx, s.peer, MsgStreamRecords,
@@ -242,16 +172,13 @@ func (o *offerSender) flushOffer(ctx context.Context) {
 		return
 	}
 	digests := make(bson.A, len(o.page))
-	dBytes := 0
 	for i, rec := range o.page {
 		digests[i] = bson.D{
 			{Key: "key", Value: rec.Key},
 			{Key: "ver", Value: rec.Ver},
 			{Key: "origin", Value: rec.Origin},
 		}
-		dBytes += len(rec.Key) + len(rec.Origin) + 24
 	}
-	o.n.throttleWait(ctx, dBytes)
 	resp, err := o.n.coord.CallPeer(ctx, o.peer, MsgStreamOffer,
 		bson.D{{Key: "digests", Value: digests}})
 	if err != nil {

@@ -177,16 +177,12 @@ type Options struct {
 	ReplicationFactor int
 	// ElectionTimeout is the base follower timeout; actual timeouts are
 	// randomized in [ElectionTimeout, 2*ElectionTimeout) from Seed. Default
-	// 150ms.
-	ElectionTimeout time.Duration
-	// HeartbeatInterval spaces leader heartbeats. Default ElectionTimeout/3.
-	HeartbeatInterval time.Duration
-	// LeaseDuration is how long a majority of append acks lets the leader
-	// serve reads locally without re-proving leadership. It is clamped to
-	// ElectionTimeout: a new leader cannot be elected while a live old
+	// 150ms. Leaders heartbeat three times per timeout, and a majority of
+	// append acks lets a leader serve reads locally for one timeout without
+	// re-proving leadership: a new leader cannot be elected while a live old
 	// leader still believes its lease, because followers refuse votes while
-	// they hear a leader. Default = ElectionTimeout.
-	LeaseDuration time.Duration
+	// they hear a leader.
+	ElectionTimeout time.Duration
 	// MaxLogEntries bounds how many entries a follower that stops acking
 	// keeps in each group's in-memory log (past it, the follower catches up
 	// by snapshot), and spaces the WAL's compaction markers: one per
@@ -214,12 +210,6 @@ func (o Options) withDefaults() Options {
 	if o.ElectionTimeout <= 0 {
 		o.ElectionTimeout = 150 * time.Millisecond
 	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = o.ElectionTimeout / 3
-	}
-	if o.LeaseDuration <= 0 || o.LeaseDuration > o.ElectionTimeout {
-		o.LeaseDuration = o.ElectionTimeout
-	}
 	if o.MaxLogEntries <= 0 {
 		o.MaxLogEntries = 1024
 	}
@@ -228,6 +218,9 @@ func (o Options) withDefaults() Options {
 	}
 	return o
 }
+
+// heartbeatInterval spaces leader heartbeats: three per election timeout.
+func (o Options) heartbeatInterval() time.Duration { return o.ElectionTimeout / 3 }
 
 // RangeOf maps a ring hash to its range id under the given range count.
 func RangeOf(h uint32, ranges int) int {

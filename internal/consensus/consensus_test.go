@@ -749,12 +749,12 @@ func TestStrongReadRefusedWhenLeaseExpiresMidRead(t *testing.T) {
 		t.Fatalf("healthy strong get: %v", err)
 	}
 	// Stall the next read past the lease: cut the leader off (so append acks
-	// cannot extend the lease) and sleep well beyond LeaseDuration.
+	// cannot extend the lease) and sleep well beyond the lease.
 	var once sync.Once
 	leader.setReadHook(func(string) {
 		once.Do(func() {
 			tc.partition(leader.addr)
-			time.Sleep(300 * time.Millisecond) // LeaseDuration is 50ms here
+			time.Sleep(300 * time.Millisecond) // the lease is 50ms here
 		})
 	})
 	if _, err := leader.m.Get(ctx, key); err == nil {

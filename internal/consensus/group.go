@@ -141,7 +141,7 @@ func (g *group) tick(now time.Time) {
 	switch g.role {
 	case roleLeader:
 		if now.After(g.leaseUntil) {
-			// Lease expired: a majority has not acked within LeaseDuration —
+			// Lease expired: a majority has not acked within the lease —
 			// the other side of a partition may already have elected a new
 			// leader. Step down rather than serve possibly-stale reads or
 			// accept writes that can never commit.
@@ -151,7 +151,7 @@ func (g *group) tick(now time.Time) {
 			return
 		}
 		if now.After(g.nextHeartbeat) {
-			g.nextHeartbeat = now.Add(g.m.opts.HeartbeatInterval)
+			g.nextHeartbeat = now.Add(g.m.opts.heartbeatInterval())
 			g.mu.Unlock()
 			g.broadcast()
 			return
@@ -257,10 +257,10 @@ func (g *group) tryBecomeLeader(electionTerm uint64, votes int) {
 	for _, p := range g.peers {
 		g.nextIndex[p] = g.lastIndex() + 1
 	}
-	// The fresh leader starts with a full lease: a majority voted for it
-	// within the last election timeout, and LeaseDuration <= ElectionTimeout
-	// guarantees any older leader's lease has expired by now.
-	g.leaseUntil = now.Add(g.m.opts.LeaseDuration)
+	// The fresh leader starts with a full lease of one election timeout: a
+	// majority voted for it within the last election timeout, so any older
+	// leader's lease has expired by now.
+	g.leaseUntil = now.Add(g.m.opts.ElectionTimeout)
 	g.nextHeartbeat = now
 	g.m.electionsWon.Add(1)
 	g.m.leaderChanges.Add(1)
@@ -593,10 +593,10 @@ func (g *group) appendLoop(ctx context.Context, peer string) {
 }
 
 // recomputeLeaseLocked extends the lease to the majority-th most recent
-// append-ack send time plus LeaseDuration. Times are all leader-local, so
-// the lease needs no clock agreement between nodes: at the chosen instant a
-// majority had acknowledged this leader, and none of them will grant a vote
-// for at least ElectionTimeout >= LeaseDuration after it.
+// append-ack send time plus one election timeout. Times are all
+// leader-local, so the lease needs no clock agreement between nodes: at the
+// chosen instant a majority had acknowledged this leader, and none of them
+// will grant a vote for at least ElectionTimeout after it.
 func (g *group) recomputeLeaseLocked() {
 	times := []time.Time{g.m.opts.Now()} // self acks implicitly
 	for _, p := range g.peers {
@@ -611,7 +611,7 @@ func (g *group) recomputeLeaseLocked() {
 		return
 	}
 	sort.Slice(times, func(i, j int) bool { return times[i].After(times[j]) })
-	until := times[g.majority()-1].Add(g.m.opts.LeaseDuration)
+	until := times[g.majority()-1].Add(g.m.opts.ElectionTimeout)
 	if until.After(g.leaseUntil) {
 		g.leaseUntil = until
 	}

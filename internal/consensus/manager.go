@@ -128,7 +128,7 @@ func (m *Manager) spawn(fn func(ctx context.Context)) {
 // election timeouts.
 func (m *Manager) tickLoop() {
 	defer m.wg.Done()
-	period := m.opts.HeartbeatInterval / 2
+	period := m.opts.heartbeatInterval() / 2
 	if period < time.Millisecond {
 		period = time.Millisecond
 	}
@@ -385,20 +385,6 @@ func (m *Manager) LeadsKey(key string) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.role == roleLeader
-}
-
-// LeaderOf returns the last known leader of key's range ("" when unknown or
-// the group does not exist here).
-func (m *Manager) LeaderOf(key string) string {
-	m.mu.Lock()
-	g, ok := m.groups[RangeOf(ring.Hash(key), m.opts.Ranges)]
-	m.mu.Unlock()
-	if !ok {
-		return ""
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.leader
 }
 
 // RangesLed counts ranges this node currently leads.

@@ -92,20 +92,6 @@ func BenchmarkGetByPrimaryKey(b *testing.B) {
 	}
 }
 
-func BenchmarkUpdateById(b *testing.B) {
-	c := benchCollection(b, 1, false)
-	docs, _ := c.Find(Filter{}, FindOptions{})
-	id, _ := docs[0].Get("_id")
-	inc := bson.D{{Key: "$inc", Value: bson.D{{Key: "views", Value: int64(1)}}}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.UpdateById(id, inc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkMatchComplexFilter(b *testing.B) {
 	doc := sampleDoc()
 	filter := Filter{

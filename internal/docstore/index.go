@@ -114,6 +114,3 @@ func (ix *fieldIndex) lookupRange(lo, hi any, hiIncl bool) []string {
 	})
 	return out
 }
-
-// entryCount reports the number of distinct indexed values, for stats.
-func (ix *fieldIndex) entryCount() int { return ix.tree.Len() }

@@ -21,12 +21,11 @@ import (
 
 // Errors returned by the store.
 var (
-	ErrClosed       = errors.New("docstore: store is closed")
-	ErrBadId        = errors.New("docstore: unsupported _id type")
-	ErrNotFound     = errors.New("docstore: document not found")
-	ErrDuplicate    = errors.New("docstore: duplicate key")
-	ErrBadFilter    = errors.New("docstore: malformed filter")
-	ErrNoCollection = errors.New("docstore: no such collection")
+	ErrClosed    = errors.New("docstore: store is closed")
+	ErrBadId     = errors.New("docstore: unsupported _id type")
+	ErrNotFound  = errors.New("docstore: document not found")
+	ErrDuplicate = errors.New("docstore: duplicate key")
+	ErrBadFilter = errors.New("docstore: malformed filter")
 )
 
 // Options configure a Store.
@@ -44,12 +43,9 @@ type Options struct {
 	// Deprecated: a store with a Dir always runs lsm. "" and "lsm" are
 	// accepted; any other name is refused.
 	Engine string
-	// Storage tunes the lsm engine (memtable budget, block cache size,
-	// compaction bandwidth, ...) when Dir is set.
+	// Storage tunes the lsm engine (memtable budget, block cache size, ...)
+	// when Dir is set.
 	Storage lsm.Tuning
-	// Tracer, when non-nil, records the lsm engine's background spans
-	// (memtable.flush, compaction.run).
-	Tracer *trace.Collector
 }
 
 // Op is one applied mutation, as written to the WAL. The log records effects,
@@ -133,7 +129,6 @@ func Open(opts Options) (*Store, error) {
 	eng, err := lsm.Open(lsm.Options{
 		Dir:    filepath.Join(opts.Dir, "tables"),
 		Tuning: opts.Storage,
-		Tracer: opts.Tracer,
 		// After every flush the engine's manifest is the durable root for
 		// everything below the checkpoint; the WAL tail before it is dead
 		// weight and can go.

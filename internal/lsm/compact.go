@@ -11,9 +11,10 @@ import (
 // overlapping span of L1. Deeper levels are sorted non-overlapping runs
 // with geometric size limits; when level n outgrows its limit, one of its
 // tables merges with the overlapping tables of level n+1. Output runs are
-// split at TargetFileBytes. All compaction I/O (bytes read and written) is
-// charged against the CompactionBandwidth token bucket so foreground
-// operations keep their latency while merging runs behind them.
+// split at TargetFileBytes.
+
+// levelFanout is the size ratio between adjacent levels.
+const levelFanout = 10
 
 // compactor is the background compaction loop. Work is triggered after
 // flushes and after each compaction (the cascade check), with a slow ticker
@@ -84,7 +85,7 @@ func (e *Engine) levelBytesLocked(n int) int64 {
 func (e *Engine) levelLimit(n int) int64 {
 	limit := e.opts.LevelBaseBytes
 	for i := 1; i < n; i++ {
-		limit *= int64(e.opts.LevelFanout)
+		limit *= levelFanout
 	}
 	return limit
 }
@@ -180,10 +181,8 @@ func (e *Engine) compactOnce() (bool, error) {
 	all := c.allInputs()
 	defer unpin(all)
 
-	sp := e.span("compaction.run")
 	outputs, err := e.mergeTables(c)
 	if err != nil {
-		sp.End(err)
 		if errors.Is(err, errFlushAborted) {
 			return false, nil
 		}
@@ -216,7 +215,6 @@ func (e *Engine) compactOnce() (bool, error) {
 	e.mu.Unlock()
 	merr := writeManifest(e.opts.Dir, man)
 	e.manifestMu.Unlock()
-	sp.End(merr)
 	if merr != nil {
 		// The new tables are orphans; the old version is still the durable
 		// root. Drop the outputs and surface the error.
@@ -234,7 +232,7 @@ func (e *Engine) compactOnce() (bool, error) {
 }
 
 // mergeTables streams the compaction inputs through a merge iterator into
-// size-split output tables, charging the bandwidth bucket per block.
+// size-split output tables.
 func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 	// Tombstones can be dropped only when no deeper level can hold an older
 	// version of the key they mask.
@@ -260,7 +258,6 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 	}
 	for _, t := range c.allInputs() {
 		e.counters.compactBytesIn.Add(t.bytes)
-		e.throttleIO(int(t.bytes))
 	}
 
 	var outputs []*table
@@ -277,15 +274,12 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 			num = e.nextFile
 			e.nextFile++
 			e.mu.Unlock()
-			tw, err = newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, e.opts.BloomBitsPerKey)
+			tw, err = newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
 			if err != nil {
 				break
 			}
 			tw.abort = func() bool { return e.crashed.Load() }
-			tw.onBlock = func(n int) {
-				e.counters.compactBytesOut.Add(int64(n))
-				e.throttleIO(n)
-			}
+			tw.onBlock = func(n int) { e.counters.compactBytesOut.Add(int64(n)) }
 			for _, t := range c.allInputs() {
 				tw.observeLSN(t.maxLSN)
 			}

@@ -11,23 +11,19 @@
 // Reads consult memtable → immutable memtables (newest first) → L0 tables
 // (newest first) → L1..Ln (one candidate table per level), with bloom
 // filters short-circuiting tables that cannot hold the key. Background
-// compaction merges runs down the levels, rate-limited through a byte token
-// bucket so foreground latency stays flat while it runs.
+// compaction merges runs down the levels.
 package lsm
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mystore/internal/cache"
-	"mystore/internal/trace"
 )
 
 // ErrClosed is returned by operations on a closed engine.
@@ -43,23 +39,15 @@ type Tuning struct {
 	BlockBytes int
 	// BlockCacheBytes bounds the shared block cache. Default 32 MiB.
 	BlockCacheBytes int64
-	// BloomBitsPerKey sizes per-table bloom filters. Default 10 (~1% FP).
-	BloomBitsPerKey int
 	// L0CompactTrigger is the L0 table count that starts an L0→L1
 	// compaction. Default 4.
 	L0CompactTrigger int
-	// LevelBaseBytes is the L1 size limit; each deeper level is LevelFanout
+	// LevelBaseBytes is the L1 size limit; each deeper level is levelFanout
 	// times larger. Default 8 MiB.
 	LevelBaseBytes int64
-	// LevelFanout is the size ratio between adjacent levels. Default 10.
-	LevelFanout int
 	// TargetFileBytes splits compaction output runs into tables of roughly
 	// this size. Default 2 MiB.
 	TargetFileBytes int64
-	// CompactionBandwidth caps compaction I/O (bytes read plus written per
-	// second) through a token bucket, so background merging cannot starve
-	// foreground reads and writes. Zero means unthrottled.
-	CompactionBandwidth int64
 	// MaxImmutable is the flush-queue depth at which writers stall (the
 	// write-stall backpressure every LSM needs so an overrun flusher cannot
 	// accumulate unbounded frozen memtables). Default 4.
@@ -76,17 +64,11 @@ func (t Tuning) withDefaults() Tuning {
 	if t.BlockCacheBytes <= 0 {
 		t.BlockCacheBytes = 32 << 20
 	}
-	if t.BloomBitsPerKey <= 0 {
-		t.BloomBitsPerKey = DefaultBloomBitsPerKey
-	}
 	if t.L0CompactTrigger <= 0 {
 		t.L0CompactTrigger = 4
 	}
 	if t.LevelBaseBytes <= 0 {
 		t.LevelBaseBytes = 8 << 20
-	}
-	if t.LevelFanout <= 0 {
-		t.LevelFanout = 10
 	}
 	if t.TargetFileBytes <= 0 {
 		t.TargetFileBytes = 2 << 20
@@ -113,21 +95,18 @@ type Options struct {
 	// commit with the new checkpoint LSN (the first LSN not yet durable in
 	// SSTables). The docstore wires it to WAL truncation.
 	Checkpoint func(lsn uint64)
-	// Tracer, when non-nil, records memtable.flush and compaction.run spans.
-	Tracer *trace.Collector
 }
 
 // engineCounters are the engine's atomic stats, shared with table readers.
 type engineCounters struct {
-	flushes           atomic.Int64
-	flushBytes        atomic.Int64
-	compactions       atomic.Int64
-	compactBytesIn    atomic.Int64
-	compactBytesOut   atomic.Int64
-	bloomNegatives    atomic.Int64
-	blockCacheHits    atomic.Int64
-	blockCacheMisses  atomic.Int64
-	throttleWaitNanos atomic.Int64
+	flushes          atomic.Int64
+	flushBytes       atomic.Int64
+	compactions      atomic.Int64
+	compactBytesIn   atomic.Int64
+	compactBytesOut  atomic.Int64
+	bloomNegatives   atomic.Int64
+	blockCacheHits   atomic.Int64
+	blockCacheMisses atomic.Int64
 }
 
 // Engine is one log-structured store instance. Writers must be externally
@@ -157,8 +136,6 @@ type Engine struct {
 	compactMu sync.Mutex
 	// manifestMu orders manifest writes with the version updates they record.
 	manifestMu sync.Mutex
-
-	throttle *rateBucket
 
 	flushC   chan struct{}
 	compactC chan struct{}
@@ -193,7 +170,6 @@ func Open(opts Options) (*Engine, error) {
 		mem:        newMemtable(),
 		nextFile:   man.NextFile,
 		checkpoint: man.Checkpoint,
-		throttle:   newRateBucket(opts.CompactionBandwidth),
 		flushC:     make(chan struct{}, 1),
 		compactC:   make(chan struct{}, 1),
 		quit:       make(chan struct{}),
@@ -427,7 +403,6 @@ func (e *Engine) flushOne() bool {
 	e.nextFile++
 	e.mu.Unlock()
 
-	sp := e.span("memtable.flush")
 	var t *table
 	var err error
 	if e.opts.LogDurable != nil && m.maxLSN > 0 {
@@ -439,7 +414,6 @@ func (e *Engine) flushOne() bool {
 		t, err = e.writeMemtable(m, num)
 	}
 	if err != nil {
-		sp.End(err)
 		if errors.Is(err, errFlushAborted) {
 			return false
 		}
@@ -466,7 +440,6 @@ func (e *Engine) flushOne() bool {
 	e.mu.Unlock()
 	merr := writeManifest(e.opts.Dir, man)
 	e.manifestMu.Unlock()
-	sp.End(merr)
 	if merr != nil {
 		e.mu.Lock()
 		e.flushErr = merr
@@ -490,7 +463,7 @@ func (e *Engine) flushOne() bool {
 
 // writeMemtable streams one frozen memtable into a new SSTable.
 func (e *Engine) writeMemtable(m *memtable, num uint64) (*table, error) {
-	tw, err := newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, e.opts.BloomBitsPerKey)
+	tw, err := newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
 	if err != nil {
 		return nil, err
 	}
@@ -527,15 +500,6 @@ func (e *Engine) manifestLocked() manifest {
 		man.Levels = append(man.Levels, nums)
 	}
 	return man
-}
-
-// span opens a background trace span when a tracer is configured.
-func (e *Engine) span(name string) *trace.Span {
-	if e.opts.Tracer == nil {
-		return nil
-	}
-	_, sp := trace.Start(trace.WithCollector(context.Background(), e.opts.Tracer), name)
-	return sp
 }
 
 // Flush synchronously rotates the mutable memtable and waits until the
@@ -581,19 +545,21 @@ func (e *Engine) Scrub() error {
 
 // Stats snapshot the engine for metrics and tests.
 type Stats struct {
-	MemtableBytes     int64
-	ImmMemtables      int
-	Flushes           int64
-	FlushBytes        int64
-	TableCounts       []int // per level
-	Tables            int
-	TableBytes        int64
-	Compactions       int64
-	CompactBytesIn    int64
-	CompactBytesOut   int64
-	BloomNegatives    int64
-	BlockCacheHits    int64
-	BlockCacheMisses  int64
+	MemtableBytes    int64
+	ImmMemtables     int
+	Flushes          int64
+	FlushBytes       int64
+	TableCounts      []int // per level
+	Tables           int
+	TableBytes       int64
+	Compactions      int64
+	CompactBytesIn   int64
+	CompactBytesOut  int64
+	BloomNegatives   int64
+	BlockCacheHits   int64
+	BlockCacheMisses int64
+	// ThrottleWaitNanos is always 0: compaction runs unthrottled. The
+	// benchmark still reads it.
 	ThrottleWaitNanos int64
 	CheckpointLSN     uint64
 }
@@ -622,7 +588,6 @@ func (e *Engine) Stats() Stats {
 	st.BloomNegatives = e.counters.bloomNegatives.Load()
 	st.BlockCacheHits = e.counters.blockCacheHits.Load()
 	st.BlockCacheMisses = e.counters.blockCacheMisses.Load()
-	st.ThrottleWaitNanos = e.counters.throttleWaitNanos.Load()
 	return st
 }
 
@@ -683,64 +648,4 @@ func (e *Engine) releaseTables() {
 		}
 	}
 	e.levels = nil
-}
-
-// rateBucket is a byte token bucket pacing compaction I/O.
-type rateBucket struct {
-	mu     sync.Mutex
-	rate   float64
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newRateBucket(bytesPerSec int64) *rateBucket {
-	if bytesPerSec <= 0 {
-		return nil
-	}
-	burst := float64(bytesPerSec)
-	if burst < float64(DefaultBlockBytes*16) {
-		burst = float64(DefaultBlockBytes * 16)
-	}
-	return &rateBucket{rate: float64(bytesPerSec), burst: burst}
-}
-
-// take reserves n bytes and returns the stall the caller owes.
-func (b *rateBucket) take(n int) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	now := time.Now()
-	if b.last.IsZero() {
-		b.tokens = b.burst
-	} else {
-		b.tokens += now.Sub(b.last).Seconds() * b.rate
-		if b.tokens > b.burst {
-			b.tokens = b.burst
-		}
-	}
-	b.last = now
-	b.tokens -= float64(n)
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / b.rate * float64(time.Second))
-}
-
-// throttleIO charges compaction I/O against the bandwidth budget, sleeping
-// out any stall (cut short by engine shutdown).
-func (e *Engine) throttleIO(n int) {
-	if e.throttle == nil {
-		return
-	}
-	d := e.throttle.take(n)
-	if d <= 0 {
-		return
-	}
-	e.counters.throttleWaitNanos.Add(int64(d))
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-e.quit:
-	}
 }

@@ -558,22 +558,3 @@ func TestEngineConcurrentReadsDuringWrites(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
-
-func TestRateBucket(t *testing.T) {
-	b := newRateBucket(1 << 20) // 1 MiB/s
-	if b.take(1024) != 0 {
-		t.Fatal("burst allowance should absorb the first block")
-	}
-	var stall bool
-	for i := 0; i < 64; i++ {
-		if b.take(1<<20) > 0 {
-			stall = true
-		}
-	}
-	if !stall {
-		t.Fatal("sustained overdraw never stalled")
-	}
-	if newRateBucket(0) != nil {
-		t.Fatal("zero bandwidth should disable the bucket")
-	}
-}

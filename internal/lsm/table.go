@@ -358,7 +358,7 @@ type tableWriter struct {
 	maxLSN     uint64
 	minKey     []byte
 	maxKey     []byte
-	onBlock    func(payloadBytes int) // throttling hook
+	onBlock    func(payloadBytes int) // per-block hook (compaction byte counting)
 	abort      func() bool            // crash simulation hook
 }
 

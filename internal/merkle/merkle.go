@@ -141,16 +141,6 @@ func (t *Tree) Records() int64 {
 	return t.records
 }
 
-// Reset empties the tree (rebuilds start here).
-func (t *Tree) Reset() {
-	t.mu.Lock()
-	for i := range t.leaves {
-		t.leaves[i] = 0
-	}
-	t.records = 0
-	t.mu.Unlock()
-}
-
 // Node returns the hash of the node at (level, index), where level 0 is the
 // root covering everything and level LeafBits is the leaf row. An index past
 // the row's width returns 0.

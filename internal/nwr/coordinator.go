@@ -49,23 +49,15 @@ type Config struct {
 	// RetryBudget, when non-nil, bounds replica-write retry amplification
 	// cluster-wide (token bucket). Nil always grants.
 	RetryBudget *resilience.RetryBudget
-	// RetryBackoff spaces replica-write retries with jittered exponential
-	// delays. The zero value uses the package defaults.
-	RetryBackoff resilience.Backoff
-	// DegradedReads serves a below-quorum read from whatever replica did
-	// answer — flagged Degraded, possibly stale — instead of failing with
-	// ErrQuorumRead. Availability over freshness during partitions.
-	DegradedReads bool
 	// HedgeDelay overrides the adaptive delay before the N−R non-primary
 	// replica reads launch. Zero means adaptive: the recent p95 of this
 	// coordinator's read latency, floored at 1ms and capped at
 	// CallTimeout/2.
 	HedgeDelay time.Duration
-	// RepairWorkers and RepairQueue size the async read-repair pool. Zero
-	// means 2 workers over a 256-job queue; jobs arriving on a full queue
-	// are dropped and counted in Stats.ReadRepairDropped.
-	RepairWorkers int
-	RepairQueue   int
+	// RepairQueue sizes the async read-repair pool's queue (repairWorkers
+	// drain it). Zero means 256 jobs; jobs arriving on a full queue are
+	// dropped and counted in Stats.ReadRepairDropped.
+	RepairQueue int
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -90,9 +82,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 2 * time.Second
-	}
-	if c.RepairWorkers <= 0 {
-		c.RepairWorkers = 2
 	}
 	if c.RepairQueue <= 0 {
 		c.RepairQueue = 256
@@ -121,7 +110,6 @@ type Stats struct {
 	ReadRepairs          int64
 	ReplicaSupplements   int64
 	RetriedReplicaWrites int64
-	DegradedReads        int64
 	// HedgedReads counts non-primary replica reads launched early by the
 	// hedge timer or a primary's failure.
 	HedgedReads int64
@@ -151,8 +139,8 @@ type Coordinator struct {
 	// cluster layer wires this to gossip. Nil means "assume live".
 	Live func(addr string) bool
 	// StreamTo, when non-nil, ships a batch of records to target over the
-	// cluster's streaming bulk-transfer path (size-bounded batches, token-
-	// bucket throttle) and reports whether every record was acknowledged.
+	// cluster's streaming bulk-transfer path (size-bounded batches) and
+	// reports whether every record was acknowledged.
 	// Hint writeback uses it to drain a page per RPC instead of one RPC per
 	// parked record. Nil falls back to per-record replica writes.
 	StreamTo func(ctx context.Context, target string, recs []Record) bool
@@ -365,7 +353,7 @@ func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []st
 		if !c.peerWorthRetrying(target) || !c.cfg.RetryBudget.Spend() {
 			break
 		}
-		if resilience.Sleep(ctx, c.cfg.RetryBackoff.Delay(attempt, nil)) != nil {
+		if resilience.Sleep(ctx, resilience.Backoff{}.Delay(attempt, nil)) != nil {
 			break // caller gave up mid-backoff
 		}
 		c.bump(func(s *Stats) { s.RetriedReplicaWrites++ })
@@ -482,24 +470,6 @@ func (c *Coordinator) storeHint(ctx context.Context, replicaSet []string, target
 		}
 	}
 	return false
-}
-
-// GetResult is a read answer with its provenance: Degraded marks a value
-// served below the read quorum (possibly stale).
-type GetResult struct {
-	Val      []byte
-	Degraded bool
-}
-
-// Get reads key with the read quorum: dispatch replica reads, return as soon
-// as R replicas answer (quorum-first, resolved last-write-wins), and let the
-// stragglers finish in the background feeding read repair / replica
-// supplementation ("if replications are less than N ... some more
-// replications are supplemented", §5.2.2). The full state machine lives in
-// readpath.go.
-func (c *Coordinator) Get(ctx context.Context, key string) ([]byte, error) {
-	res, err := c.GetEx(ctx, key)
-	return res.Val, err
 }
 
 // readReplica fetches key's record from target.

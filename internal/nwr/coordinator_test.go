@@ -270,6 +270,20 @@ func TestReadQuorumFailure(t *testing.T) {
 	if _, err := tc.coords[0].Get(ctx, "k"); !errors.Is(err, ErrQuorumRead) {
 		t.Fatalf("err = %v, want ErrQuorumRead", err)
 	}
+
+	// A read that does reach a replica, but fewer than R, fails too: with
+	// N = 3 on three nodes the coordinator holds a replica, so exactly its
+	// local answer arrives, 1 < R = 2.
+	tc2 := newTestCluster(t, 3, Config{N: 3, W: 3, R: 2, Retries: 1, CallTimeout: time.Second})
+	if err := tc2.coords[0].Put(ctx, "k", []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range tc2.eps[1:] {
+		ep.Close()
+	}
+	if _, err := tc2.coords[0].Get(ctx, "k"); !errors.Is(err, ErrQuorumRead) {
+		t.Fatalf("one of R=2 replicas: err = %v, want ErrQuorumRead", err)
+	}
 }
 
 func TestHintedHandoffAndWriteback(t *testing.T) {

@@ -28,6 +28,9 @@ const minHedgeDelay = time.Millisecond
 // read-latency histogram; Snapshot allocates and reads are hot.
 const hedgeRecomputeEvery = 100 * time.Millisecond
 
+// repairWorkers is how many goroutines drain the async read-repair queue.
+const repairWorkers = 2
+
 // stragglerGrace is how long past a replica call's own timeout the
 // background finisher keeps draining answers before repairing with what it
 // has.
@@ -56,10 +59,12 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	return d
 }
 
-// GetEx is Get returning provenance. With Config.DegradedReads set, a read
-// that falls short of R but reached at least one replica returns that
-// replica's newest answer flagged Degraded instead of ErrQuorumRead.
-func (c *Coordinator) GetEx(ctx context.Context, key string) (res GetResult, err error) {
+// Get reads key with the read quorum: dispatch replica reads, return as soon
+// as R replicas answer (quorum-first, resolved last-write-wins), and let the
+// stragglers finish in the background feeding read repair / replica
+// supplementation ("if replications are less than N ... some more
+// replications are supplemented", §5.2.2).
+func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err error) {
 	ctx, sp := trace.Start(ctx, "nwr.read")
 	start := c.cfg.Now()
 	defer func() {
@@ -73,7 +78,7 @@ func (c *Coordinator) GetEx(ctx context.Context, key string) (res GetResult, err
 // arriving while it is in flight wait on done instead of fanning out again.
 type flight struct {
 	done chan struct{}
-	res  GetResult
+	val  []byte
 	err  error
 }
 
@@ -86,7 +91,7 @@ type flight struct {
 // from the leader's context — a follower may outlive the leader — bounded by
 // its own timeout; every caller, leader included, waits under its own
 // context.
-func (c *Coordinator) coalescedRead(ctx context.Context, key string) (GetResult, error) {
+func (c *Coordinator) coalescedRead(ctx context.Context, key string) ([]byte, error) {
 	c.flightMu.Lock()
 	f, joined := c.flights[key]
 	if !joined {
@@ -101,19 +106,19 @@ func (c *Coordinator) coalescedRead(ctx context.Context, key string) (GetResult,
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*c.cfg.CallTimeout)
 		go func() {
 			defer cancel()
-			res, err := c.readQuorum(fctx, key)
+			val, err := c.readQuorum(fctx, key)
 			c.flightMu.Lock()
 			delete(c.flights, key)
 			c.flightMu.Unlock()
-			f.res, f.err = res, err
+			f.val, f.err = val, err
 			close(f.done)
 		}()
 	}
 	select {
 	case <-f.done:
-		return f.res, f.err
+		return f.val, f.err
 	case <-ctx.Done():
-		return GetResult{}, fmt.Errorf("%w: abandoned coalesced read for key %q: %v",
+		return nil, fmt.Errorf("%w: abandoned coalesced read for key %q: %v",
 			ErrQuorumRead, key, ctx.Err())
 	}
 }
@@ -143,10 +148,10 @@ type readOp struct {
 
 // readQuorum runs one replica fan-out generation for key and returns at R
 // responses.
-func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, error) {
+func (c *Coordinator) readQuorum(ctx context.Context, key string) ([]byte, error) {
 	targets, err := c.ring.Successors(key, c.cfg.N)
 	if err != nil {
-		return GetResult{}, err
+		return nil, err
 	}
 	op := &readOp{
 		c:       c,
@@ -191,14 +196,17 @@ func (c *Coordinator) readQuorum(ctx context.Context, key string) (GetResult, er
 			hedgeCh = nil
 		case <-ctx.Done():
 			c.bump(func(s *Stats) { s.GetFailures++ })
-			return GetResult{}, fmt.Errorf("%w: abandoned at %d/%d answers for key %q: %v",
+			return nil, fmt.Errorf("%w: abandoned at %d/%d answers for key %q: %v",
 				ErrQuorumRead, op.responded, c.cfg.R, key, ctx.Err())
 		}
 	}
 	// Every dispatched replica has answered without reaching the early
-	// return: the fan-out fell short of R. (The loop cannot exit with
-	// reserves still parked — any primary failure launches them.)
-	return op.resolve()
+	// return: the fan-out fell short of R, and the read fails. (The loop
+	// cannot exit with reserves still parked — any primary failure launches
+	// them.)
+	c.bump(func(s *Stats) { s.GetFailures++ })
+	return nil, fmt.Errorf("%w: %d/%d replicas answered for key %q",
+		ErrQuorumRead, op.responded, c.cfg.R, key)
 }
 
 // dispatch launches one replica read; its answer lands on op.answers.
@@ -247,7 +255,7 @@ func newestOf(answers []replicaAnswer) (Record, bool) {
 // settle answers the caller the moment the quorum is met. The stragglers and
 // any still-parked reserves move to a background finisher that completes the
 // full N-replica picture and feeds the repair pool.
-func (op *readOp) settle() (GetResult, error) {
+func (op *readOp) settle() ([]byte, error) {
 	c := op.c
 	if op.responded < c.cfg.R {
 		// Defensive tripwire — settle must only ever run at quorum.
@@ -257,29 +265,9 @@ func (op *readOp) settle() (GetResult, error) {
 	c.bump(func(s *Stats) { s.Gets++ })
 	go op.finish()
 	if !haveNewest || newest.Deleted {
-		return GetResult{}, fmt.Errorf("%w: %q", ErrNotFound, op.key)
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, op.key)
 	}
-	return GetResult{Val: newest.Val}, nil
-}
-
-// resolve handles a fan-out that fell short of R: every dispatched replica
-// has answered and fewer than R succeeded, so the read fails — or, with
-// DegradedReads, serves whatever the reachable minority knows, flagged so
-// callers can tell it may be stale.
-func (op *readOp) resolve() (GetResult, error) {
-	c := op.c
-	if !c.cfg.DegradedReads || op.responded == 0 {
-		c.bump(func(s *Stats) { s.GetFailures++ })
-		return GetResult{}, fmt.Errorf("%w: %d/%d replicas answered for key %q",
-			ErrQuorumRead, op.responded, c.cfg.R, op.key)
-	}
-	c.bump(func(s *Stats) { s.Gets++; s.DegradedReads++ })
-	newest, haveNewest := newestOf(op.collected)
-	c.repairFromAnswers(op.bctx, op.key, op.collected)
-	if !haveNewest || newest.Deleted {
-		return GetResult{Degraded: true}, fmt.Errorf("%w: %q", ErrNotFound, op.key)
-	}
-	return GetResult{Val: newest.Val, Degraded: true}, nil
+	return newest.Val, nil
 }
 
 // finish runs after the caller already has its answer: launch the reserves
@@ -356,7 +344,7 @@ func (c *Coordinator) enqueueRepair(job repairJob) {
 }
 
 func (c *Coordinator) startRepairWorkers() {
-	for i := 0; i < c.cfg.RepairWorkers; i++ {
+	for i := 0; i < repairWorkers; i++ {
 		c.repairWG.Add(1)
 		go c.repairWorker()
 	}
@@ -418,7 +406,7 @@ func (c *Coordinator) Close() {
 // KeyResult is one key's outcome within a GetMany.
 type KeyResult struct {
 	Key string
-	Res GetResult
+	Val []byte
 	Err error // nil, ErrNotFound, or ErrQuorumRead
 }
 
@@ -526,15 +514,7 @@ collect:
 			if !have || newest.Deleted {
 				kr.Err = fmt.Errorf("%w: %q", ErrNotFound, k)
 			} else {
-				kr.Res = GetResult{Val: newest.Val}
-			}
-		case c.cfg.DegradedReads && responded[k] > 0:
-			c.bump(func(s *Stats) { s.Gets++; s.DegradedReads++ })
-			kr.Res.Degraded = true
-			if !have || newest.Deleted {
-				kr.Err = fmt.Errorf("%w: %q", ErrNotFound, k)
-			} else {
-				kr.Res.Val = newest.Val
+				kr.Val = newest.Val
 			}
 		default:
 			if earlyReturn {

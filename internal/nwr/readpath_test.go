@@ -165,7 +165,7 @@ func TestCoalescedConcurrentReads(t *testing.T) {
 	}
 }
 
-// TestCoalescerHammer races GetEx/GetMany/Put over a handful of hot keys from
+// TestCoalescerHammer races Get/GetMany/Put over a handful of hot keys from
 // every coordinator; run under -race it is the coalescer's data-race gate,
 // and it asserts the quorum tripwire stays silent under contention.
 func TestCoalescerHammer(t *testing.T) {
@@ -194,7 +194,7 @@ func TestCoalescerHammer(t *testing.T) {
 				case 1:
 					co.GetMany(ctx, hot) //nolint:errcheck
 				default:
-					co.GetEx(ctx, k) //nolint:errcheck
+					co.Get(ctx, k) //nolint:errcheck
 				}
 			}
 		}(g)
@@ -294,8 +294,8 @@ func TestGetMany(t *testing.T) {
 	}
 	for i, k := range keys {
 		kr := byKey[k]
-		if kr.Err != nil || string(kr.Res.Val) != fmt.Sprintf("val-%d", i) {
-			t.Fatalf("key %q = %q, %v", k, kr.Res.Val, kr.Err)
+		if kr.Err != nil || string(kr.Val) != fmt.Sprintf("val-%d", i) {
+			t.Fatalf("key %q = %q, %v", k, kr.Val, kr.Err)
 		}
 	}
 	if kr := byKey["batch-missing"]; !errors.Is(kr.Err, ErrNotFound) {
@@ -323,7 +323,7 @@ func TestGetManyRepairsStaleReplica(t *testing.T) {
 	tc.waitReplicas(t, key, 3)
 	victim := tc.staleVictim(t, key)
 	results, err := tc.coords[0].GetMany(ctx, []string{key})
-	if err != nil || len(results) != 1 || string(results[0].Res.Val) != "v1" {
+	if err != nil || len(results) != 1 || string(results[0].Val) != "v1" {
 		t.Fatalf("GetMany = %+v, %v", results, err)
 	}
 	waitFor(t, "batched read repaired the stale replica", func() bool {

@@ -2,7 +2,6 @@ package nwr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -101,62 +100,6 @@ func TestBreakerFedByCallOutcomes(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("breaker for %s = %v, want open after repeated failures", dead, bs.States()[dead])
-}
-
-// TestDegradedReadServesStaleFlagged: when fewer than R replicas answer but
-// at least one does, DegradedReads returns its value flagged Degraded.
-func TestDegradedReadServesStaleFlagged(t *testing.T) {
-	cfg := Config{N: 3, W: 3, R: 2, Retries: 1, CallTimeout: time.Second, DegradedReads: true}
-	tc := newTestCluster(t, 3, cfg)
-	ctx := context.Background()
-
-	if err := tc.coords[0].Put(ctx, "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	// Healthy read: full quorum, not degraded.
-	res, err := tc.coords[0].GetEx(ctx, "k")
-	if err != nil || res.Degraded || string(res.Val) != "v1" {
-		t.Fatalf("healthy read = %+v, %v", res, err)
-	}
-
-	// Down everything but the coordinator: only the local replica answers,
-	// 1 < R=2.
-	owners, _ := tc.ring.Successors("k", 3)
-	selfOwner := false
-	for _, o := range owners {
-		if o == tc.addrs[0] {
-			selfOwner = true
-		}
-	}
-	if !selfOwner {
-		t.Skip("coordinator not a replica for this key layout")
-	}
-	for _, ep := range tc.eps[1:] {
-		ep.Close()
-	}
-	res, err = tc.coords[0].GetEx(ctx, "k")
-	if err != nil {
-		t.Fatalf("degraded read failed: %v", err)
-	}
-	if !res.Degraded || string(res.Val) != "v1" {
-		t.Fatalf("degraded read = %+v, want Degraded v1", res)
-	}
-	if tc.coords[0].Stats().DegradedReads != 1 {
-		t.Fatalf("DegradedReads stat = %d, want 1", tc.coords[0].Stats().DegradedReads)
-	}
-
-	// Without the flag the same situation is a quorum failure.
-	cfg.DegradedReads = false
-	tc2 := newTestCluster(t, 3, cfg)
-	if err := tc2.coords[0].Put(ctx, "k", []byte("v1")); err != nil {
-		t.Fatal(err)
-	}
-	for _, ep := range tc2.eps[1:] {
-		ep.Close()
-	}
-	if _, err := tc2.coords[0].GetEx(ctx, "k"); !errors.Is(err, ErrQuorumRead) {
-		t.Fatalf("err = %v, want ErrQuorumRead", err)
-	}
 }
 
 // TestHintRedeliveryBackoff: an unreachable hint target is not re-pinged

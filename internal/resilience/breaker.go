@@ -53,14 +53,16 @@ type BreakerConfig struct {
 	// closed breaker. Zero means 3.
 	FailureThreshold int
 	// OpenFor is how long an open breaker rejects before admitting a
-	// half-open probe. Zero means 1s.
+	// half-open probe. Zero means 1s. A peer gossip classifies as
+	// long-failed (seed-confirmed departure) cools down for
+	// longFailOpenFactor times as long.
 	OpenFor time.Duration
-	// LongFailOpenFor is the cool-down applied when gossip classifies the
-	// peer as long-failed (seed-confirmed departure). Zero means 8×OpenFor.
-	LongFailOpenFor time.Duration
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
+
+// longFailOpenFactor scales OpenFor for a long-failed peer.
+const longFailOpenFactor = 8
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.FailureThreshold <= 0 {
@@ -68,9 +70,6 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	}
 	if c.OpenFor <= 0 {
 		c.OpenFor = time.Second
-	}
-	if c.LongFailOpenFor <= 0 {
-		c.LongFailOpenFor = 8 * c.OpenFor
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -303,7 +302,7 @@ func (s *BreakerSet) ObservePeer(addr string, st PeerStatus) {
 		if b.State() != Open {
 			s.opened.Inc()
 		}
-		b.Trip(s.cfg.LongFailOpenFor)
+		b.Trip(longFailOpenFactor * s.cfg.OpenFor)
 	}
 }
 

@@ -79,30 +79,11 @@ type Options struct {
 	// SyncEveryAppend makes every append durable before it returns. The
 	// experiments run with this off (matching MongoDB 1.6's default
 	// non-durable writes); the crash-recovery tests and durable deployments
-	// turn it on. With it on, concurrent appenders share fsyncs through the
-	// group-commit protocol.
+	// turn it on. With it on, concurrent appenders share fsyncs through
+	// group commit (see WaitDurable).
 	SyncEveryAppend bool
 	// MaxRecordSize bounds one record. Zero means 32 MiB.
 	MaxRecordSize int
-	// GroupCommit tunes fsync coalescing under SyncEveryAppend.
-	GroupCommit GroupCommit
-}
-
-// GroupCommit configures the commit protocol used when SyncEveryAppend is
-// on: appenders write their record under the log lock, then wait for a
-// sync leader to make it durable. The first waiter becomes leader and
-// issues one fsync covering every record appended so far, so N concurrent
-// appenders cost ~1 fsync instead of N.
-type GroupCommit struct {
-	// MaxBatch is the waiter count that makes a leader sync immediately
-	// instead of waiting MaxDelay for more followers. Zero means 64.
-	MaxBatch int
-	// MaxDelay is how long a leader waits for more appenders to join its
-	// cohort before syncing. Zero means no wait: the leader syncs at once,
-	// batching whatever accumulated while the previous fsync ran (the
-	// classic self-clocking group commit, and the right default — an idle
-	// log gets per-append latency, a busy log gets big batches).
-	MaxDelay time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -111,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxRecordSize <= 0 {
 		o.MaxRecordSize = 32 << 20
-	}
-	if o.GroupCommit.MaxBatch <= 0 {
-		o.GroupCommit.MaxBatch = 64
 	}
 	return o
 }
@@ -158,7 +136,6 @@ type Log struct {
 	syncedLSN LSN   // every record with lsn <= syncedLSN is on stable storage
 	syncErr   error // a failed fsync poisons the log (its coverage is unknown)
 	syncing   bool  // a leader is currently running fsync
-	waiting   int   // appenders blocked in waitDurable
 
 	// Commit metrics, exposed via Stats: fsyncs-per-append and mean batch
 	// size are the two numbers that show group commit working.
@@ -544,31 +521,29 @@ func (l *Log) AppendNoWait(rec []byte) (LSN, error) {
 }
 
 // WaitDurable blocks until the record at lsn is on stable storage. Without
-// SyncEveryAppend it is a no-op (the caller opted out of durability). The
-// first waiter becomes the sync leader: it optionally waits MaxDelay for
-// followers to accumulate (longer cohorts per fsync), issues one fsync
-// covering every record appended so far, and wakes everyone it covered.
+// SyncEveryAppend it is a no-op (the caller opted out of durability). This
+// is group commit: the first waiter becomes the sync leader and at once
+// issues one fsync covering every record appended so far — whatever
+// accumulated while the previous fsync ran — and wakes everyone it covered,
+// so N concurrent appenders cost ~1 fsync instead of N. The batch is
+// self-clocking: an idle log gets per-append latency, a busy log big batches.
 func (l *Log) WaitDurable(lsn LSN) error {
 	if !l.opts.SyncEveryAppend {
 		return nil
 	}
-	gc := l.opts.GroupCommit
 	l.syncMu.Lock()
-	l.waiting++
 	for {
 		if l.syncedLSN >= lsn {
-			l.waiting--
 			l.syncMu.Unlock()
 			return nil
 		}
 		if l.syncErr != nil {
 			err := l.syncErr
-			l.waiting--
 			l.syncMu.Unlock()
 			return err
 		}
 		if !l.syncing {
-			l.leaderSync(gc)
+			l.leaderSync()
 			continue // re-check under syncMu (leaderSync re-acquired it)
 		}
 		l.syncCond.Wait()
@@ -580,13 +555,9 @@ func (l *Log) WaitDurable(lsn LSN) error {
 // followers can enqueue, and — crucially — runs the fsync itself off the
 // append lock, so writers keep appending while the flush is in flight and
 // the next leader's cohort grows to cover them (the self-clocking batch).
-func (l *Log) leaderSync(gc GroupCommit) {
+func (l *Log) leaderSync() {
 	l.syncing = true
-	delay := gc.MaxDelay > 0 && l.waiting < gc.MaxBatch
 	l.syncMu.Unlock()
-	if delay {
-		time.Sleep(gc.MaxDelay)
-	}
 	l.mu.Lock()
 	f := l.file
 	target := l.next - 1

@@ -132,11 +132,6 @@ func (c *Corpus) ByClass(class string) []Item {
 	return out
 }
 
-// PickUniform returns a uniformly random item using the corpus RNG.
-func (c *Corpus) PickUniform() Item {
-	return c.Items[c.rng.Intn(len(c.Items))]
-}
-
 // GaussianPicker reproduces §6.2's selection procedure: "these files are
 // sorted by their sizes and fetched to test system according to the
 // Gaussian distribution of their sizes with parameters µ=15, σ=5 that makes

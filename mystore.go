@@ -96,11 +96,9 @@ const (
 
 // ClusterOptions configure an in-process cluster.
 type ClusterOptions struct {
-	// Nodes is the cluster size. The paper's testbed uses 5.
+	// Nodes is the cluster size. The paper's testbed uses 5. The first node
+	// is the one gossip seed, matching the paper's one seed DB node.
 	Nodes int
-	// SeedCount is how many of the first nodes act as gossip seeds
-	// (default 1, matching the paper's one seed DB node).
-	SeedCount int
 	// N, W, R are the replication factor and quorums (default 3, 2, 1 —
 	// the paper's evaluation setting).
 	N, W, R int
@@ -127,26 +125,14 @@ type ClusterOptions struct {
 	Durable bool
 	// DisableHints turns hinted handoff off (ablation benches).
 	DisableHints bool
-	// DegradedReads lets a coordinator answer a read from fewer than R
-	// replicas (flagged stale) instead of failing when quorum is
-	// unreachable.
-	DegradedReads bool
 	// ReplicaCallTimeout bounds each replica RPC (default 2s). Chaos and
 	// fault experiments shorten it so dead peers are detected quickly.
 	ReplicaCallTimeout time.Duration
 	// Seed, when non-zero, seeds every node's background RNG (anti-entropy
 	// peer selection) with Seed+i, making repair schedules reproducible.
 	Seed int64
-	// RepairBandwidth caps streamed repair traffic per node, in bytes/sec
-	// (token bucket; 0 means unthrottled).
-	RepairBandwidth int64
 	// MemtableBytes sizes the lsm write buffer per node (default 4 MiB).
 	MemtableBytes int64
-	// BlockCacheBytes sizes the lsm block cache per node (default 32 MiB).
-	BlockCacheBytes int64
-	// CompactionBandwidth caps lsm background compaction I/O per node, in
-	// bytes/sec (token bucket; 0 means unthrottled).
-	CompactionBandwidth int64
 	// StrongRanges, when > 0, turns on the CP replication tier: the ring's
 	// hash space is split into this many contiguous ranges, each replicated
 	// through a leader-leased consensus log. Requests then choose per call:
@@ -154,38 +140,35 @@ type ClusterOptions struct {
 	// range leader). 0 leaves the tier off.
 	StrongRanges int
 	// StrongElectionTimeout is the consensus election timeout (default
-	// 150ms); heartbeats run at a third of it and leader leases are clamped
-	// to at most one timeout.
+	// 150ms); heartbeats run at a third of it, and a leader serves local
+	// strong reads for one timeout after its latest quorum round trip.
 	StrongElectionTimeout time.Duration
-	// StrongLeaseDuration bounds how long a leader serves local strong
-	// reads after its latest quorum round trip (default: the election
-	// timeout).
-	StrongLeaseDuration time.Duration
 }
 
 func (o ClusterOptions) withDefaults() ClusterOptions {
 	if o.Nodes <= 0 {
 		o.Nodes = 5
 	}
-	if o.SeedCount <= 0 {
-		o.SeedCount = 1
-	}
-	if o.SeedCount > o.Nodes {
-		o.SeedCount = o.Nodes
-	}
-	if o.N <= 0 {
-		o.N = 3
-	}
-	if o.W <= 0 {
-		o.W = 2
-	}
-	if o.R <= 0 {
-		o.R = 1
-	}
+	o.N, o.W, o.R = quorumDefaults(o.N, o.W, o.R)
 	if o.GossipInterval <= 0 {
 		o.GossipInterval = 200 * time.Millisecond
 	}
 	return o
+}
+
+// quorumDefaults replaces each unset replication setting with the paper's
+// evaluation setting, (N, W, R) = (3, 2, 1).
+func quorumDefaults(n, w, r int) (int, int, int) {
+	if n <= 0 {
+		n = 3
+	}
+	if w <= 0 {
+		w = 2
+	}
+	if r <= 0 {
+		r = 1
+	}
+	return n, w, r
 }
 
 // Cluster is an in-process MyStore cluster.
@@ -227,7 +210,7 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 	for i := 0; i < opts.Nodes; i++ {
 		c.addrs = append(c.addrs, nodeAddr(i))
 	}
-	c.seeds = append(c.seeds, c.addrs[:opts.SeedCount]...)
+	c.seeds = []string{c.addrs[0]}
 	for i := 0; i < opts.Nodes; i++ {
 		if _, err := c.startNode(i); err != nil {
 			c.Close()
@@ -263,23 +246,16 @@ func (c *Cluster) nodeConfig(i int) cluster.Config {
 		Weight: weight,
 		NWR: nwr.Config{
 			N: c.opts.N, W: c.opts.W, R: c.opts.R,
-			DisableHints:  c.opts.DisableHints,
-			DegradedReads: c.opts.DegradedReads,
-			CallTimeout:   c.opts.ReplicaCallTimeout,
+			DisableHints: c.opts.DisableHints,
+			CallTimeout:  c.opts.ReplicaCallTimeout,
 		},
 		Seed:                  seed,
 		StrongRanges:          c.opts.StrongRanges,
 		StrongElectionTimeout: c.opts.StrongElectionTimeout,
-		StrongLeaseDuration:   c.opts.StrongLeaseDuration,
-		RepairBandwidth:       c.opts.RepairBandwidth,
 		StoreDir:              dir,
 		Store: docstore.Options{
-			WAL: wal.Options{SyncEveryAppend: c.opts.Durable},
-			Storage: lsm.Tuning{
-				MemtableBytes:       c.opts.MemtableBytes,
-				BlockCacheBytes:     c.opts.BlockCacheBytes,
-				CompactionBandwidth: c.opts.CompactionBandwidth,
-			},
+			WAL:     wal.Options{SyncEveryAppend: c.opts.Durable},
+			Storage: lsm.Tuning{MemtableBytes: c.opts.MemtableBytes},
 		},
 		GossipInterval: c.opts.GossipInterval,
 	}
@@ -357,8 +333,8 @@ func (c *Cluster) Client() (*Client, error) {
 	return c.ClientWithOptions(cluster.ClientOptions{AutoRetry: true})
 }
 
-// ClientWithOptions connects a client with explicit options (retry policy,
-// breakers, timeouts).
+// ClientWithOptions connects a client with explicit options (timeouts,
+// auto-retry).
 func (c *Cluster) ClientWithOptions(opts ClientOptions) (*Client, error) {
 	ep, err := c.net.Endpoint(fmt.Sprintf("client-%d:0", len(c.net.Addresses())))
 	if err != nil {
@@ -520,18 +496,12 @@ type NodeOptions struct {
 	MemtableBytes int64
 	// BlockCacheBytes sizes the lsm block cache (default 32 MiB).
 	BlockCacheBytes int64
-	// CompactionBandwidth caps lsm compaction I/O in bytes/sec (0 =
-	// unthrottled).
-	CompactionBandwidth int64
 	// StrongRanges, when > 0, turns on the CP replication tier. See
 	// ClusterOptions.StrongRanges.
 	StrongRanges int
 	// StrongElectionTimeout is the consensus election timeout (default
 	// 150ms).
 	StrongElectionTimeout time.Duration
-	// StrongLeaseDuration bounds leader-local strong reads (default: the
-	// election timeout).
-	StrongLeaseDuration time.Duration
 	// GossipInterval defaults to 1s.
 	GossipInterval time.Duration
 	// Tracer, when non-nil, is the node-local trace collector incoming
@@ -546,15 +516,7 @@ func ListenNode(ctx context.Context, addr string, opts NodeOptions) (*Node, erro
 	if err != nil {
 		return nil, err
 	}
-	if opts.N <= 0 {
-		opts.N = 3
-	}
-	if opts.W <= 0 {
-		opts.W = 2
-	}
-	if opts.R <= 0 {
-		opts.R = 1
-	}
+	opts.N, opts.W, opts.R = quorumDefaults(opts.N, opts.W, opts.R)
 	node, err := cluster.NewNode(tr, cluster.Config{
 		Seeds:    opts.Seeds,
 		Weight:   opts.Weight,
@@ -564,14 +526,12 @@ func ListenNode(ctx context.Context, addr string, opts NodeOptions) (*Node, erro
 			WAL:    wal.Options{SyncEveryAppend: opts.Durable},
 			Engine: opts.StorageEngine,
 			Storage: lsm.Tuning{
-				MemtableBytes:       opts.MemtableBytes,
-				BlockCacheBytes:     opts.BlockCacheBytes,
-				CompactionBandwidth: opts.CompactionBandwidth,
+				MemtableBytes:   opts.MemtableBytes,
+				BlockCacheBytes: opts.BlockCacheBytes,
 			},
 		},
 		StrongRanges:          opts.StrongRanges,
 		StrongElectionTimeout: opts.StrongElectionTimeout,
-		StrongLeaseDuration:   opts.StrongLeaseDuration,
 		GossipInterval:        opts.GossipInterval,
 		Tracer:                opts.Tracer,
 	})

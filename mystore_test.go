@@ -257,13 +257,6 @@ func TestClusterFacadeEdges(t *testing.T) {
 	}
 }
 
-func TestSeedCountClamped(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{Nodes: 2, SeedCount: 10})
-	if len(c.seeds) != 2 {
-		t.Fatalf("seeds = %d, want clamped to 2", len(c.seeds))
-	}
-}
-
 func TestConnectFailsWithNoNodes(t *testing.T) {
 	if _, err := Connect(context.Background(), nil, ClientOptions{}); !errors.Is(err, cluster.ErrNoNodes) {
 		t.Fatalf("err = %v", err)

@@ -155,7 +155,6 @@ func TestObsSmoke(t *testing.T) {
 		"mystore_ae_digest_bytes_total",
 		"mystore_ae_version_regressions_total",
 		"mystore_stream_bytes_total",
-		"mystore_stream_throttle_wait_seconds_total",
 		// resilience
 		"mystore_breaker_open",
 		// transport
