@@ -7,7 +7,7 @@ import (
 )
 
 // TestClientGetMany round-trips the batched read: Client → MsgGetMany → the
-// serving node's coordinator GetMany → one MsgGetReplicaBatch per peer.
+// serving node's coordinator GetMany → one nwr.get.replica per peer.
 func TestClientGetMany(t *testing.T) {
 	h := newQuorumHarness(t, 5, 3, 2, 2) // reads its own writes: W + R > N
 	c := h.client(t)

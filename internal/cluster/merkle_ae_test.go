@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -169,21 +170,22 @@ func TestMerkleDivergenceRepairConvergence(t *testing.T) {
 }
 
 func TestStreamTransferCrashMidBatch(t *testing.T) {
-	// A node loses its store and recovers over the streaming path; the link
-	// dies mid-stream (2 batches in), then the node restarts its endpoint.
+	// A node loses its store and recovers over batched writes; the link
+	// dies mid-transfer (2 batches in), then the node restarts its endpoint.
 	// Nothing acked before the crash may be lost or regressed, and the
 	// resumed transfer completes — batches merge last-write-wins, so
 	// re-sending is harmless.
-	h := newSeededHarness(t, 3, func(i int, cfg *Config) {
-		cfg.StreamBatchBytes = 2048 // many small batches
-	})
+	h := newSeededHarness(t, 3, nil)
 	h.converge(8)
 	c := h.client(t)
 	ctx := context.Background()
 
+	// 16 KiB values: a 256 KiB batch carries about 15 of them, so one
+	// anti-entropy push takes several batches.
 	const records = 120
+	payload := bytes.Repeat([]byte("p"), 16<<10)
 	for i := 0; i < records; i++ {
-		if err := c.Put(ctx, fmt.Sprintf("cr-%03d", i), []byte("payload-payload-payload-payload")); err != nil {
+		if err := c.Put(ctx, fmt.Sprintf("cr-%03d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -210,11 +212,11 @@ func TestStreamTransferCrashMidBatch(t *testing.T) {
 		}
 	}
 
-	// Fail the stream to the victim after 2 delivered batches.
+	// Fail the batched writes to the victim after 2 delivered batches.
 	var mu sync.Mutex
 	batches, faulting := 0, true
 	h.net.SetFault(func(from, to, msgType string) error {
-		if msgType != MsgStreamRecords || to != victim.Addr() {
+		if msgType != nwr.MsgPutReplica || to != victim.Addr() {
 			return nil
 		}
 		mu.Lock()

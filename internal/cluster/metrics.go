@@ -57,12 +57,12 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		Add(addr, func() float64 { return float64(n.aeLeavesDiverged.Load()) })
 	r.Register("mystore_ae_version_regressions_total", "Applied mutations that replaced a record with an older version (must stay 0).", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeRegressions.Load()) })
-	r.Register("mystore_stream_batches_total", "Streamed repair batches sent by this node.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(n.streamBatches.Load()) })
-	r.Register("mystore_stream_records_total", "Records moved by streamed repair batches sent from this node.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(n.streamRecords.Load()) })
-	r.Register("mystore_stream_bytes_total", "Payload bytes moved by streamed repair from this node.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(n.streamBytes.Load()) })
+	r.Register("mystore_stream_batches_total", "Background-transfer record batches this node wrote and had acknowledged.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(coord.Stats().StreamBatches) })
+	r.Register("mystore_stream_records_total", "Records moved by this node's acknowledged background-transfer batches.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(coord.Stats().StreamRecords) })
+	r.Register("mystore_stream_bytes_total", "Payload bytes moved by this node's acknowledged background-transfer batches.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(coord.Stats().StreamBytes) })
 
 	bs := n.breakers
 	r.Register("mystore_breaker_open", "Peer circuit breakers currently open.", metrics.TypeGauge, "node").

@@ -67,8 +67,6 @@ type Config struct {
 	// peer selection) so chaos and ablation runs are reproducible. Zero keeps
 	// the process-global RNG.
 	Seed int64
-	// StreamBatchBytes bounds one node.stream.records batch (default 256 KiB).
-	StreamBatchBytes int
 	// Tracer, when non-nil, is this node's trace collector. Transports that
 	// support it (TCP) join incoming on-wire trace ids against it, so a
 	// networked node's spans correlate with the originating gateway trace.
@@ -124,10 +122,7 @@ type Node struct {
 	// peer) behind anti-entropy.
 	ae aeState
 
-	// Background-transfer instrumentation (see stream.go, antientropy.go).
-	streamBatches    atomic.Int64
-	streamRecords    atomic.Int64
-	streamBytes      atomic.Int64
+	// Anti-entropy instrumentation (see antientropy.go).
 	aeRounds         atomic.Int64
 	aeDigestBytes    atomic.Int64
 	aeLeavesDiverged atomic.Int64
@@ -191,15 +186,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	// goes backwards). WAL replay already ran in Open, so the forest starts
 	// unbuilt and the first round's scan covers restart data.
 	store.C(nwr.RecordCollection).SetApplyObserver(n.observeRecordApply)
-	// Hint writeback drains a page per streamed batch instead of one RPC
-	// per parked record.
-	n.coord.StreamTo = func(ctx context.Context, target string, recs []nwr.Record) bool {
-		ss := n.newStreamSender(target)
-		for _, rec := range recs {
-			ss.Add(ctx, rec)
-		}
-		return ss.Flush(ctx)
-	}
 	// Join the ring locally and announce capacity through gossip so peers
 	// add us with the right weight.
 	if err := n.addToRing(tr.Addr(), cfg.Weight); err != nil {
@@ -442,12 +428,6 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		return n.handleAEChildren(msg.Body)
 	case MsgAELeaf:
 		return n.handleAELeaf(msg.Body)
-	case MsgStreamRecords:
-		return n.handleStreamRecords(ctx, msg.Body)
-	case MsgStreamOffer:
-		return n.handleStreamOffer(msg.Body)
-	case MsgStreamFetch:
-		return n.handleStreamFetch(msg.Body)
 	case MsgAggregate:
 		return n.handleAggregate(ctx, msg.Body)
 	default:
@@ -456,7 +436,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 }
 
 // handleGetMany serves MsgGetMany: this node coordinates a batched quorum
-// read over every requested key (one MsgGetReplicaBatch RPC per peer). Each
+// read over every requested key (one nwr.get.replica per peer). Each
 // result entry carries found/val; a key whose quorum failed carries its
 // error instead, so callers can tell "absent" from "unreadable".
 func (n *Node) handleGetMany(ctx context.Context, body bson.D) (bson.D, error) {

@@ -885,10 +885,11 @@ func (g *group) truncateFromLocked(idx uint64) {
 
 // --- snapshot catch-up ---------------------------------------------------
 
-// sendSnapshot streams the whole range's records to peer over the cluster
-// bulk path, then installs the snapshot marker. Resumable by construction:
-// every streamed batch merges LWW on the receiver, so a crash mid-transfer
-// (either side) just re-streams on the next attempt.
+// sendSnapshot streams the whole range's records to peer (Env.StreamRange),
+// then installs the snapshot marker. Resumable by construction: every
+// batch merges LWW on the receiver and is acked only once all of it
+// applied, so a crash mid-transfer (either side) just re-streams on the
+// next attempt.
 func (g *group) sendSnapshot(ctx context.Context, peer string, term uint64) {
 	defer func() {
 		g.mu.Lock()

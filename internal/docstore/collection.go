@@ -200,21 +200,6 @@ func (c *Collection) Get(id any) (bson.D, bool) {
 	return v.Clone(), true
 }
 
-// GetEach is Get for a batch of string primary keys under one read-lock
-// acquisition. The result is keyed by id; ids with no document are absent.
-func (c *Collection) GetEach(ids []string) map[string]bson.D {
-	out := make(map[string]bson.D, len(ids))
-	c.mu.RLock()
-	for _, id := range ids {
-		if v, _, ok := c.primary.Get(EncodeKey(id)); ok {
-			out[id] = v.Clone()
-		}
-	}
-	c.mu.RUnlock()
-	c.store.statIndexHit.Add(uint64(len(ids)))
-	return out
-}
-
 // EnsureIndex creates a secondary index over the given field path if one
 // does not exist, indexing current documents. Unique indexes fail if
 // existing documents already collide.

@@ -13,8 +13,9 @@
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
 # the CP tier (consensus), the repair path (merkle), the observability
 # packages (metrics, trace) and the load generator's histogram (workload);
-# then short native-fuzz smokes of the three readers
+# then short native-fuzz smokes of the four readers
 # that take bytes they did not just write — the wire frame reader, the
+# replica record protocol (nwr.put.replica / nwr.get.replica bodies), the
 # docstore's WAL replay and the WAL's segment scan-and-repair on open — and
 # the switch guard: the system has one
 # configuration, so a new Disable*/WaitForAllReads/SerializeWritePath switch
@@ -37,6 +38,7 @@ go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/trans
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
 go test -race -run '^TestHistogram' ./internal/workload
 go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
+go test -run '^$' -fuzz FuzzReplicaMessage -fuzztime 5s ./internal/nwr
 go test -run '^$' -fuzz FuzzReplayRecord -fuzztime 5s ./internal/docstore
 go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 5s ./internal/wal
 
