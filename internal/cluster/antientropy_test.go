@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"mystore/internal/docstore"
@@ -105,6 +107,35 @@ func TestAntiEntropyNoPeers(t *testing.T) {
 	pushed, pulled := h.nodes[0].AntiEntropyRound(context.Background())
 	if pushed != 0 || pulled != 0 {
 		t.Fatalf("single-node round did work: %d/%d", pushed, pulled)
+	}
+}
+
+// TestPullAppliesEachRecordOnItsOwn: an anti-entropy pull applies every
+// record it read independently, so a store that fails one apply in five
+// still takes the other four.
+func TestPullAppliesEachRecordOnItsOwn(t *testing.T) {
+	h := newHarness(t, 2)
+	puller, peer := h.nodes[0], h.nodes[1]
+	// The hook goes in before any traffic; only the pull below writes here.
+	var puts atomic.Int64
+	puller.Coordinator().OnLocalOp = func(op string, _ int) error {
+		if op == "put" && puts.Add(1)%5 == 0 {
+			return errors.New("injected: apply failed")
+		}
+		return nil
+	}
+	h.converge(8)
+	const records = 40
+	keys := make([]string, records)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("pull-%02d", i)
+		rec := nwr.Record{Key: keys[i], Val: []byte("v"), IsData: true, Ver: 1, Origin: "a"}
+		if err := peer.Coordinator().ApplyLocal(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if pulled := puller.pullRecords(context.Background(), peer.Addr(), keys); pulled != records*4/5 {
+		t.Fatalf("pulled %d of %d records, want every one but the %d failed applies", pulled, records, records/5)
 	}
 }
 
