@@ -481,8 +481,8 @@ func (n *Node) pullRecords(ctx context.Context, peer string, keys []string) (pul
 		return 0
 	}
 	got, _ := n.coord.ReadRecords(ctx, peer, keys, false)
-	for _, k := range keys {
-		if rec, ok := got[k]; ok && n.coord.ApplyLocalCtx(ctx, rec) == nil {
+	for _, rec := range got {
+		if n.coord.ApplyLocalCtx(ctx, rec) == nil {
 			pulled++
 		}
 	}

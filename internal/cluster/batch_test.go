@@ -3,7 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
+
+	"mystore/internal/bson"
+	"mystore/internal/transport"
 )
 
 // TestClientGetMany round-trips the batched read: Client → MsgGetMany → the
@@ -54,5 +58,17 @@ func TestClientGetMany(t *testing.T) {
 	found, failed, err = c.GetMany(ctx, nil)
 	if err != nil || len(found) != 0 || len(failed) != 0 {
 		t.Fatalf("empty GetMany = %v, %v, %v", found, failed, err)
+	}
+}
+
+// TestGetManyRejectsMalformedKeys: a key list holding a non-string is an
+// error naming the bad entry, not a batch that silently drops it and
+// reports it absent.
+func TestGetManyRejectsMalformedKeys(t *testing.T) {
+	h := newQuorumHarness(t, 3, 3, 2, 2)
+	body := bson.D{{Key: "keys", Value: bson.A{"a", int64(7)}}}
+	resp, err := h.nodes[0].handleMessage(context.Background(), transport.Message{Type: MsgGetMany, Body: body})
+	if err == nil || !strings.Contains(err.Error(), "key 1 is int64") {
+		t.Fatalf("get.many with keys [\"a\", 7] = %v, %v; want an error naming key 1", resp, err)
 	}
 }

@@ -35,7 +35,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	r.Register("mystore_hints_queued", "Hinted-handoff records parked on this node awaiting delivery.", metrics.TypeGauge, "node").
 		Add(addr, func() float64 { return float64(coord.HintCount()) })
 
-	r.Register("mystore_nwr_hedged_reads_total", "Replica reads launched early by the hedge timer or a primary failure.", metrics.TypeCounter, "node").
+	r.Register("mystore_nwr_hedged_reads_total", "Reserve replica reads launched early by the hedge timer or a failed read, one per key and reserve.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().HedgedReads) })
 	r.Register("mystore_nwr_coalesced_reads_total", "Reads served by joining an in-flight fan-out for the same key.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().CoalescedReads) })

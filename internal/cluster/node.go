@@ -445,10 +445,10 @@ func (n *Node) handleGetMany(ctx context.Context, body bson.D) (bson.D, error) {
 	if !ok {
 		return nil, errors.New("cluster: get.many requires keys")
 	}
-	keys := make([]string, 0, len(arr))
-	for _, v := range arr {
-		if s, isStr := v.(string); isStr {
-			keys = append(keys, s)
+	keys := make([]string, len(arr))
+	for i, v := range arr {
+		if keys[i], ok = v.(string); !ok {
+			return nil, fmt.Errorf("cluster: get.many key %d is %T, want string", i, v)
 		}
 	}
 	results, err := n.coord.GetMany(ctx, keys)

@@ -178,16 +178,16 @@ func (n *Node) pushNewer(ctx context.Context, peer string, keys []string) (confi
 		if err != nil {
 			return confirmed, sent, false
 		}
+		held := make(map[string]nwr.Record, len(theirs))
+		for _, t := range theirs {
+			held[t.Key] = t
+		}
 		var send []nwr.Record
-		for _, key := range page {
-			rec, have := ours[key]
-			if !have {
-				continue
-			}
-			if t, found := theirs[key]; !found || rec.Newer(t) {
+		for _, rec := range ours {
+			if t, found := held[rec.Key]; !found || rec.Newer(t) {
 				send = append(send, rec)
 			} else {
-				confirmed[key] = true
+				confirmed[rec.Key] = true
 			}
 		}
 		applied, all := n.coord.WriteRecords(ctx, peer, send)

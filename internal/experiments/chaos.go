@@ -39,11 +39,12 @@ type ChaosResult struct {
 	BreakersOpened     int64
 
 	// HedgedReads counts reserve replica reads launched by the hedge timer
-	// or primary failures during the soak (informational — chaos makes
-	// hedging fire constantly).
+	// or failed reads during the soak, one per key and reserve
+	// (informational — chaos makes hedging fire constantly).
 	HedgedReads int64
 	// ReadQuorumViolations is invariant 4: the read path's tripwire for a
-	// quorum-first or batched read that settled with fewer than R responses.
+	// read, single-key or batched, that settled a key with fewer than R
+	// responses.
 	// Hedged reads must never weaken the R contract, so this must stay 0.
 	ReadQuorumViolations int64
 	// VersionRegressions is invariant 5: anti-entropy, rebalance and

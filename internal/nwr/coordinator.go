@@ -49,15 +49,6 @@ type Config struct {
 	// RetryBudget, when non-nil, bounds replica-write retry amplification
 	// cluster-wide (token bucket). Nil always grants.
 	RetryBudget *resilience.RetryBudget
-	// HedgeDelay overrides the adaptive delay before the N−R non-primary
-	// replica reads launch. Zero means adaptive: the recent p95 of this
-	// coordinator's read latency, floored at 1ms and capped at
-	// CallTimeout/2.
-	HedgeDelay time.Duration
-	// RepairQueue sizes the async read-repair pool's queue (repairWorkers
-	// drain it). Zero means 256 jobs; jobs arriving on a full queue are
-	// dropped and counted in Stats.ReadRepairDropped.
-	RepairQueue int
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -83,9 +74,6 @@ func (c Config) withDefaults() Config {
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 2 * time.Second
 	}
-	if c.RepairQueue <= 0 {
-		c.RepairQueue = 256
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -99,9 +87,9 @@ var (
 	ErrNotFound    = errors.New("nwr: key not found")
 )
 
-// Stats counts coordinator activity. Gets counts read generations (replica
-// fan-outs); CoalescedReads counts callers served by joining one, so
-// client-visible reads are Gets + CoalescedReads.
+// Stats counts coordinator activity. Gets counts keys read through a replica
+// fan-out; CoalescedReads counts Get callers served by joining one, so
+// client-visible key reads are Gets + CoalescedReads.
 type Stats struct {
 	Puts, PutFailures    int64
 	Gets, GetFailures    int64
@@ -110,8 +98,8 @@ type Stats struct {
 	ReadRepairs          int64
 	ReplicaSupplements   int64
 	RetriedReplicaWrites int64
-	// HedgedReads counts non-primary replica reads launched early by the
-	// hedge timer or a primary's failure.
+	// HedgedReads counts reserve replica reads launched early by the hedge
+	// timer or a failed read, one per key and reserve.
 	HedgedReads int64
 	// CoalescedReads counts reads served by an in-flight fan-out for the
 	// same key instead of their own.
@@ -120,9 +108,9 @@ type Stats struct {
 	BatchGets int64
 	// ReadRepairDropped counts repair jobs lost to a full repair queue.
 	ReadRepairDropped int64
-	// ReadQuorumViolations is a defensive tripwire: incremented if the
-	// quorum-first path were ever about to answer OK with fewer than R
-	// responses. The chaos harness asserts it stays zero.
+	// ReadQuorumViolations is a defensive tripwire: incremented if a read
+	// ever counted a key settled below R successful responses. The chaos
+	// harness asserts it stays zero.
 	ReadQuorumViolations int64
 	// Stream* count what WriteRecords delivered — the background transfer
 	// volume of hint writeback, anti-entropy, rebalance and snapshot
@@ -210,7 +198,7 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 		putLatency: metrics.NewBucketedHistogram(nil),
 		getLatency: metrics.NewBucketedHistogram(nil),
 		flights:    make(map[string]*flight),
-		repairQ:    make(chan repairJob, cfg.RepairQueue),
+		repairQ:    make(chan repairJob, repairQueue),
 		repairQuit: make(chan struct{}),
 	}
 	for _, field := range store.C(RecordCollection).Indexes() {
@@ -381,11 +369,13 @@ func (c *Coordinator) peerWorthRetrying(target string) bool {
 	return true
 }
 
-// callPeer is the breaker-gated RPC every coordinator path goes through. An
-// open breaker rejects in microseconds; outcomes feed the breaker — a
+// CallPeer is the breaker-gated RPC every coordinator path goes through, and
+// the cluster layer's Merkle anti-entropy and consensus RPCs with it, so an
+// open breaker fast-fails repair work exactly like foreground work. An open
+// breaker rejects in microseconds; outcomes feed the breaker — a
 // transport-level failure counts against the peer, while a remote
 // application error proves it alive.
-func (c *Coordinator) callPeer(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
+func (c *Coordinator) CallPeer(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
 	if !c.cfg.Breakers.Allow(target) {
 		return nil, fmt.Errorf("%w: %s: circuit breaker open", transport.ErrUnreachable, target)
 	}
@@ -397,14 +387,6 @@ func (c *Coordinator) callPeer(ctx context.Context, target, msgType string, body
 		c.cfg.RetryBudget.Earn()
 	}
 	return resp, err
-}
-
-// CallPeer exposes the breaker-gated RPC path to the cluster layer: the
-// Merkle anti-entropy and consensus RPCs ride the same breakers, timeout and
-// retry-budget accounting as replica traffic, so an open breaker fast-fails
-// repair work exactly like foreground work.
-func (c *Coordinator) CallPeer(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
-	return c.callPeer(ctx, target, msgType, body)
 }
 
 // writeReplica applies rec on target (locally or over the wire).
@@ -453,10 +435,10 @@ func (c *Coordinator) storeHint(ctx context.Context, replicaSet []string, target
 		if c.Live != nil && !c.Live(cand) {
 			continue
 		}
-		// callPeer skips candidates with open breakers in microseconds, so
+		// CallPeer skips candidates with open breakers in microseconds, so
 		// the walk settles on a live stand-in instead of burning a
 		// CallTimeout per dead candidate.
-		if _, err := c.callPeer(ctx, cand, MsgHintStore, body); err == nil {
+		if _, err := c.CallPeer(ctx, cand, MsgHintStore, body); err == nil {
 			c.bump(func(s *Stats) { s.HintsStored++ })
 			return true
 		}
@@ -722,7 +704,7 @@ func (c *Coordinator) pingTarget(ctx context.Context, target string) bool {
 	if c.Live != nil && !c.Live(target) {
 		return false
 	}
-	_, err := c.callPeer(ctx, target, MsgPing, nil)
+	_, err := c.CallPeer(ctx, target, MsgPing, nil)
 	return err == nil
 }
 

@@ -66,7 +66,7 @@ func (c *Coordinator) putReplica(ctx context.Context, target string, recs []Reco
 	for i, rec := range recs {
 		docs[i] = rec.ToDoc()
 	}
-	resp, err := c.callPeer(ctx, target, MsgPutReplica, bson.D{{Key: "records", Value: docs}})
+	resp, err := c.CallPeer(ctx, target, MsgPutReplica, bson.D{{Key: "records", Value: docs}})
 	if err != nil {
 		return 0, err
 	}
@@ -181,7 +181,7 @@ func (c *Coordinator) readReplica(ctx context.Context, target string, keys []str
 	if digest {
 		body = append(body, bson.E{Key: "digest", Value: true})
 	}
-	resp, err := c.callPeer(ctx, target, MsgGetReplica, body)
+	resp, err := c.CallPeer(ctx, target, MsgGetReplica, body)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -195,22 +195,34 @@ func (c *Coordinator) readReplica(ctx context.Context, target string, keys []str
 }
 
 // ReadRecords reads keys' records from target, resuming at each response's
-// consumed cursor until every key is answered. The result holds the keys
-// target has a record for — without values when digest is set. On error it
-// also returns what arrived before.
-func (c *Coordinator) ReadRecords(ctx context.Context, target string, keys []string, digest bool) (map[string]Record, error) {
-	out := make(map[string]Record, len(keys))
+// consumed cursor until every key is answered. It returns the records target
+// holds, in key order — without values when digest is set — and on error
+// also what arrived before. An answer whose records do not follow the order
+// of the keys asked is an error.
+func (c *Coordinator) ReadRecords(ctx context.Context, target string, keys []string, digest bool) (out []Record, err error) {
 	for len(keys) > 0 {
 		page := keys[:min(len(keys), maxReadKeys)]
 		recs, consumed, err := c.readReplica(ctx, target, page, digest)
 		if err != nil {
 			return out, err
 		}
-		for _, rec := range recs {
-			out[rec.Key] = rec
-		}
 		if consumed <= 0 || consumed > len(page) {
 			return out, fmt.Errorf("nwr: %s answered a read with consumed = %d of %d keys", target, consumed, len(page))
+		}
+		next := 0
+		for _, rec := range recs {
+			for next < consumed && page[next] != rec.Key {
+				next++
+			}
+			if next == consumed {
+				return out, fmt.Errorf("nwr: %s answered key %q out of order or unasked", target, rec.Key)
+			}
+			next++
+		}
+		if out == nil {
+			out = recs
+		} else {
+			out = append(out, recs...)
 		}
 		keys = keys[consumed:]
 	}

@@ -83,8 +83,8 @@ func TestDigestReadOmitsValue(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("digest read found %d records, want 2", len(got))
 	}
-	for _, want := range []Record{live, dead} {
-		rec := got[want.Key]
+	for i, want := range []Record{live, dead} {
+		rec := got[i]
 		if len(rec.Val) != 0 || rec.Ver != want.Ver || rec.Origin != want.Origin || rec.Deleted != want.Deleted {
 			t.Fatalf("digest of %s = %+v, want version %d, origin %s, deleted %v and no value",
 				want.Key, rec, want.Ver, want.Origin, want.Deleted)

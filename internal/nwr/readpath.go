@@ -1,18 +1,20 @@
 package nwr
 
-// The quorum-first read path. A read dispatches its R primary replica reads
-// immediately and parks the remaining N−R as reserves; the reserves launch
-// when a hedge timer fires (recent p95 of read latency), when a primary
-// fails, or — at the latest — once the quorum is met, as background repair
-// probes. The caller gets an answer as soon as R replicas respond; the
-// stragglers finish on a detached context and feed the async repair pool, so
-// every read still drives repair and replica supplementation across all N
-// replicas ("if replications are less than N ... some more replications are
-// supplemented", §5.2.2) without paying max-over-N latency for it.
+// The read path: one quorum read over a key set, behind both Get and
+// GetMany. A read asks each key's R primary replicas at once and parks the
+// remaining N−R as reserves; the reserves launch when a hedge timer fires
+// (recent p95 of read latency), when any read fails, or — at the latest —
+// once every key has its quorum, as background repair probes. The caller
+// gets an answer as soon as every key has R answers; the stragglers finish on
+// a detached context and feed the async repair pool, so every read still
+// drives repair and replica supplementation across all N replicas ("if
+// replications are less than N ... some more replications are supplemented",
+// §5.2.2) without paying max-over-N latency for it.
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"mystore/internal/trace"
@@ -26,21 +28,23 @@ const minHedgeDelay = time.Millisecond
 // read-latency histogram; Snapshot allocates and reads are hot.
 const hedgeRecomputeEvery = 100 * time.Millisecond
 
-// repairWorkers is how many goroutines drain the async read-repair queue.
-const repairWorkers = 2
+// repairWorkers is how many goroutines drain the async read-repair queue;
+// repairQueue is how many jobs it holds before further ones are dropped and
+// counted in Stats.ReadRepairDropped.
+const (
+	repairWorkers = 2
+	repairQueue   = 256
+)
 
 // stragglerGrace is how long past a replica call's own timeout the
 // background finisher keeps draining answers before repairing with what it
 // has.
 const stragglerGrace = time.Second
 
-// hedgeDelay returns how long the reserves stay parked: the configured
-// override, else the recent p95 of this coordinator's read latency floored
-// at minHedgeDelay and capped at CallTimeout/2.
+// hedgeDelay returns how long the reserves stay parked: the recent p95 of
+// this coordinator's read latency floored at minHedgeDelay and capped at
+// CallTimeout/2.
 func (c *Coordinator) hedgeDelay() time.Duration {
-	if c.cfg.HedgeDelay > 0 {
-		return c.cfg.HedgeDelay
-	}
 	now := c.cfg.Now().UnixNano()
 	if stamp := c.hedgeStamp.Load(); stamp != 0 && now-stamp < int64(hedgeRecomputeEvery) {
 		return time.Duration(c.hedgeCached.Load())
@@ -57,11 +61,8 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	return d
 }
 
-// Get reads key with the read quorum: dispatch replica reads, return as soon
-// as R replicas answer (quorum-first, resolved last-write-wins), and let the
-// stragglers finish in the background feeding read repair / replica
-// supplementation ("if replications are less than N ... some more
-// replications are supplemented", §5.2.2).
+// Get reads key with the read quorum: the one read over a set of one key,
+// behind the per-key coalescer.
 func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err error) {
 	ctx, sp := trace.Start(ctx, "nwr.read")
 	start := c.cfg.Now()
@@ -76,8 +77,7 @@ func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err erro
 // arriving while it is in flight wait on done instead of fanning out again.
 type flight struct {
 	done chan struct{}
-	val  []byte
-	err  error
+	res  KeyResult
 }
 
 // coalescedRead is the per-key singleflight in front of the read path: the
@@ -104,149 +104,214 @@ func (c *Coordinator) coalescedRead(ctx context.Context, key string) ([]byte, er
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*c.cfg.CallTimeout)
 		go func() {
 			defer cancel()
-			val, err := c.readQuorum(fctx, key)
+			res, err := c.read(fctx, []string{key})
+			if err != nil {
+				res = []KeyResult{{Key: key, Err: err}}
+			}
 			c.flightMu.Lock()
 			delete(c.flights, key)
 			c.flightMu.Unlock()
-			f.val, f.err = val, err
+			f.res = res[0]
 			close(f.done)
 		}()
 	}
 	select {
 	case <-f.done:
-		return f.val, f.err
+		return f.res.Val, f.res.Err
 	case <-ctx.Done():
 		return nil, fmt.Errorf("%w: abandoned coalesced read for key %q: %v",
 			ErrQuorumRead, key, ctx.Err())
 	}
 }
 
-// replicaAnswer is one replica's response to a read.
+// replicaAnswer is one replica's successful answer for one key.
 type replicaAnswer struct {
 	target string
 	rec    Record
 	found  bool
-	err    error
 }
 
-// readOp is the per-read state machine: which replicas were dispatched,
-// which are still parked as reserves, and what has answered so far. It is
-// only ever touched by one goroutine at a time — the quorum loop until
-// settle, then the background finisher.
+// KeyResult is one key's outcome within a read.
+type KeyResult struct {
+	Key string
+	Val []byte
+	Err error // nil, ErrNotFound, or ErrQuorumRead
+}
+
+// peerRead is one replica read: a peer, the keys asked of it and their
+// positions in the read, in key order.
+type peerRead struct {
+	peer string
+	keys []string
+	idx  []int
+}
+
+// peerAnswer is a peerRead's outcome: the records the peer holds for its
+// keys, in key order.
+type peerAnswer struct {
+	peerRead
+	recs []Record
+	err  error
+}
+
+// readOp is one quorum read over a deduplicated key set. perKey holds the
+// successful answers for each key, indexed by key position. Only one
+// goroutine touches it at a time: the read until the caller has its answer,
+// then the finisher.
 type readOp struct {
-	c          *Coordinator
-	key        string
-	bctx       context.Context // detached from the caller; values only
-	answers    chan replicaAnswer
-	pending    []string // replicas not yet dispatched
-	dispatched int
-	collected  []replicaAnswer
-	responded  int
+	c        *Coordinator
+	keys     []string
+	bctx     context.Context // detached from the caller; values only
+	answers  chan peerAnswer
+	reserves []peerRead // parked, one read per peer
+	inflight int
+	perKey   [][]replicaAnswer
 }
 
-// readQuorum runs one replica fan-out generation for key and returns at R
-// responses.
-func (c *Coordinator) readQuorum(ctx context.Context, key string) ([]byte, error) {
-	targets, err := c.ring.Successors(key, c.cfg.N)
-	if err != nil {
-		return nil, err
-	}
-	op := &readOp{
-		c:       c,
-		key:     key,
-		bctx:    context.WithoutCancel(ctx),
-		answers: make(chan replicaAnswer, len(targets)),
-	}
-	primaries := c.cfg.R
-	if primaries > len(targets) {
-		primaries = len(targets)
-	}
-	for _, t := range targets[:primaries] {
-		op.dispatch(t)
-	}
-	op.pending = append(op.pending, targets[primaries:]...)
-
-	var hedgeCh <-chan time.Time
-	if len(op.pending) > 0 {
-		timer := time.NewTimer(c.hedgeDelay())
-		defer timer.Stop()
-		hedgeCh = timer.C
-	}
-
-	for len(op.collected) < op.dispatched {
-		select {
-		case a := <-op.answers:
-			op.collected = append(op.collected, a)
-			if a.err == nil {
-				op.responded++
-				if op.responded >= c.cfg.R {
-					return op.settle()
-				}
-			} else {
-				// A failed primary is the strongest hedge signal: launch the
-				// reserves now regardless of the timer — correctness, not a
-				// latency optimisation.
-				op.launchPending(true)
-				hedgeCh = nil
-			}
-		case <-hedgeCh:
-			op.launchPending(true)
-			hedgeCh = nil
-		case <-ctx.Done():
-			c.bump(func(s *Stats) { s.GetFailures++ })
-			return nil, fmt.Errorf("%w: abandoned at %d/%d answers for key %q: %v",
-				ErrQuorumRead, op.responded, c.cfg.R, key, ctx.Err())
+// addRead files key, at position i, under peer's read in reads. A read
+// touches at most every node once, so the linear search stays short.
+func addRead(reads []peerRead, peer, key string, i int) []peerRead {
+	for j := range reads {
+		if reads[j].peer == peer {
+			reads[j].keys = append(reads[j].keys, key)
+			reads[j].idx = append(reads[j].idx, i)
+			return reads
 		}
 	}
-	// Every dispatched replica has answered without reaching the early
-	// return: the fan-out fell short of R, and the read fails. (The loop
-	// cannot exit with reserves still parked — any primary failure launches
-	// them.)
-	c.bump(func(s *Stats) { s.GetFailures++ })
-	return nil, fmt.Errorf("%w: %d/%d replicas answered for key %q",
-		ErrQuorumRead, op.responded, c.cfg.R, key)
+	return append(reads, peerRead{peer: peer, keys: []string{key}, idx: []int{i}})
+}
+
+// read is the one quorum read, behind Get (through the coalescer, with one
+// key) and GetMany. A key's primaries are its first R ring successors: each
+// primary peer gets one read naming every key it is primary for, and these
+// go out at once. The other N−R replicas are parked per peer and launched
+// when the hedge timer fires, when any read fails, or — by the finisher —
+// once the caller has its answer. A key settles at R successful answers,
+// resolved last-write-wins over everything that has arrived; read returns
+// when every key has settled or no read is left to wait for.
+func (c *Coordinator) read(ctx context.Context, keys []string) ([]KeyResult, error) {
+	op := &readOp{c: c, keys: keys, bctx: context.WithoutCancel(ctx), perKey: make([][]replicaAnswer, len(keys))}
+	backing := make([]replicaAnswer, 0, len(keys)*c.cfg.N)
+	var primaries []peerRead
+	for i, k := range keys {
+		targets, err := c.ring.Successors(k, c.cfg.N)
+		if err != nil {
+			return nil, err
+		}
+		op.perKey[i] = backing[i*c.cfg.N : i*c.cfg.N : (i+1)*c.cfg.N]
+		for j, t := range targets {
+			if j < c.cfg.R {
+				primaries = addRead(primaries, t, k, i)
+			} else {
+				op.reserves = addRead(op.reserves, t, k, i)
+			}
+		}
+	}
+	op.answers = make(chan peerAnswer, len(primaries)+len(op.reserves))
+	for _, r := range primaries {
+		op.dispatch(r)
+	}
+	hedge := time.NewTimer(c.hedgeDelay())
+	defer hedge.Stop()
+
+	unsettled := len(keys)
+	for unsettled > 0 && op.inflight > 0 {
+		select {
+		case a := <-op.answers:
+			unsettled -= op.take(a)
+			// A failed read is the only way a key stays short of R once its
+			// primaries answer: launch the reserves now.
+			if a.err != nil {
+				op.launchReserves(true)
+			}
+		case <-hedge.C:
+			op.launchReserves(true)
+		case <-ctx.Done():
+			c.bump(func(s *Stats) { s.GetFailures += int64(len(keys)) })
+			return nil, fmt.Errorf("%w: abandoned with %d of %d keys settled: %v",
+				ErrQuorumRead, len(keys)-unsettled, len(keys), ctx.Err())
+		}
+	}
+
+	results := make([]KeyResult, len(keys))
+	failed := 0
+	for i, k := range keys {
+		results[i].Key = k
+		if ok := len(op.perKey[i]); ok < c.cfg.R {
+			failed++
+			results[i].Err = fmt.Errorf("%w: %d/%d replicas answered for key %q", ErrQuorumRead, ok, c.cfg.R, k)
+		} else if newest, have := newestOf(op.perKey[i]); !have || newest.Deleted {
+			results[i].Err = fmt.Errorf("%w: %q", ErrNotFound, k)
+		} else {
+			results[i].Val = newest.Val
+		}
+	}
+	c.bump(func(s *Stats) {
+		s.Gets += int64(len(keys) - failed)
+		s.GetFailures += int64(failed)
+		if unsettled == 0 && failed > 0 {
+			s.ReadQuorumViolations++ // the loop counted a key settled below R
+		}
+	})
+	go op.finish()
+	return results, nil
 }
 
 // dispatch launches one replica read; its answer lands on op.answers.
-func (op *readOp) dispatch(target string) {
-	op.dispatched++
+func (op *readOp) dispatch(r peerRead) {
+	op.inflight++
 	go func() {
-		rctx, rsp := trace.Start(op.bctx, "nwr.replica.read")
-		rsp.SetPeer(target)
-		recs, _, err := op.c.readReplica(rctx, target, []string{op.key}, false)
-		rsp.End(err)
-		a := replicaAnswer{target: target, err: err}
-		if len(recs) > 0 {
-			a.rec, a.found = recs[0], true
-		}
-		op.answers <- a
+		rctx, sp := trace.Start(op.bctx, "nwr.replica.read")
+		sp.SetPeer(r.peer)
+		recs, err := op.c.ReadRecords(rctx, r.peer, r.keys, false)
+		sp.End(err)
+		op.answers <- peerAnswer{peerRead: r, recs: recs, err: err}
 	}()
 }
 
-// launchPending dispatches the parked reserves. hedge marks launches that
-// happen while the caller is still waiting (timer or error signal) — those
-// count as hedged reads; the post-settle launch from finish does not.
-func (op *readOp) launchPending(hedge bool) {
-	if len(op.pending) == 0 {
-		return
+// take files a successful peer answer under each of its keys and returns
+// how many keys it brought to R answers.
+func (op *readOp) take(a peerAnswer) (settled int) {
+	op.inflight--
+	if a.err != nil {
+		return 0
 	}
-	if hedge {
-		op.c.bump(func(s *Stats) { s.HedgedReads += int64(len(op.pending)) })
+	recs := a.recs
+	for _, i := range a.idx {
+		ans := replicaAnswer{target: a.peer}
+		if len(recs) > 0 && recs[0].Key == op.keys[i] {
+			ans.rec, ans.found, recs = recs[0], true, recs[1:]
+		}
+		if op.perKey[i] = append(op.perKey[i], ans); len(op.perKey[i]) == op.c.cfg.R {
+			settled++
+		}
+	}
+	return settled
+}
+
+// launchReserves dispatches the parked reserves. hedge marks launches made
+// while the caller still waits (timer or failure): those count as hedged
+// reads, one per key and reserve; the finisher's launch does not.
+func (op *readOp) launchReserves(hedge bool) {
+	n := 0
+	for _, r := range op.reserves {
+		op.dispatch(r)
+		n += len(r.idx)
+	}
+	op.reserves = nil
+	if hedge && n > 0 {
+		op.c.bump(func(s *Stats) { s.HedgedReads += int64(n) })
 		_, hsp := trace.Start(op.bctx, "nwr.read.hedge")
 		hsp.End(nil)
 	}
-	for _, t := range op.pending {
-		op.dispatch(t)
-	}
-	op.pending = nil
 }
 
-// newestOf resolves last-write-wins over the successful answers.
+// newestOf resolves last-write-wins over the answers.
 func newestOf(answers []replicaAnswer) (Record, bool) {
 	var newest Record
 	have := false
 	for _, a := range answers {
-		if a.err == nil && a.found && (!have || a.rec.Newer(newest)) {
+		if a.found && (!have || a.rec.Newer(newest)) {
 			newest = a.rec
 			have = true
 		}
@@ -254,44 +319,28 @@ func newestOf(answers []replicaAnswer) (Record, bool) {
 	return newest, have
 }
 
-// settle answers the caller the moment the quorum is met. The stragglers and
-// any still-parked reserves move to a background finisher that completes the
-// full N-replica picture and feeds the repair pool.
-func (op *readOp) settle() ([]byte, error) {
-	c := op.c
-	if op.responded < c.cfg.R {
-		// Defensive tripwire — settle must only ever run at quorum.
-		c.bump(func(s *Stats) { s.ReadQuorumViolations++ })
-	}
-	newest, haveNewest := newestOf(op.collected)
-	c.bump(func(s *Stats) { s.Gets++ })
-	go op.finish()
-	if !haveNewest || newest.Deleted {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, op.key)
-	}
-	return newest.Val, nil
-}
-
-// finish runs after the caller already has its answer: launch the reserves
-// the hedge never reached (keeping the read-all-N repair semantics without
-// its latency), drain the stragglers bounded by their own RPC timeout, then
-// hand the complete replica picture to the repair pool.
+// finish runs after the caller has its answer: it launches the reserves the
+// hedge never reached (keeping read-all-N repair without its latency),
+// drains the stragglers bounded by their own RPC timeout, and hands each
+// key's replica picture to the repair pool.
 func (op *readOp) finish() {
-	op.launchPending(false)
+	op.launchReserves(false)
 	timeout := time.NewTimer(op.c.cfg.CallTimeout + stragglerGrace)
 	defer timeout.Stop()
-collect:
-	for len(op.collected) < op.dispatched {
+drain:
+	for op.inflight > 0 {
 		select {
 		case a := <-op.answers:
-			op.collected = append(op.collected, a)
+			op.take(a)
 		case <-timeout.C:
 			// A straggler outlived even its own RPC timeout; repair with
 			// what we have.
-			break collect
+			break drain
 		}
 	}
-	op.c.repairFromAnswers(op.bctx, op.key, op.collected)
+	for i, k := range op.keys {
+		op.c.repairFromAnswers(op.bctx, k, op.perKey[i])
+	}
 }
 
 // repairFromAnswers compares the collected answers and enqueues one repair
@@ -302,13 +351,10 @@ func (c *Coordinator) repairFromAnswers(bctx context.Context, key string, answer
 	if !have {
 		return
 	}
-	var stale []repairTarget
+	var stale []replicaAnswer
 	for _, a := range answers {
-		if a.err != nil {
-			continue
-		}
 		if !a.found || newest.Newer(a.rec) {
-			stale = append(stale, repairTarget{addr: a.target, found: a.found})
+			stale = append(stale, a)
 		}
 	}
 	if len(stale) == 0 {
@@ -323,12 +369,7 @@ type repairJob struct {
 	ctx    context.Context // detached, value-only: repairs race no deadline
 	key    string
 	newest Record
-	stale  []repairTarget
-}
-
-type repairTarget struct {
-	addr  string
-	found bool // false → the replica had no record at all (supplementation)
+	stale  []replicaAnswer // found is false where the replica had no record (supplementation)
 }
 
 // enqueueRepair hands a job to the repair pool without blocking: the request
@@ -375,14 +416,14 @@ func (c *Coordinator) runRepair(job repairJob) {
 	ctx, sp := trace.Start(ctx, "nwr.repair")
 	var firstErr error
 	for _, t := range job.stale {
-		if c.writeReplica(ctx, t.addr, job.newest) {
+		if c.writeReplica(ctx, t.target, job.newest) {
 			if t.found {
 				c.bump(func(s *Stats) { s.ReadRepairs++ })
 			} else {
 				c.bump(func(s *Stats) { s.ReplicaSupplements++ })
 			}
 		} else if firstErr == nil {
-			firstErr = fmt.Errorf("nwr: repair of %s for key %q failed", t.addr, job.key)
+			firstErr = fmt.Errorf("nwr: repair of %s for key %q failed", t.target, job.key)
 		}
 	}
 	sp.End(firstErr)
@@ -405,160 +446,24 @@ func (c *Coordinator) Close() {
 	})
 }
 
-// KeyResult is one key's outcome within a GetMany.
-type KeyResult struct {
-	Key string
-	Val []byte
-	Err error // nil, ErrNotFound, or ErrQuorumRead
-}
-
-// peerAnswer is one peer's response to a batched replica read.
-type peerAnswer struct {
-	peer string
-	keys []string
-	recs map[string]Record // found keys only
-	err  error
-}
-
-// GetMany reads many keys in one replica round: keys are grouped by replica
-// set, each peer receives one nwr.get.replica covering every key it
-// replicates (more only when the answer outgrows transferBytes; the local
-// share is read the same way), and the call returns as soon as every key
-// has R answers. Straggling peers finish on a detached context and feed read
-// repair exactly like single-key reads.
+// GetMany reads many keys in one replica round: each peer receives one
+// nwr.get.replica covering every key it is primary for (more only when the
+// answer outgrows transferBytes), reserves hedge exactly as for Get, and the
+// call returns once every key has R answers. Results come one per distinct
+// key, in key order.
 func (c *Coordinator) GetMany(ctx context.Context, keys []string) (results []KeyResult, err error) {
-	ctx, sp := trace.Start(ctx, "nwr.read.batch")
+	ctx, sp := trace.Start(ctx, "nwr.read")
 	start := c.cfg.Now()
 	defer func() {
 		c.getLatency.ObserveDuration(c.cfg.Now().Sub(start))
 		sp.End(err)
 	}()
 	c.bump(func(s *Stats) { s.BatchGets++ })
-
-	uniq := make([]string, 0, len(keys))
-	dup := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if !dup[k] {
-			dup[k] = true
-			uniq = append(uniq, k)
-		}
-	}
+	uniq := slices.Clone(keys)
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
 	if len(uniq) == 0 {
 		return nil, nil
 	}
-
-	// Group keys by replica: one read per peer.
-	perPeer := make(map[string][]string)
-	for _, k := range uniq {
-		targets, terr := c.ring.Successors(k, c.cfg.N)
-		if terr != nil {
-			err = terr
-			return nil, err
-		}
-		for _, t := range targets {
-			perPeer[t] = append(perPeer[t], k)
-		}
-	}
-
-	bctx := context.WithoutCancel(ctx)
-	answers := make(chan peerAnswer, len(perPeer))
-	for peer, pk := range perPeer {
-		go func(peer string, pk []string) {
-			rctx, rsp := trace.Start(bctx, "nwr.replica.read.batch")
-			rsp.SetPeer(peer)
-			recs, rerr := c.ReadRecords(rctx, peer, pk, false)
-			rsp.End(rerr)
-			answers <- peerAnswer{peer: peer, keys: pk, recs: recs, err: rerr}
-		}(peer, pk)
-	}
-
-	// Per-key quorum accounting as peer answers arrive; quorum-first across
-	// the whole batch — return once every key has R responses.
-	perKey := make(map[string][]replicaAnswer, len(uniq))
-	responded := make(map[string]int, len(uniq))
-	unsettled := len(uniq)
-	received := 0
-collect:
-	for received < len(perPeer) {
-		select {
-		case a := <-answers:
-			received++
-			for _, k := range a.keys {
-				ans := replicaAnswer{target: a.peer, err: a.err}
-				if a.err == nil {
-					if rec, ok := a.recs[k]; ok {
-						ans.rec, ans.found = rec, true
-					}
-					responded[k]++
-					if responded[k] == c.cfg.R {
-						unsettled--
-					}
-				}
-				perKey[k] = append(perKey[k], ans)
-			}
-			if unsettled == 0 {
-				break collect
-			}
-		case <-ctx.Done():
-			c.bump(func(s *Stats) { s.GetFailures += int64(len(uniq)) })
-			err = fmt.Errorf("%w: abandoned batch read: %v", ErrQuorumRead, ctx.Err())
-			return nil, err
-		}
-	}
-
-	earlyReturn := received < len(perPeer)
-	results = make([]KeyResult, 0, len(uniq))
-	for _, k := range uniq {
-		kr := KeyResult{Key: k}
-		newest, have := newestOf(perKey[k])
-		switch {
-		case responded[k] >= c.cfg.R:
-			c.bump(func(s *Stats) { s.Gets++ })
-			if !have || newest.Deleted {
-				kr.Err = fmt.Errorf("%w: %q", ErrNotFound, k)
-			} else {
-				kr.Val = newest.Val
-			}
-		default:
-			if earlyReturn {
-				// Tripwire: the early break requires every key at quorum.
-				c.bump(func(s *Stats) { s.ReadQuorumViolations++ })
-			}
-			c.bump(func(s *Stats) { s.GetFailures++ })
-			kr.Err = fmt.Errorf("%w: %d/%d replicas answered for key %q",
-				ErrQuorumRead, responded[k], c.cfg.R, k)
-		}
-		results = append(results, kr)
-	}
-	// perKey is handed off to the finisher; no reads of it past this point.
-	go c.finishBatch(bctx, uniq, perKey, answers, len(perPeer)-received)
-	return results, nil
-}
-
-// finishBatch drains the straggling peer answers after a batch read already
-// returned, then enqueues repair jobs for every key with a stale or missing
-// replica.
-func (c *Coordinator) finishBatch(bctx context.Context, keys []string, perKey map[string][]replicaAnswer, answers chan peerAnswer, remaining int) {
-	timeout := time.NewTimer(c.cfg.CallTimeout + stragglerGrace)
-	defer timeout.Stop()
-drain:
-	for i := 0; i < remaining; i++ {
-		select {
-		case a := <-answers:
-			for _, k := range a.keys {
-				ans := replicaAnswer{target: a.peer, err: a.err}
-				if a.err == nil {
-					if rec, ok := a.recs[k]; ok {
-						ans.rec, ans.found = rec, true
-					}
-				}
-				perKey[k] = append(perKey[k], ans)
-			}
-		case <-timeout.C:
-			break drain
-		}
-	}
-	for _, k := range keys {
-		c.repairFromAnswers(bctx, k, perKey[k])
-	}
+	return c.read(ctx, uniq)
 }

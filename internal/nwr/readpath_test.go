@@ -89,41 +89,103 @@ func TestQuorumFirstReturnsBeforeStraggler(t *testing.T) {
 	}
 }
 
+// readPaths are the two entry points of the one read path, reading one key.
+var readPaths = []struct {
+	name string
+	read func(ctx context.Context, co *Coordinator, key string) ([]byte, error)
+}{
+	{"Get", func(ctx context.Context, co *Coordinator, key string) ([]byte, error) {
+		return co.Get(ctx, key)
+	}},
+	{"GetMany", func(ctx context.Context, co *Coordinator, key string) ([]byte, error) {
+		res, err := co.GetMany(ctx, []string{key})
+		if err != nil {
+			return nil, err
+		}
+		return res[0].Val, res[0].Err
+	}},
+}
+
 // TestHedgedReadSurvivesHangingReplica is the integration half of the hedge:
-// with the only primary hung far past CallTimeout, the hedge timer launches
-// the reserves and the read completes correctly in a small fraction of
+// with the only primary hung far past CallTimeout, the hedge timer (a fresh
+// coordinator's adaptive delay, the 1ms floor) launches the reserves and the
+// read — single or batched — completes correctly in a small fraction of
 // CallTimeout.
 func TestHedgedReadSurvivesHangingReplica(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.CallTimeout = 2 * time.Second
-	cfg.HedgeDelay = 5 * time.Millisecond
-	tc := newTestCluster(t, 5, cfg)
-	ctx := context.Background()
-	key := "hedge-key"
-	if err := tc.coords[0].Put(ctx, key, []byte("v")); err != nil {
-		t.Fatal(err)
+	for _, rd := range readPaths {
+		t.Run(rd.name, func(t *testing.T) {
+			cfg := defaultCfg()
+			cfg.CallTimeout = 2 * time.Second
+			tc := newTestCluster(t, 5, cfg)
+			ctx := context.Background()
+			key := "hedge-key"
+			if err := tc.coords[0].Put(ctx, key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			tc.waitReplicas(t, key, 3)
+			owners, _ := tc.ring.Successors(key, 3)
+			hang := owners[0] // the lone R=1 primary
+			tc.net.SetLatencyModel(func(from, to string, _ int) time.Duration {
+				if from == hang || to == hang {
+					return 20 * time.Second // far past CallTimeout: effectively hung
+				}
+				return 0
+			})
+			co := tc.nonOwnerCoord(t, key)
+			start := time.Now()
+			val, err := rd.read(ctx, co, key)
+			elapsed := time.Since(start)
+			if err != nil || string(val) != "v" {
+				t.Fatalf("read = %q, %v", val, err)
+			}
+			if elapsed > cfg.CallTimeout/4 {
+				t.Fatalf("hedged read took %v with a hanging replica; CallTimeout is %v", elapsed, cfg.CallTimeout)
+			}
+			if co.Stats().HedgedReads == 0 {
+				t.Fatal("hedge timer never launched the reserves")
+			}
+		})
 	}
-	tc.waitReplicas(t, key, 3)
-	owners, _ := tc.ring.Successors(key, 3)
-	hang := owners[0] // the lone R=1 primary
-	tc.net.SetLatencyModel(func(from, to string, _ int) time.Duration {
-		if from == hang || to == hang {
-			return 20 * time.Second // far past CallTimeout: effectively hung
-		}
-		return 0
-	})
-	co := tc.nonOwnerCoord(t, key)
-	start := time.Now()
-	val, err := co.Get(ctx, key)
-	elapsed := time.Since(start)
-	if err != nil || string(val) != "v" {
-		t.Fatalf("Get = %q, %v", val, err)
-	}
-	if elapsed > cfg.CallTimeout/4 {
-		t.Fatalf("hedged read took %v with a hanging replica; CallTimeout is %v", elapsed, cfg.CallTimeout)
-	}
-	if co.Stats().HedgedReads == 0 {
-		t.Fatal("hedge timer never launched the reserves")
+}
+
+// TestReadsPreferPrimaries: Get and GetMany both settle on the key's primary
+// at R=1, so a reserve that missed the write cannot answer "not found" for a
+// key the primary holds, however fast it answers. The hedge delay is pinned
+// high, so the reserves launch only once the primary has answered.
+func TestReadsPreferPrimaries(t *testing.T) {
+	for _, rd := range readPaths {
+		t.Run(rd.name, func(t *testing.T) {
+			tc := newTestCluster(t, 5, defaultCfg())
+			ctx := context.Background()
+			key := "primary-key"
+			if err := tc.coords[0].Put(ctx, key, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			tc.waitReplicas(t, key, 3)
+			owners, _ := tc.ring.Successors(key, 3)
+			// owners[2] missed the write and answers instantly; owners[1]
+			// holds it 5ms away; the primary is 20ms away.
+			tc.coordFor(t, owners[2]).store.C(RecordCollection).Delete(key) //nolint:errcheck
+			tc.net.SetLatencyModel(func(from, to string, _ int) time.Duration {
+				switch owners[0] {
+				case from, to:
+					return 20 * time.Millisecond
+				}
+				switch owners[1] {
+				case from, to:
+					return 5 * time.Millisecond
+				}
+				return 0
+			})
+			co := tc.nonOwnerCoord(t, key)
+			for i := 0; i < 100; i++ {
+				co.GetLatency().ObserveDuration(time.Second)
+			}
+			val, err := rd.read(ctx, co, key)
+			if err != nil || string(val) != "v" {
+				t.Fatalf("read = %q, %v; want the primary's \"v\"", val, err)
+			}
+		})
 	}
 }
 
@@ -241,25 +303,23 @@ func TestReadRepairSurvivesCallerCancel(t *testing.T) {
 // workers never started and the queue full, further jobs are dropped and
 // counted rather than blocking the read path.
 func TestReadRepairDroppedCounter(t *testing.T) {
-	cfg := defaultCfg()
-	cfg.RepairQueue = 2
-	tc := newTestCluster(t, 3, cfg)
+	tc := newTestCluster(t, 3, defaultCfg())
 	c := tc.coords[0]
 	c.repairOnce.Do(func() {}) // burn the Once: the queue never drains
 	job := repairJob{
 		ctx:    context.Background(),
 		key:    "k",
 		newest: Record{Key: "k", Val: []byte("v"), Ver: 2},
-		stale:  []repairTarget{{addr: tc.addrs[1], found: true}},
+		stale:  []replicaAnswer{{target: tc.addrs[1], found: true}},
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < repairQueue+2; i++ {
 		c.enqueueRepair(job)
 	}
 	if got := c.Stats().ReadRepairDropped; got != 2 {
 		t.Fatalf("ReadRepairDropped = %d, want 2", got)
 	}
-	if got := c.RepairBacklog(); got != 2 {
-		t.Fatalf("RepairBacklog = %d, want 2", got)
+	if got := c.RepairBacklog(); got != repairQueue {
+		t.Fatalf("RepairBacklog = %d, want %d", got, repairQueue)
 	}
 }
 
@@ -309,9 +369,8 @@ func TestGetMany(t *testing.T) {
 // TestGetManyRepairsStaleReplica: batched reads feed the same async repair
 // path as single-key reads.
 func TestGetManyRepairsStaleReplica(t *testing.T) {
-	// R=2: with one replica staled, any two answers include a fresh record,
-	// so the last-write-wins resolution is deterministic (at R=1 the stale
-	// replica answering first would legitimately win the race).
+	// R=2 makes the staled replica (owners[1]) a primary, so the batch's
+	// answer is resolved last-write-wins between a fresh and a stale record.
 	cfg := defaultCfg()
 	cfg.R = 2
 	tc := newTestCluster(t, 5, cfg)
