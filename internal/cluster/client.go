@@ -136,7 +136,7 @@ func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) 
 	var lastErr error
 	for i := 0; i < c.attempts; i++ {
 		if i > 0 {
-			if resilience.Sleep(ctx, resilience.Backoff{}.Delay(i-1, nil)) != nil {
+			if resilience.Sleep(ctx, resilience.Backoff(i-1)) != nil {
 				break // caller gave up mid-backoff
 			}
 		}
@@ -219,7 +219,7 @@ func (c *Client) callStrong(ctx context.Context, msgType, key string, body bson.
 	var lastErr error
 	for i := 0; i < c.attempts; i++ {
 		if i > 0 {
-			if resilience.Sleep(ctx, resilience.Backoff{}.Delay(i-1, nil)) != nil {
+			if resilience.Sleep(ctx, resilience.Backoff(i-1)) != nil {
 				break // caller gave up mid-backoff
 			}
 		}

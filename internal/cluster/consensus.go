@@ -1,5 +1,5 @@
 // The node's side of the CP replication tier: wiring the consensus manager
-// into the coordinator's breaker-gated RPC path, the local store, the ring
+// into the coordinator's peer-view-gated RPC path, the local store, the ring
 // walk, and the record protocol for snapshot catch-up.
 package cluster
 
@@ -33,8 +33,8 @@ func (n *Node) startConsensus() error {
 	}, consensus.Env{
 		Self: n.tr.Addr(),
 		// All consensus RPCs — elections included — ride the coordinator's
-		// breaker-gated, deadline-bounded peer path, so probes against a
-		// dead peer fast-fail instead of burning a CallTimeout each.
+		// CallPeer, deadline-bounded and gated by the peer view, so probes
+		// against a dead peer fast-fail instead of burning a CallTimeout each.
 		Call: func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
 			return n.coord.CallPeer(ctx, target, msgType, body)
 		},

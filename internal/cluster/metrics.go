@@ -64,13 +64,13 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	r.Register("mystore_stream_bytes_total", "Payload bytes moved by this node's acknowledged background-transfer batches.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().StreamBytes) })
 
-	bs := n.breakers
-	r.Register("mystore_breaker_open", "Peer circuit breakers currently open.", metrics.TypeGauge, "node").
-		Add(addr, func() float64 { return float64(bs.OpenCount()) })
-	r.Register("mystore_breaker_opened_total", "Circuit-breaker closed/half-open to open transitions.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(bs.Stats().Opened) })
-	r.Register("mystore_breaker_fastfail_total", "Calls rejected instantly by an open breaker.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(bs.Stats().FastFailures) })
+	peers := coord.Peers()
+	r.Register("mystore_breaker_open", "Peers this node's peer view holds suspect or down.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(peers.NotUp()) })
+	r.Register("mystore_breaker_opened_total", "Peer-view entries into suspect or down, failed probes included.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(peers.Stats().Opened) })
+	r.Register("mystore_breaker_fastfail_total", "Calls refused instantly because the peer view held their peer suspect or down.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(peers.Stats().FastFailures) })
 
 	if eng := store.Engine(); eng != nil {
 		r.Register("mystore_lsm_memtable_bytes", "Bytes buffered in the lsm engine's mutable memtable.", metrics.TypeGauge, "node").

@@ -113,8 +113,6 @@ type Node struct {
 	coord    *nwr.Coordinator
 	cns      *consensus.Manager // nil unless cfg.StrongRanges > 0
 
-	breakers *resilience.BreakerSet
-
 	// rng drives anti-entropy peer selection; seeded from cfg.Seed for
 	// reproducible runs. Guarded by mu.
 	rng *rand.Rand
@@ -158,14 +156,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		seed = rand.Int63() // unseeded runs stay random
 	}
 	n.rng = rand.New(rand.NewSource(seed))
-	if cfg.NWR.Breakers == nil {
-		cfg.NWR.Breakers = resilience.NewBreakerSet(resilience.BreakerConfig{})
-	}
-	n.breakers = cfg.NWR.Breakers
-	if cfg.NWR.RetryBudget == nil {
-		cfg.NWR.RetryBudget = resilience.NewRetryBudget(0, 0)
-	}
-	n.cfg = cfg
 	n.gossiper = gossip.New(tr, gossip.Config{
 		Seeds:    cfg.Seeds,
 		Interval: cfg.GossipInterval,
@@ -176,10 +166,6 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 	if err != nil {
 		store.Close()
 		return nil, err
-	}
-	n.coord.Live = func(addr string) bool {
-		st := n.gossiper.StatusOf(addr)
-		return st == gossip.StatusUp || st == gossip.StatusUnknown
 	}
 	// Maintain the anti-entropy Merkle forest incrementally on every record
 	// apply (and trip the version-regression invariant if a repair path ever
@@ -226,8 +212,9 @@ func (n *Node) Gossiper() *gossip.Gossiper { return n.gossiper }
 // Ring exposes this node's membership view.
 func (n *Node) Ring() *ring.Ring { return n.ring }
 
-// Breakers exposes the per-peer circuit breakers.
-func (n *Node) Breakers() *resilience.BreakerSet { return n.breakers }
+// Breakers exposes the node's health verdict per peer (the coordinator's
+// peer view).
+func (n *Node) Breakers() *resilience.Peers { return n.coord.Peers() }
 
 func (n *Node) addToRing(addr string, weight int) error {
 	n.mu.Lock()
@@ -259,25 +246,21 @@ func (n *Node) removeFromRing(addr string) {
 	}
 }
 
-// onGossipEvent reacts to believed status changes: long failures shrink the
-// ring and trigger re-replication; recoveries trigger hint writeback. Every
-// classification also feeds the peer's circuit breaker, so a node-wide
-// belief translates into fast failovers on all RPC paths immediately.
+// onGossipEvent feeds gossip's verdicts into the peer view, so every RPC
+// path fails over a short-failed peer at once; a long failure also shrinks
+// the ring and triggers re-replication. A returning node gets its parked
+// writes back (Fig 8) on the next Tick and, if it was removed, rejoins the
+// ring on the next sync.
 func (n *Node) onGossipEvent(e gossip.Event) {
+	peers := n.coord.Peers()
 	switch e.New {
 	case gossip.StatusLongFail:
-		n.breakers.ObservePeer(e.Addr, resilience.PeerLongFail)
+		peers.Down(e.Addr)
 		n.removeFromRing(e.Addr)
 	case gossip.StatusShortFail:
-		n.breakers.ObservePeer(e.Addr, resilience.PeerShortFail)
+		peers.Suspect(e.Addr)
 	case gossip.StatusUp:
-		n.breakers.ObservePeer(e.Addr, resilience.PeerUp)
-		if e.Old == gossip.StatusShortFail || e.Old == gossip.StatusLongFail {
-			// A returning node gets its parked writes back (Fig 8) and, if
-			// it was removed, rejoins the ring on the next sync.
-			n.coord.NoteTargetUp(e.Addr)
-			go n.coord.DeliverHints(context.Background())
-		}
+		peers.Up(e.Addr)
 	}
 }
 
@@ -495,8 +478,8 @@ func (n *Node) statusDoc() bson.D {
 		{Key: "ringSize", Value: int64(n.ring.Len())},
 		{Key: "live", Value: liveArr},
 		{Key: "isSeed", Value: n.gossiper.IsSeed()},
-		{Key: "breakersOpen", Value: int64(n.breakers.OpenCount())},
-		{Key: "breakerFastFails", Value: n.breakers.Stats().FastFailures},
+		{Key: "breakersOpen", Value: int64(n.coord.Peers().NotUp())},
+		{Key: "breakerFastFails", Value: n.coord.Peers().Stats().FastFailures},
 	}
 	if n.cns != nil {
 		st := n.cns.Stats()

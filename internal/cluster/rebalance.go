@@ -6,7 +6,6 @@ import (
 
 	"mystore/internal/bson"
 	"mystore/internal/nwr"
-	"mystore/internal/resilience"
 )
 
 // Rebalance runs the paper's two data-movement duties on this node:
@@ -22,13 +21,13 @@ import (
 // One in-place pass over the records collection (no deep-cloned snapshot)
 // buckets keys per destination peer; each peer then gets a digest read —
 // so records it already holds current move no payload — and the records it
-// lacks or holds older in batched writes (pushNewer). Peers whose circuit
-// breaker is open are skipped before any dial. It returns how many records
-// were pushed and how many were dropped locally. A pass that could not
-// complete — a peer unreachable, its breaker open, a migrated record
-// unconfirmed — re-arms the rebalance flag, so the next tick retries
-// instead of stranding records on non-owners until the next membership
-// change.
+// lacks or holds older in batched writes (pushNewer). A peer the view holds
+// suspect or down fails pushNewer's first call in microseconds, without a
+// dial. It returns how many records were pushed and how many were dropped
+// locally. A pass that could not complete — a peer unreachable or held
+// suspect, a migrated record unconfirmed — re-arms the rebalance flag, so a
+// later tick retries instead of stranding records on non-owners until the
+// next membership change.
 func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 	coll := n.store.C(nwr.RecordCollection)
 	self := n.Addr()
@@ -96,13 +95,6 @@ func (n *Node) Rebalance(ctx context.Context) (pushed, dropped int) {
 	incomplete := false
 	confirmed := make(map[string]map[string]bool, len(peers))
 	for _, peer := range peers {
-		if n.peerBreakerOpen(peer) {
-			// An open breaker means recent proof the peer is down: skip the
-			// dial entirely instead of burning a call into it, and retry
-			// after the cool-down.
-			incomplete = true
-			continue
-		}
 		got, sent, ok := n.pushNewer(ctx, peer, perPeer[peer])
 		pushed += sent
 		if !ok {
@@ -200,9 +192,4 @@ func (n *Node) pushNewer(ctx context.Context, peer string, keys []string) (confi
 		}
 	}
 	return confirmed, sent, true
-}
-
-// peerBreakerOpen reports whether peer's circuit breaker is currently open.
-func (n *Node) peerBreakerOpen(peer string) bool {
-	return n.breakers.For(peer).State() == resilience.Open
 }

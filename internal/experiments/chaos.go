@@ -89,7 +89,7 @@ func (r ChaosResult) String() string {
 		r.Duration.Round(time.Second), r.CrashRestarts, r.Partitions)
 	fmt.Fprintf(&b, "  ops %d (%d acked Puts), op failures during chaos %d (availability events, allowed)\n",
 		r.Ops, r.AckedPuts, r.OpFailures)
-	fmt.Fprintf(&b, "  faults fired: %v; breakers opened %d times\n", r.FaultsFired, r.BreakersOpened)
+	fmt.Fprintf(&b, "  faults fired: %v; peers made suspect or down %d times\n", r.FaultsFired, r.BreakersOpened)
 	fmt.Fprintf(&b, "  invariant 1 — acked writes lost after heal:   %d\n", r.LostWrites)
 	fmt.Fprintf(&b, "  invariant 1b — wrong values served:           %d\n", r.ValueViolations)
 	fmt.Fprintf(&b, "  invariant 2 — hints left undelivered:         %d\n", r.HintsAtEnd)

@@ -23,7 +23,6 @@ const (
 	MsgPutReplica = "nwr.put.replica"
 	MsgGetReplica = "nwr.get.replica"
 	MsgHintStore  = "nwr.hint.store"
-	MsgPing       = "nwr.ping"
 )
 
 // Config is the paper's (N, W, R) plus operational knobs.
@@ -41,14 +40,6 @@ type Config struct {
 	// unreachable after retries simply fails. Used by the ablation bench
 	// that measures what the short-failure path is worth.
 	DisableHints bool
-	// Breakers, when non-nil, gates every replica RPC per peer: a call to
-	// a peer whose breaker is open fails in microseconds instead of
-	// burning CallTimeout, so the successor walk prefers live peers. Call
-	// outcomes feed the breakers back. Nil leaves resilience unwired.
-	Breakers *resilience.BreakerSet
-	// RetryBudget, when non-nil, bounds replica-write retry amplification
-	// cluster-wide (token bucket). Nil always grants.
-	RetryBudget *resilience.RetryBudget
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -127,9 +118,10 @@ type Coordinator struct {
 	tr    transport.Transport
 	store *docstore.Store
 
-	// Live reports whether a peer is currently believed reachable; the
-	// cluster layer wires this to gossip. Nil means "assume live".
-	Live func(addr string) bool
+	// peers is this node's health verdict per peer, asked and fed by every
+	// CallPeer; budget bounds replica-write retries.
+	peers  *resilience.Peers
+	budget *resilience.RetryBudget
 	// SkipHint, when non-nil, reports records hint writeback must leave
 	// parked for now. The cluster layer wires it to the consensus tier:
 	// while a log-managed (_strong) record's range is led by a consensus
@@ -172,16 +164,6 @@ type Coordinator struct {
 	// put an allocation back on the hot path.
 	hedgeCached atomic.Int64
 	hedgeStamp  atomic.Int64
-
-	// Per-target hint-redelivery backoff: a target that refused its last
-	// writeback is not re-pinged every round.
-	hintMu    sync.Mutex
-	hintRetry map[string]hintRetryState
-}
-
-type hintRetryState struct {
-	failures int
-	nextTry  time.Time
 }
 
 // NewCoordinator wires a coordinator. Records live under _id = self-key, so
@@ -195,6 +177,8 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg: cfg, self: self, ring: rg, tr: tr, store: store,
+		peers:      resilience.NewPeers(self, cfg.Now),
+		budget:     resilience.NewRetryBudget(),
 		putLatency: metrics.NewBucketedHistogram(nil),
 		getLatency: metrics.NewBucketedHistogram(nil),
 		flights:    make(map[string]*flight),
@@ -213,6 +197,10 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 	}
 	return c, nil
 }
+
+// Peers exposes this node's health verdict per peer; the cluster layer feeds
+// it gossip's verdicts.
+func (c *Coordinator) Peers() *resilience.Peers { return c.peers }
 
 // PutLatency exposes the quorum-write latency histogram for registry
 // registration.
@@ -319,9 +307,9 @@ func (c *Coordinator) write(ctx context.Context, rec Record) (err error) {
 // writeReplicaWithRecovery drives one replica write through its retry and
 // hinted-handoff ladder, reporting whether the write was durably handled
 // somewhere. Retries are spaced by jittered exponential backoff and gated
-// on the retry budget; a peer whose breaker is open gets no retries at all
-// — its calls would fast-fail anyway, so the write goes straight to the
-// hint path on the next live ring node.
+// on the retry budget; a call CallPeer refused because the peer is suspect
+// or down ends the ladder — the write goes straight to the hint path on the
+// next usable ring node.
 func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []string, target string, rec Record) (ok bool) {
 	ctx, sp := trace.Start(ctx, "nwr.replica")
 	sp.SetPeer(target)
@@ -332,20 +320,19 @@ func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []st
 			sp.End(errors.New("replica write failed"))
 		}
 	}()
-	if c.writeReplica(ctx, target, rec) {
-		return true
-	}
-	for attempt := 0; attempt < c.cfg.Retries; attempt++ {
-		if !c.peerWorthRetrying(target) || !c.cfg.RetryBudget.Spend() {
+	err := c.writeReplica(ctx, target, rec)
+	for attempt := 0; err != nil && attempt < c.cfg.Retries; attempt++ {
+		if errors.Is(err, errPeerUnusable) || !c.budget.Spend() {
 			break
 		}
-		if resilience.Sleep(ctx, resilience.Backoff{}.Delay(attempt, nil)) != nil {
+		if resilience.Sleep(ctx, resilience.Backoff(attempt)) != nil {
 			break // caller gave up mid-backoff
 		}
 		c.bump(func(s *Stats) { s.RetriedReplicaWrites++ })
-		if c.writeReplica(ctx, target, rec) {
-			return true
-		}
+		err = c.writeReplica(ctx, target, rec)
+	}
+	if err == nil {
+		return true
 	}
 	if c.cfg.DisableHints {
 		return false
@@ -353,49 +340,38 @@ func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []st
 	return c.storeHint(ctx, targets, target, rec)
 }
 
-// peerWorthRetrying reports whether another attempt at target could
-// plausibly succeed: the local store always is; a remote peer is not when
-// gossip believes it down or its breaker is open.
-func (c *Coordinator) peerWorthRetrying(target string) bool {
-	if target == c.self {
-		return true
-	}
-	if c.Live != nil && !c.Live(target) {
-		return false
-	}
-	if c.cfg.Breakers != nil && c.cfg.Breakers.For(target).State() == resilience.Open {
-		return false
-	}
-	return true
-}
+// errPeerUnusable is CallPeer's refusal of a peer the view holds suspect or
+// down.
+var errPeerUnusable = fmt.Errorf("%w: peer suspect or down", transport.ErrUnreachable)
 
-// CallPeer is the breaker-gated RPC every coordinator path goes through, and
-// the cluster layer's Merkle anti-entropy and consensus RPCs with it, so an
-// open breaker fast-fails repair work exactly like foreground work. An open
-// breaker rejects in microseconds; outcomes feed the breaker — a
-// transport-level failure counts against the peer, while a remote
+// CallPeer is the one RPC to another node: every coordinator path goes
+// through it — writes, reads, hints, and through the cluster layer
+// rebalance, Merkle anti-entropy and consensus — so the peer view decides
+// for all of them alike. A peer held suspect or down is refused in
+// microseconds with errPeerUnusable; every call's outcome feeds the view —
+// a transport-level failure counts against the peer, while a remote
 // application error proves it alive.
 func (c *Coordinator) CallPeer(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
-	if !c.cfg.Breakers.Allow(target) {
-		return nil, fmt.Errorf("%w: %s: circuit breaker open", transport.ErrUnreachable, target)
+	if !c.peers.Usable(target) {
+		return nil, fmt.Errorf("%w: %s", errPeerUnusable, target)
 	}
 	cctx, cancel := context.WithTimeout(ctx, c.cfg.CallTimeout)
 	defer cancel()
 	resp, err := c.tr.Call(cctx, target, transport.Message{Type: msgType, Body: body})
-	c.cfg.Breakers.Report(target, err == nil || transport.IsRemote(err))
+	c.peers.Report(target, err == nil || transport.IsRemote(err))
 	if err == nil {
-		c.cfg.RetryBudget.Earn()
+		c.budget.Earn()
 	}
 	return resp, err
 }
 
 // writeReplica applies rec on target (locally or over the wire).
-func (c *Coordinator) writeReplica(ctx context.Context, target string, rec Record) bool {
+func (c *Coordinator) writeReplica(ctx context.Context, target string, rec Record) error {
 	_, err := c.putReplica(ctx, target, []Record{rec})
-	return err == nil
+	return err
 }
 
-// storeHint parks rec on the first live node after the replica set,
+// storeHint parks rec on the first usable node after the replica set,
 // recording the intended target for later writeback (Fig 8: node C holds
 // the replica and B's identifier).
 func (c *Coordinator) storeHint(ctx context.Context, replicaSet []string, target string, rec Record) (ok bool) {
@@ -432,10 +408,7 @@ func (c *Coordinator) storeHint(ctx context.Context, replicaSet []string, target
 			}
 			continue
 		}
-		if c.Live != nil && !c.Live(cand) {
-			continue
-		}
-		// CallPeer skips candidates with open breakers in microseconds, so
+		// CallPeer refuses suspect and down candidates in microseconds, so
 		// the walk settles on a live stand-in instead of burning a
 		// CallTimeout per dead candidate.
 		if _, err := c.CallPeer(ctx, cand, MsgHintStore, body); err == nil {
@@ -554,40 +527,19 @@ func (c *Coordinator) HintCount() int {
 // whole hint collection, so a long outage's backlog has bounded memory.
 const hintPageSize = 128
 
-// Redelivery backoff bounds for targets that refused their last writeback.
-// The cap stays modest: probing a dead target is near-free once its breaker
-// is open, and gossip's Up transition clears the backoff only when THIS
-// node believed the target down — failures caused by a partition elsewhere
-// must age out on their own for writeback to resume promptly after heal.
-const (
-	hintRetryBase = 500 * time.Millisecond
-	hintRetryMax  = 5 * time.Second
-)
-
-// DeliverHints pings each hinted target and, where it answers, writes the
-// parked records back and drops the hints (Fig 8's writeback). Targets that
-// refuse back off exponentially so a long-dead node is not re-pinged every
-// round. Call it periodically and when gossip reports a node returning
-// (NoteTargetUp clears the backoff for an immediate attempt).
+// DeliverHints writes each hinted target's parked records back and drops
+// the hints (Fig 8's writeback). Each target is simply tried: the peer view
+// refuses a suspect or down one in microseconds, and once a suspect
+// target's window ends the page write is its probe. Tick calls it.
 func (c *Coordinator) DeliverHints(ctx context.Context) {
 	targets, err := c.store.C(HintCollection).Distinct("target", docstore.Filter{})
 	if err != nil {
 		return
 	}
 	for _, tv := range targets {
-		target, ok := tv.(string)
-		if !ok || target == "" {
-			continue
+		if target, ok := tv.(string); ok && target != "" {
+			c.deliverHintsTo(ctx, target)
 		}
-		if !c.hintTargetDue(target) {
-			continue
-		}
-		if !c.pingTarget(ctx, target) {
-			c.hintTargetFailed(target)
-			continue
-		}
-		c.NoteTargetUp(target)
-		c.deliverHintsTo(ctx, target)
 	}
 }
 
@@ -633,18 +585,19 @@ func (c *Coordinator) deliverHintsTo(ctx context.Context, target string) {
 		}
 		// The page rides batched writes. Only hints whose records the target
 		// applied leave the collection; the rest stay parked, and redelivery
-		// is idempotent under last-write-wins.
+		// is idempotent under last-write-wins. A pass racing this one may
+		// have removed a hint already: only the delete that removes it counts
+		// it delivered.
 		acked, ok := c.WriteRecords(ctx, target, recs)
 		delivered := 0
 		for _, id := range ids[:acked] {
-			if _, err := coll.Delete(id); err == nil {
+			if removed, err := coll.Delete(id); err == nil && removed {
 				delivered++
-				c.bump(func(s *Stats) { s.HintsDelivered++ })
 			}
 		}
+		c.bump(func(s *Stats) { s.HintsDelivered += int64(delivered) })
 		if !ok {
 			if delivered == 0 {
-				c.hintTargetFailed(target)
 				return
 			}
 			// The target is up and applied part of the page before a
@@ -660,52 +613,6 @@ func (c *Coordinator) deliverHintsTo(ctx context.Context, target string) {
 			return
 		}
 	}
-}
-
-// hintTargetDue reports whether target's redelivery backoff has elapsed.
-func (c *Coordinator) hintTargetDue(target string) bool {
-	c.hintMu.Lock()
-	defer c.hintMu.Unlock()
-	st, ok := c.hintRetry[target]
-	return !ok || !c.cfg.Now().Before(st.nextTry)
-}
-
-// hintTargetFailed doubles target's redelivery backoff (capped).
-func (c *Coordinator) hintTargetFailed(target string) {
-	c.hintMu.Lock()
-	defer c.hintMu.Unlock()
-	if c.hintRetry == nil {
-		c.hintRetry = make(map[string]hintRetryState)
-	}
-	st := c.hintRetry[target]
-	if st.failures < 30 {
-		st.failures++
-	}
-	d := hintRetryBase << uint(st.failures-1)
-	if d <= 0 || d > hintRetryMax {
-		d = hintRetryMax
-	}
-	st.nextTry = c.cfg.Now().Add(d)
-	c.hintRetry[target] = st
-}
-
-// NoteTargetUp clears target's redelivery backoff; the cluster layer calls
-// it when gossip reports the node back so writeback starts immediately.
-func (c *Coordinator) NoteTargetUp(target string) {
-	c.hintMu.Lock()
-	delete(c.hintRetry, target)
-	c.hintMu.Unlock()
-}
-
-func (c *Coordinator) pingTarget(ctx context.Context, target string) bool {
-	if target == c.self {
-		return true
-	}
-	if c.Live != nil && !c.Live(target) {
-		return false
-	}
-	_, err := c.CallPeer(ctx, target, MsgPing, nil)
-	return err == nil
 }
 
 // HandleMessage serves the replica-side protocol; the cluster mux routes
@@ -730,8 +637,6 @@ func (c *Coordinator) HandleMessage(ctx context.Context, msg transport.Message) 
 		if err := c.storeHintLocal(ctx, target, rec); err != nil {
 			return nil, err
 		}
-		return bson.D{{Key: "ok", Value: true}}, nil
-	case MsgPing:
 		return bson.D{{Key: "ok", Value: true}}, nil
 	default:
 		return nil, fmt.Errorf("nwr: unknown message type %q", msg.Type)

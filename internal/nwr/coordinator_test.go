@@ -451,12 +451,13 @@ func TestLocalOpFaultHook(t *testing.T) {
 	}
 }
 
+// TestLiveGateSkipsDeadPeers: a peer gossip reports long-failed is down in
+// the view and receives nothing, however long it has been.
 func TestLiveGateSkipsDeadPeers(t *testing.T) {
 	tc := newTestCluster(t, 5, defaultCfg())
 	ctx := context.Background()
-	dead := map[string]bool{tc.addrs[3]: true}
 	for _, c := range tc.coords {
-		c.Live = func(addr string) bool { return !dead[addr] }
+		c.Peers().Down(tc.addrs[3])
 	}
 	for i := 0; i < 20; i++ {
 		if err := tc.coords[0].Put(ctx, fmt.Sprintf("k%d", i), []byte("v")); err != nil {

@@ -59,9 +59,6 @@ func (c *Coordinator) putReplica(ctx context.Context, target string, recs []Reco
 		}
 		return applied, nil
 	}
-	if c.Live != nil && !c.Live(target) {
-		return 0, fmt.Errorf("nwr: %s believed down", target)
-	}
 	docs := make(bson.A, len(recs))
 	for i, rec := range recs {
 		docs[i] = rec.ToDoc()
@@ -169,9 +166,6 @@ func (c *Coordinator) GetLocal(key string) (Record, bool, error) {
 func (c *Coordinator) readReplica(ctx context.Context, target string, keys []string, digest bool) ([]Record, int, error) {
 	if target == c.self {
 		return c.readLocal(keys, digest)
-	}
-	if c.Live != nil && !c.Live(target) {
-		return nil, 0, fmt.Errorf("nwr: %s believed down", target)
 	}
 	arr := make(bson.A, len(keys))
 	for i, k := range keys {

@@ -416,7 +416,7 @@ func (c *Coordinator) runRepair(job repairJob) {
 	ctx, sp := trace.Start(ctx, "nwr.repair")
 	var firstErr error
 	for _, t := range job.stale {
-		if c.writeReplica(ctx, t.target, job.newest) {
+		if c.writeReplica(ctx, t.target, job.newest) == nil {
 			if t.found {
 				c.bump(func(s *Stats) { s.ReadRepairs++ })
 			} else {

@@ -2,109 +2,95 @@ package nwr
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
-
-	"mystore/internal/resilience"
 )
 
-// cfgWithBreakers is defaultCfg plus a wired BreakerSet.
-func cfgWithBreakers(bs *resilience.BreakerSet) Config {
-	cfg := defaultCfg()
-	cfg.Breakers = bs
-	return cfg
-}
-
-// TestOpenBreakerSkipsDeadPeerOnWritePath: with a replica's breaker open,
-// a quorum write must complete fast via the hint path instead of burning
-// CallTimeout (or retries) against the dead peer.
+// TestOpenBreakerSkipsDeadPeerOnWritePath: with a replica gossip reports
+// short-failed, a quorum write must complete fast via the hint path instead
+// of burning CallTimeout (or retries) against the dead peer.
 func TestOpenBreakerSkipsDeadPeerOnWritePath(t *testing.T) {
-	bs := resilience.NewBreakerSet(resilience.BreakerConfig{OpenFor: time.Minute})
-	tc := newTestCluster(t, 5, cfgWithBreakers(bs))
+	now := time.Unix(5000, 0)
+	cfg := defaultCfg()
+	cfg.Now = func() time.Time { return now }
+	tc := newTestCluster(t, 5, cfg)
 	ctx := context.Background()
 
 	key := "breaker-key"
 	owners, _ := tc.ring.Successors(key, 3)
-	// Kill the last replica and open its breaker, as gossip would after
-	// classifying the failure.
-	var downIdx int
-	for i, a := range tc.addrs {
-		if a == owners[2] {
-			downIdx = i
-		}
-	}
-	tc.eps[downIdx].Close()
-	bs.ObservePeer(owners[2], resilience.PeerShortFail)
-
-	// Coordinate from a non-owner so every replica write goes remote.
-	coordIdx := -1
-	for i, a := range tc.addrs {
-		isOwner := false
-		for _, o := range owners {
-			if o == a {
-				isOwner = true
-			}
-		}
-		if !isOwner {
-			coordIdx = i
-			break
-		}
-	}
-	if coordIdx < 0 {
-		t.Fatal("no non-owner coordinator")
-	}
+	// Coordinate from a non-owner so every replica write goes remote; kill
+	// the last replica and tell the coordinator's view, as gossip would.
+	co := tc.nonOwnerCoord(t, key)
+	tc.eps[tc.index(owners[2])].Close()
+	co.Peers().Suspect(owners[2])
 
 	start := time.Now()
-	if err := tc.coords[coordIdx].Put(ctx, key, []byte("v")); err != nil {
-		t.Fatalf("put with open-breaker replica: %v", err)
+	if err := co.Put(ctx, key, []byte("v")); err != nil {
+		t.Fatalf("put with a suspect replica: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("put took %v; open breaker should fast-fail the dead peer", elapsed)
-	}
-	// No retries were spent on the open-breaker peer.
-	if got := tc.coords[coordIdx].Stats().RetriedReplicaWrites; got != 0 {
-		t.Fatalf("RetriedReplicaWrites = %d, want 0 (breaker open)", got)
+		t.Fatalf("put took %v; a suspect peer should fast-fail", elapsed)
 	}
 	// Put returns at the W quorum, which the two healthy replicas can reach
-	// before the dead replica's goroutine touches its breaker — poll.
-	deadline := time.Now().Add(2 * time.Second)
-	for bs.Stats().FastFailures == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("expected breaker fast-failures on the write path")
-		}
-		time.Sleep(time.Millisecond)
+	// before the dead replica's goroutine asks the view — wait for it.
+	waitFor(t, "a fast failure on the write path", func() bool {
+		return co.Peers().Stats().FastFailures > 0
+	})
+	if got := co.Stats().RetriedReplicaWrites; got != 0 {
+		t.Fatalf("RetriedReplicaWrites = %d, want 0 (peer suspect)", got)
 	}
 }
 
 // TestBreakerFedByCallOutcomes: repeated transport failures against a dead
-// peer trip its breaker without any gossip involvement.
+// peer make it suspect without any gossip involvement.
 func TestBreakerFedByCallOutcomes(t *testing.T) {
-	bs := resilience.NewBreakerSet(resilience.BreakerConfig{FailureThreshold: 3, OpenFor: time.Minute})
-	cfg := cfgWithBreakers(bs)
-	cfg.Retries = 1
+	now := time.Unix(5000, 0)
+	cfg := defaultCfg()
+	cfg.Now = func() time.Time { return now }
 	tc := newTestCluster(t, 5, cfg)
 	ctx := context.Background()
 
 	tc.eps[2].Close()
-	dead := tc.addrs[2]
 	for i := 0; i < 10; i++ {
 		tc.coords[0].Put(ctx, fmt.Sprintf("k-%d", i), []byte("v")) //nolint:errcheck
 	}
-	// Give the background replica goroutines a moment to finish reporting.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if st, ok := bs.States()[dead]; ok && st == resilience.Open {
-			return
-		}
-		time.Sleep(time.Millisecond)
+	waitFor(t, "the dead peer held suspect", func() bool {
+		return tc.coords[0].Peers().NotUp() == 1 && tc.coords[0].Peers().Stats().Opened == 1
+	})
+	if _, err := tc.coords[0].CallPeer(ctx, tc.addrs[2], MsgGetReplica, nil); !errors.Is(err, errPeerUnusable) {
+		t.Fatalf("call to a suspect peer = %v, want errPeerUnusable", err)
 	}
-	t.Fatalf("breaker for %s = %v, want open after repeated failures", dead, bs.States()[dead])
 }
 
-// TestHintRedeliveryBackoff: an unreachable hint target is not re-pinged
-// every DeliverHints round; the next attempt backs off, and NoteTargetUp
-// clears the backoff for an immediate retry.
+// countCalls counts the messages the cluster's network carries to addr.
+func (tc *testCluster) countCalls(addr string) *atomic.Int64 {
+	var n atomic.Int64
+	tc.net.SetFault(func(_, to, _ string) error {
+		if to == addr {
+			n.Add(1)
+		}
+		return nil
+	})
+	return &n
+}
+
+func (tc *testCluster) index(addr string) int {
+	for i, a := range tc.addrs {
+		if a == addr {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestHintRedeliveryBackoff: an unreachable hint target is not re-called
+// every DeliverHints round. Its failed page writes make it suspect; inside
+// the window no call goes, each window's end lets one page write through as
+// the probe, and gossip reporting the node back delivers at once.
 func TestHintRedeliveryBackoff(t *testing.T) {
 	now := time.Unix(5000, 0)
 	cfg := defaultCfg()
@@ -115,70 +101,83 @@ func TestHintRedeliveryBackoff(t *testing.T) {
 
 	key := "backoff-key"
 	owners, _ := tc.ring.Successors(key, 3)
-	var downIdx int
-	for i, a := range tc.addrs {
-		if a == owners[2] {
-			downIdx = i
-		}
-	}
-	tc.eps[downIdx].Close()
-	if err := tc.coords[0].Put(ctx, key, []byte("v")); err != nil {
+	target := owners[2]
+	down := tc.index(target)
+	tc.eps[down].Close()
+	holder := tc.coords[tc.index(owners[0])]
+	if err := holder.storeHintLocal(ctx, target, Record{Key: key, Val: []byte("v"), IsData: true, Ver: 1, Origin: "o"}); err != nil {
 		t.Fatal(err)
 	}
-	// Find the node holding the hint.
-	var holder *Coordinator
-	deadline := time.Now().Add(2 * time.Second)
-	for holder == nil && time.Now().Before(deadline) {
-		for _, c := range tc.coords {
-			if c.HintCount() > 0 {
-				holder = c
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
+	calls := tc.countCalls(target)
+	for i := 0; i < 3; i++ {
+		holder.DeliverHints(ctx) // each page write fails: the target turns suspect
 	}
-	if holder == nil {
-		t.Fatal("no hint was parked")
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("%d calls to the target in three rounds, want 3", got)
 	}
-
-	holder.DeliverHints(ctx) // target down: ping fails, backoff starts
-	if holder.hintTargetDue(owners[2]) {
-		t.Fatal("failed target must not be due immediately after a failed round")
+	holder.DeliverHints(ctx)
+	if got := calls.Load(); got != 3 {
+		t.Fatalf("a round inside the suspect window called the target (%d calls)", got)
 	}
-	// Second round inside the backoff window: the skip means no ping, so
-	// even after reopening the target the hint stays parked.
-	tc.eps[downIdx].Reopen()
+	now = now.Add(time.Second)
+	holder.DeliverHints(ctx)
+	holder.DeliverHints(ctx)
+	if got := calls.Load(); got != 4 {
+		t.Fatalf("%d calls after the window ended, want exactly one probe (4)", got)
+	}
+	// The target returns inside the new window: the hint stays parked
+	// until gossip reports the node back, then delivers.
+	tc.eps[down].Reopen()
 	holder.DeliverHints(ctx)
 	if holder.HintCount() != 1 {
-		t.Fatal("backed-off target must be skipped inside its window")
+		t.Fatal("a suspect target must be skipped inside its window")
 	}
-	// Gossip reports the node back: backoff clears, writeback succeeds.
-	holder.NoteTargetUp(owners[2])
+	holder.Peers().Up(target)
 	holder.DeliverHints(ctx)
 	if holder.HintCount() != 0 {
-		t.Fatal("hint not delivered after NoteTargetUp")
+		t.Fatal("hint not delivered after gossip reported the target up")
 	}
-	if _, found, _ := tc.coords[downIdx].GetLocal(key); !found {
+	if _, found, _ := tc.coords[down].GetLocal(key); !found {
 		t.Fatal("writeback did not restore the replica")
 	}
+}
 
-	// The backoff window itself expires with the clock.
-	holder.hintTargetFailed("elsewhere")
-	if holder.hintTargetDue("elsewhere") {
-		t.Fatal("freshly failed target must be inside its backoff window")
+// TestHintWritebackCountsEachHintOnce: two writeback passes over one page —
+// a Tick racing a direct DeliverHints — both get the page applied, but only
+// the pass that removes a hint counts it delivered.
+func TestHintWritebackCountsEachHintOnce(t *testing.T) {
+	tc := newTestCluster(t, 3, defaultCfg())
+	ctx := context.Background()
+	holder, target := tc.coords[0], tc.coords[1]
+	if err := holder.storeHintLocal(ctx, tc.addrs[1], Record{Key: "k", Val: []byte("v"), IsData: true, Ver: 1, Origin: "o"}); err != nil {
+		t.Fatal(err)
 	}
-	now = now.Add(time.Hour)
-	if !holder.hintTargetDue("elsewhere") {
-		t.Fatal("target must be due after the backoff window passes")
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	target.OnLocalOp = func(op string, _ int) error {
+		if op == "put" {
+			first := false
+			once.Do(func() { first = true })
+			if first {
+				close(entered)
+				<-release // the first pass holds here, inside the apply
+			}
+		}
+		return nil
 	}
-	// Repeated failures grow the window but never beyond hintRetryMax.
-	for i := 0; i < 40; i++ {
-		holder.hintTargetFailed("elsewhere")
+	done := make(chan struct{})
+	go func() {
+		holder.DeliverHints(ctx)
+		close(done)
+	}()
+	<-entered
+	holder.DeliverHints(ctx) // the second pass delivers and removes the hint
+	close(release)
+	<-done
+	if got := holder.Stats().HintsDelivered; got != 1 {
+		t.Fatalf("HintsDelivered = %d for one hint, want 1", got)
 	}
-	holder.hintMu.Lock()
-	next := holder.hintRetry["elsewhere"].nextTry
-	holder.hintMu.Unlock()
-	if wait := next.Sub(now); wait > hintRetryMax {
-		t.Fatalf("backoff window %v exceeds cap %v", wait, hintRetryMax)
+	if holder.HintCount() != 0 {
+		t.Fatal("hint left parked")
 	}
 }

@@ -7,41 +7,31 @@ import (
 	"time"
 )
 
-// RetryBudget is a token bucket bounding the cluster-wide retry
-// amplification a degraded dependency can cause: each retry spends one
-// token, each success earns a fraction of one back. When everything is
-// failing the bucket drains and retries stop — callers fail fast instead
-// of multiplying load onto a struggling peer (retry-storm protection).
-//
-// The zero value is unusable; construct with NewRetryBudget. A nil
-// *RetryBudget always grants, so call sites can leave it unwired.
+// The retry budget's bucket: it holds at most budgetMax tokens and earns
+// budgetPerSuccess per success, so steady-state retries are capped near 10%
+// of successful traffic.
+const (
+	budgetMax        = 10
+	budgetPerSuccess = 0.1
+)
+
+// RetryBudget is a token bucket bounding the retry amplification a degraded
+// dependency can cause: each retry spends one token, each success earns a
+// fraction of one back. When everything is failing the bucket drains and
+// retries stop — callers fail fast instead of multiplying load onto a
+// struggling peer (retry-storm protection). Construct with NewRetryBudget.
 type RetryBudget struct {
-	mu         sync.Mutex
-	tokens     float64
-	max        float64
-	perSuccess float64
+	mu     sync.Mutex
+	tokens float64
 }
 
-// NewRetryBudget returns a full bucket holding max tokens, earning
-// perSuccess tokens per recorded success. Non-positive arguments take
-// defaults (10 tokens, 0.1 per success — i.e. steady-state retries are
-// capped near 10% of successful traffic).
-func NewRetryBudget(max, perSuccess float64) *RetryBudget {
-	if max <= 0 {
-		max = 10
-	}
-	if perSuccess <= 0 {
-		perSuccess = 0.1
-	}
-	return &RetryBudget{tokens: max, max: max, perSuccess: perSuccess}
+// NewRetryBudget returns a full bucket.
+func NewRetryBudget() *RetryBudget {
+	return &RetryBudget{tokens: budgetMax}
 }
 
-// Spend takes one token for a retry, reporting whether the retry is
-// allowed. A nil budget always allows.
+// Spend takes one token for a retry, reporting whether the retry is allowed.
 func (r *RetryBudget) Spend() bool {
-	if r == nil {
-		return true
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tokens < 1 {
@@ -51,74 +41,30 @@ func (r *RetryBudget) Spend() bool {
 	return true
 }
 
-// Earn credits one successful call. A nil budget does nothing.
+// Earn credits one successful call.
 func (r *RetryBudget) Earn() {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.tokens += r.perSuccess
-	if r.tokens > r.max {
-		r.tokens = r.max
-	}
+	r.tokens = min(r.tokens+budgetPerSuccess, budgetMax)
 }
 
-// Tokens returns the current balance (tests, stats).
-func (r *RetryBudget) Tokens() float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tokens
-}
+// Retry backoff: 10 ms before the first retry, doubling per attempt up to 1 s.
+const (
+	backoffBase = 10 * time.Millisecond
+	backoffMax  = time.Second
+)
 
-// Backoff computes jittered exponential delays between retry attempts.
-// The zero value is usable and takes the defaults documented per field.
-type Backoff struct {
-	// Base is the mean delay before the first retry. Zero means 10ms.
-	Base time.Duration
-	// Max caps the (pre-jitter) delay. Zero means 1s.
-	Max time.Duration
-	// Factor is the per-attempt growth. Zero means 2.
-	Factor float64
-}
-
-func (b Backoff) withDefaults() Backoff {
-	if b.Base <= 0 {
-		b.Base = 10 * time.Millisecond
-	}
-	if b.Max <= 0 {
-		b.Max = time.Second
-	}
-	if b.Factor <= 0 {
-		b.Factor = 2
-	}
-	return b
-}
-
-// Delay returns the wait before retry attempt (0-based): an exponentially
+// Backoff returns the wait before retry attempt (0-based): an exponentially
 // grown target with "equal jitter" — half deterministic, half uniformly
 // random — so simultaneous failers decorrelate instead of retrying in
-// lock-step. rng may be nil to use the global generator.
-func (b Backoff) Delay(attempt int, rng *rand.Rand) time.Duration {
-	b = b.withDefaults()
-	d := float64(b.Base)
-	for i := 0; i < attempt; i++ {
-		d *= b.Factor
-		if d >= float64(b.Max) {
-			d = float64(b.Max)
-			break
-		}
+// lock-step.
+func Backoff(attempt int) time.Duration {
+	d := backoffBase
+	for i := 0; i < attempt && d < backoffMax; i++ {
+		d *= 2
 	}
-	var u float64
-	if rng != nil {
-		u = rng.Float64()
-	} else {
-		u = rand.Float64()
-	}
-	return time.Duration(d/2 + u*d/2)
+	d = min(d, backoffMax)
+	return d/2 + time.Duration(rand.Float64()*float64(d/2))
 }
 
 // Sleep waits for d or until ctx is done, returning ctx's error in the
@@ -136,20 +82,4 @@ func Sleep(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Remaining returns the time left before ctx's deadline. ok is false when
-// ctx carries no deadline.
-func Remaining(ctx context.Context) (left time.Duration, ok bool) {
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return 0, false
-	}
-	return time.Until(dl), true
-}
-
-// Expired reports whether ctx is already done (deadline passed or
-// cancelled) — the server-side shed check for propagated deadlines.
-func Expired(ctx context.Context) bool {
-	return ctx.Err() != nil
 }

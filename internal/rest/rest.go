@@ -236,7 +236,7 @@ func (g *Gateway) Handler() http.Handler {
 // handleStats answers the JSON counters endpoint. The historical keys
 // (requests, cacheHits, workers, completed, ...) are always present; when a
 // registry is configured its flattened snapshot rides along, so one curl
-// shows WAL, NWR and breaker state next to the gateway counters.
+// shows WAL, NWR and peer-view state next to the gateway counters.
 func (g *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	st := g.Stats()
 	ps := g.pool.Stats()

@@ -357,7 +357,7 @@ func (c *Cluster) Nodes() []*cluster.Node {
 }
 
 // RegisterMetrics adds every node's subsystem metrics (WAL, store, NWR,
-// gossip, breakers, transport) to r, one labeled source per node. Call it
+// gossip, peer view, transport) to r, one labeled source per node. Call it
 // once after StartCluster; nodes added later register via their own
 // RegisterMetrics.
 func (c *Cluster) RegisterMetrics(r *MetricsRegistry) {

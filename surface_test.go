@@ -135,8 +135,6 @@ metrics.BucketedHistogram.Count metrics.BucketedHistogram.Sum
 metrics.HistogramSnapshot.Mean metrics.Registry.GaugeFunc
 metrics.Throughput.String metrics.TimeSeries.BucketWidth
 nwr.Coordinator.ApplyLocal nwr.Coordinator.PurgeTombstones
-resilience.Expired resilience.Remaining resilience.RetryBudget.Tokens
-resilience.State.String
 ring.Ring.Clone ring.Ring.Nodes ring.Ring.PointCount
 ring.Ring.SuccessorsAfterNode
 simdisk.Disk.Stats
