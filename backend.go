@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"time"
 
 	"mystore/internal/auth"
@@ -28,16 +27,18 @@ func (b ClusterBackend) Put(ctx context.Context, key string, val []byte) error {
 }
 
 // Get implements rest.Backend, translating missing keys to the gateway's
-// not-found sentinel.
+// not-found sentinel. The node reports absence as found: false, so any
+// other error — a remote one included — is a real failure.
 func (b ClusterBackend) Get(ctx context.Context, key string) ([]byte, error) {
 	val, err := b.Client.Get(ctx, key)
+	return notFound(key, val, err)
+}
+
+// notFound translates cluster.ErrKeyNotFound for key to the gateway's
+// not-found sentinel and passes anything else through.
+func notFound(key string, val []byte, err error) ([]byte, error) {
 	if errors.Is(err, cluster.ErrKeyNotFound) {
 		return nil, fmt.Errorf("%w: %q", rest.ErrNotFound, key)
-	}
-	if transport.IsRemote(err) {
-		// The remote coordinator reports unknown keys as an application
-		// error; surface them as 404s rather than 502s.
-		return nil, fmt.Errorf("%w: %q (%v)", rest.ErrNotFound, key, err)
 	}
 	return val, err
 }
@@ -63,13 +64,7 @@ func (b ClusterBackend) StrongPut(ctx context.Context, key string, val []byte) e
 // StrongGet implements rest.StrongBackend: a leader-local linearizable read.
 func (b ClusterBackend) StrongGet(ctx context.Context, key string) ([]byte, error) {
 	val, err := b.Client.StrongGet(ctx, key)
-	if errors.Is(err, cluster.ErrKeyNotFound) {
-		return nil, fmt.Errorf("%w: %q", rest.ErrNotFound, key)
-	}
-	if transport.IsRemote(err) && strings.Contains(err.Error(), "not found") {
-		return nil, fmt.Errorf("%w: %q (%v)", rest.ErrNotFound, key, err)
-	}
-	return val, err
+	return notFound(key, val, err)
 }
 
 // StrongDelete implements rest.StrongBackend: the tombstone replicates

@@ -22,12 +22,9 @@
 //	-read-items N   override the read-corpus size
 //	-step D         override the per-run measurement window
 //	-seed N         override the RNG seed
-//	-json FILE      record headline numbers (MB/s, req/s, p95) per figure,
-//	                merging into FILE so successive runs accumulate
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,7 +42,6 @@ func main() {
 	readItems := flag.Int("read-items", 0, "read corpus size")
 	step := flag.Duration("step", 0, "per-run measurement window")
 	seed := flag.Int64("seed", 0, "RNG seed")
-	jsonPath := flag.String("json", "", "merge per-figure results into this JSON file")
 	flag.Parse()
 
 	scale := experiments.Scale{}
@@ -125,38 +121,5 @@ func main() {
 		}
 		fmt.Println(res.String())
 		fmt.Printf("[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
-		if *jsonPath != "" {
-			if err := recordJSON(*jsonPath, e.name, res); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: record %s: %v\n", e.name, *jsonPath, err)
-				os.Exit(1)
-			}
-		}
 	}
-}
-
-// recordJSON merges one experiment's summary into the results file under
-// its figure id, preserving entries written by earlier runs.
-func recordJSON(path, name string, res fmt.Stringer) error {
-	summary := experiments.JSONSummary(res)
-	if summary == nil {
-		return nil // experiment has no recorded form (context, soak, chaos, ablate)
-	}
-	all := map[string]json.RawMessage{}
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &all); err != nil {
-			return fmt.Errorf("existing file is not a JSON object: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	enc, err := json.Marshal(summary)
-	if err != nil {
-		return err
-	}
-	all[name] = enc
-	out, err := json.MarshalIndent(all, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"sort"
 	"sync"
 
@@ -16,32 +18,28 @@ import (
 // problems on data's consistency" (§7). Read repair only fixes replicas of
 // keys that are actually read; anti-entropy sweeps the rest.
 //
-// The default path compares incrementally maintained Merkle trees (Dynamo
-// §4.7): each node keeps, per peer, a hash tree over the records whose
-// replica sets include both nodes, updated O(1) on every docstore apply.
-// A round walks the two trees top-down — O(log leaves) hashes per level —
-// so a converged pair settles after ONE root comparison, and a diverged
-// pair localizes the damage to individual leaf ranges whose keys are then
-// reconciled bidirectionally and moved by the record protocol: paged
-// reads pull, batched writes push.
+// Each node keeps, per peer, a Merkle leaf row over the records whose
+// replica sets include both nodes, updated O(1) on every docstore apply
+// (Dynamo §4.7). A round is at most two exchanges: the initiator sends its
+// root for the peer, and a converged pair settles there; otherwise the peer
+// answers with its whole row, the initiator compares the rows leaf by leaf,
+// and one leaf exchange fetches the peer's record digests inside the
+// diverged leaves. Those keys are reconciled bidirectionally and moved by
+// the record protocol: paged reads pull, batched writes push.
 
 // Message types of the anti-entropy protocol.
 const (
-	// MsgAEChildren asks a peer for its tree-node hashes at one level
-	// (the Merkle descent step).
-	MsgAEChildren = "node.ae.children"
+	// MsgAERow carries the caller's root for the callee. The callee answers
+	// nothing when its own root for the caller matches, and its whole leaf
+	// row otherwise.
+	MsgAERow = "node.ae.row"
 	// MsgAELeaf asks a peer for the record digests inside divergent leaves.
 	MsgAELeaf = "node.ae.leaf"
 )
 
-const (
-	// maxAEFrontier bounds tree indexes per descent RPC; a wider divergence
-	// frontier is truncated and picked up again next round.
-	maxAEFrontier = 256
-	// maxAELeavesPerRound bounds how many divergent leaves one round
-	// reconciles; massive divergence (a wiped node) heals across rounds.
-	maxAELeavesPerRound = 64
-)
+// maxAELeavesPerRound bounds how many divergent leaves one round
+// reconciles; massive divergence (a wiped node) heals across rounds.
+const maxAELeavesPerRound = 64
 
 // aeState is the node's Merkle forest: one tree per peer, covering exactly
 // the records whose replica sets include both this node and that peer (a
@@ -81,6 +79,41 @@ func (s *aeState) treeFor(peer string) *merkle.Tree {
 	return t
 }
 
+// recordOf parses a stored document and hashes its version; a nil or
+// unparsable document is no record, with hash 0.
+func recordOf(doc bson.D) (nwr.Record, uint64) {
+	if doc == nil {
+		return nwr.Record{}, 0
+	}
+	rec, err := nwr.RecordFromDoc(doc)
+	if err != nil {
+		return nwr.Record{}, 0
+	}
+	return rec, merkle.RecordHash(rec.Key, rec.Ver, rec.Origin, rec.Deleted)
+}
+
+// foldRecord swaps oldHash for newHash (0 is no record) in key's leaf of
+// every tree in trees shared with key's other owners, creating trees on
+// demand. The caller owns trees.
+func (n *Node) foldRecord(trees map[string]*merkle.Tree, key string, oldHash, newHash uint64) {
+	owners, err := n.ring.Successors(key, n.cfg.NWR.N)
+	if err != nil {
+		return
+	}
+	kh := ring.Hash(key)
+	for _, o := range owners {
+		if o == n.Addr() {
+			continue
+		}
+		t := trees[o]
+		if t == nil {
+			t = merkle.New(merkle.DefaultLeafBits)
+			trees[o] = t
+		}
+		t.Replace(kh, oldHash, newHash)
+	}
+}
+
 // observeRecordApply is the docstore apply observer: it runs under the
 // records collection's write lock on every applied mutation and folds the
 // change into each affected peer tree — the O(1) incremental maintenance
@@ -88,19 +121,9 @@ func (s *aeState) treeFor(peer string) *merkle.Tree {
 // the version-regression counter the chaos harness asserts on: no repair
 // path may ever replace a record with an older version.
 func (n *Node) observeRecordApply(old, new bson.D) {
-	var oldRec, newRec nwr.Record
-	var hasOld, hasNew bool
-	if old != nil {
-		if r, err := nwr.RecordFromDoc(old); err == nil {
-			oldRec, hasOld = r, true
-		}
-	}
-	if new != nil {
-		if r, err := nwr.RecordFromDoc(new); err == nil {
-			newRec, hasNew = r, true
-		}
-	}
-	if hasOld && hasNew && oldRec.Newer(newRec) {
+	oldRec, oldHash := recordOf(old)
+	newRec, newHash := recordOf(new)
+	if oldRec.Key != "" && newRec.Key != "" && oldRec.Newer(newRec) {
 		n.aeRegressions.Add(1)
 	}
 	n.ae.mu.Lock()
@@ -108,38 +131,8 @@ func (n *Node) observeRecordApply(old, new bson.D) {
 	if !n.ae.built {
 		return // the lazy rebuild will see this record
 	}
-	self := n.Addr()
-	apply := func(rec nwr.Record, add bool) {
-		owners, err := n.ring.Successors(rec.Key, n.cfg.NWR.N)
-		if err != nil {
-			return
-		}
-		kh := ring.Hash(rec.Key)
-		h := merkle.RecordHash(rec.Key, rec.Ver, rec.Origin, rec.Deleted)
-		for _, o := range owners {
-			if o == self {
-				continue
-			}
-			t := n.ae.trees[o]
-			if t == nil {
-				t = merkle.New(merkle.DefaultLeafBits)
-				if n.ae.trees == nil {
-					n.ae.trees = map[string]*merkle.Tree{}
-				}
-				n.ae.trees[o] = t
-			}
-			if add {
-				t.Add(kh, h)
-			} else {
-				t.Remove(kh, h)
-			}
-		}
-	}
-	if hasOld {
-		apply(oldRec, false)
-	}
-	if hasNew {
-		apply(newRec, true)
+	if key := cmp.Or(newRec.Key, oldRec.Key); key != "" {
+		n.foldRecord(n.ae.trees, key, oldHash, newHash)
 	}
 }
 
@@ -156,7 +149,6 @@ func (n *Node) ensureForest() {
 		return
 	}
 	trees := map[string]*merkle.Tree{}
-	self := n.Addr()
 	n.store.C(nwr.RecordCollection).EachSynced(func() {
 		n.ae.mu.Lock()
 		n.ae.trees = trees
@@ -164,26 +156,8 @@ func (n *Node) ensureForest() {
 		n.ae.dirty = false
 		n.ae.mu.Unlock()
 	}, func(doc bson.D) bool {
-		rec, err := nwr.RecordFromDoc(doc)
-		if err != nil {
-			return true
-		}
-		owners, err := n.ring.Successors(rec.Key, n.cfg.NWR.N)
-		if err != nil {
-			return true
-		}
-		kh := ring.Hash(rec.Key)
-		h := merkle.RecordHash(rec.Key, rec.Ver, rec.Origin, rec.Deleted)
-		for _, o := range owners {
-			if o == self {
-				continue
-			}
-			t := trees[o]
-			if t == nil {
-				t = merkle.New(merkle.DefaultLeafBits)
-				trees[o] = t
-			}
-			t.Add(kh, h)
+		if rec, h := recordOf(doc); rec.Key != "" {
+			n.foldRecord(trees, rec.Key, 0, h)
 		}
 		return true
 	})
@@ -220,8 +194,8 @@ func (n *Node) AntiEntropyRound(ctx context.Context) (pushed, pulled int) {
 	return n.merkleAntiEntropyRound(ctx, peer)
 }
 
-// merkleAntiEntropyRound walks this node's tree for peer against peer's
-// tree for this node: one hashes-per-level exchange localizes divergence to
+// merkleAntiEntropyRound compares this node's tree for peer with peer's
+// tree for this node: one root-then-row exchange localizes divergence to
 // leaf ranges, then a single leaf-digest exchange reconciles those ranges
 // bidirectionally, pulling newer records and pushing ours back.
 func (n *Node) merkleAntiEntropyRound(ctx context.Context, peer string) (pushed, pulled int) {
@@ -233,99 +207,44 @@ func (n *Node) merkleAntiEntropyRound(ctx context.Context, peer string) (pushed,
 	n.ensureForest()
 	tree := n.ae.treeFor(peer)
 
-	// Descend: compare the root, then only the children of divergent nodes,
-	// level by level. A converged pair costs exactly the first exchange.
-	frontier := []uint32{0}
-	var divergedLeaves []uint32
-	for level := 0; level <= tree.LeafBits(); level++ {
-		if len(frontier) == 0 {
-			return 0, 0 // trees agree
-		}
-		if len(frontier) > maxAEFrontier {
-			frontier = frontier[:maxAEFrontier] // rest heals next round
-		}
-		remote, err := n.fetchPeerNodes(ctx, peer, level, frontier)
-		if err != nil {
-			roundErr = err
-			return 0, 0
-		}
-		local := tree.Nodes(level, frontier)
-		var diverged []uint32
-		for i := range frontier {
-			if i < len(remote) && remote[i] != local[i] {
-				diverged = append(diverged, frontier[i])
-			}
-		}
-		if level == tree.LeafBits() {
-			divergedLeaves = diverged
-			break
-		}
-		frontier = frontier[:0]
-		for _, idx := range diverged {
-			frontier = append(frontier, 2*idx, 2*idx+1)
-		}
-	}
-	if len(divergedLeaves) == 0 {
-		return 0, 0
-	}
-	if len(divergedLeaves) > maxAELeavesPerRound {
-		divergedLeaves = divergedLeaves[:maxAELeavesPerRound]
-	}
-	n.aeLeavesDiverged.Add(int64(len(divergedLeaves)))
-	return n.syncLeaves(ctx, peer, tree, divergedLeaves, &roundErr)
-}
-
-// fetchPeerNodes asks peer for its tree-node hashes at (level, idxs) in its
-// tree covering this node.
-func (n *Node) fetchPeerNodes(ctx context.Context, peer string, level int, idxs []uint32) ([]uint64, error) {
-	req := make(bson.A, len(idxs))
-	for i, idx := range idxs {
-		req[i] = int64(idx)
-	}
-	n.aeDigestBytes.Add(int64(12*len(idxs)) + 16)
-	resp, err := n.coord.CallPeer(ctx, peer, MsgAEChildren, bson.D{
+	n.aeDigestBytes.Add(16) // the root and its framing
+	resp, err := n.coord.CallPeer(ctx, peer, MsgAERow, bson.D{
 		{Key: "from", Value: n.Addr()},
-		{Key: "level", Value: int64(level)},
-		{Key: "idxs", Value: req},
+		{Key: "root", Value: int64(tree.Root())},
 	})
 	if err != nil {
-		return nil, err
+		roundErr = err
+		return 0, 0
 	}
-	v, _ := resp.Get("hashes")
-	arr, ok := v.(bson.A)
-	if !ok {
-		return nil, nil
+	v, diverged := resp.Get("row")
+	if !diverged {
+		return 0, 0 // trees agree
 	}
-	out := make([]uint64, len(arr))
-	for i, e := range arr {
-		if h, isInt := e.(int64); isInt {
-			out[i] = uint64(h)
-		}
+	row, _ := v.([]byte)
+	n.aeDigestBytes.Add(int64(len(row)))
+	leaves, err := tree.Diff(row, maxAELeavesPerRound)
+	if err != nil || len(leaves) == 0 {
+		roundErr = err
+		return 0, 0
 	}
-	return out, nil
+	n.aeLeavesDiverged.Add(int64(len(leaves)))
+	return n.syncLeaves(ctx, peer, tree, leaves, &roundErr)
 }
 
-// handleAEChildren serves the descent: return this node's tree-for-caller
-// hashes at the requested level and indexes.
-func (n *Node) handleAEChildren(body bson.D) (bson.D, error) {
-	from := body.StringOr("from", "")
-	levelV, _ := body.Get("level")
-	level, _ := levelV.(int64)
-	v, _ := body.Get("idxs")
-	arr, _ := v.(bson.A)
-	idxs := make([]uint32, 0, len(arr))
-	for _, e := range arr {
-		if i, isInt := e.(int64); isInt && i >= 0 {
-			idxs = append(idxs, uint32(i))
-		}
+// handleAERow serves the root exchange: nothing when this node's tree for
+// the caller has the caller's root, the whole row otherwise.
+func (n *Node) handleAERow(body bson.D) (bson.D, error) {
+	v, _ := body.Get("root")
+	root, ok := v.(int64)
+	if !ok {
+		return nil, errors.New("cluster: ae.row requires root")
 	}
 	n.ensureForest()
-	hashes := n.ae.treeFor(from).Nodes(int(level), idxs)
-	out := make(bson.A, len(hashes))
-	for i, h := range hashes {
-		out[i] = int64(h)
+	tree := n.ae.treeFor(body.StringOr("from", ""))
+	if tree.Root() == uint64(root) {
+		return nil, nil
 	}
-	return bson.D{{Key: "hashes", Value: out}}, nil
+	return bson.D{{Key: "row", Value: tree.Row()}}, nil
 }
 
 // syncLeaves reconciles the divergent leaf ranges: one RPC fetches the
@@ -347,44 +266,28 @@ func (n *Node) syncLeaves(ctx context.Context, peer string, tree *merkle.Tree, l
 		*roundErr = err
 		return 0, 0
 	}
+	digests, err := nwr.RecordList(resp)
+	if err != nil {
+		*roundErr = err
+		return 0, 0
+	}
 
 	// Our shared records inside the divergent leaves. This scan is O(keys)
 	// but only runs when divergence exists — converged rounds stop at the
 	// root comparison.
 	local := n.sharedRecordsInLeaves(peer, tree, leafSet)
 
-	type remoteDigest struct {
-		rec nwr.Record
-	}
-	remote := map[string]remoteDigest{}
-	if v, ok := resp.Get("digests"); ok {
-		if arr, isArr := v.(bson.A); isArr {
-			for _, e := range arr {
-				d, isDoc := e.(bson.D)
-				if !isDoc {
-					continue
-				}
-				key := d.StringOr("key", "")
-				if key == "" {
-					continue
-				}
-				verV, _ := d.Get("ver")
-				ver, _ := verV.(int64)
-				n.aeDigestBytes.Add(int64(len(key)) + 24)
-				remote[key] = remoteDigest{rec: nwr.Record{
-					Key: key, Ver: ver,
-					Origin: d.StringOr("origin", ""),
-					Strong: d.StringOr("strong", "0") == "1",
-				}}
-			}
-		}
+	remote := make(map[string]nwr.Record, len(digests))
+	for _, rec := range digests {
+		n.aeDigestBytes.Add(int64(len(rec.Key)) + 24)
+		remote[rec.Key] = rec
 	}
 
 	var wantKeys []string     // pull from peer: they have it newer or we lack it
 	var pushRecs []nwr.Record // push to peer: we have it newer or they lack it
-	for key, rd := range remote {
+	for key, rrec := range remote {
 		lrec, have := local[key]
-		if n.consensusGuardsRecord(rd.rec) || (have && n.consensusGuardsRecord(lrec)) {
+		if n.consensusGuardsRecord(rrec) || (have && n.consensusGuardsRecord(lrec)) {
 			// A log-managed record whose range leader is elsewhere: the
 			// replicated log is the only writer allowed to move it, or LWW
 			// repair would race acked strong writes.
@@ -393,9 +296,9 @@ func (n *Node) syncLeaves(ctx context.Context, peer string, tree *merkle.Tree, l
 		switch {
 		case !have:
 			wantKeys = append(wantKeys, key)
-		case rd.rec.Newer(lrec):
+		case rrec.Newer(lrec):
 			wantKeys = append(wantKeys, key)
-		case lrec.Newer(rd.rec):
+		case lrec.Newer(rrec):
 			pushRecs = append(pushRecs, lrec)
 		}
 	}
@@ -439,8 +342,8 @@ func (n *Node) sharedRecordsInLeaves(peer string, tree *merkle.Tree, leafSet map
 	return out
 }
 
-// handleAELeaf serves the leaf sync: return digests of this node's records
-// inside the named leaves that are co-owned by the caller.
+// handleAELeaf serves the leaf sync: the records of this node inside the
+// named leaves that are co-owned by the caller, without their values.
 func (n *Node) handleAELeaf(body bson.D) (bson.D, error) {
 	from := body.StringOr("from", "")
 	v, _ := body.Get("leaves")
@@ -454,22 +357,15 @@ func (n *Node) handleAELeaf(body bson.D) (bson.D, error) {
 	n.ensureForest()
 	tree := n.ae.treeFor(from)
 	recs := n.sharedRecordsInLeaves(from, tree, leafSet)
-	digests := make(bson.A, 0, len(recs))
+	docs := make(bson.A, 0, len(recs))
 	for _, rec := range recs {
 		if n.consensusGuardsRecord(rec) {
 			continue // log-managed record, leader elsewhere: the log moves it
 		}
-		d := bson.D{
-			{Key: "key", Value: rec.Key},
-			{Key: "ver", Value: rec.Ver},
-			{Key: "origin", Value: rec.Origin},
-		}
-		if rec.Strong {
-			d = append(d, bson.E{Key: "strong", Value: "1"})
-		}
-		digests = append(digests, d)
+		rec.Val = nil
+		docs = append(docs, rec.ToDoc())
 	}
-	return bson.D{{Key: "digests", Value: digests}}, nil
+	return bson.D{{Key: "records", Value: docs}}, nil
 }
 
 // pullRecords reads keys' records from peer (reads resumed at their
@@ -494,8 +390,8 @@ func (n *Node) pullRecords(ctx context.Context, peer string, keys []string) (pul
 type AEStats struct {
 	// Rounds counts anti-entropy rounds initiated.
 	Rounds int64
-	// DigestBytes approximates reconciliation metadata shipped (tree hashes
-	// plus key/version digests) — the O(keys) vs O(log keys) comparison.
+	// DigestBytes approximates reconciliation metadata shipped: roots, leaf
+	// rows and record digests.
 	DigestBytes int64
 	// LeavesDiverged counts leaf ranges that needed reconciliation.
 	LeavesDiverged int64

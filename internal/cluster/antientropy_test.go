@@ -4,11 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"mystore/internal/bson"
 	"mystore/internal/docstore"
+	"mystore/internal/merkle"
 	"mystore/internal/nwr"
+	"mystore/internal/ring"
+	"mystore/internal/transport"
 )
 
 func TestAntiEntropyRepairsMissingReplica(t *testing.T) {
@@ -136,6 +141,123 @@ func TestPullAppliesEachRecordOnItsOwn(t *testing.T) {
 	}
 	if pulled := puller.pullRecords(context.Background(), peer.Addr(), keys); pulled != records*4/5 {
 		t.Fatalf("pulled %d of %d records, want every one but the %d failed applies", pulled, records, records/5)
+	}
+}
+
+// TestAERoundIsAtMostTwoExchanges: a round between converged peers sends
+// one node.ae.* message (the root), and a round over k diverged keys in k
+// distinct leaves sends two (the row and the leaf digests) and leaves both
+// nodes holding the newest version of every key.
+func TestAERoundIsAtMostTwoExchanges(t *testing.T) {
+	h := newHarness(t, 3)
+	h.converge(8)
+	a, b := h.nodes[0], h.nodes[1]
+	var aeMsgs atomic.Int64
+	h.net.SetFault(func(_, _, msgType string) error {
+		if strings.HasPrefix(msgType, "node.ae.") {
+			aeMsgs.Add(1)
+		}
+		return nil
+	})
+	apply := func(n *Node, key string, ver int64) {
+		t.Helper()
+		rec := nwr.Record{Key: key, Val: []byte(fmt.Sprint(ver)), IsData: true, Ver: ver, Origin: "o"}
+		if err := n.Coordinator().ApplyLocal(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		key := fmt.Sprintf("conv-%02d", i)
+		apply(a, key, 1)
+		apply(b, key, 1)
+	}
+	round := func() int64 {
+		before := aeMsgs.Load()
+		a.merkleAntiEntropyRound(context.Background(), b.Addr())
+		return aeMsgs.Load() - before
+	}
+	if got := round(); got != 1 {
+		t.Fatalf("converged round sent %d node.ae.* messages, want 1", got)
+	}
+
+	// k keys in k distinct leaves: newer on a, newer on b, only on a, only
+	// on b, in turn.
+	const k = 8
+	tree := merkle.New(merkle.DefaultLeafBits)
+	leaves := map[uint32]bool{}
+	var keys []string
+	for i := 0; len(keys) < k; i++ {
+		key := fmt.Sprintf("div-%03d", i)
+		if leaf := tree.Leaf(ring.Hash(key)); !leaves[leaf] {
+			leaves[leaf] = true
+			keys = append(keys, key)
+		}
+	}
+	for i, key := range keys {
+		switch i % 4 {
+		case 0:
+			apply(a, key, 2)
+			apply(b, key, 1)
+		case 1:
+			apply(a, key, 1)
+			apply(b, key, 2)
+		case 2:
+			apply(a, key, 2)
+		case 3:
+			apply(b, key, 2)
+		}
+	}
+	if got := round(); got != 2 {
+		t.Fatalf("round over %d diverged leaves sent %d node.ae.* messages, want 2", k, got)
+	}
+	for _, n := range []*Node{a, b} {
+		for _, key := range keys {
+			if rec, found, _ := n.Coordinator().GetLocal(key); !found || rec.Ver != 2 {
+				t.Fatalf("%s holds %s at version %d (found %v), want 2", n.Addr(), key, rec.Ver, found)
+			}
+		}
+	}
+	if got := round(); got != 1 {
+		t.Fatalf("round after the repair sent %d node.ae.* messages, want 1", got)
+	}
+}
+
+// TestAERoundRejectsMalformedAnswers: a row of the wrong length ends the
+// round before the leaf exchange, and a leaf answer that is not a list of
+// record documents ends it before any pull — even for the well-formed
+// digests in it.
+func TestAERoundRejectsMalformedAnswers(t *testing.T) {
+	h := newHarness(t, 1)
+	a := h.nodes[0]
+	peer, err := h.net.Endpoint("fake:1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := merkle.New(merkle.DefaultLeafBits).Row()
+	row[0] ^= 1 // leaf 0 differs
+	good := nwr.Record{Key: "k", Ver: 1, Origin: "o"}.ToDoc()
+	answers := map[string]bson.D{
+		MsgAELeaf: {{Key: "records", Value: bson.A{good, int64(7)}}},
+	}
+	peer.SetHandler(func(_ context.Context, msg transport.Message) (bson.D, error) {
+		return answers[msg.Type], nil
+	})
+	sent := map[string]int{}
+	h.net.SetFault(func(_, _, msgType string) error {
+		sent[msgType]++
+		return nil
+	})
+	for _, bad := range []any{row[:len(row)-8], "row", nil} {
+		answers[MsgAERow] = bson.D{{Key: "row", Value: bad}}
+		a.merkleAntiEntropyRound(context.Background(), "fake:1")
+	}
+	if sent[MsgAERow] != 3 || sent[MsgAELeaf] != 0 {
+		t.Fatalf("malformed rows: sent %v, want 3 %s and no %s", sent, MsgAERow, MsgAELeaf)
+	}
+	answers[MsgAERow] = bson.D{{Key: "row", Value: row}}
+	if pushed, pulled := a.merkleAntiEntropyRound(context.Background(), "fake:1"); pushed != 0 || pulled != 0 ||
+		sent[MsgAELeaf] != 1 || sent[nwr.MsgGetReplica] != 0 {
+		t.Fatalf("malformed digests: pushed %d, pulled %d, sent %v; want nothing moved after one %s", pushed, pulled, sent, MsgAELeaf)
 	}
 }
 

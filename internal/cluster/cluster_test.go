@@ -295,6 +295,43 @@ func TestQueryExcludesDeleted(t *testing.T) {
 	}
 }
 
+// TestQuerySkipsSuspectPeers: the query fan-out asks the peer view like
+// every other node-to-node call, so a peer it holds suspect receives no
+// node.query.local, and the query answers from the other shards.
+func TestQuerySkipsSuspectPeers(t *testing.T) {
+	h := newHarness(t, 3)
+	h.converge(8)
+	ctx := context.Background()
+	if err := h.client(t).Put(ctx, "q-key", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	h.converge(2)
+	var toSuspect, toOthers atomic.Int64
+	suspect := addr(1)
+	h.net.SetFault(func(_, to, msgType string) error {
+		if msgType == MsgQueryLocal {
+			if to == suspect {
+				toSuspect.Add(1)
+			} else {
+				toOthers.Add(1)
+			}
+		}
+		return nil
+	})
+	h.nodes[0].Coordinator().Peers().Suspect(suspect)
+	results, err := h.nodes[0].Query(ctx, docstore.Filter{}, docstore.FindOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if toSuspect.Load() != 0 || toOthers.Load() != 1 {
+		t.Fatalf("node.query.local sent %d times to the suspect peer and %d to the other, want 0 and 1",
+			toSuspect.Load(), toOthers.Load())
+	}
+	if len(results) != 1 || results[0].Key != "q-key" {
+		t.Fatalf("Query = %+v, want q-key from the other shards", results)
+	}
+}
+
 func TestReplicaDistributionAcrossNodes(t *testing.T) {
 	h := newHarness(t, 5)
 	h.converge(12)

@@ -51,7 +51,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 
 	r.Register("mystore_ae_rounds_total", "Merkle anti-entropy rounds initiated by this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeRounds.Load()) })
-	r.Register("mystore_ae_digest_bytes_total", "Reconciliation metadata shipped: tree hashes plus key/version digests.", metrics.TypeCounter, "node").
+	r.Register("mystore_ae_digest_bytes_total", "Reconciliation metadata shipped: roots, leaf rows and record digests.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeDigestBytes.Load()) })
 	r.Register("mystore_ae_leaves_diverged_total", "Merkle leaf ranges found divergent and reconciled.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeLeavesDiverged.Load()) })

@@ -407,8 +407,8 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		return n.handleQuery(ctx, msg.Body)
 	case MsgQueryLocal:
 		return n.handleQueryLocal(msg.Body)
-	case MsgAEChildren:
-		return n.handleAEChildren(msg.Body)
+	case MsgAERow:
+		return n.handleAERow(msg.Body)
 	case MsgAELeaf:
 		return n.handleAELeaf(msg.Body)
 	case MsgAggregate:

@@ -8,7 +8,6 @@ import (
 	"mystore/internal/bson"
 	"mystore/internal/docstore"
 	"mystore/internal/nwr"
-	"mystore/internal/transport"
 )
 
 // Distributed queries: the feature MyStore keeps from MongoDB that Dynamo
@@ -52,11 +51,7 @@ func (n *Node) Query(ctx context.Context, filter docstore.Filter, opts docstore.
 	if len(targets) == 0 {
 		targets = []string{n.Addr()}
 	}
-	type shard struct {
-		recs []nwr.Record
-		err  error
-	}
-	shards := make([]shard, len(targets))
+	shards := make([][]nwr.Record, len(targets))
 	var wg sync.WaitGroup
 	reqBody := encodeQuery(filter, docstore.FindOptions{}) // shaping happens after merge
 	for i, target := range targets {
@@ -64,24 +59,21 @@ func (n *Node) Query(ctx context.Context, filter docstore.Filter, opts docstore.
 		go func(i int, target string) {
 			defer wg.Done()
 			if target == n.Addr() {
-				shards[i].recs, shards[i].err = n.queryLocal(filter)
+				shards[i], _ = n.queryLocal(filter)
 				return
 			}
-			resp, err := n.tr.Call(ctx, target, transport.Message{Type: MsgQueryLocal, Body: reqBody})
-			if err != nil {
-				shards[i].err = err
-				return
+			if resp, err := n.coord.CallPeer(ctx, target, MsgQueryLocal, reqBody); err == nil {
+				shards[i], _ = nwr.RecordList(resp)
 			}
-			shards[i].recs = decodeRecordList(resp)
 		}(i, target)
 	}
 	wg.Wait()
 
-	// Merge newest-wins by key; unreachable shards degrade coverage, they
-	// do not fail the query (availability first).
+	// Merge newest-wins by key; unreachable or refused shards degrade
+	// coverage, they do not fail the query (availability first).
 	newest := map[string]nwr.Record{}
-	for _, sh := range shards {
-		for _, rec := range sh.recs {
+	for _, recs := range shards {
+		for _, rec := range recs {
 			if cur, ok := newest[rec.Key]; !ok || rec.Newer(cur) {
 				newest[rec.Key] = rec
 			}
@@ -210,25 +202,15 @@ func (n *Node) queryLocal(filter docstore.Filter) ([]nwr.Record, error) {
 	return out, nil
 }
 
-// queryView is the document a filter matches against for a record.
+// queryView is the document a filter matches against for a record: its
+// document form with the value replaced by its size, plus the decoded value
+// document under "doc".
 func queryView(rec nwr.Record) bson.D {
-	view := bson.D{
-		{Key: "self-key", Value: rec.Key},
-		{Key: "isData", Value: boolFlag(rec.IsData)},
-		{Key: "isDel", Value: boolFlag(rec.Deleted)},
-		{Key: "size", Value: int64(len(rec.Val))},
-	}
+	view := append(rec.ToDoc().Delete("val"), bson.E{Key: "size", Value: int64(len(rec.Val))})
 	if doc, err := bson.Unmarshal(rec.Val); err == nil {
 		view = append(view, bson.E{Key: "doc", Value: doc})
 	}
 	return view
-}
-
-func boolFlag(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
 }
 
 // --- wire encoding for query requests/responses ---
@@ -293,25 +275,4 @@ func decodeQuery(body bson.D) (docstore.Filter, docstore.FindOptions, error) {
 		}
 	}
 	return filter, opts, nil
-}
-
-func decodeRecordList(resp bson.D) []nwr.Record {
-	v, ok := resp.Get("records")
-	arr, isArr := v.(bson.A)
-	if !ok || !isArr {
-		return nil
-	}
-	out := make([]nwr.Record, 0, len(arr))
-	for _, e := range arr {
-		d, isDoc := e.(bson.D)
-		if !isDoc {
-			continue
-		}
-		rec, err := nwr.RecordFromDoc(d)
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out
 }

@@ -1,8 +1,11 @@
 package merkle
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -12,14 +15,17 @@ func TestEmptyTreesAgree(t *testing.T) {
 	if a.Root() != b.Root() {
 		t.Fatalf("empty roots differ: %x vs %x", a.Root(), b.Root())
 	}
-	if a.Records() != 0 {
-		t.Fatalf("empty tree reports %d records", a.Records())
+	if len(a.Row()) != 8<<10 {
+		t.Fatalf("row is %d bytes, want %d", len(a.Row()), 8<<10)
 	}
 }
 
+// leafOf reads leaf i's digest out of a row.
+func leafOf(row []byte, i int) uint64 { return binary.LittleEndian.Uint64(row[8*i:]) }
+
 func TestIncrementalMatchesRebuild(t *testing.T) {
-	// Applying a mutation history incrementally (Add/Replace/Remove) must
-	// land on the same tree as rebuilding from the final state.
+	// Applying a mutation history incrementally (adds, replaces, removes)
+	// must land on the same row as rebuilding from the final state.
 	rng := rand.New(rand.NewSource(42))
 	inc := New(8)
 	type rec struct {
@@ -33,101 +39,96 @@ func TestIncrementalMatchesRebuild(t *testing.T) {
 		switch {
 		case rng.Intn(10) == 0: // delete
 			if old, ok := state[k]; ok {
-				inc.Remove(keyHash(k), old.hash)
+				inc.Replace(keyHash(k), old.hash, 0)
 				delete(state, k)
 			}
 		default: // write a new version
 			ver := int64(i + 1)
 			h := RecordHash(k, ver, "origin-a", false)
-			if old, ok := state[k]; ok {
-				inc.Replace(keyHash(k), old.hash, h)
-			} else {
-				inc.Add(keyHash(k), h)
-			}
+			inc.Replace(keyHash(k), state[k].hash, h)
 			state[k] = rec{ver: ver, hash: h}
 		}
 	}
 	rebuilt := New(8)
 	for k, r := range state {
-		rebuilt.Add(keyHash(k), r.hash)
+		rebuilt.Replace(keyHash(k), 0, r.hash)
 	}
 	if inc.Root() != rebuilt.Root() {
 		t.Fatalf("incremental root %x != rebuilt root %x", inc.Root(), rebuilt.Root())
 	}
-	if inc.Records() != int64(len(state)) {
-		t.Fatalf("record count drifted: %d vs %d", inc.Records(), len(state))
-	}
-	for leaf := uint32(0); leaf < uint32(inc.Leaves()); leaf++ {
-		if got, want := inc.Node(inc.LeafBits(), leaf), rebuilt.Node(rebuilt.LeafBits(), leaf); got != want {
-			t.Fatalf("leaf %d diverged: %x vs %x", leaf, got, want)
-		}
+	if !bytes.Equal(inc.Row(), rebuilt.Row()) {
+		t.Fatal("incremental row differs from the rebuilt row")
 	}
 }
 
-func TestDescentLocalizesDivergence(t *testing.T) {
-	// Two trees differing in exactly one record must disagree on exactly the
-	// root-to-leaf path covering that record's leaf, and agree elsewhere.
+func TestOneRecordDivergesOneLeaf(t *testing.T) {
+	// Two trees differing in exactly one record must disagree on exactly
+	// that record's leaf, and on the root.
 	a, b := New(10), New(10)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("rec-%05d", i)
 		h := RecordHash(k, int64(rng.Intn(1000)), "o", false)
 		kh := uint32(hashString(fnvOffset, k))
-		a.Add(kh, h)
-		b.Add(kh, h)
+		a.Replace(kh, 0, h)
+		b.Replace(kh, 0, h)
+	}
+	if a.Root() != b.Root() {
+		t.Fatal("equal record sets have different roots")
 	}
 	divergedKey := "rec-00042"
 	kh := uint32(hashString(fnvOffset, divergedKey))
-	b.Replace(kh, RecordHash(divergedKey, 0, "", false), RecordHash(divergedKey, 0, "", false)) // no-op sanity
-	b.Add(kh, RecordHash(divergedKey, 99999, "other", false))                                  // extra version on b
+	b.Replace(kh, 0, RecordHash(divergedKey, 99999, "other", false)) // extra version on b
 
-	wantLeaf := a.Leaf(kh)
-	// Walk the descent exactly as the anti-entropy round does.
-	frontier := []uint32{0}
-	for level := 0; level < a.LeafBits(); level++ {
-		var next []uint32
-		for _, idx := range frontier {
-			for _, child := range []uint32{2 * idx, 2*idx + 1} {
-				if a.Node(level+1, child) != b.Node(level+1, child) {
-					next = append(next, child)
-				}
-			}
-		}
-		if len(next) != 1 {
-			t.Fatalf("level %d: %d divergent nodes, want 1", level+1, len(next))
-		}
-		frontier = next
+	if a.Root() == b.Root() {
+		t.Fatal("a differing record left the root unchanged")
 	}
-	if frontier[0] != wantLeaf {
-		t.Fatalf("descent landed on leaf %d, want %d", frontier[0], wantLeaf)
+	diverged, err := a.Diff(b.Row(), 64)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Every other leaf agrees.
-	for leaf := uint32(0); leaf < uint32(a.Leaves()); leaf++ {
-		equal := a.Node(a.LeafBits(), leaf) == b.Node(b.LeafBits(), leaf)
-		if leaf == wantLeaf && equal {
-			t.Fatalf("diverged leaf %d compares equal", leaf)
-		}
-		if leaf != wantLeaf && !equal {
-			t.Fatalf("leaf %d diverged unexpectedly", leaf)
-		}
+	if len(diverged) != 1 || diverged[0] != a.Leaf(kh) {
+		t.Fatalf("diverged leaves %v, want exactly [%d]", diverged, a.Leaf(kh))
 	}
 }
 
-func TestNodesBatchMatchesNode(t *testing.T) {
-	tr := New(6)
+func TestDiffMatchesRow(t *testing.T) {
+	// Diff against a peer's row names the leaves a leaf-by-leaf comparison
+	// of the two rows finds, in order, up to its limit; a row of the wrong
+	// length is an error.
+	a, b := New(6), New(6)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 500; i++ {
-		tr.Add(rng.Uint32(), rng.Uint64())
-	}
-	idx := []uint32{0, 1, 2, 3, 62, 63, 64, 1 << 30} // includes out-of-range
-	got := tr.Nodes(6, idx)
-	for i, ix := range idx {
-		if got[i] != tr.Node(6, ix) {
-			t.Fatalf("Nodes[%d] = %x, Node = %x", i, got[i], tr.Node(6, ix))
+		kh, h := rng.Uint32(), rng.Uint64()
+		a.Replace(kh, 0, h)
+		if i%3 != 0 {
+			b.Replace(kh, 0, h)
 		}
 	}
-	if got[len(got)-1] != 0 {
-		t.Fatalf("out-of-range index returned %x, want 0", got[len(got)-1])
+	ra, rb := a.Row(), b.Row()
+	var want []uint32
+	for i := 0; i < len(ra)/8; i++ {
+		if leafOf(ra, i) != leafOf(rb, i) {
+			want = append(want, uint32(i))
+		}
+	}
+	if len(want) < 10 {
+		t.Fatalf("only %d leaves differ; the test needs more", len(want))
+	}
+	got, err := a.Diff(rb, 1<<10)
+	if err != nil || !slices.Equal(got, want) {
+		t.Fatalf("Diff = %v, %v; want %v", got, err, want)
+	}
+	if got, _ := a.Diff(rb, 5); !slices.Equal(got, want[:5]) {
+		t.Fatalf("Diff limited to 5 = %v, want %v", got, want[:5])
+	}
+	if got, _ := a.Diff(ra, 5); len(got) != 0 {
+		t.Fatalf("Diff against its own row = %v, want none", got)
+	}
+	for _, bad := range [][]byte{nil, rb[:len(rb)-1], append(rb[:len(rb):len(rb)], 0)} {
+		if _, err := a.Diff(bad, 5); err == nil {
+			t.Fatalf("a %d-byte row was accepted", len(bad))
+		}
 	}
 }
 
@@ -140,11 +141,11 @@ func TestOrderIndependence(t *testing.T) {
 	for i := range hashes {
 		hashes[i] = rng.Uint64()
 		keys[i] = rng.Uint32()
-		a.Add(keys[i], hashes[i])
+		a.Replace(keys[i], 0, hashes[i])
 	}
 	perm := rng.Perm(len(hashes))
 	for _, i := range perm {
-		b.Add(keys[i], hashes[i])
+		b.Replace(keys[i], 0, hashes[i])
 	}
 	if a.Root() != b.Root() {
 		t.Fatalf("order changed the root: %x vs %x", a.Root(), b.Root())
@@ -168,7 +169,7 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 				tr.Replace(k<<16, uint64(w*perWriter+i), uint64(w*perWriter+i+1))
 				if i%64 == 0 {
 					tr.Root()
-					tr.Nodes(5, []uint32{0, 1, 2, 3})
+					tr.Row()
 				}
 			}
 		}(w)
@@ -189,19 +190,6 @@ func TestConcurrentUpdatesRace(t *testing.T) {
 	}
 }
 
-func TestLeafRange(t *testing.T) {
-	tr := New(10)
-	for leaf := uint32(0); leaf < uint32(tr.Leaves()); leaf++ {
-		lo, hi := tr.LeafRange(leaf)
-		if tr.Leaf(lo) != leaf {
-			t.Fatalf("lo bound of leaf %d maps to %d", leaf, tr.Leaf(lo))
-		}
-		if hi != 0 && tr.Leaf(hi-1) != leaf {
-			t.Fatalf("hi-1 bound of leaf %d maps to %d", leaf, tr.Leaf(hi-1))
-		}
-	}
-}
-
 func BenchmarkReplace(b *testing.B) {
 	tr := New(10)
 	b.ReportAllocs()
@@ -214,7 +202,7 @@ func BenchmarkRoot(b *testing.B) {
 	tr := New(10)
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 100000; i++ {
-		tr.Add(rng.Uint32(), rng.Uint64())
+		tr.Replace(rng.Uint32(), 0, rng.Uint64())
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -179,7 +179,7 @@ func (c *Coordinator) readReplica(ctx context.Context, target string, keys []str
 	if err != nil {
 		return nil, 0, err
 	}
-	recs, err := recordList(resp)
+	recs, err := RecordList(resp)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -226,7 +226,7 @@ func (c *Coordinator) ReadRecords(ctx context.Context, target string, keys []str
 // handlePutReplica serves nwr.put.replica: a put that applied nothing
 // fails, one that stopped part way answers the applied prefix and why.
 func (c *Coordinator) handlePutReplica(ctx context.Context, body bson.D) (bson.D, error) {
-	recs, err := recordList(body)
+	recs, err := RecordList(body)
 	if err != nil {
 		return nil, err
 	}
@@ -266,8 +266,10 @@ func (c *Coordinator) handleGetReplica(body bson.D) (bson.D, error) {
 	return bson.D{{Key: "records", Value: docs}, {Key: "consumed", Value: int64(consumed)}}, nil
 }
 
-// recordList parses the records array of a put request or a get response.
-func recordList(body bson.D) ([]Record, error) {
+// RecordList parses the records array of a message made of Record.ToDoc
+// documents: a put request, a get response, a query shard's or an
+// anti-entropy leaf's answer.
+func RecordList(body bson.D) ([]Record, error) {
 	v, _ := body.Get("records")
 	arr, ok := v.(bson.A)
 	if !ok {

@@ -118,7 +118,7 @@ func TestReadStopsBeforeBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := recordList(resp)
+		recs, err := RecordList(resp)
 		consumed, _ := resp.Get("consumed")
 		if err != nil || len(recs) != tt.found || consumed != int64(tt.consumed) {
 			t.Fatalf("read of %v: %d records, consumed %v, %v; want %d and %d",
@@ -234,7 +234,7 @@ func FuzzReplicaMessage(f *testing.F) {
 			t.Fatalf("%s answer does not encode: %v", typ, err)
 		}
 		if get {
-			if _, err := recordList(resp); err != nil {
+			if _, err := RecordList(resp); err != nil {
 				t.Fatalf("%s answer carries malformed records: %v", typ, err)
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -183,6 +184,93 @@ func TestGatewayOverCluster(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("absent key status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestGatewayFailedReadQuorumIs502: a read that reaches none of the key's
+// replicas is a failure, not an absent key, so the gateway answers 502.
+func TestGatewayFailedReadQuorumIs502(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 5})
+	replicas, err := c.Nodes()[0].Ring().Successors("k", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []string
+	for i, a := range c.Addrs() {
+		if slices.Contains(replicas, a) {
+			c.StopNode(i)
+		} else {
+			live = append(live, a)
+		}
+	}
+	ep, err := c.Network().Endpoint("client-live:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := cluster.Connect(context.Background(), ep, live, ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := NewGateway(ClusterBackend{Client: client}, GatewayOptions{Workers: 2})
+	defer gw.Close()
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/data/k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadGateway {
+		t.Fatalf("GET with every replica down = %d %q, want 502", resp.StatusCode, body)
+	}
+}
+
+// TestGatewayStrongDelete: a strong DELETE through the gateway commits a
+// tombstone through the range's log, after which a strong GET answers 404
+// and Client.StrongGet ErrKeyNotFound. Eventual reads of the key are not
+// checked: at R = 1 one may still see the value (DESIGN.md §9).
+func TestGatewayStrongDelete(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, StrongRanges: 2})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := NewGateway(ClusterBackend{Client: client}, GatewayOptions{CacheServers: 2, Workers: 4})
+	defer gw.Close()
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+	url := srv.URL + "/data/strong-key?consistency=strong"
+	do := func(method string, body io.Reader) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(got)
+	}
+
+	if code, body := do(http.MethodPost, strings.NewReader("v")); code != http.StatusOK {
+		t.Fatalf("strong POST = %d %q", code, body)
+	}
+	if code, body := do(http.MethodGet, nil); code != http.StatusOK || body != "v" {
+		t.Fatalf("strong GET after POST = %d %q, want 200 \"v\"", code, body)
+	}
+	if code, body := do(http.MethodDelete, nil); code != http.StatusOK {
+		t.Fatalf("strong DELETE = %d %q", code, body)
+	}
+	if code, body := do(http.MethodGet, nil); code != http.StatusNotFound {
+		t.Fatalf("strong GET after DELETE = %d %q, want 404", code, body)
+	}
+	if _, err := client.StrongGet(context.Background(), "strong-key"); !errors.Is(err, cluster.ErrKeyNotFound) {
+		t.Fatalf("Client.StrongGet after DELETE: %v, want ErrKeyNotFound", err)
 	}
 }
 
