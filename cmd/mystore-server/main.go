@@ -26,7 +26,7 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:19870", "address to listen on")
 	seeds := flag.String("seeds", "", "comma-separated seed node addresses (include this node's address to make it a seed)")
-	dataDir := flag.String("data", "", "persistence directory: WAL plus lsm tables (empty = in-memory)")
+	dataDir := flag.String("data", "", "persistence directory: WAL plus lsm tables (empty = a scratch directory under $TMPDIR, removed at shutdown)")
 	durable := flag.Bool("durable", false, "fsync every write before acknowledging (group-committed)")
 	memtable := flag.Int64("memtable", 0, "lsm memtable budget in bytes before flushing to an SSTable (0 = default 4 MiB)")
 	weight := flag.Int("weight", 1, "capacity weight (scales virtual nodes)")

@@ -249,12 +249,6 @@ func (n *node) ensureChildCanLose(i int) {
 	n.children = n.children[:len(n.children)-1]
 }
 
-// Ascend calls fn for every item in ascending key order until fn returns
-// false.
-func (t *Tree) Ascend(fn func(Item) bool) {
-	t.root.ascend(nil, nil, fn)
-}
-
 // AscendRange calls fn for every item with lo ≤ key < hi in ascending order
 // until fn returns false. A nil lo means from the start; a nil hi means to
 // the end.

@@ -111,15 +111,15 @@ func TestAscendOrder(t *testing.T) {
 		tr.Set(key(i), i)
 	}
 	var got []string
-	tr.Ascend(func(it Item) bool {
+	tr.AscendRange(nil, nil, func(it Item) bool {
 		got = append(got, string(it.Key))
 		return true
 	})
 	if len(got) != 500 {
-		t.Fatalf("Ascend visited %d items, want 500", len(got))
+		t.Fatalf("AscendRange(nil, nil) visited %d items, want 500", len(got))
 	}
 	if !sort.StringsAreSorted(got) {
-		t.Fatal("Ascend not in sorted order")
+		t.Fatal("AscendRange(nil, nil) not in sorted order")
 	}
 }
 
@@ -129,7 +129,7 @@ func TestAscendEarlyStop(t *testing.T) {
 		tr.Set(key(i), i)
 	}
 	count := 0
-	tr.Ascend(func(Item) bool {
+	tr.AscendRange(nil, nil, func(Item) bool {
 		count++
 		return count < 10
 	})
@@ -245,7 +245,7 @@ func TestSortedOrderProperty(t *testing.T) {
 		var prev []byte
 		ok := true
 		first := true
-		tr.Ascend(func(it Item) bool {
+		tr.AscendRange(nil, nil, func(it Item) bool {
 			if !first && bytes.Compare(prev, it.Key) >= 0 {
 				ok = false
 				return false

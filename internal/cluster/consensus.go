@@ -18,15 +18,11 @@ import (
 func (n *Node) startConsensus() error {
 	cfg := n.cfg
 	rf := cfg.NWR.N
-	walDir := ""
-	if cfg.StoreDir != "" {
-		walDir = filepath.Join(cfg.StoreDir, "consensus")
-	}
 	m, err := consensus.NewManager(consensus.Options{
 		Ranges:            cfg.StrongRanges,
 		ReplicationFactor: rf,
 		ElectionTimeout:   cfg.StrongElectionTimeout,
-		WALDir:            walDir,
+		WALDir:            filepath.Join(n.store.Dir(), "consensus"),
 		SyncEveryAppend:   cfg.Store.WAL.SyncEveryAppend,
 		Seed:              cfg.Seed,
 		Now:               cfg.Now,

@@ -72,58 +72,56 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	r.Register("mystore_breaker_fastfail_total", "Calls refused instantly because the peer view held their peer suspect or down.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(peers.Stats().FastFailures) })
 
-	if eng := store.Engine(); eng != nil {
-		r.Register("mystore_lsm_memtable_bytes", "Bytes buffered in the lsm engine's mutable memtable.", metrics.TypeGauge, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().MemtableBytes) })
-		r.Register("mystore_lsm_flushes_total", "Memtables flushed to SSTables.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().Flushes) })
-		r.Register("mystore_lsm_flush_bytes_total", "Bytes written by memtable flushes.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().FlushBytes) })
-		r.Register("mystore_lsm_sstables", "Live SSTables in the lsm engine.", metrics.TypeGauge, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().Tables) })
-		r.Register("mystore_lsm_sstable_bytes", "Bytes held in live SSTables.", metrics.TypeGauge, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().TableBytes) })
-		// Per-level table counts. Levels are created on demand; absent
-		// levels read 0. Seven levels cover any realistic dataset under the
-		// default 10x fanout.
-		lvlFamily := r.Register("mystore_lsm_sstables_level", "Live SSTables per lsm level.", metrics.TypeGauge, "node_level")
-		for lvl := 0; lvl < 7; lvl++ {
-			lvl := lvl
-			lvlFamily.Add(fmt.Sprintf("%s L%d", addr, lvl), func() float64 {
-				counts := eng.Stats().TableCounts
-				if lvl >= len(counts) {
-					return 0
-				}
-				return float64(counts[lvl])
-			})
-		}
-		r.Register("mystore_lsm_compactions_total", "Background compactions completed.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().Compactions) })
-		r.Register("mystore_lsm_compaction_read_bytes_total", "Bytes read by background compaction.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().CompactBytesIn) })
-		r.Register("mystore_lsm_compaction_written_bytes_total", "Bytes written by background compaction.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().CompactBytesOut) })
-		r.Register("mystore_lsm_block_cache_hits_total", "SSTable block reads served from the block cache.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().BlockCacheHits) })
-		r.Register("mystore_lsm_block_cache_misses_total", "SSTable block reads that went to disk.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().BlockCacheMisses) })
-		r.Register("mystore_lsm_bloom_negatives_total", "Table probes skipped because the bloom filter excluded the key.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(eng.Stats().BloomNegatives) })
+	eng := store.Engine()
+	r.Register("mystore_lsm_memtable_bytes", "Bytes buffered in the lsm engine's mutable memtable.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().MemtableBytes) })
+	r.Register("mystore_lsm_flushes_total", "Memtables flushed to SSTables.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().Flushes) })
+	r.Register("mystore_lsm_flush_bytes_total", "Bytes written by memtable flushes.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().FlushBytes) })
+	r.Register("mystore_lsm_sstables", "Live SSTables in the lsm engine.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().Tables) })
+	r.Register("mystore_lsm_sstable_bytes", "Bytes held in live SSTables.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().TableBytes) })
+	// Per-level table counts. Levels are created on demand; absent
+	// levels read 0. Seven levels cover any realistic dataset under the
+	// default 10x fanout.
+	lvlFamily := r.Register("mystore_lsm_sstables_level", "Live SSTables per lsm level.", metrics.TypeGauge, "node_level")
+	for lvl := 0; lvl < 7; lvl++ {
+		lvl := lvl
+		lvlFamily.Add(fmt.Sprintf("%s L%d", addr, lvl), func() float64 {
+			counts := eng.Stats().TableCounts
+			if lvl >= len(counts) {
+				return 0
+			}
+			return float64(counts[lvl])
+		})
 	}
+	r.Register("mystore_lsm_compactions_total", "Background compactions completed.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().Compactions) })
+	r.Register("mystore_lsm_compaction_read_bytes_total", "Bytes read by background compaction.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().CompactBytesIn) })
+	r.Register("mystore_lsm_compaction_written_bytes_total", "Bytes written by background compaction.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().CompactBytesOut) })
+	r.Register("mystore_lsm_block_cache_hits_total", "SSTable block reads served from the block cache.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().BlockCacheHits) })
+	r.Register("mystore_lsm_block_cache_misses_total", "SSTable block reads that went to disk.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().BlockCacheMisses) })
+	r.Register("mystore_lsm_bloom_negatives_total", "Table probes skipped because the bloom filter excluded the key.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(eng.Stats().BloomNegatives) })
 
-	if log := store.WAL(); log != nil {
-		r.Register("mystore_wal_replay_ops_total", "WAL records re-applied by the last store open (restart cost).", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(store.ReplayedOps()) })
-		r.Register("mystore_wal_appends_total", "Records appended to the write-ahead log.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(log.Stats().Appends) })
-		r.Register("mystore_wal_fsyncs_total", "fsync syscalls issued by the write-ahead log.", metrics.TypeCounter, "node").
-			Add(addr, func() float64 { return float64(log.Stats().Fsyncs) })
-		r.Register("mystore_wal_fsync_seconds", "WAL fsync latency.", metrics.TypeHistogram, "node").
-			AddHistogram(addr, 1e-9, log.FsyncLatency().Snapshot)
-		r.Register("mystore_wal_batch_records", "Records made durable per group-commit fsync.", metrics.TypeHistogram, "node").
-			AddHistogram(addr, 1, log.BatchSizes().Snapshot)
-		registerWALSegments(r, "mystore_wal", "write-ahead log", addr, log.Stats)
-	}
+	log := store.WAL()
+	r.Register("mystore_wal_replay_ops_total", "WAL records re-applied by the last store open (restart cost).", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(store.ReplayedOps()) })
+	r.Register("mystore_wal_appends_total", "Records appended to the write-ahead log.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(log.Stats().Appends) })
+	r.Register("mystore_wal_fsyncs_total", "fsync syscalls issued by the write-ahead log.", metrics.TypeCounter, "node").
+		Add(addr, func() float64 { return float64(log.Stats().Fsyncs) })
+	r.Register("mystore_wal_fsync_seconds", "WAL fsync latency.", metrics.TypeHistogram, "node").
+		AddHistogram(addr, 1e-9, log.FsyncLatency().Snapshot)
+	r.Register("mystore_wal_batch_records", "Records made durable per group-commit fsync.", metrics.TypeHistogram, "node").
+		AddHistogram(addr, 1, log.BatchSizes().Snapshot)
+	registerWALSegments(r, "mystore_wal", "write-ahead log", addr, log.Stats)
 
 	if cns := n.cns; cns != nil {
 		r.Register("mystore_consensus_ranges_led", "Consensus ranges this node currently leads.", metrics.TypeGauge, "node").
@@ -165,16 +163,13 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 			lagFamily.Add(label, func() float64 { return float64(cns.ApplyLag(rid)) })
 			heldFamily.Add(label, func() float64 { return float64(cns.LogEntries(rid)) })
 		}
-		if _, ok := cns.WALStats(); ok {
-			walStats := func() wal.SyncStats { st, _ := cns.WALStats(); return st }
-			r.Register("mystore_consensus_wal_appends_total", "Records appended to the consensus log's WAL.", metrics.TypeCounter, "node").
-				Add(addr, func() float64 { return float64(walStats().Appends) })
-			r.Register("mystore_consensus_wal_fsyncs_total", "fsync syscalls issued by the consensus log's WAL.", metrics.TypeCounter, "node").
-				Add(addr, func() float64 { return float64(walStats().Fsyncs) })
-			r.Register("mystore_consensus_wal_batched_records_total", "Consensus WAL records made durable by group fsyncs.", metrics.TypeCounter, "node").
-				Add(addr, func() float64 { return float64(walStats().BatchedRecords) })
-			registerWALSegments(r, "mystore_consensus_wal", "consensus log's WAL", addr, walStats)
-		}
+		r.Register("mystore_consensus_wal_appends_total", "Records appended to the consensus log's WAL.", metrics.TypeCounter, "node").
+			Add(addr, func() float64 { return float64(cns.WALStats().Appends) })
+		r.Register("mystore_consensus_wal_fsyncs_total", "fsync syscalls issued by the consensus log's WAL.", metrics.TypeCounter, "node").
+			Add(addr, func() float64 { return float64(cns.WALStats().Fsyncs) })
+		r.Register("mystore_consensus_wal_batched_records_total", "Consensus WAL records made durable by group fsyncs.", metrics.TypeCounter, "node").
+			Add(addr, func() float64 { return float64(cns.WALStats().BatchedRecords) })
+		registerWALSegments(r, "mystore_consensus_wal", "consensus log's WAL", addr, cns.WALStats)
 	}
 
 	if ins, ok := n.tr.(transport.Instrumented); ok {
@@ -186,8 +181,9 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 }
 
 // registerWALSegments exports what a log's cheap fsync depends on: appends
-// overwrite preallocated blocks only while spares keep arriving. A node whose
-// cold_appends keeps rising is one whose spare never does.
+// overwrite preallocated blocks only while spares keep arriving. A syncing
+// log whose cold_appends keeps rising is one whose spare never does; a log
+// that does not sync its appends prepares none, and every append is cold.
 func registerWALSegments(r *metrics.Registry, prefix, what, addr string, stats func() wal.SyncStats) {
 	r.Register(prefix+"_segments_prepared_total", "Spare segments zero-filled for the "+what+".", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(stats().SegmentsPrepared) })

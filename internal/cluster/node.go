@@ -55,7 +55,9 @@ type Config struct {
 	Weight int
 	// NWR is the replication configuration; the evaluation uses (3,2,1).
 	NWR nwr.Config
-	// StoreDir persists the local document store; empty means in-memory.
+	// StoreDir holds the local document store and, with StrongRanges, the
+	// consensus log. Empty gives the node a scratch directory that goes when
+	// the node closes or is killed, so a restart comes back empty.
 	StoreDir string
 	// Store tunes the local document store beyond the directory: WAL
 	// durability and group commit, storage engine. Its Dir field is
@@ -288,7 +290,7 @@ func (n *Node) Tick(ctx context.Context) {
 	}
 	if compactDue {
 		// A forced memtable flush checkpoints the WAL, bounding the tail a
-		// restart replays on persistent nodes (a no-op for in-memory stores).
+		// restart replays.
 		n.store.Compact() //nolint:errcheck // best-effort; the WAL remains authoritative
 	}
 }

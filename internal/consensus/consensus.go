@@ -15,11 +15,10 @@
 // carry leader-assigned monotonic versions, so applying them rides the
 // existing last-write-wins merge and is idempotent across crash-replay.
 //
-// The log is WAL-backed (one shared wal.Log per node) when a directory is
-// configured; in-memory otherwise. Followers that fall behind the log's
-// compaction horizon catch up by snapshot: the leader streams the whole
-// range's records over the cluster's bulk-transfer path (idempotent,
-// resumable) and then installs a snapshot marker.
+// The log is WAL-backed: one shared wal.Log per node. Followers that fall
+// behind the log's compaction horizon catch up by snapshot: the leader
+// streams the whole range's records over the cluster's bulk-transfer path
+// (idempotent, resumable) and then installs a snapshot marker.
 package consensus
 
 import (
@@ -188,8 +187,7 @@ type Options struct {
 	// by snapshot), and spaces the WAL's compaction markers: one per
 	// MaxLogEntries applied entries. Default 1024.
 	MaxLogEntries int
-	// WALDir, when non-empty, persists the consensus log there; empty keeps
-	// it in memory (diskless nodes).
+	// WALDir is the directory of the consensus log. Required.
 	WALDir string
 	// SyncEveryAppend makes log appends durable before they count toward
 	// quorum (matching the store's durability setting).
@@ -255,7 +253,7 @@ type Env struct {
 	// SyncApplied returns once every Apply that has returned is durable in
 	// the local store. The manager calls it before a compaction or snapshot
 	// marker lets go of the log prefix those applies came from. nil means
-	// Apply is durable on return (or the store is in memory).
+	// Apply is durable on return.
 	SyncApplied func() error
 	// Read fetches a key's record from the local store.
 	Read func(key string) (nwr.Record, bool, error)

@@ -85,8 +85,9 @@ func (tc *testCluster) heal() {
 }
 
 // newTestCluster starts n managers replicating every range across all n
-// nodes (replication factor n), with walDirs[i] persisting node i's log
-// when non-empty.
+// nodes (replication factor n). With walDirs, node i's log lives in
+// walDirs[i] and syncs every append; without, each log is an unsynced one in
+// a test directory.
 func newTestCluster(t *testing.T, n int, walDirs []string) *testCluster {
 	t.Helper()
 	tc := &testCluster{nodes: map[string]*testNode{}, cut: map[string]bool{}}
@@ -155,7 +156,7 @@ func newTestCluster(t *testing.T, n int, walDirs []string) *testCluster {
 				return true
 			},
 		}
-		walDir := ""
+		walDir := t.TempDir()
 		if walDirs != nil {
 			walDir = walDirs[i]
 		}
@@ -164,7 +165,7 @@ func newTestCluster(t *testing.T, n int, walDirs []string) *testCluster {
 			ReplicationFactor: n,
 			ElectionTimeout:   50 * time.Millisecond,
 			WALDir:            walDir,
-			SyncEveryAppend:   walDir != "",
+			SyncEveryAppend:   walDirs != nil,
 			Seed:              int64(42 + i),
 		}, env)
 		if err != nil {
@@ -601,6 +602,7 @@ func TestFollowerCommitCappedAtVerifiedPrefix(t *testing.T) {
 		ReplicationFactor: 3,
 		// Long timeout: the node stays a passive follower for the whole test.
 		ElectionTimeout: 10 * time.Second,
+		WALDir:          t.TempDir(),
 		Seed:            1,
 	}, env)
 	if err != nil {
@@ -790,6 +792,7 @@ func TestRefusedVoteKeepsElectionDeadline(t *testing.T) {
 		Ranges:            1,
 		ReplicationFactor: 3,
 		ElectionTimeout:   time.Hour, // no timer fires during the test
+		WALDir:            t.TempDir(),
 		Seed:              1,
 	}, Env{
 		Self:     "a",

@@ -395,7 +395,7 @@ func (g *group) appendLeaderEntryLocked(e Entry) (wal.LSN, error) {
 // already has it. When the wait fails the leader does not count itself: the
 // entry can still commit on the followers alone.
 func (g *group) finishAppend(lsn wal.LSN, idx, term uint64) {
-	if g.m.waitDurable(lsn) != nil {
+	if g.m.log.WaitDurable(lsn) != nil {
 		return
 	}
 	g.mu.Lock()
@@ -829,7 +829,7 @@ func (g *group) handleAppend(body bson.D) (bson.D, error) {
 	g.mu.Unlock()
 
 	if logErr == nil && unsynced {
-		logErr = g.m.waitDurable(maxLSN)
+		logErr = g.m.log.WaitDurable(maxLSN)
 	}
 	if logErr != nil {
 		return nil, fmt.Errorf("cns: append to the log of %s: %w", g.m.env.Self, logErr)
@@ -1041,8 +1041,7 @@ func (g *group) checkpointLocked() {
 // persistCompactionLocked writes the compaction marker plus the retained
 // tail; everything before the marker's LSN is no longer needed for this
 // group — provided all of it was written, or replay keeps its older floor.
-// markIdx moves either way (memory-only managers write nothing), so the
-// cadence holds.
+// markIdx moves either way, so the cadence holds.
 func (g *group) persistCompactionLocked() {
 	lsn, err := g.m.persist(bson.D{
 		{Key: "t", Value: "c"},
@@ -1060,7 +1059,7 @@ func (g *group) persistCompactionLocked() {
 		}
 	}
 	g.markIdx = g.snapIdx
-	if err == nil && lsn > 0 {
+	if err == nil {
 		g.compactLSN = lsn
 	}
 }
@@ -1102,7 +1101,7 @@ func (g *group) persistStateLocked() error {
 	if err != nil {
 		return err
 	}
-	return g.m.waitDurable(lsn)
+	return g.m.log.WaitDurable(lsn)
 }
 
 func (g *group) persistEntryLocked(e Entry) (wal.LSN, error) {

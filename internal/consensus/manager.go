@@ -25,7 +25,7 @@ import (
 type Manager struct {
 	opts Options
 	env  Env
-	log  *wal.Log // nil when running in memory
+	log  *wal.Log
 	// truncatedTo is the last floor passed to log.TruncateBefore; only the
 	// tick loop touches it.
 	truncatedTo wal.LSN
@@ -62,6 +62,9 @@ type Manager struct {
 
 // NewManager opens (and replays) the consensus WAL and starts the tick loop.
 func NewManager(opts Options, env Env) (*Manager, error) {
+	if opts.WALDir == "" {
+		return nil, errors.New("cns: WALDir is required")
+	}
 	opts = opts.withDefaults()
 	m := &Manager{
 		opts:           opts,
@@ -75,20 +78,18 @@ func NewManager(opts Options, env Env) (*Manager, error) {
 	}
 	m.rng = rand.New(rand.NewSource(seed))
 	m.baseCtx, m.cancel = context.WithCancel(context.Background())
-	if opts.WALDir != "" {
-		log, err := wal.Open(opts.WALDir, wal.Options{
-			SyncEveryAppend: opts.SyncEveryAppend,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.log = log
-		if err := m.replay(); err != nil {
-			log.Close()
-			return nil, err
-		}
-		m.finishReplay()
+	log, err := wal.Open(opts.WALDir, wal.Options{
+		SyncEveryAppend: opts.SyncEveryAppend,
+	})
+	if err != nil {
+		return nil, err
 	}
+	m.log = log
+	if err := m.replay(); err != nil {
+		log.Close()
+		return nil, err
+	}
+	m.finishReplay()
 	m.wg.Add(1)
 	go m.tickLoop()
 	return m, nil
@@ -240,7 +241,7 @@ func (m *Manager) groupFor(rid int, peers []string) (*group, error) {
 		{Key: "peers", Value: peersDoc(peers)},
 	})
 	if err == nil {
-		err = m.waitDurable(lsn)
+		err = m.log.WaitDurable(lsn)
 	}
 	if err != nil {
 		delete(m.groups, rid)
@@ -439,13 +440,10 @@ func (m *Manager) HandleMessage(msgType string, body bson.D) (bson.D, error) {
 
 // --- persistence ----------------------------------------------------------
 
-// persist appends one consensus record to the shared WAL (no-op without
-// one). Durability is the caller's business: quorum-relevant records wait
-// via waitDurable before they count.
+// persist appends one consensus record to the shared WAL. Durability is the
+// caller's business: quorum-relevant records wait via WaitDurable before they
+// count.
 func (m *Manager) persist(doc bson.D) (wal.LSN, error) {
-	if m.log == nil {
-		return 0, nil
-	}
 	// AppendNoWait copies the record into the log's own frame, so one
 	// encode buffer serves every group.
 	m.encMu.Lock()
@@ -458,18 +456,8 @@ func (m *Manager) persist(doc bson.D) (wal.LSN, error) {
 	return m.log.AppendNoWait(raw)
 }
 
-func (m *Manager) waitDurable(lsn wal.LSN) error {
-	if m.log == nil || lsn == 0 {
-		return nil
-	}
-	return m.log.WaitDurable(lsn)
-}
-
 // logEnd is the WAL position of the newest record appended by any group.
 func (m *Manager) logEnd() wal.LSN {
-	if m.log == nil {
-		return 0
-	}
 	return m.log.NextLSN() - 1
 }
 
@@ -589,9 +577,6 @@ func (m *Manager) finishReplay() {
 // the log is synced through its end first: every marker a floor was read from
 // lies, with its tail, below that. Called from the tick loop only.
 func (m *Manager) truncateWAL() {
-	if m.log == nil {
-		return
-	}
 	var min wal.LSN
 	first := true
 	for _, g := range m.groupList() {
@@ -698,14 +683,8 @@ func (m *Manager) LogEntries(rid int) int {
 	return len(g.log)
 }
 
-// WALStats reports the consensus log's commit counters; the second result is
-// false when the log is in memory.
-func (m *Manager) WALStats() (wal.SyncStats, bool) {
-	if m.log == nil {
-		return wal.SyncStats{}, false
-	}
-	return m.log.Stats(), true
-}
+// WALStats reports the consensus log's commit counters.
+func (m *Manager) WALStats() wal.SyncStats { return m.log.Stats() }
 
 // ProposeLatency exposes the propose latency histogram for metrics wiring.
 func (m *Manager) ProposeLatency() *metrics.BucketedHistogram { return m.proposeLatency }
@@ -727,10 +706,7 @@ func (m *Manager) Close() error {
 		g.mu.Unlock()
 	}
 	m.wg.Wait()
-	if m.log != nil {
-		return m.log.Close()
-	}
-	return nil
+	return m.log.Close()
 }
 
 // Kill is the kill -9 teardown: abandon the WAL without syncing so pending
@@ -749,8 +725,6 @@ func (m *Manager) Kill() {
 		g.failWaitersLocked()
 		g.mu.Unlock()
 	}
-	if m.log != nil {
-		m.log.Abandon()
-	}
+	m.log.Abandon()
 	m.wg.Wait()
 }

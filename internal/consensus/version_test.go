@@ -98,6 +98,7 @@ func TestInstalledSnapshotKeepsVersionsAboveTheClock(t *testing.T) {
 	m, err := NewManager(Options{
 		Ranges: 1, ReplicationFactor: 3,
 		ElectionTimeout: 30 * time.Millisecond,
+		WALDir:          t.TempDir(),
 		Seed:            9,
 		Now:             anHourSlow,
 	}, Env{

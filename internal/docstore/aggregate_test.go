@@ -9,7 +9,7 @@ import (
 
 func aggFixture(t *testing.T) *Collection {
 	t.Helper()
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("assets")
 	rows := []struct {
 		kind  string
@@ -108,7 +108,7 @@ func TestAggregateFloatSum(t *testing.T) {
 }
 
 func TestAggregateMissingGroupField(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("x")
 	c.Insert(bson.D{{Key: "a", Value: int64(1)}})                             //nolint:errcheck
 	c.Insert(bson.D{{Key: "a", Value: int64(2)}, {Key: "g", Value: "named"}}) //nolint:errcheck
@@ -155,7 +155,7 @@ func TestAggregateErrors(t *testing.T) {
 }
 
 func TestAggregateEmptyCollection(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	rows, err := s.C("empty").Aggregate(nil, GroupSpec{
 		By:           "kind",
 		Accumulators: []AccumulatorSpec{{Name: "n", Op: AccCount}},

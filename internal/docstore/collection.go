@@ -15,12 +15,11 @@ import (
 type Collection struct {
 	// mu guards the in-memory structures. Mutations additionally serialize
 	// through the store's writeMu, so at most one writer exists at a time.
-	mu        sync.RWMutex
-	store     *Store
-	name      string
-	primary   primaryStore // idKey -> document, engine-backed
-	indexes   map[string]*fieldIndex
-	dataBytes int64
+	mu      sync.RWMutex
+	store   *Store
+	name    string
+	primary primaryStore // idKey -> document, engine-backed
+	indexes map[string]*fieldIndex
 
 	// observer, when non-nil, runs inside every applied mutation with the
 	// previous and new version of the document (nil when absent), under the
@@ -31,16 +30,10 @@ type Collection struct {
 }
 
 func newCollection(s *Store, name string) *Collection {
-	var primary primaryStore
-	if s.persistent() {
-		primary = newLsmPrimary(s.engine, name)
-	} else {
-		primary = newMemPrimary()
-	}
 	return &Collection{
 		store:   s,
 		name:    name,
-		primary: primary,
+		primary: newLsmPrimary(s.engine, name),
 		indexes: make(map[string]*fieldIndex),
 	}
 }
@@ -53,13 +46,6 @@ func (c *Collection) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.primary.Len()
-}
-
-// DataBytes returns the approximate encoded size of all documents.
-func (c *Collection) DataBytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.dataBytes
 }
 
 // Cond decides, with every other writer excluded, whether a conditional write
@@ -193,7 +179,7 @@ func (c *Collection) Get(id any) (bson.D, bool) {
 	c.store.statIndexHit.Add(1)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, _, ok := c.primary.Get(key)
+	v, ok := c.primary.Get(key)
 	if !ok {
 		return nil, false
 	}
@@ -367,7 +353,7 @@ func (c *Collection) Find(filter Filter, opts FindOptions) ([]bson.D, error) {
 		// An index that yields no candidates has answered the query: nothing
 		// matches, and there is nothing to scan for.
 		for _, idk := range candidates {
-			if v, _, ok := c.primary.Get([]byte(idk)); ok {
+			if v, ok := c.primary.Get([]byte(idk)); ok {
 				if err := verify(v); err != nil {
 					c.mu.RUnlock()
 					return nil, err
@@ -441,7 +427,7 @@ func (c *Collection) planPrimaryLocked(operand any) ([]string, bool) {
 		if err != nil {
 			return nil, false
 		}
-		if _, _, ok := c.primary.Get(key); ok {
+		if _, ok := c.primary.Get(key); ok {
 			return []string{string(key)}, true
 		}
 		return nil, true // definitively empty
@@ -540,9 +526,8 @@ func (c *Collection) write(ctx context.Context, id any, doc bson.D, mode syncMod
 		}
 	}
 	var old bson.D
-	var oldLen int
 	return c.store.mutate(ctx, op, func() (bool, error) {
-		old, oldLen, _ = c.primary.Get(key)
+		old, _ = c.primary.Get(key)
 		if cond != nil {
 			if ok, err := cond(old); err != nil || !ok {
 				return false, err
@@ -557,7 +542,7 @@ func (c *Collection) write(ctx context.Context, id any, doc bson.D, mode syncMod
 		}
 		return true, nil
 	}, func(lsn uint64) error {
-		return c.set(key, old, oldLen, doc, enc, lsn)
+		return c.set(key, old, doc, enc, lsn)
 	}, mode)
 }
 
@@ -583,15 +568,15 @@ func (c *Collection) blindSet(id any, doc bson.D, lsn uint64) error {
 			return err
 		}
 	}
-	old, oldLen, _ := c.primary.Get(key)
-	return c.set(key, old, oldLen, doc, enc, lsn)
+	old, _ := c.primary.Get(key)
+	return c.set(key, old, doc, enc, lsn)
 }
 
 // set installs doc (encoded as enc; nil deletes) at key in place of old, the
-// document stored there now (nil for none, oldLen its encoded length), keeps
-// the secondary indexes and the byte count in step, and tells the observer.
-// Caller holds the store's writeMu or is in single-threaded recovery.
-func (c *Collection) set(key []byte, old bson.D, oldLen int, doc bson.D, enc []byte, lsn uint64) error {
+// document stored there now (nil for none), keeps the secondary indexes in
+// step, and tells the observer. Caller holds the store's writeMu or is in
+// single-threaded recovery.
+func (c *Collection) set(key []byte, old bson.D, doc bson.D, enc []byte, lsn uint64) error {
 	if old == nil && doc == nil {
 		return nil // deleting an absent document is a no-op on replay
 	}
@@ -614,7 +599,6 @@ func (c *Collection) set(key []byte, old bson.D, oldLen int, doc bson.D, enc []b
 			ix.insert(string(key), doc)
 		}
 	}
-	c.dataBytes += int64(len(enc) - oldLen)
 	if c.observer != nil {
 		c.observer(old, doc)
 	}
@@ -627,13 +611,11 @@ func (c *Collection) applyEnsureIndex(field string, unique bool, lsn uint64) err
 	if _, exists := c.indexes[field]; exists {
 		return nil
 	}
-	if lp, ok := c.primary.(*lsmPrimary); ok {
-		// Persist the definition so a restart can rebuild the index from
-		// table state alone, even after the WAL that carried the "index" op
-		// has been checkpointed away.
-		if err := lp.saveIndexDef(field, unique, lsn); err != nil {
-			return err
-		}
+	// Persist the definition so a restart can rebuild the index from table
+	// state alone, even after the WAL that carried the "index" op has been
+	// checkpointed away.
+	if err := c.store.saveIndexDef(c.name, field, unique, lsn); err != nil {
+		return err
 	}
 	c.buildIndexLocked(field, unique)
 	return nil

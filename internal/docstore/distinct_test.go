@@ -7,7 +7,7 @@ import (
 )
 
 func TestDistinct(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("items")
 	for i := 0; i < 12; i++ {
 		c.Insert(bson.D{ //nolint:errcheck
@@ -55,7 +55,7 @@ func TestDistinct(t *testing.T) {
 }
 
 func TestDistinctDottedPath(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("items")
 	for _, course := range []string{"EE101", "EE102", "EE101"} {
 		c.Insert(bson.D{{Key: "meta", Value: bson.D{{Key: "course", Value: course}}}}) //nolint:errcheck

@@ -5,16 +5,14 @@ import (
 	"sync"
 
 	"mystore/internal/bson"
-	"mystore/internal/btree"
 	"mystore/internal/lsm"
 )
 
-// A collection's primary index is one of two: a persistent store keeps
-// documents in the log-structured table store (lsm) and only the working set
-// in memory, while an in-memory store, which has no log and no recovery,
-// keeps every decoded document in a btree. Collections talk to either
-// through primaryStore; mutations additionally carry the op's WAL LSN so the
-// lsm engine can checkpoint (truncate) the log as memtables flush.
+// A collection's primary index lives in the store-wide log-structured table
+// store (lsm): documents sit in SSTables behind a memtable, and only the
+// working set is in memory. Collections talk to it through primaryStore;
+// mutations additionally carry the op's WAL LSN so the engine can checkpoint
+// (truncate) the log as memtables flush.
 //
 // LSM key encoding. One engine holds every collection, namespaced as
 // <collection> 0x00 <idKey>. Metadata sorts before all documents under the
@@ -31,9 +29,8 @@ import (
 // primaryStore is the primary (_id -> document) index of one collection.
 // Callers treat returned documents as immutable.
 type primaryStore interface {
-	// Get returns the stored document for key and the length of its BSON
-	// encoding, which both primaries already hold.
-	Get(key []byte) (doc bson.D, encLen int, ok bool)
+	// Get returns the stored document for key.
+	Get(key []byte) (doc bson.D, ok bool)
 	// Set stores doc (already encoded as enc) at key. isNew tells the
 	// engine whether key is a fresh insert (the caller read the key under
 	// the store's write lock).
@@ -45,47 +42,6 @@ type primaryStore interface {
 	// Len returns the document count.
 	Len() int
 }
-
-// memPrimary is an in-memory store's primary index: decoded documents in a
-// btree, with no log behind them.
-type memPrimary struct {
-	tree *btree.Tree // idKey -> memDoc
-}
-
-// memDoc is a stored document beside the length of its encoding.
-type memDoc struct {
-	doc    bson.D
-	encLen int
-}
-
-func newMemPrimary() *memPrimary { return &memPrimary{tree: btree.New()} }
-
-func (p *memPrimary) Get(key []byte) (bson.D, int, bool) {
-	v, ok := p.tree.Get(key)
-	if !ok {
-		return nil, 0, false
-	}
-	d := v.(memDoc)
-	return d.doc, d.encLen, true
-}
-
-func (p *memPrimary) Set(key []byte, doc bson.D, enc []byte, lsn uint64, isNew bool) error {
-	p.tree.Set(key, memDoc{doc, len(enc)})
-	return nil
-}
-
-func (p *memPrimary) Delete(key []byte, lsn uint64) error {
-	p.tree.Delete(key)
-	return nil
-}
-
-func (p *memPrimary) Ascend(fn func(key []byte, doc bson.D) bool) {
-	p.tree.Ascend(func(it btree.Item) bool {
-		return fn(it.Key, it.Value.(memDoc).doc)
-	})
-}
-
-func (p *memPrimary) Len() int { return p.tree.Len() }
 
 // --- lsm engine adapter ---
 
@@ -151,13 +107,12 @@ func (p *lsmPrimary) decode(val []byte, err error) (bson.D, bool) {
 	return doc, true
 }
 
-func (p *lsmPrimary) Get(key []byte) (bson.D, int, bool) {
+func (p *lsmPrimary) Get(key []byte) (bson.D, bool) {
 	val, ok, err := p.eng.Get(docKey(p.coll, key))
 	if err == nil && !ok {
-		return nil, 0, false
+		return nil, false
 	}
-	doc, ok := p.decode(val, err)
-	return doc, len(val), ok
+	return p.decode(val, err)
 }
 
 func (p *lsmPrimary) Set(key []byte, doc bson.D, enc []byte, lsn uint64, isNew bool) error {
@@ -229,12 +184,12 @@ func (p *lsmPrimary) adjust(delta int) {
 
 // saveIndexDef persists an index definition in the engine's metadata range
 // so restarts can rebuild the index without replaying the full WAL history.
-func (p *lsmPrimary) saveIndexDef(field string, unique bool, lsn uint64) error {
+func (s *Store) saveIndexDef(coll, field string, unique bool, lsn uint64) error {
 	val := []byte{0}
 	if unique {
 		val[0] = 1
 	}
-	return p.eng.Apply(indexDefKey(p.coll, field), val, lsn)
+	return s.engine.Apply(indexDefKey(coll, field), val, lsn)
 }
 
 // dropCollLSM tombstones every key belonging to a dropped collection:

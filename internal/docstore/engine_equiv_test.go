@@ -58,12 +58,14 @@ func contents(s *Store) map[string]map[string]bson.D {
 	return out
 }
 
-// TestEngineEquivalence drives the lsm store and an in-memory reference with
-// one randomized op sequence and checks they agree: after every round, after
-// a memtable flush plus a full compaction, after a collection drop and after
-// reopen. This is the contract that lets the cluster layer stay oblivious to
-// whether a node persists. The seeds are fixed, and every failure names its
-// seed, so a divergence replays.
+// TestEngineEquivalence drives a store with the tiny test tuning and a
+// reference store with one randomized op sequence and checks they agree:
+// after every round, after a memtable flush plus a full compaction, after a
+// collection drop and after reopen. The reference runs the default tuning,
+// whose memtable the workload never fills, so it answers from the memtable
+// alone while the store under test crosses tables, compaction and restart.
+// The seeds are fixed, and every failure names its seed, so a divergence
+// replays.
 func TestEngineEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { testEngineEquivalence(t, seed) })
@@ -73,7 +75,7 @@ func TestEngineEquivalence(t *testing.T) {
 func testEngineEquivalence(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	dir := t.TempDir()
-	ref, ls := memStore(t), lsmStore(t, dir)
+	ref, ls := scratchStore(t), lsmStore(t, dir)
 	defer func() { ls.Close() }()
 
 	colls := []string{"alpha", "beta", "gamma"}
@@ -179,6 +181,10 @@ func testEngineEquivalence(t *testing.T, seed int64) {
 	apply(func(s *Store) error { return s.DropCollection("gamma") })
 	check("after DropCollection")
 
+	// The comparison must have spanned tables and compaction.
+	if st := ls.Engine().Stats(); st.Flushes == 0 || st.Compactions == 0 {
+		t.Fatalf("seed %d: the store under test flushed %d times and compacted %d times, want both", seed, st.Flushes, st.Compactions)
+	}
 	// Reopen the lsm store; its state and index definitions must survive.
 	if err := ls.Close(); err != nil {
 		t.Fatalf("seed %d: Close: %v", seed, err)
@@ -189,6 +195,9 @@ func testEngineEquivalence(t *testing.T, seed int64) {
 		if got := ls.C(coll).Indexes(); len(got) != 1 || got[0] != "tag" {
 			t.Fatalf("seed %d: %s indexes after reopen = %v, want [tag]", seed, coll, got)
 		}
+	}
+	if st := ref.Engine().Stats(); st.Flushes != 0 || st.Tables != 0 {
+		t.Fatalf("seed %d: the reference flushed %d times and holds %d tables, want a memtable only", seed, st.Flushes, st.Tables)
 	}
 }
 

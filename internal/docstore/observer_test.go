@@ -9,7 +9,7 @@ import (
 )
 
 func TestApplyObserverSeesAllMutations(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 
 	type event struct{ old, new string }
@@ -54,7 +54,7 @@ func TestApplyObserverSeesAllMutations(t *testing.T) {
 }
 
 func TestApplyObserverRemoval(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	var calls int
 	c.SetApplyObserver(func(old, new bson.D) { calls++ })
@@ -71,7 +71,7 @@ func TestApplyObserverRemoval(t *testing.T) {
 }
 
 func TestEachIteratesAllWithoutCloning(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -110,7 +110,7 @@ func TestEachSyncedWindowIsExact(t *testing.T) {
 	// its begin hook: docs counted by the scan plus inserts observed after
 	// begin must equal the final collection size exactly — no mutation is
 	// double-counted or lost across the snapshot point.
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	for i := 0; i < 100; i++ {
 		if _, err := c.Insert(bson.D{{Key: "_id", Value: fmt.Sprintf("pre%03d", i)}}); err != nil {

@@ -137,9 +137,9 @@ func TestCompactTruncatesWAL(t *testing.T) {
 }
 
 func TestCompactInMemoryIsNoop(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	if err := s.Compact(); err != nil {
-		t.Fatalf("Compact on memory store: %v", err)
+		t.Fatalf("Compact on a scratch store: %v", err)
 	}
 }
 

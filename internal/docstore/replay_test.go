@@ -109,7 +109,7 @@ func TestReplayLegacyWAL(t *testing.T) {
 }
 
 // FuzzReplayRecord pushes arbitrary bytes down the replay path — Unmarshal,
-// decodeOp, redo onto an in-memory store. A record is refused with an error or
+// decodeOp, redo onto a scratch store. A record is refused with an error or
 // applies cleanly; nothing a log can hold may panic an opening store.
 func FuzzReplayRecord(f *testing.F) {
 	for _, rec := range legacyWAL(f) {
@@ -127,6 +127,8 @@ func FuzzReplayRecord(f *testing.F) {
 		{{Key: "op", Value: "dropcoll"}, {Key: "coll", Value: "c"}},
 		{{Key: "op", Value: "compact"}, {Key: "coll", Value: "c"}}, // unknown kind
 		{{Key: "coll", Value: "c"}}, // no kind
+		{{Key: "op", Value: "put"}, {Key: "doc", Value: bson.D{{Key: "_id", Value: "x"}}}},                                // no coll: its keys would be metadata
+		{{Key: "op", Value: "put"}, {Key: "coll", Value: "c\x00"}, {Key: "doc", Value: bson.D{{Key: "_id", Value: "x"}}}}, // 0x00 in coll
 	} {
 		rec, err := bson.Marshal(d)
 		if err != nil {
@@ -138,6 +140,15 @@ func FuzzReplayRecord(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// Decoding touches no store, so a record it refuses opens none.
+		doc, err := bson.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		op, err := decodeOp(doc)
+		if err != nil {
+			return
+		}
 		s, err := Open(Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -150,14 +161,6 @@ func FuzzReplayRecord(f *testing.F) {
 		}
 		if _, err := c.Insert(bson.D{{Key: "_id", Value: "x"}, {Key: "v", Value: int64(0)}}); err != nil {
 			t.Fatal(err)
-		}
-		doc, err := bson.Unmarshal(data)
-		if err != nil {
-			return
-		}
-		op, err := decodeOp(doc)
-		if err != nil {
-			return
 		}
 		if err := s.replayOp(op, 0); err != nil {
 			return

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -33,18 +34,18 @@ type Options struct {
 	// Dir is the persistence directory: a WAL plus the lsm engine's tables.
 	// Documents live in SSTables behind a memtable, every memtable flush
 	// checkpoints the WAL, and a restart replays only the unflushed tail.
-	// Empty means an unlogged in-memory store with no recovery (used heavily
-	// by simulations and tests).
+	// Empty makes a scratch store: Open creates a fresh mystore-scratch-*
+	// directory under the system's temporary directory and runs the same WAL
+	// and tables there, and Close or Crash removes it, so nothing survives.
 	Dir string
-	// WAL tunes the write-ahead log when Dir is set.
+	// WAL tunes the write-ahead log.
 	WAL wal.Options
 	// Engine names the storage engine.
 	//
-	// Deprecated: a store with a Dir always runs lsm. "" and "lsm" are
-	// accepted; any other name is refused.
+	// Deprecated: every store runs lsm. "" and "lsm" are accepted; any other
+	// name is refused.
 	Engine string
-	// Storage tunes the lsm engine (memtable budget, block cache size, ...)
-	// when Dir is set.
+	// Storage tunes the lsm engine (memtable budget, block cache size, ...).
 	Storage lsm.Tuning
 }
 
@@ -83,29 +84,42 @@ type Store struct {
 	statScans    atomic.Uint64
 	statIndexHit atomic.Uint64
 
-	opts   Options
-	log    *wal.Log    // nil, like engine, for an in-memory store
-	engine *lsm.Engine // nil, like log, for an in-memory store
-	colls  map[string]*Collection
-	closed bool
+	opts    Options
+	scratch bool // opts.Dir is Open's scratch directory, removed at Close or Crash
+	log     *wal.Log
+	engine  *lsm.Engine
+	colls   map[string]*Collection
+	closed  bool
 
 	replayedOps atomic.Uint64 // WAL records re-applied by the last open
 }
 
-// Open opens a store. With a Dir it opens the WAL and the lsm table store
-// and replays only the WAL tail past the last flush checkpoint. Without a Dir
-// the store is purely in-memory.
+// Open opens a store: the WAL and the lsm table store in opts.Dir, or in a
+// new scratch directory when Dir is empty. It replays only the WAL tail past
+// the last flush checkpoint.
 func Open(opts Options) (*Store, error) {
 	if opts.Engine != "" && opts.Engine != "lsm" {
-		return nil, fmt.Errorf("docstore: storage engine %q is retired: a store with a Dir runs lsm, one without is in memory", opts.Engine)
+		return nil, fmt.Errorf("docstore: storage engine %q is retired: every store runs lsm", opts.Engine)
 	}
+	if opts.Dir != "" {
+		return open(opts)
+	}
+	dir, err := os.MkdirTemp("", "mystore-scratch-*")
+	if err != nil {
+		return nil, fmt.Errorf("docstore: create scratch dir: %w", err)
+	}
+	opts.Dir = dir
+	s, err := open(opts)
+	if err != nil {
+		os.RemoveAll(dir)
+		return nil, err
+	}
+	s.scratch = true
+	return s, nil
+}
+
+func open(opts Options) (*Store, error) {
 	s := &Store{opts: opts, colls: make(map[string]*Collection)}
-	if opts.Dir == "" {
-		if opts.Engine == "lsm" {
-			return nil, errors.New("docstore: lsm engine requires Dir")
-		}
-		return s, nil
-	}
 	// A directory the retired map engine wrote holds its documents in a
 	// snapshot (or one mid-write) over a WAL truncated below it: lsm would
 	// open empty tables, replay that tail and serve a store missing
@@ -118,9 +132,6 @@ func Open(opts Options) (*Store, error) {
 		if !errors.Is(err, os.ErrNotExist) {
 			return nil, fmt.Errorf("docstore: %w", err)
 		}
-	}
-	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("docstore: create dir: %w", err)
 	}
 	log, err := wal.Open(filepath.Join(opts.Dir, "wal"), opts.WAL)
 	if err != nil {
@@ -178,12 +189,11 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// persistent reports whether the store has a Dir, and so a WAL and an lsm
-// engine; an in-memory store has neither.
-func (s *Store) persistent() bool { return s.engine != nil }
+// Dir returns the store's directory: Options.Dir, or the scratch directory
+// Open made when that was empty.
+func (s *Store) Dir() string { return s.opts.Dir }
 
-// Engine exposes the lsm engine for metrics and tests; nil for an in-memory
-// store.
+// Engine exposes the lsm engine for metrics and tests.
 func (s *Store) Engine() *lsm.Engine { return s.engine }
 
 // ReplayedOps reports how many WAL records the last Open re-applied: the
@@ -251,22 +261,18 @@ const (
 // mutate is the store's one write protocol. op is encoded outside the locks;
 // under writeMu, check (when non-nil) reads current state and says whether the
 // mutation goes ahead — false or an error refuses it and nothing reaches the
-// WAL; then the record is appended and apply runs with its LSN (0 for an
-// in-memory store). Under waitSync the durability wait follows the unlock,
-// under its own "wal.commit" span so a trace shows how much of a write sat
-// waiting on the group fsync. It reports whether the mutation was applied.
+// WAL; then the record is appended and apply runs with its LSN. Under waitSync
+// the durability wait follows the unlock, under its own "wal.commit" span so a
+// trace shows how much of a write sat waiting on the group fsync. It reports
+// whether the mutation was applied.
 func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), apply func(lsn uint64) error, mode syncMode) (bool, error) {
 	if s.isClosed() {
 		return false, ErrClosed
 	}
 	// BSON-encode outside the lock; it is the expensive part of the write.
-	var rec []byte
-	if s.persistent() {
-		var err error
-		rec, err = bson.Marshal(encodeOp(op))
-		if err != nil {
-			return false, err
-		}
+	rec, err := bson.Marshal(encodeOp(op))
+	if err != nil {
+		return false, err
 	}
 
 	s.writeMu.Lock()
@@ -280,27 +286,23 @@ func (s *Store) mutate(ctx context.Context, op Op, check func() (bool, error), a
 			return false, err
 		}
 	}
-	var lsn wal.LSN
-	if s.persistent() {
-		var err error
-		// Buffered append only: the fsync wait happens after writeMu is
-		// released, so concurrent writers form one group-commit cohort
-		// instead of serializing their fsyncs behind the apply lock.
-		lsn, err = s.log.AppendNoWait(rec)
-		if err != nil {
-			s.writeMu.Unlock()
-			return false, err
-		}
+	// Buffered append only: the fsync wait happens after writeMu is
+	// released, so concurrent writers form one group-commit cohort instead
+	// of serializing their fsyncs behind the apply lock.
+	lsn, err := s.log.AppendNoWait(rec)
+	if err != nil {
+		s.writeMu.Unlock()
+		return false, err
 	}
 	// An apply can fail only in the storage engine (crashed or closed under
 	// us). The record is logged and the caller is told the write failed; if
 	// the record proves durable, the next open redoes it.
-	err := apply(uint64(lsn))
+	err = apply(uint64(lsn))
 	s.writeMu.Unlock()
 	if err != nil {
 		return false, err
 	}
-	if !s.persistent() || mode == skipSync {
+	if mode == skipSync {
 		return true, nil
 	}
 	_, sp := trace.Start(ctx, "wal.commit")
@@ -326,10 +328,8 @@ func (s *Store) replayOp(op Op, lsn uint64) error {
 }
 
 func (s *Store) applyDropColl(name string, lsn uint64) error {
-	if s.persistent() {
-		if err := s.dropCollLSM(name, lsn); err != nil {
-			return err
-		}
+	if err := s.dropCollLSM(name, lsn); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	delete(s.colls, name)
@@ -346,10 +346,9 @@ type Stats struct {
 	Scans       uint64
 }
 
-// Stats returns current aggregate statistics. In a persistent store,
-// DataBytes reports on-disk table bytes plus the memtable (per-collection
-// running deltas reset at restart), and the first call after a restart pays
-// one discovery scan per collection to learn document counts.
+// Stats returns current aggregate statistics. DataBytes is the engine's
+// table bytes plus its memtable, and the first call after a restart pays one
+// discovery scan per collection to learn document counts.
 func (s *Store) Stats() Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -357,53 +356,39 @@ func (s *Store) Stats() Stats {
 	for _, c := range s.colls {
 		c.mu.RLock()
 		st.Documents += c.primary.Len()
-		st.DataBytes += c.dataBytes
 		c.mu.RUnlock()
 	}
-	if s.persistent() {
-		est := s.engine.Stats()
-		st.DataBytes = est.TableBytes + est.MemtableBytes
-	}
+	est := s.engine.Stats()
+	st.DataBytes = est.TableBytes + est.MemtableBytes
 	return st
 }
 
 // WAL exposes the write-ahead log so callers can register its histograms
-// (fsync latency, batch sizes) with a metrics registry. Nil for an in-memory
-// store.
+// (fsync latency, batch sizes) with a metrics registry.
 func (s *Store) WAL() *wal.Log { return s.log }
 
 // SyncWAL returns once every mutation applied so far is durable in the WAL
-// (under SyncEveryAppend; a no-op otherwise and for an in-memory store) — the
-// barrier a skipSync writer runs before it lets go of its own copy.
+// (under SyncEveryAppend; a no-op otherwise) — the barrier a skipSync writer
+// runs before it lets go of its own copy.
 func (s *Store) SyncWAL() error {
-	if !s.persistent() {
-		return nil
-	}
 	return s.log.WaitDurable(s.log.NextLSN() - 1)
 }
 
 // Compact bounds WAL growth: it flushes the memtable to a table, and the
-// flush's checkpoint truncates the WAL below what the tables now hold. A
-// no-op for an in-memory store.
+// flush's checkpoint truncates the WAL below what the tables now hold.
 func (s *Store) Compact() error {
-	if !s.persistent() {
-		return nil
-	}
 	return s.engine.Flush()
 }
 
 // WALStats reports the write-ahead log's commit counters (appends, fsyncs,
-// group-commit batch sizes). The second result is false for an in-memory
-// store, which has no log.
+// group-commit batch sizes). The second result is always true.
 func (s *Store) WALStats() (wal.SyncStats, bool) {
-	if !s.persistent() {
-		return wal.SyncStats{}, false
-	}
 	return s.log.Stats(), true
 }
 
-// Close flushes and closes the store. In a persistent store the final
-// memtable flush checkpoints the WAL, so the next open replays nothing.
+// Close flushes and closes the store: the final memtable flush checkpoints
+// the WAL, so the next open replays nothing. A scratch store skips the flush,
+// since its directory goes with it.
 func (s *Store) Close() error {
 	s.writeMu.Lock()
 	defer s.writeMu.Unlock()
@@ -413,8 +398,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if !s.persistent() {
-		return nil
+	if s.scratch {
+		return s.abandon()
 	}
 	err := s.engine.Close()
 	if cerr := s.log.Close(); err == nil {
@@ -427,7 +412,8 @@ func (s *Store) Close() error {
 // flush, no fsync, file handles dropped, any in-flight table write left
 // torn on disk. In-flight writers get errors instead of durability; a
 // subsequent Open must recover from exactly what a hard crash leaves. The
-// chaos harness uses it to exercise recovery invariants in-process.
+// chaos harness uses it to exercise recovery invariants in-process. A scratch
+// store's directory is removed.
 func (s *Store) Crash() {
 	s.mu.Lock()
 	if s.closed {
@@ -436,13 +422,20 @@ func (s *Store) Crash() {
 	}
 	s.closed = true
 	s.mu.Unlock()
-	// Order matters: crash the engine first so stalled writers unblock with
-	// the engine refusing work, then abandon the log so durability waiters
-	// fail out rather than fsync.
-	if s.persistent() {
-		s.engine.Crash()
-		s.log.Abandon()
+	s.abandon() //nolint:errcheck // a crash reports nothing
+}
+
+// abandon drops the engine and the log without a flush or an fsync, and a
+// scratch store's directory with them. Order matters: crash the engine first
+// so stalled writers unblock with the engine refusing work, then abandon the
+// log so durability waiters fail out rather than fsync.
+func (s *Store) abandon() error {
+	s.engine.Crash()
+	s.log.Abandon()
+	if !s.scratch {
+		return nil
 	}
+	return os.RemoveAll(s.opts.Dir)
 }
 
 func encodeOp(op Op) bson.D {
@@ -481,6 +474,11 @@ func decodeOp(d bson.D) (Op, error) {
 	}
 	if op.Kind == "" {
 		return op, errors.New("docstore: op record missing kind")
+	}
+	// Keys are <coll> 0x00 <id>: an empty coll would land in the metadata
+	// range, and one holding 0x00 in another collection's.
+	if op.Coll == "" || strings.IndexByte(op.Coll, 0) >= 0 {
+		return op, fmt.Errorf("docstore: op record names collection %q", op.Coll)
 	}
 	return op, nil
 }

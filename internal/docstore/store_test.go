@@ -3,6 +3,8 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -10,7 +12,7 @@ import (
 	"mystore/internal/uuid"
 )
 
-func memStore(t *testing.T) *Store {
+func scratchStore(t *testing.T) *Store {
 	t.Helper()
 	s, err := Open(Options{})
 	if err != nil {
@@ -30,7 +32,7 @@ func record(selfKey string, size int) bson.D {
 }
 
 func TestInsertAssignsObjectId(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	id, err := c.Insert(record("Resistor5", 16))
 	if err != nil {
@@ -53,7 +55,7 @@ func TestInsertAssignsObjectId(t *testing.T) {
 }
 
 func TestInsertExplicitIdAndDuplicate(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	doc := record("a", 4).Set("_id", "my-key")
 	if _, err := c.Insert(doc); err != nil {
@@ -68,7 +70,7 @@ func TestInsertExplicitIdAndDuplicate(t *testing.T) {
 }
 
 func TestInsertRejectsBadIdType(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	_, err := s.C("x").Insert(bson.D{{Key: "_id", Value: 3.14}})
 	if !errors.Is(err, ErrBadId) {
 		t.Fatalf("err = %v, want ErrBadId", err)
@@ -76,7 +78,7 @@ func TestInsertRejectsBadIdType(t *testing.T) {
 }
 
 func TestInsertClonesInput(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	doc := bson.D{{Key: "_id", Value: "k"}, {Key: "val", Value: []byte{1, 2}}}
 	if _, err := c.Insert(doc); err != nil {
@@ -90,7 +92,7 @@ func TestInsertClonesInput(t *testing.T) {
 }
 
 func TestUpdate(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	doc := record("a", 4).Set("_id", "k")
 	c.Insert(doc) //nolint:errcheck
@@ -111,7 +113,7 @@ func TestUpdate(t *testing.T) {
 }
 
 func TestUpsert(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	if _, err := c.Upsert(record("a", 4).Set("_id", "k")); err != nil {
 		t.Fatalf("Upsert insert: %v", err)
@@ -136,7 +138,7 @@ func TestUpsert(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	c.Insert(record("a", 4).Set("_id", "k")) //nolint:errcheck
 	ok, err := c.Delete("k")
@@ -153,7 +155,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestFindWithIndexAndScan(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	if err := c.EnsureIndex("self-key", false); err != nil {
 		t.Fatalf("EnsureIndex: %v", err)
@@ -213,7 +215,7 @@ func TestFindWithIndexAndScan(t *testing.T) {
 // miss returns nothing, counts one index hit and no scan — "nobody has this
 // value" must not be read as "there is no index".
 func TestIndexMissNeverScans(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	for _, field := range []string{"self-key", "size"} {
 		if err := c.EnsureIndex(field, false); err != nil {
@@ -275,7 +277,7 @@ func TestIndexMissNeverScans(t *testing.T) {
 }
 
 func TestFindByPrimaryKey(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	for i := 0; i < 50; i++ {
 		c.Insert(record("r", 4).Set("_id", fmt.Sprintf("id-%02d", i))) //nolint:errcheck
@@ -294,7 +296,7 @@ func TestFindByPrimaryKey(t *testing.T) {
 }
 
 func TestFindSortSkipLimitProjection(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	for i := 0; i < 20; i++ {
 		c.Insert(record(fmt.Sprintf("k%02d", i), 4).Set("n", int64(i))) //nolint:errcheck
@@ -326,7 +328,7 @@ func TestFindSortSkipLimitProjection(t *testing.T) {
 }
 
 func TestFindOneAndCount(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	for i := 0; i < 10; i++ {
 		c.Insert(record("dup", 4)) //nolint:errcheck
@@ -350,7 +352,7 @@ func TestFindOneAndCount(t *testing.T) {
 }
 
 func TestFindBadFilterPropagates(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	c.Insert(record("a", 4)) //nolint:errcheck
 	if _, err := c.Find(Filter{{Key: "x", Value: bson.D{{Key: "$bogus", Value: 1}}}}, FindOptions{}); !errors.Is(err, ErrBadFilter) {
@@ -359,7 +361,7 @@ func TestFindBadFilterPropagates(t *testing.T) {
 }
 
 func TestUniqueIndex(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	if err := c.EnsureIndex("self-key", true); err != nil {
 		t.Fatal(err)
@@ -386,7 +388,7 @@ func TestUniqueIndex(t *testing.T) {
 }
 
 func TestIndexMaintenanceOnUpdateDelete(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	c.EnsureIndex("self-key", false) //nolint:errcheck
 	id, _ := c.Insert(record("before", 4))
@@ -410,7 +412,7 @@ func TestIndexMaintenanceOnUpdateDelete(t *testing.T) {
 }
 
 func TestDropCollection(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	s.C("a").Insert(record("x", 4)) //nolint:errcheck
 	s.C("b").Insert(record("y", 4)) //nolint:errcheck
 	if err := s.DropCollection("a"); err != nil {
@@ -436,8 +438,38 @@ func TestClosedStore(t *testing.T) {
 	}
 }
 
+// TestScratchStoreRemovesItsDirectory: a store opened without a Dir runs the
+// WAL and tables in a scratch directory of its own, which Close and Crash
+// remove.
+func TestScratchStoreRemovesItsDirectory(t *testing.T) {
+	for name, shut := range map[string]func(*Store){
+		"Close": func(s *Store) { s.Close() },
+		"Crash": (*Store).Crash,
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.C("records").Insert(record("a", 64)); err != nil {
+				t.Fatal(err)
+			}
+			dir := s.Dir()
+			for _, sub := range []string{"wal", "tables"} {
+				if _, err := os.Stat(filepath.Join(dir, sub)); err != nil {
+					t.Fatalf("scratch store has no %s: %v", sub, err)
+				}
+			}
+			shut(s)
+			if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s left the scratch directory %s (stat: %v)", name, dir, err)
+			}
+		})
+	}
+}
+
 func TestStatsTrackDataBytes(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	id, _ := c.Insert(record("a", 1000))
 	before := s.Stats()
@@ -448,13 +480,13 @@ func TestStatsTrackDataBytes(t *testing.T) {
 		t.Fatalf("Stats = %+v", before)
 	}
 	c.Delete(id) //nolint:errcheck
-	if after := s.Stats(); after.DataBytes != 0 {
-		t.Fatalf("DataBytes after delete = %d, want 0", after.DataBytes)
+	if after := s.Stats(); after.Documents != 0 {
+		t.Fatalf("Documents after delete = %d, want 0", after.Documents)
 	}
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	s := memStore(t)
+	s := scratchStore(t)
 	c := s.C("records")
 	c.EnsureIndex("self-key", false) //nolint:errcheck
 	var wg sync.WaitGroup

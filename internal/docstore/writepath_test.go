@@ -163,83 +163,75 @@ type countingPrimary struct {
 	gets int
 }
 
-func (p *countingPrimary) Get(key []byte) (bson.D, int, bool) {
+func (p *countingPrimary) Get(key []byte) (bson.D, bool) {
 	p.gets++
 	return p.primaryStore.Get(key)
 }
 
 // TestMutationsProbeOnce: every document mutation — accepted or refused, key
 // present or not — reads the stored document exactly once, under the write
-// lock, and decides and applies on that one read; a persistent store logs
-// exactly the mutations that changed it.
+// lock, and decides and applies on that one read; the store logs exactly the
+// mutations that changed it.
 func TestMutationsProbeOnce(t *testing.T) {
-	for _, arm := range []struct{ name, dir string }{{"lsm", t.TempDir()}, {"memory", ""}} {
-		t.Run(arm.name, func(t *testing.T) {
-			s, err := Open(Options{Dir: arm.dir, Storage: testTuning()})
+	t.Run("lsm", func(t *testing.T) {
+		s, err := Open(Options{Dir: t.TempDir(), Storage: testTuning()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		c := s.C("c")
+		if err := c.EnsureIndex("v", true); err != nil {
+			t.Fatal(err)
+		}
+		counter := &countingPrimary{primaryStore: c.primary}
+		c.primary = counter
+		doc := func(id string, v int64) bson.D {
+			return bson.D{{Key: "_id", Value: id}, {Key: "v", Value: v}}
+		}
+		ctx := context.Background()
+		yes := func(bson.D) (bool, error) { return true, nil }
+		no := func(bson.D) (bool, error) { return false, nil }
+		for _, step := range []struct {
+			name string
+			do   func() (bool, error)
+			want bool // the collection changed
+		}{
+			{"insert, absent", func() (bool, error) { _, err := c.Insert(doc("a", 1)); return err == nil, nil }, true},
+			{"insert, present", func() (bool, error) { _, err := c.Insert(doc("a", 2)); return err == nil, nil }, false},
+			{"update, present", func() (bool, error) { return true, c.Update(doc("a", 3)) }, true},
+			{"update, absent", func() (bool, error) { err := c.Update(doc("b", 4)); return err == nil, nil }, false},
+			{"upsert, absent", func() (bool, error) { _, err := c.Upsert(doc("b", 5)); return true, err }, true},
+			{"upsert, present", func() (bool, error) { _, err := c.Upsert(doc("b", 6)); return true, err }, true},
+			{"upsert, unique collision", func() (bool, error) { _, err := c.Upsert(doc("b", 3)); return err == nil, nil }, false},
+			{"put-if, absent, accepted", func() (bool, error) { return c.PutIf(ctx, doc("c", 7), yes) }, true},
+			{"put-if, present, accepted", func() (bool, error) { return c.PutIf(ctx, doc("c", 8), yes) }, true},
+			{"put-if, present, refused", func() (bool, error) { return c.PutIf(ctx, doc("c", 9), no) }, false},
+			{"put-if, absent, refused", func() (bool, error) { return c.PutIf(ctx, doc("d", 9), no) }, false},
+			{"delete-if, present, refused", func() (bool, error) { return c.DeleteIf("c", no) }, false},
+			{"delete-if, present, accepted", func() (bool, error) { return c.DeleteIf("c", yes) }, true},
+			{"delete-if, absent", func() (bool, error) { return c.DeleteIf("c", yes) }, false},
+			{"delete, present", func() (bool, error) { return c.Delete("b") }, true},
+			{"delete, absent", func() (bool, error) { return c.Delete("b") }, false},
+		} {
+			counter.gets = 0
+			logged := s.log.NextLSN()
+			changed, err := step.do()
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: %v", step.name, err)
 			}
-			defer s.Close()
-			c := s.C("c")
-			if err := c.EnsureIndex("v", true); err != nil {
-				t.Fatal(err)
+			if changed != step.want {
+				t.Fatalf("%s: changed = %v, want %v", step.name, changed, step.want)
 			}
-			counter := &countingPrimary{primaryStore: c.primary}
-			c.primary = counter
-			doc := func(id string, v int64) bson.D {
-				return bson.D{{Key: "_id", Value: id}, {Key: "v", Value: v}}
+			if counter.gets != 1 {
+				t.Errorf("%s: %d reads of the primary index, want 1", step.name, counter.gets)
 			}
-			ctx := context.Background()
-			yes := func(bson.D) (bool, error) { return true, nil }
-			no := func(bson.D) (bool, error) { return false, nil }
-			for _, step := range []struct {
-				name string
-				do   func() (bool, error)
-				want bool // the collection changed
-			}{
-				{"insert, absent", func() (bool, error) { _, err := c.Insert(doc("a", 1)); return err == nil, nil }, true},
-				{"insert, present", func() (bool, error) { _, err := c.Insert(doc("a", 2)); return err == nil, nil }, false},
-				{"update, present", func() (bool, error) { return true, c.Update(doc("a", 3)) }, true},
-				{"update, absent", func() (bool, error) { err := c.Update(doc("b", 4)); return err == nil, nil }, false},
-				{"upsert, absent", func() (bool, error) { _, err := c.Upsert(doc("b", 5)); return true, err }, true},
-				{"upsert, present", func() (bool, error) { _, err := c.Upsert(doc("b", 6)); return true, err }, true},
-				{"upsert, unique collision", func() (bool, error) { _, err := c.Upsert(doc("b", 3)); return err == nil, nil }, false},
-				{"put-if, absent, accepted", func() (bool, error) { return c.PutIf(ctx, doc("c", 7), yes) }, true},
-				{"put-if, present, accepted", func() (bool, error) { return c.PutIf(ctx, doc("c", 8), yes) }, true},
-				{"put-if, present, refused", func() (bool, error) { return c.PutIf(ctx, doc("c", 9), no) }, false},
-				{"put-if, absent, refused", func() (bool, error) { return c.PutIf(ctx, doc("d", 9), no) }, false},
-				{"delete-if, present, refused", func() (bool, error) { return c.DeleteIf("c", no) }, false},
-				{"delete-if, present, accepted", func() (bool, error) { return c.DeleteIf("c", yes) }, true},
-				{"delete-if, absent", func() (bool, error) { return c.DeleteIf("c", yes) }, false},
-				{"delete, present", func() (bool, error) { return c.Delete("b") }, true},
-				{"delete, absent", func() (bool, error) { return c.Delete("b") }, false},
-			} {
-				counter.gets = 0
-				var logged wal.LSN
-				if arm.dir != "" {
-					logged = s.log.NextLSN()
-				}
-				changed, err := step.do()
-				if err != nil {
-					t.Fatalf("%s: %v", step.name, err)
-				}
-				if changed != step.want {
-					t.Fatalf("%s: changed = %v, want %v", step.name, changed, step.want)
-				}
-				if counter.gets != 1 {
-					t.Errorf("%s: %d reads of the primary index, want 1", step.name, counter.gets)
-				}
-				if arm.dir == "" {
-					continue
-				}
-				logged = s.log.NextLSN() - logged
-				if want := map[bool]wal.LSN{true: 1, false: 0}[step.want]; logged != want {
-					t.Errorf("%s: %d WAL records, want %d", step.name, logged, want)
-				}
+			logged = s.log.NextLSN() - logged
+			if want := map[bool]wal.LSN{true: 1, false: 0}[step.want]; logged != want {
+				t.Errorf("%s: %d WAL records, want %d", step.name, logged, want)
 			}
-			if v, _ := c.Get("a"); v == nil || c.Len() != 1 {
-				t.Fatalf("collection ends with %d documents (a = %v), want only a", c.Len(), v)
-			}
-		})
-	}
+		}
+		if v, _ := c.Get("a"); v == nil || c.Len() != 1 {
+			t.Fatalf("collection ends with %d documents (a = %v), want only a", c.Len(), v)
+		}
+	})
 }

@@ -483,10 +483,8 @@ func RunChaos(scale Scale, dir string) (ChaosResult, error) {
 	// Invariant 6: every surviving table passes a full checksum scrub — a
 	// torn flush or compaction output was never installed.
 	for _, node := range cl.Nodes() {
-		if eng := node.Store().Engine(); eng != nil {
-			if err := eng.Scrub(); err != nil {
-				result.TornTables++
-			}
+		if err := node.Store().Engine().Scrub(); err != nil {
+			result.TornTables++
 		}
 	}
 

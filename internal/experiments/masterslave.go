@@ -35,7 +35,8 @@ const masterSlaveColl = "records"
 
 var errMasterDown = errors.New("experiments: master unavailable")
 
-// newMasterSlave opens an in-memory master and the given number of slaves.
+// newMasterSlave opens a master and the given number of slaves, each a
+// scratch store.
 func newMasterSlave(slaves int) (*masterSlave, error) {
 	ms := &masterSlave{pending: make([][]bson.D, slaves)}
 	var err error

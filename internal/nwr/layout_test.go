@@ -75,26 +75,13 @@ func TestNewKeysNeverScan(t *testing.T) {
 	}
 }
 
-// TestDuplicateInsertRaceConverges races appliers of one key on both engines:
-// two over a never-seen key, and eight of distinct versions over a key the
+// TestDuplicateInsertRaceConverges races appliers of one key: two over a
+// never-seen key, and eight of distinct versions over a key the
 // store already holds. The replica apply is one conditional put whose
 // predicate runs with writers excluded, so whichever applier gets there first
 // the survivor is the last-write-wins winner and the key has one row.
 func TestDuplicateInsertRaceConverges(t *testing.T) {
 	const keys = 200
-	engines := []struct {
-		name string
-		open func(t *testing.T) *docstore.Store
-	}{
-		{"map", func(t *testing.T) *docstore.Store {
-			store, err := docstore.Open(docstore.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return store
-		}},
-		{"lsm", func(t *testing.T) *docstore.Store { return lsmStore(t, t.TempDir(), false) }},
-	}
 	for _, tc := range []struct {
 		name     string
 		preload  bool
@@ -103,51 +90,49 @@ func TestDuplicateInsertRaceConverges(t *testing.T) {
 		{"absent key, 2 appliers", false, 2},
 		{"existing key, 8 appliers", true, 8},
 	} {
-		for _, engine := range engines {
-			t.Run(tc.name+"/"+engine.name, func(t *testing.T) {
-				store := engine.open(t)
-				defer store.Close()
-				coord := localCoordinator(t, store)
-				key := func(i int) string { return fmt.Sprintf("raced-%03d", i) }
-				if tc.preload {
-					for i := 0; i < keys; i++ {
-						if err := coord.ApplyLocal(Record{Key: key(i), Val: []byte("old"), IsData: true, Ver: 1, Origin: "z"}); err != nil {
-							t.Fatal(err)
+		t.Run(tc.name+"/lsm", func(t *testing.T) {
+			store := lsmStore(t, t.TempDir(), false)
+			defer store.Close()
+			coord := localCoordinator(t, store)
+			key := func(i int) string { return fmt.Sprintf("raced-%03d", i) }
+			if tc.preload {
+				for i := 0; i < keys; i++ {
+					if err := coord.ApplyLocal(Record{Key: key(i), Val: []byte("old"), IsData: true, Ver: 1, Origin: "z"}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			top := int64(10 + tc.appliers - 1)
+			var wg sync.WaitGroup
+			for i := 0; i < keys; i++ {
+				for a := 0; a < tc.appliers; a++ {
+					wg.Add(1)
+					go func(rec Record) {
+						defer wg.Done()
+						if err := coord.ApplyLocal(rec); err != nil {
+							t.Errorf("apply %s: %v", rec.Key, err)
 						}
-					}
+					}(Record{Key: key(i), Val: []byte(fmt.Sprintf("v%d", 10+a)), IsData: true, Ver: int64(10 + a), Origin: "a"})
 				}
-				top := int64(10 + tc.appliers - 1)
-				var wg sync.WaitGroup
-				for i := 0; i < keys; i++ {
-					for a := 0; a < tc.appliers; a++ {
-						wg.Add(1)
-						go func(rec Record) {
-							defer wg.Done()
-							if err := coord.ApplyLocal(rec); err != nil {
-								t.Errorf("apply %s: %v", rec.Key, err)
-							}
-						}(Record{Key: key(i), Val: []byte(fmt.Sprintf("v%d", 10+a)), IsData: true, Ver: int64(10 + a), Origin: "a"})
-					}
+			}
+			wg.Wait()
+			regressed := 0
+			for i := 0; i < keys; i++ {
+				rec, found, err := coord.GetLocal(key(i))
+				if err != nil || !found {
+					t.Fatalf("%s: found %v, err %v", key(i), found, err)
 				}
-				wg.Wait()
-				regressed := 0
-				for i := 0; i < keys; i++ {
-					rec, found, err := coord.GetLocal(key(i))
-					if err != nil || !found {
-						t.Fatalf("%s: found %v, err %v", key(i), found, err)
-					}
-					if rec.Ver != top || string(rec.Val) != fmt.Sprintf("v%d", top) {
-						regressed++
-					}
+				if rec.Ver != top || string(rec.Val) != fmt.Sprintf("v%d", top) {
+					regressed++
 				}
-				if regressed > 0 {
-					t.Errorf("%d of %d keys ended below version %d: an older applier landed last", regressed, keys, top)
-				}
-				if got := store.C(RecordCollection).Len(); got != keys {
-					t.Fatalf("records = %d, want one row per key (%d)", got, keys)
-				}
-			})
-		}
+			}
+			if regressed > 0 {
+				t.Errorf("%d of %d keys ended below version %d: an older applier landed last", regressed, keys, top)
+			}
+			if got := store.C(RecordCollection).Len(); got != keys {
+				t.Fatalf("records = %d, want one row per key (%d)", got, keys)
+			}
+		})
 	}
 }
 

@@ -181,7 +181,7 @@ func TestTearInsideSegment(t *testing.T) {
 		for name, tear := range tears {
 			t.Run(layout+"/"+name, func(t *testing.T) {
 				dir := t.TempDir()
-				l, want := openLayout(t, dir, layout, Options{})
+				l, want := openLayout(t, dir, layout, Options{SyncEveryAppend: true})
 				var recs [][]byte
 				for i := 0; i < 5; i++ {
 					recs = append(recs, []byte(fmt.Sprintf("record-%d-of-equal-length", i)))
@@ -278,7 +278,7 @@ func staleRecordAtEnd(l *Log, recLen int) bool {
 // may return it.
 func TestReusedSegmentStaleRecords(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentSize: 4096}
+	opts := Options{SegmentSize: 4096, SyncEveryAppend: true}
 	l, _ := openLayout(t, dir, "prepared", opts)
 	l.preparer.Wait() // the second spare
 	live := recycle(t, l, 100)
@@ -309,7 +309,7 @@ func TestReusedSegmentStaleRecords(t *testing.T) {
 // finds the spare in place and deletes.
 func TestTruncateBeforeLeavesAtMostOneSpare(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentSize: 4096}
+	opts := Options{SegmentSize: 4096, SyncEveryAppend: true}
 	l, _ := openLayout(t, dir, "prepared", opts)
 	defer l.Close()
 	l.preparer.Wait() // the second spare
@@ -470,7 +470,7 @@ func TestOldFormatFailsOpen(t *testing.T) {
 // they end.
 func TestReopenKeepsPreallocation(t *testing.T) {
 	dir := t.TempDir()
-	l, want := openLayout(t, dir, "prepared", Options{})
+	l, want := openLayout(t, dir, "prepared", Options{SyncEveryAppend: true})
 	mustAppend(t, l, []byte("before"))
 	l.Close()
 	seg, first := lastSegment(t, dir)
@@ -507,7 +507,7 @@ func TestCloseJoinsPreparer(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			l, err := Open(dir, Options{SegmentSize: 1 << 30})
+			l, err := Open(dir, Options{SegmentSize: 1 << 30, SyncEveryAppend: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -531,7 +531,7 @@ func TestCloseJoinsPreparer(t *testing.T) {
 // record that would overrun it opens the next one.
 func TestRecordThatDoesNotFitRolls(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentSize: 4096}
+	opts := Options{SegmentSize: 4096, SyncEveryAppend: true}
 	l, want := openLayout(t, dir, "prepared", opts)
 	defer l.Close()
 	holdCold(l)
@@ -556,7 +556,7 @@ func TestRecordThatDoesNotFitRolls(t *testing.T) {
 // prepared count stops at two and cold appends stop with the first roll.
 func TestLifecycleCounters(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentSize: 4096})
+	l, err := Open(dir, Options{SegmentSize: 4096, SyncEveryAppend: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,5 +582,30 @@ func TestLifecycleCounters(t *testing.T) {
 	if st.SegmentsPrepared != 2 || st.ColdAppends != cold || st.SegmentsReused < 3 {
 		t.Fatalf("prepared=%d (want 2) cold=%d (want %d) reused=%d (want several)",
 			st.SegmentsPrepared, st.ColdAppends, cold, st.SegmentsReused)
+	}
+}
+
+// TestUnsyncedLogPreparesNoSpare: a log that never syncs an append has no
+// fsync for a preallocated segment to make cheap, so it never fills a spare,
+// however many segments it rolls through.
+func TestUnsyncedLogPreparesNoSpare(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	for i := 0; i < 100; i++ {
+		mustAppend(t, l, make([]byte, 300))
+		l.preparer.Wait()
+		if _, err := os.Stat(filepath.Join(dir, spareName)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("append %d: %s exists (stat: %v)", i, spareName, err)
+		}
+	}
+	if n, _ := l.SegmentCount(); n < 5 {
+		t.Fatalf("the log rolled into %d segments, want several", n)
+	}
+	if got := l.Stats().SegmentsPrepared; got != 0 {
+		t.Fatalf("SegmentsPrepared = %d", got)
 	}
 }

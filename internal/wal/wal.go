@@ -23,7 +23,8 @@
 // four states:
 //
 //	prepare   a background goroutine zero-fills SegmentSize bytes into
-//	          wal-spare.tmp and fsyncs it
+//	          wal-spare.tmp and fsyncs it (only under SyncEveryAppend: a
+//	          log that never syncs an append has no fsync to make cheap)
 //	activate  rollSegment renames the spare to wal-<firstLSN>.seg and fsyncs
 //	          the directory; appends are WriteAt the running offset
 //	retire    TruncateBefore drops the segment once a checkpoint covers it
@@ -409,9 +410,10 @@ func fsyncDir(dir string) error {
 }
 
 // startPreparer fills a spare in the background unless one exists or is being
-// filled. Called with mu held.
+// filled, or the log never syncs an append: a spare only makes the fsync
+// behind an ack cheap. Called with mu held.
 func (l *Log) startPreparer() {
-	if l.spareReady || l.preparing {
+	if l.spareReady || l.preparing || !l.opts.SyncEveryAppend {
 		return
 	}
 	l.preparing = true

@@ -23,6 +23,7 @@ package mystore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -116,12 +117,13 @@ type ClusterOptions struct {
 	// DataDir, when set, persists node stores under DataDir/node-<i>: a WAL
 	// plus log-structured SSTables behind a memtable, whose resident memory is
 	// bounded by the memtable and block-cache budgets and whose restart
-	// replays only the WAL tail past the last flush. Empty keeps every node's
-	// documents in memory, unlogged.
+	// replays only the WAL tail past the last flush. Empty runs the same
+	// store in a scratch directory per node, removed when the node closes or
+	// is killed, so a node restarted after a crash comes back empty.
 	DataDir string
 	// Durable makes every store mutation fsync before acknowledging
-	// (wal SyncEveryAppend). Only meaningful with DataDir. Concurrent
-	// writers share fsyncs through WAL group commit.
+	// (wal SyncEveryAppend). Concurrent writers share fsyncs through WAL
+	// group commit.
 	Durable bool
 	// DisableHints turns hinted handoff off (ablation benches).
 	DisableHints bool
@@ -388,8 +390,8 @@ func (c *Cluster) RestartNode(i int) {
 
 // CrashNode simulates a hard process crash of node i: the node stops
 // serving and its store is torn down. With a DataDir configured its WAL and
-// tables stay on disk, so RestartNodeFresh can recover it; without one
-// the node's local data is gone, exactly as a crashed diskless process.
+// tables stay on disk, so RestartNodeFresh can recover it; without one its
+// scratch directory is removed and the node's local data is gone.
 func (c *Cluster) CrashNode(i int) error {
 	eps, nodes := c.members()
 	if i < 0 || i >= len(nodes) {
@@ -447,8 +449,14 @@ func (c *Cluster) RestartNodeFresh(i int, configure ...func(*Node)) (*Node, erro
 }
 
 // AddNode grows the cluster by one node at runtime; gossip spreads the
-// membership and data migrates on subsequent ticks.
+// membership and data migrates on subsequent ticks. A cluster with
+// StrongRanges refuses: each consensus group's membership is pinned when the
+// group is created, and a new node would take over ring positions whose
+// strong operations no group it belongs to can serve.
 func (c *Cluster) AddNode() (*Node, error) {
+	if c.opts.StrongRanges > 0 {
+		return nil, errors.New("mystore: AddNode on a cluster with StrongRanges: consensus group membership is pinned at group creation")
+	}
 	c.mu.Lock()
 	i := len(c.nodes)
 	c.addrs = append(c.addrs, nodeAddr(i))
@@ -482,15 +490,16 @@ type NodeOptions struct {
 	Weight int
 	// N, W, R are the replication settings (default 3, 2, 1).
 	N, W, R int
-	// DataDir persists the store (WAL plus lsm tables); empty means
-	// in-memory.
+	// DataDir persists the store (WAL plus lsm tables) and the consensus
+	// log; empty runs them in a scratch directory that goes when the node
+	// closes.
 	DataDir string
 	// Durable fsyncs every mutation before acknowledging (group-committed).
 	Durable bool
 	// StorageEngine names the local storage engine.
 	//
-	// Deprecated: a node with a DataDir always runs lsm. "" and "lsm" are
-	// accepted; any other name is refused.
+	// Deprecated: every node runs lsm. "" and "lsm" are accepted; any other
+	// name is refused.
 	StorageEngine string
 	// MemtableBytes sizes the lsm write buffer (default 4 MiB).
 	MemtableBytes int64

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"slices"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 
 	"mystore/internal/cluster"
 	"mystore/internal/docstore"
+	"mystore/internal/nwr"
 )
 
 // startTestCluster starts a cluster with opts. The default quorum is the
@@ -154,6 +157,101 @@ func TestClusterAddNode(t *testing.T) {
 		if _, err := client.Get(ctx, fmt.Sprintf("k%02d", i)); err != nil {
 			t.Fatalf("Get(%d) after join: %v", i, err)
 		}
+	}
+}
+
+// TestAddNodeRefusedOnStrongCluster: consensus group membership is pinned at
+// group creation, so a strong cluster refuses to grow, and the refusal
+// leaves the ring and the strong tier as they were.
+func TestAddNodeRefusedOnStrongCluster(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, StrongRanges: 4})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if err := client.StrongPut(ctx, "pinned", []byte("before")); err != nil {
+		t.Fatalf("StrongPut: %v", err)
+	}
+	if _, err := c.AddNode(); err == nil || !strings.Contains(err.Error(), "consensus group membership is pinned") {
+		t.Fatalf("AddNode on a strong cluster = %v, want a refusal naming pinned consensus membership", err)
+	}
+	if got := len(c.Nodes()); got != 3 {
+		t.Fatalf("cluster has %d nodes after the refused AddNode, want 3", got)
+	}
+	for i, n := range c.Nodes() {
+		if got := n.Ring().Len(); got != 3 {
+			t.Fatalf("node %d ring = %d members after the refused AddNode, want 3", i, got)
+		}
+	}
+	if err := client.StrongPut(ctx, "pinned", []byte("after")); err != nil {
+		t.Fatalf("StrongPut after the refused AddNode: %v", err)
+	}
+	if got, err := client.StrongGet(ctx, "pinned"); err != nil || string(got) != "after" {
+		t.Fatalf("StrongGet = %q, %v; want after", got, err)
+	}
+}
+
+// TestScratchDirectoriesAreRemoved: a cluster without a DataDir runs each
+// node's store and consensus log in a scratch directory. A killed or crashed
+// node's directory goes at once, its fresh restart starts empty in a new one,
+// and closing the cluster removes the rest.
+func TestScratchDirectoriesAreRemoved(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, StrongRanges: 4})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		key := fmt.Sprintf("scratch-%02d", i)
+		if err := client.StrongPut(ctx, key+"-strong", []byte(key)); err != nil {
+			t.Fatalf("StrongPut %s: %v", key, err)
+		}
+		if err := client.Put(ctx, key, []byte(key)); err != nil {
+			t.Fatalf("Put %s: %v", key, err)
+		}
+	}
+	var dirs []string
+	for i, n := range c.Nodes() {
+		dir := n.Store().Dir()
+		if _, err := os.Stat(filepath.Join(dir, "consensus")); err != nil {
+			t.Fatalf("node %d: no consensus log in its scratch directory: %v", i, err)
+		}
+		dirs = append(dirs, dir)
+	}
+	gone := func(what, dir string) {
+		t.Helper()
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: scratch directory %s still there (stat: %v)", what, dir, err)
+		}
+	}
+	if err := c.KillNode(1); err != nil {
+		t.Fatal(err)
+	}
+	gone("after KillNode", dirs[1])
+	if err := c.CrashNode(2); err != nil {
+		t.Fatal(err)
+	}
+	gone("after CrashNode", dirs[2])
+	restarted, err := c.RestartNodeFresh(1, func(n *Node) {
+		if got := n.Store().C(nwr.RecordCollection).Len(); got != 0 {
+			t.Errorf("a diskless node restarted with %d records, want none", got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dir := restarted.Store().Dir(); dir == dirs[1] {
+		t.Fatalf("the restarted node reuses %s", dir)
+	} else {
+		dirs = append(dirs, dir)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, dir := range dirs {
+		gone(fmt.Sprintf("after Close, directory %d", i), dir)
 	}
 }
 

@@ -118,7 +118,7 @@ cluster.Client.Aggregate cluster.Client.GetDoc cluster.Client.Nodes
 cluster.Node.AEStats cluster.Node.Gossiper cluster.Node.Tracer
 consensus.ErrNotLeader.Error consensus.IsNotLeader
 docstore.Collection.Aggregate docstore.Collection.Count
-docstore.Collection.DataBytes docstore.Collection.Name
+docstore.Collection.Name
 docstore.Store.Collections docstore.Store.DropCollection
 experiments.AblationResult.String experiments.ContextResult.String
 experiments.Fig11Result.String experiments.Fig12Result.String

@@ -21,14 +21,23 @@
 # configuration, so a new Disable*/WaitForAllReads/SerializeWritePath switch
 # in non-test code fails the gate (DisableHints is the paper's own §5.2
 # design ablation and stays; bench/ is the frozen benchmark driver and is not
-# scanned).
+# scanned). A store without a directory runs in a mystore-scratch-* directory
+# under ${TMPDIR:-/tmp} that its Close or Crash removes, so one that the full
+# test suite leaves behind fails the gate too.
 # CI and pre-commit both run exactly this.
 set -eux
 
 go vet ./...
 go build ./...
 make -s loc-check
+scratch() { ls -d "${TMPDIR:-/tmp}"/mystore-scratch-* 2>/dev/null || true; }
+scratch_before=$(scratch)
 go test ./...
+scratch_leaked=$(scratch | grep -vxF "$scratch_before" || true)
+if [ -n "$scratch_leaked" ]; then
+	echo "verify.sh: go test ./... left scratch directories behind: $scratch_leaked" >&2
+	exit 1
+fi
 go test -count=20 ./internal/nwr ./internal/cluster
 go test -count=20 -run 'TestPublicAPICrud' .
 go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
