@@ -111,42 +111,6 @@ func (d D) StringOr(key, fallback string) string {
 	return fallback
 }
 
-// Clone returns a deep copy of the document. Binary values, embedded
-// documents and arrays are copied; scalar values are immutable.
-func (d D) Clone() D {
-	if d == nil {
-		return nil
-	}
-	out := make(D, len(d))
-	for i, e := range d {
-		out[i] = E{Key: e.Key, Value: cloneValue(e.Value)}
-	}
-	return out
-}
-
-// CloneValue deep-copies a BSON value: binary data, embedded documents and
-// arrays are copied; scalars are returned as-is.
-func CloneValue(v any) any { return cloneValue(v) }
-
-func cloneValue(v any) any {
-	switch t := v.(type) {
-	case []byte:
-		b := make([]byte, len(t))
-		copy(b, t)
-		return b
-	case D:
-		return t.Clone()
-	case A:
-		a := make(A, len(t))
-		for i, e := range t {
-			a[i] = cloneValue(e)
-		}
-		return a
-	default:
-		return v
-	}
-}
-
 // String renders the document in the shell-like notation the paper uses,
 // e.g. {"self-key": "Resistor5", "isData": "1"}.
 func (d D) String() string {

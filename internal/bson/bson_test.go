@@ -196,26 +196,6 @@ func TestStringOr(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	d := D{
-		{Key: "bin", Value: []byte{1, 2}},
-		{Key: "doc", Value: D{{Key: "in", Value: []byte{9}}}},
-		{Key: "arr", Value: A{[]byte{5}}},
-	}
-	c := d.Clone()
-	c[0].Value.([]byte)[0] = 99
-	c[1].Value.(D)[0].Value.([]byte)[0] = 99
-	c[2].Value.(A)[0].([]byte)[0] = 99
-	if d[0].Value.([]byte)[0] != 1 ||
-		d[1].Value.(D)[0].Value.([]byte)[0] != 9 ||
-		d[2].Value.(A)[0].([]byte)[0] != 5 {
-		t.Fatal("Clone shared memory with original")
-	}
-	if D(nil).Clone() != nil {
-		t.Fatal("Clone(nil) should be nil")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	s := paperRecord().String()
 	for _, want := range []string{`"self-key": "Resistor5"`, `ObjectId("4ee4462739a8727afc917ee6")`, "BinData(0,"} {

@@ -56,8 +56,8 @@ func (c *Collection) Len() int {
 type Cond func(stored bson.D) (bool, error)
 
 // Insert stores a new document. A missing _id is assigned a fresh ObjectId.
-// The (possibly augmented) document's id is returned. The document is cloned
-// before insertion, so the caller may reuse it.
+// The (possibly augmented) document's id is returned. The store keeps only
+// the document's encoding, so the caller may reuse it.
 func (c *Collection) Insert(doc bson.D) (any, error) {
 	return c.InsertCtx(context.Background(), doc)
 }
@@ -65,7 +65,6 @@ func (c *Collection) Insert(doc bson.D) (any, error) {
 // InsertCtx is Insert carrying the caller's context so the write's
 // durability wait appears in its trace.
 func (c *Collection) InsertCtx(ctx context.Context, doc bson.D) (any, error) {
-	doc = doc.Clone()
 	id, ok := doc.Get("_id")
 	if !ok {
 		id = uuid.NewObjectId()
@@ -97,7 +96,7 @@ func (c *Collection) UpdateCtx(ctx context.Context, doc bson.D) error {
 	if !ok {
 		return fmt.Errorf("%w: update requires _id", ErrBadId)
 	}
-	_, err := c.write(ctx, id, doc.Clone(), waitSync, func(stored bson.D) (bool, error) {
+	_, err := c.write(ctx, id, doc, waitSync, func(stored bson.D) (bool, error) {
 		if stored == nil {
 			return false, fmt.Errorf("%w: _id %v", ErrNotFound, id)
 		}
@@ -113,7 +112,7 @@ func (c *Collection) Upsert(doc bson.D) (any, error) {
 	if !ok {
 		return c.Insert(doc)
 	}
-	_, err := c.write(context.Background(), id, doc.Clone(), waitSync, nil)
+	_, err := c.write(context.Background(), id, doc, waitSync, nil)
 	return id, err
 }
 
@@ -140,7 +139,7 @@ func (c *Collection) putIf(ctx context.Context, doc bson.D, cond Cond, mode sync
 		return false, fmt.Errorf("%w: conditional put requires _id", ErrBadId)
 	}
 	c.store.statIndexHit.Add(1)
-	return c.write(ctx, id, doc.Clone(), mode, cond)
+	return c.write(ctx, id, doc, mode, cond)
 }
 
 // Delete removes the document with the given id, reporting whether it
@@ -170,7 +169,8 @@ func (c *Collection) DeleteIf(id any, cond Cond) (bool, error) {
 }
 
 // Get returns the document with the given primary key. It is a lookup on the
-// primary index and counts as one index hit.
+// primary index and counts as one index hit. The document is decoded afresh
+// from the stored encoding, so the caller may mutate it.
 func (c *Collection) Get(id any) (bson.D, bool) {
 	key, err := idKey(id)
 	if err != nil {
@@ -179,11 +179,7 @@ func (c *Collection) Get(id any) (bson.D, bool) {
 	c.store.statIndexHit.Add(1)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	v, ok := c.primary.Get(key)
-	if !ok {
-		return nil, false
-	}
-	return v.Clone(), true
+	return c.primary.Get(key)
 }
 
 // EnsureIndex creates a secondary index over the given field path if one
@@ -289,12 +285,10 @@ func (c *Collection) SetApplyObserver(fn func(old, new bson.D)) {
 }
 
 // Each calls fn for every document in primary-key order under a single read
-// lock — the batch counterpart of Find(Filter{}) without materializing (or
-// deep-cloning) the whole collection. fn receives the stored document
-// itself: it must treat it as immutable and must not call back into the
-// collection. Iteration stops when fn returns false. Retaining the document
-// or values inside it past the callback is safe — applied mutations replace
-// whole documents, never edit them in place.
+// lock — the batch counterpart of Find(Filter{}) without materializing the
+// whole collection. fn must not call back into the collection. Iteration
+// stops when fn returns false. Each document is decoded afresh from the
+// stored encoding, so fn may retain or modify it.
 func (c *Collection) Each(fn func(doc bson.D) bool) {
 	c.EachSynced(nil, fn)
 }
@@ -329,8 +323,8 @@ func (c *Collection) Count(filter Filter) (int, error) {
 	return len(docs), nil
 }
 
-// Find returns the documents matching filter, shaped by opts. Returned
-// documents are deep copies; callers may mutate them freely.
+// Find returns the documents matching filter, shaped by opts. Each is decoded
+// afresh from the stored encoding; callers may mutate them freely.
 func (c *Collection) Find(filter Filter, opts FindOptions) ([]bson.D, error) {
 	c.mu.RLock()
 	candidates, usedIndex, err := c.planLocked(filter)
@@ -345,7 +339,7 @@ func (c *Collection) Find(filter Filter, opts FindOptions) ([]bson.D, error) {
 			return err
 		}
 		if m {
-			out = append(out, doc.Clone())
+			out = append(out, doc)
 		}
 		return nil
 	}

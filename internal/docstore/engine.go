@@ -27,7 +27,8 @@ import (
 // declare them.
 
 // primaryStore is the primary (_id -> document) index of one collection.
-// Callers treat returned documents as immutable.
+// It keeps only encoded documents: every document it returns is freshly
+// decoded and owned by the caller.
 type primaryStore interface {
 	// Get returns the stored document for key.
 	Get(key []byte) (doc bson.D, ok bool)

@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -88,6 +89,57 @@ func TestInsertClonesInput(t *testing.T) {
 	got, _ := c.Get("k")
 	if got[1].Value.([]byte)[0] != 1 {
 		t.Fatal("store shares memory with caller's document")
+	}
+}
+
+// TestCallerMutationsDoNotReachTheStore: the store keeps only encoded
+// documents, so mutating a document after Insert or PutIf, or one that Get or
+// Find returned, changes neither the stored document nor a secondary index.
+func TestCallerMutationsDoNotReachTheStore(t *testing.T) {
+	s := scratchStore(t)
+	c := s.C("records")
+	if err := c.EnsureIndex("tag", false); err != nil {
+		t.Fatal(err)
+	}
+	doc := func(id string) bson.D {
+		return bson.D{{Key: "_id", Value: id}, {Key: "tag", Value: "red"}, {Key: "val", Value: []byte{1}}}
+	}
+	mutate := func(d bson.D) {
+		d[1].Value = "blue"
+		d[2].Value.([]byte)[0] = 9
+	}
+	inserted, putIf := doc("a"), doc("b")
+	if _, err := c.Insert(inserted); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := c.PutIf(context.Background(), putIf, nil); err != nil || !ok {
+		t.Fatalf("PutIf = %v, %v", ok, err)
+	}
+	mutate(inserted)
+	mutate(putIf)
+	if got, ok := c.Get("a"); ok {
+		mutate(got)
+	}
+	red := Filter{{Key: "tag", Value: "red"}}
+	found, err := c.Find(red, FindOptions{})
+	if err != nil || len(found) != 2 {
+		t.Fatalf("Find = %d docs, %v", len(found), err)
+	}
+	for _, d := range found {
+		mutate(d)
+	}
+
+	for _, id := range []string{"a", "b"} {
+		got, ok := c.Get(id)
+		if !ok || got.StringOr("tag", "") != "red" || got[2].Value.([]byte)[0] != 1 {
+			t.Errorf("stored %s = %v, want it as written", id, got)
+		}
+	}
+	if found, err := c.Find(red, FindOptions{}); err != nil || len(found) != 2 {
+		t.Errorf("index finds %d red documents (%v), want 2", len(found), err)
+	}
+	if found, err := c.Find(Filter{{Key: "tag", Value: "blue"}}, FindOptions{}); err != nil || len(found) != 0 {
+		t.Errorf("index finds %d blue documents (%v), want 0", len(found), err)
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -9,9 +10,9 @@ import (
 	"mystore"
 	"mystore/internal/cache"
 	"mystore/internal/gossip"
+	"mystore/internal/metrics"
 	"mystore/internal/ring"
 	"mystore/internal/transport"
-	"mystore/internal/workload"
 )
 
 // AblationResult collects the design-choice studies DESIGN.md §5 lists.
@@ -105,15 +106,11 @@ func runVNodesAblation(keys int) VNodesAblation {
 	}
 	a.ConsistentMovePct = 100 * float64(moved) / float64(keys)
 
-	m := ring.NewModN("n1", "n2", "n3", "n4", "n5")
-	beforeMod := make([]string, keys)
-	for i := range beforeMod {
-		beforeMod[i], _ = m.Primary(fmt.Sprintf("key-%d", i))
-	}
-	m.AddNode("n6")
+	// hash mod N (Eq. 2) over nodes n1..n5 and then n1..n6: a key stays put
+	// only when its hash leaves the same remainder modulo both.
 	movedMod := 0
-	for i := range beforeMod {
-		if after, _ := m.Primary(fmt.Sprintf("key-%d", i)); after != beforeMod[i] {
+	for i := 0; i < keys; i++ {
+		if h := ring.Hash(fmt.Sprintf("key-%d", i)); h%5 != h%6 {
 			movedMod++
 		}
 	}
@@ -144,29 +141,29 @@ func runNWRAblation(ops int) ([]NWRAblationRow, error) {
 	for _, cfg := range configs {
 		cl, err := mystore.StartCluster(mystore.ClusterOptions{
 			Nodes: 5, N: cfg.n, W: cfg.w, R: cfg.r,
-			LatencyBase: lanBase, Bandwidth: lanBandwidth,
-			DisableHints: true,
 		})
 		if err != nil {
 			return nil, err
 		}
+		cl.Network().SetLatencyModel(transport.LANLatency(lanBase, lanBandwidth))
+		refuseHints(cl)
 		client, err := cl.Client()
 		if err != nil {
 			cl.Close()
 			return nil, err
 		}
 		ctx := context.Background()
-		putH, getH := workload.NewHistogram(), workload.NewHistogram()
+		putH, getH := metrics.NewBucketedHistogram(nil), metrics.NewBucketedHistogram(nil)
 		payload := make([]byte, 32<<10)
 		for i := 0; i < ops; i++ {
 			key := fmt.Sprintf("nwr-%s-%d", cfg.name, i)
 			t0 := time.Now()
 			if err := client.Put(ctx, key, payload); err == nil {
-				putH.Observe(time.Since(t0))
+				putH.ObserveDuration(time.Since(t0))
 			}
 			t0 = time.Now()
 			if _, err := client.Get(ctx, key); err == nil {
-				getH.Observe(time.Since(t0))
+				getH.ObserveDuration(time.Since(t0))
 			}
 		}
 		// Availability with one replica-holding node down and no hints.
@@ -179,8 +176,8 @@ func runNWRAblation(ops int) ([]NWRAblationRow, error) {
 		}
 		rows = append(rows, NWRAblationRow{
 			Config:         cfg.name,
-			PutMeanMs:      float64(putH.Mean()) / 1e6,
-			GetMeanMs:      float64(getH.Mean()) / 1e6,
+			PutMeanMs:      meanMs(putH),
+			GetMeanMs:      meanMs(getH),
 			DownSuccessPct: 100 * float64(okDown) / float64(ops),
 		})
 		cl.Close()
@@ -203,16 +200,35 @@ func (a HintsAblation) String() string {
 		a.WithHintsPct, a.WithoutHintsPct)
 }
 
+// errHintRefused is what every node answers a hint with in the no-hints arms.
+var errHintRefused = errors.New("experiments: hinted handoff ablated")
+
+// refuseHints is the no-hints arm's fault schedule: every node refuses to park
+// a hint, so a replica write that exhausts its retries fails. A stand-in asked
+// over the wire answers with a remote error, which proves it alive, so the
+// peer view never holds a healthy node suspect for it.
+func refuseHints(cl *mystore.Cluster) {
+	for _, node := range cl.Nodes() {
+		node.Coordinator().OnLocalOp = func(op string, _ int) error {
+			if op == "hint" {
+				return errHintRefused
+			}
+			return nil
+		}
+	}
+}
+
 func runHintsAblation(ops int) (HintsAblation, error) {
 	var a HintsAblation
-	run := func(disable bool) (float64, error) {
-		cl, err := mystore.StartCluster(mystore.ClusterOptions{
-			Nodes: 5, DisableHints: disable,
-		})
+	run := func(hints bool) (float64, error) {
+		cl, err := mystore.StartCluster(mystore.ClusterOptions{Nodes: 5})
 		if err != nil {
 			return 0, err
 		}
 		defer cl.Close()
+		if !hints {
+			refuseHints(cl)
+		}
 		client, err := cl.Client()
 		if err != nil {
 			return 0, err
@@ -229,10 +245,10 @@ func runHintsAblation(ops int) (HintsAblation, error) {
 		return 100 * float64(ok) / float64(ops), nil
 	}
 	var err error
-	if a.WithHintsPct, err = run(false); err != nil {
+	if a.WithHintsPct, err = run(true); err != nil {
 		return a, err
 	}
-	if a.WithoutHintsPct, err = run(true); err != nil {
+	if a.WithoutHintsPct, err = run(false); err != nil {
 		return a, err
 	}
 	return a, nil
@@ -272,6 +288,15 @@ func (a GossipAblation) String() string {
 func runGossipAblation() GossipAblation {
 	measure := func(pushOnly bool) int {
 		net := transport.NewMemNetwork()
+		if pushOnly {
+			// The pull half of the exchange is the initiator's Ack2.
+			net.SetFault(func(_, _, msgType string) error {
+				if msgType == gossip.MsgAck2 {
+					return transport.ErrUnreachable
+				}
+				return nil
+			})
+		}
 		now := time.Unix(9000, 0)
 		var gs []*gossip.Gossiper
 		for i := 0; i < 16; i++ {
@@ -281,7 +306,6 @@ func runGossipAblation() GossipAblation {
 				Interval: time.Second,
 				Now:      func() time.Time { return now },
 				Seed:     int64(i + 1),
-				PushOnly: pushOnly,
 			})
 			ep.SetHandler(g.HandleMessage)
 			gs = append(gs, g)

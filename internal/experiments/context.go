@@ -12,6 +12,7 @@ import (
 
 	"mystore"
 	"mystore/internal/faults"
+	"mystore/internal/transport"
 	"mystore/internal/workload"
 )
 
@@ -122,12 +123,11 @@ func max64(a, b int64) int64 {
 func RunSoak(scale Scale) (SoakResult, error) {
 	scale = scale.withDefaults()
 	result := SoakResult{Duration: 4 * scale.StepDuration}
-	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes: 5, LatencyBase: lanBase / 4, Bandwidth: lanBandwidth,
-	})
+	cl, err := mystore.StartCluster(mystore.ClusterOptions{Nodes: 5})
 	if err != nil {
 		return result, err
 	}
+	cl.Network().SetLatencyModel(transport.LANLatency(lanBase/4, lanBandwidth))
 	defer cl.Close()
 	// Short-failure-only plan: the soak's churn injects its own outages.
 	inj := faults.NewInjector(faults.Plan{

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The experiment smoke tests run every figure at Quick scale and assert
@@ -159,6 +163,32 @@ func TestFig17Ordering(t *testing.T) {
 	}
 	if s := res.String(); !strings.Contains(s, "MyStore") {
 		t.Error("String() malformed")
+	}
+}
+
+// TestFig17CumulativeMatchesSortedSamples: bucketed at Fig17Thresholds, the
+// histogram's cumulative counts equal a count over the sorted samples at every
+// threshold, values landing exactly on a threshold included.
+func TestFig17CumulativeMatchesSortedSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var samples []time.Duration
+	for _, th := range Fig17Thresholds {
+		samples = append(samples, th, th-1, th+1)
+	}
+	for i := 0; i < 5000; i++ { // log-uniform over 100µs..10s
+		samples = append(samples, time.Duration(1e5*math.Pow(1e5, rng.Float64())))
+	}
+	h := newFig17Histogram()
+	for _, d := range samples {
+		h.ObserveDuration(d)
+	}
+	got := cumulativeWithin(h.Snapshot())
+	slices.Sort(samples)
+	for i, th := range Fig17Thresholds {
+		want, _ := slices.BinarySearch(samples, th+1) // samples <= th
+		if got[i] != want {
+			t.Errorf("within %v: %d, sorted samples give %d", th, got[i], want)
+		}
 	}
 }
 

@@ -221,8 +221,7 @@ func RunFig17(scale Scale) (Fig17Result, error) {
 			return nil, err
 		}
 		defer cl.Close()
-		hist := putLatencies(client.Put, corpus, scale, ops)
-		return hist.CumulativeWithin(Fig17Thresholds), nil
+		return putLatencies(client.Put, corpus, scale, ops), nil
 	}
 
 	var err error
@@ -239,13 +238,13 @@ func RunFig17(scale Scale) (Fig17Result, error) {
 	return result, nil
 }
 
-// putLatencies drives ops puts through put and returns the latency
-// histogram of operations that ultimately succeeded (failed quorums are
-// retried by the client up to three times, their total time counted — the
-// paper measures "the consuming time of every Put operation").
-func putLatencies(put func(context.Context, string, []byte) error, corpus *workload.Corpus, scale Scale, ops int) *workload.Histogram {
+// putLatencies drives ops puts through put and returns, for each of
+// Fig17Thresholds, how many operations ultimately succeeded within it (failed
+// quorums are retried by the client up to three times, their total time
+// counted — the paper measures "the consuming time of every Put operation").
+func putLatencies(put func(context.Context, string, []byte) error, corpus *workload.Corpus, scale Scale, ops int) []int {
 	picker := workload.NewGaussianPicker(corpus, scale.Seed)
-	hist := workload.NewHistogram()
+	hist := newFig17Histogram()
 	// Eight closed-loop writers: enough concurrency to exercise queueing
 	// without the client loop itself dominating the latency distribution.
 	procs := scale.LoadProcesses / 8
@@ -271,11 +270,38 @@ func putLatencies(put func(context.Context, string, []byte) error, corpus *workl
 		if err != nil {
 			return workload.OpResult{Err: err}
 		}
-		hist.Observe(time.Since(start))
+		hist.ObserveDuration(time.Since(start))
 		return workload.OpResult{Bytes: it.Size}
 	})
-	return hist
+	return cumulativeWithin(hist.Snapshot())
 }
+
+// newFig17Histogram returns a histogram whose bucket bounds are
+// Fig17Thresholds, so the counts at each threshold are exact.
+func newFig17Histogram() *metrics.BucketedHistogram {
+	bounds := make([]int64, len(Fig17Thresholds))
+	for i, t := range Fig17Thresholds {
+		bounds[i] = int64(t)
+	}
+	return metrics.NewBucketedHistogram(bounds)
+}
+
+// cumulativeWithin returns how many observations are ≤ each of s's bounds.
+// This is the statistic Fig 17 plots: "the sum of all the Put operations
+// whose consuming time is less than the consuming time specified by the
+// horizontal axis".
+func cumulativeWithin(s metrics.HistogramSnapshot) []int {
+	out := make([]int, len(s.Bounds))
+	n := 0
+	for i := range out {
+		n += int(s.Counts[i])
+		out[i] = n
+	}
+	return out
+}
+
+// meanMs is h's mean in milliseconds (exact: the histogram keeps the sum).
+func meanMs(h *metrics.BucketedHistogram) float64 { return h.Snapshot().Mean() / 1e6 }
 
 // runMasterSlaveArm is the paper's comparator: the document store in plain
 // master/slave mode (three nodes) under the same fault plan, with the
@@ -347,6 +373,5 @@ func runMasterSlaveArm(corpus *workload.Corpus, scale Scale, ops int) ([]int, er
 		}
 		return rs.Put(doc)
 	}
-	hist := putLatencies(put, corpus, scale, ops)
-	return hist.CumulativeWithin(Fig17Thresholds), nil
+	return putLatencies(put, corpus, scale, ops), nil
 }

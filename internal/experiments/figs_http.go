@@ -74,7 +74,7 @@ func httpReadOp(client *http.Client, url string, pick func(rng *rand.Rand) workl
 
 // cacheReadRun preloads a small corpus into sys and measures mean read
 // latency and the gateway's cache hit rate (used by the cache ablation).
-func cacheReadRun(sys *system, scale Scale) (meanMs, hitRatePct float64, err error) {
+func cacheReadRun(sys *system, scale Scale) (meanTTLBMs, hitRatePct float64, err error) {
 	scale = scale.withDefaults()
 	corpus := workload.NewCorpus(workload.ReadCorpusConfig(scale.ReadItems/4+1, scale.Seed))
 	if err := preload(sys.URL(), corpus); err != nil {
@@ -98,7 +98,7 @@ func cacheReadRun(sys *system, scale Scale) (meanMs, hitRatePct float64, err err
 	if total > 0 {
 		rate = 100 * float64(st.CacheHits) / float64(total)
 	}
-	return float64(res.TTLB.Mean()) / 1e6, rate, nil
+	return meanMs(res.TTLB), rate, nil
 }
 
 // Fig11Row is one system's read throughput and request rate.
@@ -155,7 +155,7 @@ func RunFig11(scale Scale, tmpDir string) (Fig11Result, error) {
 			MBPerSec:   res.Throughput.MBPerSec(),
 			RPS:        res.Throughput.RPS(),
 			Errors:     res.Throughput.Errors,
-			MeanTTLBms: float64(res.TTLB.Mean()) / 1e6,
+			MeanTTLBms: meanMs(res.TTLB),
 		})
 	}
 	return result, nil
@@ -237,8 +237,8 @@ func RunFig12(scale Scale, tmpDir string) (Fig12Result, error) {
 			result.Rows = append(result.Rows, Fig12Row{
 				System:     sys.name,
 				Class:      class,
-				MeanTTFBms: float64(res.TTFB.Mean()) / 1e6,
-				MeanTTLBms: float64(res.TTLB.Mean()) / 1e6,
+				MeanTTFBms: meanMs(res.TTFB),
+				MeanTTLBms: meanMs(res.TTLB),
 			})
 		}
 	}
@@ -305,8 +305,8 @@ func RunFig13(scale Scale) (Fig13Result, error) {
 		}
 		result.Rows = append(result.Rows, Fig13Row{
 			Processes:  procs,
-			MeanTTFBms: float64(res.TTFB.Mean()) / 1e6,
-			P95TTFBms:  float64(res.TTFB.Quantile(0.95)) / 1e6,
+			MeanTTFBms: meanMs(res.TTFB),
+			P95TTFBms:  float64(res.TTFB.Snapshot().Quantile(0.95)) / 1e6,
 			MBPerSec:   res.Throughput.MBPerSec(),
 			RPS:        res.Throughput.RPS(),
 			ErrorRate:  errRate,

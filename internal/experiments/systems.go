@@ -13,6 +13,7 @@ import (
 	"mystore/internal/faults"
 	"mystore/internal/rest"
 	"mystore/internal/simdisk"
+	"mystore/internal/transport"
 )
 
 // system is one storage pattern under test, bound to a RESTful interface
@@ -99,12 +100,11 @@ func newDisks(n int, seek time.Duration) []*simdisk.Disk {
 // over the simulated LAN, one simulated disk per node, and inj's Table 2
 // faults (nil for the no-fault arm). The caller closes the cluster.
 func startLANCluster(inj *faults.Injector) (*mystore.Cluster, *mystore.Client, error) {
-	cl, err := mystore.StartCluster(mystore.ClusterOptions{
-		Nodes: 5, LatencyBase: lanBase, Bandwidth: lanBandwidth,
-	})
+	cl, err := mystore.StartCluster(mystore.ClusterOptions{Nodes: 5})
 	if err != nil {
 		return nil, nil, err
 	}
+	cl.Network().SetLatencyModel(transport.LANLatency(lanBase, lanBandwidth))
 	wireFaults(cl, inj, newDisks(5, diskSeek))
 	client, err := cl.Client()
 	if err != nil {

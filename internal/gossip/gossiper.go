@@ -42,11 +42,6 @@ type Config struct {
 	Now func() time.Time
 	// Seed seeds the peer-selection RNG. Zero derives from the address.
 	Seed int64
-	// PushOnly disables the pull half of the exchange: the initiator
-	// pushes digests and receives newer states, but never answers the
-	// peer's "want" list. The ablation bench compares convergence speed
-	// against the full Push-Pull-Gossip the paper chose (§5.2.3).
-	PushOnly bool
 	// OnEvent, when non-nil, receives status-change events synchronously
 	// from Tick and message handling.
 	OnEvent func(Event)
@@ -260,9 +255,6 @@ func (g *Gossiper) gossipWith(ctx context.Context, peer string) {
 		g.applyStates(statesFromBSON(sv))
 	}
 	// Send back the states the peer asked for (the pull half).
-	if g.cfg.PushOnly {
-		return
-	}
 	wants := digestsFromBSON(func() any { v, _ := ack1.Get("want"); return v }())
 	if len(wants) == 0 {
 		return

@@ -130,6 +130,12 @@ type Engine struct {
 	closed     bool
 	flushErr   error // sticky: a failed flush poisons the engine
 
+	// Under mu, frozen counts the memtables rotated into imm and flushed
+	// those whose flush has completed with its checkpoint delivered. A
+	// memtable leaves imm before its manifest write and Checkpoint callback,
+	// so Flush waits on these, not on an empty imm.
+	frozen, flushed uint64
+
 	crashed atomic.Bool
 
 	// compactMu serializes compactions (background loop vs CompactNow).
@@ -235,6 +241,7 @@ func (e *Engine) rotateLocked() {
 		return
 	}
 	e.imm = append(e.imm, e.mem)
+	e.frozen++
 	e.mem = newMemtable()
 	select {
 	case e.flushC <- struct{}{}:
@@ -455,6 +462,7 @@ func (e *Engine) flushOne() bool {
 	// Wake stalled writers and Flush waiters only now: a completed flush is
 	// one whose manifest is durable and whose checkpoint has been delivered.
 	e.mu.Lock()
+	e.flushed++
 	e.cond.Broadcast()
 	e.mu.Unlock()
 	e.maybeScheduleCompaction()
@@ -502,13 +510,16 @@ func (e *Engine) manifestLocked() manifest {
 	return man
 }
 
-// Flush synchronously rotates the mutable memtable and waits until the
-// whole flush queue is on disk (tests, graceful close, the docstore's
-// Compact).
+// Flush synchronously rotates the mutable memtable and waits until it and
+// every memtable frozen before it are in tables with their checkpoints
+// delivered (tests, graceful close, the docstore's Compact).
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	e.rotateLocked()
-	for (len(e.imm) > 0 || e.flushErr != nil) && !e.crashed.Load() {
+	// Memtables flush in the order they froze, so this call is done once the
+	// last one frozen so far has; later writes do not hold it up.
+	last := e.frozen
+	for (e.flushed < last || e.flushErr != nil) && !e.crashed.Load() {
 		if e.flushErr != nil {
 			err := e.flushErr
 			e.mu.Unlock()

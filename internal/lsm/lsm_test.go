@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBloomFilter(t *testing.T) {
@@ -460,6 +461,112 @@ func TestEngineCheckpointCallback(t *testing.T) {
 	}
 	if last := ckpts[len(ckpts)-1]; last != 201 {
 		t.Fatalf("final checkpoint %d, want 201", last)
+	}
+}
+
+// TestFlushWaitsForTheCheckpointInFlight: a Flush that begins while the last
+// flush is in its Checkpoint callback, with nothing left to rotate, returns
+// only after that callback has.
+func TestFlushWaitsForTheCheckpointInFlight(t *testing.T) {
+	entered := make(chan uint64, 1)
+	release := make(chan struct{})
+	e, err := Open(Options{
+		Dir:    t.TempDir(),
+		Tuning: smallTuning(),
+		Checkpoint: func(lsn uint64) {
+			select {
+			case entered <- lsn:
+			default:
+			}
+			<-release
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock() // before Close, which waits for the flusher
+	// Write until a write rotates the memtable, leaving the mutable one empty.
+	var lsn uint64
+	for empty := false; !empty; {
+		lsn++
+		if err := e.Apply([]byte(fmt.Sprintf("k%06d", lsn)), bytes.Repeat([]byte("x"), 100), lsn); err != nil {
+			t.Fatal(err)
+		}
+		e.mu.Lock()
+		empty = e.mem.len() == 0
+		e.mu.Unlock()
+	}
+	if got := <-entered; got != lsn+1 {
+		t.Fatalf("checkpoint callback got %d, want %d", got, lsn+1)
+	}
+	done := make(chan error, 1)
+	go func() { done <- e.Flush() }()
+	select {
+	case <-done:
+		t.Fatal("Flush returned while the last flush was still in its Checkpoint callback")
+	case <-time.After(100 * time.Millisecond):
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := e.CheckpointLSN(); got != lsn+1 {
+		t.Fatalf("checkpoint after Flush = %d, want %d", got, lsn+1)
+	}
+}
+
+// TestFlushDoesNotWaitForLaterMemtables: a Flush returns once what it froze
+// is flushed, even while a memtable frozen after it began is still flushing —
+// under steady writes the flusher is never idle, so waiting for that would not
+// end.
+func TestFlushDoesNotWaitForLaterMemtables(t *testing.T) {
+	entered := make(chan uint64, 2)
+	release, stop := make(chan struct{}), make(chan struct{})
+	e, err := Open(Options{
+		Dir:    t.TempDir(),
+		Tuning: smallTuning(),
+		Checkpoint: func(lsn uint64) {
+			entered <- lsn
+			select {
+			case <-release:
+			case <-stop:
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	defer close(stop) // before Close, which waits for the flusher
+	var lsn uint64
+	apply := func() {
+		lsn++
+		if err := e.Apply([]byte(fmt.Sprintf("k%06d", lsn)), bytes.Repeat([]byte("x"), 100), lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply()
+	done := make(chan error, 1)
+	go func() { done <- e.Flush() }()
+	<-entered // the flush of Flush's memtable is in its callback
+	// Freeze a second memtable behind it.
+	for empty := false; !empty; {
+		apply()
+		e.mu.Lock()
+		empty = e.mem.len() == 0
+		e.mu.Unlock()
+	}
+	release <- struct{}{}
+	<-entered // the later memtable is flushing now, and stays in its callback
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush waited for a memtable frozen after it began")
 	}
 }
 

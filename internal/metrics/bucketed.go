@@ -6,13 +6,13 @@ import (
 	"time"
 )
 
-// BucketedHistogram is the production counterpart of the exact-sample
-// Histogram: fixed log-spaced boundaries chosen at construction, one atomic
-// counter per bucket, no lock and no allocation on Observe. It trades exact
-// order statistics for bounded memory and a hot path cheap enough for WAL
-// fsyncs and per-RPC latencies; quantiles interpolate within the landing
-// bucket, so their error is bounded by the bucket width (a factor of two
-// with the default bounds).
+// BucketedHistogram is the one histogram, in the product and in the figure
+// harness alike: fixed boundaries chosen at construction, one atomic counter
+// per bucket, no lock and no allocation on Observe. It trades exact order
+// statistics for bounded memory and a hot path cheap enough for WAL fsyncs
+// and per-RPC latencies; quantiles interpolate within the landing bucket, so
+// their error is bounded by the bucket width (a factor of two with the
+// default bounds), while the count, the sum and so the mean are exact.
 type BucketedHistogram struct {
 	bounds []int64        // sorted upper bounds; values v <= bounds[i] land in bucket i
 	counts []atomic.Int64 // len(bounds)+1; the last is the +Inf overflow bucket

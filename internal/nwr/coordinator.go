@@ -36,10 +36,6 @@ type Config struct {
 	Retries int
 	// CallTimeout bounds each replica RPC. Zero means 2s.
 	CallTimeout time.Duration
-	// DisableHints turns hinted handoff off: a replica that stays
-	// unreachable after retries simply fails. Used by the ablation bench
-	// that measures what the short-failure path is worth.
-	DisableHints bool
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
@@ -333,9 +329,6 @@ func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []st
 	}
 	if err == nil {
 		return true
-	}
-	if c.cfg.DisableHints {
-		return false
 	}
 	return c.storeHint(ctx, targets, target, rec)
 }

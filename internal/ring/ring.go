@@ -273,33 +273,3 @@ func (r *Ring) Clone() *Ring {
 	c.points = append([]point(nil), r.points...)
 	return c
 }
-
-// ModNPlacement is the paper's Eq. 2 baseline: Y = hash(X) mod N over an
-// ordered node list. Nearly every key moves when N changes, which is what
-// the ablation bench demonstrates.
-type ModNPlacement struct {
-	mu    sync.RWMutex
-	nodes []string
-}
-
-// NewModN returns a mod-N placement over the given nodes, in order.
-func NewModN(nodes ...string) *ModNPlacement {
-	return &ModNPlacement{nodes: append([]string(nil), nodes...)}
-}
-
-// AddNode appends a node.
-func (m *ModNPlacement) AddNode(id string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.nodes = append(m.nodes, id)
-}
-
-// Primary returns the owner of key.
-func (m *ModNPlacement) Primary(key string) (string, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if len(m.nodes) == 0 {
-		return "", ErrEmpty
-	}
-	return m.nodes[int(Hash(key))%len(m.nodes)], nil
-}

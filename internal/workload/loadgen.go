@@ -45,11 +45,23 @@ type Options struct {
 	Seed int64
 }
 
-// Result is the measured outcome of a load run.
+// Result is the measured outcome of a load run. TTFB and TTLB are bucketed
+// at latencyBounds, so a quantile read from them is within 10% of the exact
+// order statistic and their mean is exact.
 type Result struct {
-	TTFB       *Histogram
-	TTLB       *Histogram
+	TTFB       *metrics.BucketedHistogram
+	TTLB       *metrics.BucketedHistogram
 	Throughput metrics.Throughput
+}
+
+// latencyBounds are log-spaced from 1µs to past 100s, each bucket 10% wider
+// than the one below it.
+func latencyBounds() []int64 {
+	var bounds []int64
+	for v := float64(time.Microsecond); v < float64(100*time.Second); v *= 1.1 {
+		bounds = append(bounds, int64(v))
+	}
+	return bounds
 }
 
 // Run drives opts.Processes closed-loop workers issuing op until the
@@ -61,7 +73,10 @@ func Run(ctx context.Context, opts Options, op Op) Result {
 	if opts.Requests <= 0 && opts.Duration <= 0 {
 		opts.Duration = time.Second
 	}
-	res := Result{TTFB: NewHistogram(), TTLB: NewHistogram()}
+	res := Result{
+		TTFB: metrics.NewBucketedHistogram(latencyBounds()),
+		TTLB: metrics.NewBucketedHistogram(latencyBounds()),
+	}
 	var bytes, ops, errs atomic.Int64
 	var budget atomic.Int64
 	budget.Store(int64(opts.Requests))
@@ -106,8 +121,8 @@ func Run(ctx context.Context, opts Options, op Op) Result {
 				if ttfb <= 0 {
 					ttfb = total
 				}
-				res.TTFB.Observe(ttfb)
-				res.TTLB.Observe(total)
+				res.TTFB.ObserveDuration(ttfb)
+				res.TTLB.ObserveDuration(total)
 				bytes.Add(int64(r.Bytes))
 				ops.Add(1)
 			}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -201,7 +203,7 @@ func TestRunTTFBSubstitution(t *testing.T) {
 	if res.TTFB.Count() != 3 {
 		t.Fatalf("TTFB samples = %d", res.TTFB.Count())
 	}
-	if res.TTFB.Quantile(0) <= 0 {
+	if res.TTFB.Snapshot().Quantile(0) <= 0 {
 		t.Fatal("TTFB not substituted with total latency")
 	}
 }
@@ -211,7 +213,31 @@ func TestRunExplicitTTFB(t *testing.T) {
 		func(ctx context.Context, rng *rand.Rand) OpResult {
 			return OpResult{Bytes: 1, TTFB: 42 * time.Microsecond}
 		})
-	if got := res.TTFB.Quantile(0); got != 42*time.Microsecond {
+	if got := time.Duration(res.TTFB.Snapshot().Mean()); got != 42*time.Microsecond {
 		t.Fatalf("TTFB = %v", got)
+	}
+}
+
+// TestHistogramQuantiles: a run's latency histograms answer a quantile within
+// 10% of the exact order statistic of what they observed.
+func TestHistogramQuantiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	samples := make([]time.Duration, 5000)
+	for i := range samples { // log-uniform over 10µs..10s
+		samples[i] = time.Duration(1e4 * math.Pow(1e6, rng.Float64()))
+	}
+	next := 0
+	res := Run(context.Background(), Options{Processes: 1, Requests: len(samples)},
+		func(ctx context.Context, rng *rand.Rand) OpResult {
+			next++
+			return OpResult{TTFB: samples[next-1]}
+		})
+	slices.Sort(samples)
+	snap := res.TTFB.Snapshot()
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99} {
+		exact := float64(samples[int(q*float64(len(samples)))])
+		if got := float64(snap.Quantile(q)); math.Abs(got-exact) > 0.1*exact {
+			t.Errorf("Quantile(%v) = %v, exact %v", q, time.Duration(got), time.Duration(exact))
+		}
 	}
 }

@@ -21,40 +21,25 @@ type LargeObjectConfig = largeobj.Config
 
 // PutLarge streams r into the cluster as a segmented object under key.
 func PutLarge(ctx context.Context, c *Client, key string, r io.Reader, cfg LargeObjectConfig) (LargeObjectManifest, error) {
-	return largeobj.Upload(ctx, clientStore{c}, key, r, cfg)
+	return largeobj.Upload(ctx, c, key, r, cfg)
 }
 
 // GetLarge fetches a segmented object into memory, verifying its checksum.
 func GetLarge(ctx context.Context, c *Client, key string) ([]byte, error) {
-	return largeobj.Download(ctx, clientStore{c}, key, LargeObjectConfig{})
+	return largeobj.Download(ctx, c, key, LargeObjectConfig{})
 }
 
 // GetLargeTo streams a segmented object to w, verifying its checksum.
 func GetLargeTo(ctx context.Context, c *Client, key string, w io.Writer) (LargeObjectManifest, error) {
-	return largeobj.DownloadTo(ctx, clientStore{c}, key, w, LargeObjectConfig{})
+	return largeobj.DownloadTo(ctx, c, key, w, LargeObjectConfig{})
 }
 
 // StatLarge fetches a segmented object's manifest.
 func StatLarge(ctx context.Context, c *Client, key string) (LargeObjectManifest, error) {
-	return largeobj.Stat(ctx, clientStore{c}, key)
+	return largeobj.Stat(ctx, c, key)
 }
 
 // DeleteLarge removes a segmented object and its chunks.
 func DeleteLarge(ctx context.Context, c *Client, key string) error {
-	return largeobj.Remove(ctx, clientStore{c}, key, LargeObjectConfig{})
-}
-
-// clientStore adapts the cluster client to the largeobj store surface.
-type clientStore struct{ c *Client }
-
-func (s clientStore) Put(ctx context.Context, key string, val []byte) error {
-	return s.c.Put(ctx, key, val)
-}
-
-func (s clientStore) Get(ctx context.Context, key string) ([]byte, error) {
-	return s.c.Get(ctx, key)
-}
-
-func (s clientStore) Delete(ctx context.Context, key string) error {
-	return s.c.Delete(ctx, key)
+	return largeobj.Remove(ctx, c, key, LargeObjectConfig{})
 }

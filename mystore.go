@@ -106,11 +106,6 @@ type ClusterOptions struct {
 	// Weights, when non-nil, returns the capacity weight for node i
 	// (default: all 1).
 	Weights func(i int) int
-	// LatencyBase and Bandwidth shape the simulated LAN: per-message
-	// latency plus size/bandwidth transfer time. Zero base means no
-	// simulated latency.
-	LatencyBase time.Duration
-	Bandwidth   float64 // bytes per second; 0 means infinite
 	// GossipInterval is the background tick period (default 200ms for
 	// in-process clusters).
 	GossipInterval time.Duration
@@ -125,8 +120,6 @@ type ClusterOptions struct {
 	// (wal SyncEveryAppend). Concurrent writers share fsyncs through WAL
 	// group commit.
 	Durable bool
-	// DisableHints turns hinted handoff off (ablation benches).
-	DisableHints bool
 	// ReplicaCallTimeout bounds each replica RPC (default 2s). Chaos and
 	// fault experiments shorten it so dead peers are detected quickly.
 	ReplicaCallTimeout time.Duration
@@ -206,9 +199,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 		net:  transport.NewMemNetwork(),
 		done: make(chan struct{}),
 	}
-	if opts.LatencyBase > 0 || opts.Bandwidth > 0 {
-		c.net.SetLatencyModel(transport.LANLatency(opts.LatencyBase, opts.Bandwidth))
-	}
 	for i := 0; i < opts.Nodes; i++ {
 		c.addrs = append(c.addrs, nodeAddr(i))
 	}
@@ -248,8 +238,7 @@ func (c *Cluster) nodeConfig(i int) cluster.Config {
 		Weight: weight,
 		NWR: nwr.Config{
 			N: c.opts.N, W: c.opts.W, R: c.opts.R,
-			DisableHints: c.opts.DisableHints,
-			CallTimeout:  c.opts.ReplicaCallTimeout,
+			CallTimeout: c.opts.ReplicaCallTimeout,
 		},
 		Seed:                  seed,
 		StrongRanges:          c.opts.StrongRanges,

@@ -3,6 +3,7 @@ package mystore
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -18,6 +19,7 @@ import (
 
 	"mystore/internal/cluster"
 	"mystore/internal/docstore"
+	"mystore/internal/largeobj"
 	"mystore/internal/nwr"
 )
 
@@ -285,6 +287,64 @@ func TestGatewayOverCluster(t *testing.T) {
 	}
 }
 
+// TestGatewayBatchGetAndDelete drives the gateway's batch read and delete
+// through ClusterBackend: POST /batch/get answers found keys with their values
+// and lists absent ones, and after DELETE /data/<key> a GET answers 404.
+func TestGatewayBatchGetAndDelete(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, R: 2})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := NewGateway(ClusterBackend{Client: client}, GatewayOptions{Workers: 2})
+	defer gw.Close()
+	srv := httptest.NewServer(gw.Handler())
+	defer srv.Close()
+	do := func(method, path, body string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(got)
+	}
+
+	for _, k := range []string{"b1", "b2"} {
+		if code, body := do(http.MethodPost, "/data/"+k, "v-"+k); code != http.StatusOK {
+			t.Fatalf("POST %s = %d %q", k, code, body)
+		}
+	}
+	code, body := do(http.MethodPost, "/batch/get", `{"keys": ["b1", "b2", "absent"]}`)
+	if code != http.StatusOK {
+		t.Fatalf("POST /batch/get = %d %q", code, body)
+	}
+	var batch struct {
+		Results map[string][]byte `json:"results"`
+		Missing []string          `json:"missing"`
+		Errors  map[string]string `json:"errors"`
+	}
+	if err := json.Unmarshal([]byte(body), &batch); err != nil {
+		t.Fatalf("batch answer %q: %v", body, err)
+	}
+	if len(batch.Results) != 2 || string(batch.Results["b1"]) != "v-b1" || string(batch.Results["b2"]) != "v-b2" ||
+		!slices.Equal(batch.Missing, []string{"absent"}) || len(batch.Errors) != 0 {
+		t.Fatalf("batch answer = %+v, want b1 and b2 found and absent missing", batch)
+	}
+
+	if code, body := do(http.MethodDelete, "/data/b1", ""); code != http.StatusOK {
+		t.Fatalf("DELETE = %d %q", code, body)
+	}
+	if code, body := do(http.MethodGet, "/data/b1", ""); code != http.StatusNotFound {
+		t.Fatalf("GET after DELETE = %d %q, want 404", code, body)
+	}
+}
+
 // TestGatewayFailedReadQuorumIs502: a read that reaches none of the key's
 // replicas is a failure, not an absent key, so the gateway answers 502.
 func TestGatewayFailedReadQuorumIs502(t *testing.T) {
@@ -524,6 +584,43 @@ func TestLargeObjectOverCluster(t *testing.T) {
 	}
 	if _, err := StatLarge(ctx, client, "video/guide-1"); err == nil {
 		t.Fatal("manifest survives DeleteLarge")
+	}
+}
+
+// TestGetLargeTo: GetLargeTo streams an uploaded object to a writer and
+// returns its manifest, and a corrupted chunk fails the checksum.
+func TestGetLargeTo(t *testing.T) {
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, R: 2})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	payload := make([]byte, 3<<16+5)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	put, err := PutLarge(ctx, client, "obj", bytes.NewReader(payload), LargeObjectConfig{ChunkSize: 1 << 16})
+	if err != nil {
+		t.Fatalf("PutLarge: %v", err)
+	}
+	var out bytes.Buffer
+	got, err := GetLargeTo(ctx, client, "obj", &out)
+	if err != nil {
+		t.Fatalf("GetLargeTo: %v", err)
+	}
+	if got != put || !bytes.Equal(out.Bytes(), payload) {
+		t.Fatalf("GetLargeTo = %+v and %d bytes, want %+v and the %d uploaded", got, out.Len(), put, len(payload))
+	}
+
+	// Chunk 1 keeps its length but not its bytes.
+	chunk := slices.Clone(payload[1<<16 : 2<<16])
+	chunk[0] ^= 0xff
+	if err := client.Put(ctx, "obj\x00c\x00000001", chunk); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GetLargeTo(ctx, client, "obj", io.Discard); !errors.Is(err, largeobj.ErrCorrupt) {
+		t.Fatalf("GetLargeTo of a corrupted chunk: %v, want ErrCorrupt", err)
 	}
 }
 
