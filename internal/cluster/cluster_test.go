@@ -776,6 +776,53 @@ func TestNodeCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestTickDoesNotWaitForForcedCompaction: the forced compaction due every
+// 600th tick runs off the tick goroutine, one at a time, and Close waits for
+// it before closing the store.
+func TestTickDoesNotWaitForForcedCompaction(t *testing.T) {
+	release := make(chan struct{})
+	var calls atomic.Int64
+	compactStore = func(s *docstore.Store) error {
+		calls.Add(1)
+		<-release
+		return s.Compact()
+	}
+	t.Cleanup(func() { compactStore = (*docstore.Store).Compact })
+	n := newHarness(t, 1).nodes[0]
+
+	for due := uint64(1); due <= 2; due++ {
+		n.mu.Lock()
+		n.tickCount = 600*due - 1
+		n.mu.Unlock()
+		ticked := make(chan struct{})
+		go func() {
+			n.Tick(context.Background())
+			close(ticked)
+		}()
+		select {
+		case <-ticked:
+		case <-time.After(5 * time.Second):
+			close(release)
+			t.Fatal("Tick waited for the forced compaction")
+		}
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- n.Close() }()
+	select {
+	case err := <-closed:
+		close(release)
+		t.Fatalf("Close returned (%v) while the compaction was in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatal(err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("%d forced compactions ran, want 1 (the second came due with the first in flight)", got)
+	}
+}
+
 // TestClientLeaderCacheIsKeyedByRange: the strong-op leader cache holds one
 // entry per consensus range however many keys pass through it, forgets a
 // node only while it is the one remembered, and starts over when the

@@ -134,7 +134,12 @@ type Node struct {
 	rebalanceNotBefore time.Time // retry cool-down after an incomplete pass
 	inRing             map[string]bool
 	tickCount          uint64
+	compacting         atomic.Bool    // a forced compaction is in flight
+	compactWG          sync.WaitGroup // Close and Kill wait for it
 }
+
+// compactStore is Tick's forced compaction; a test holds one in flight.
+var compactStore = (*docstore.Store).Compact
 
 // NewNode builds and starts serving a node on tr. The node immediately
 // answers RPCs; call Tick (or RunLoop) to participate in gossip.
@@ -280,18 +285,26 @@ func (n *Node) Tick(ctx context.Context) {
 	}
 	n.tickCount++
 	aeDue := n.tickCount%10 == 0
-	compactDue := n.tickCount%600 == 0
+	// A forced memtable flush checkpoints the WAL, bounding the tail a
+	// restart replays. It runs off the tick, one at a time, so a slow flush
+	// stalls neither gossip, hints, rebalance nor anti-entropy.
+	compact := n.tickCount%600 == 0 && !n.closed && n.compacting.CompareAndSwap(false, true)
+	if compact {
+		n.compactWG.Add(1) // under mu, so Close's Wait never races an Add
+	}
 	n.mu.Unlock()
+	if compact {
+		go func() {
+			defer n.compactWG.Done()
+			defer n.compacting.Store(false)
+			compactStore(n.store) //nolint:errcheck // best-effort; the WAL remains authoritative
+		}()
+	}
 	if wanted {
 		n.Rebalance(ctx)
 	}
 	if aeDue {
 		n.AntiEntropyRound(ctx)
-	}
-	if compactDue {
-		// A forced memtable flush checkpoints the WAL, bounding the tail a
-		// restart replays.
-		n.store.Compact() //nolint:errcheck // best-effort; the WAL remains authoritative
 	}
 }
 
@@ -513,6 +526,7 @@ func (n *Node) Kill() {
 	}
 	n.coord.Close()
 	n.store.Crash()
+	n.compactWG.Wait() // a crashed engine ends its flush waits at once
 }
 
 // Close stops serving and closes the local store.
@@ -529,6 +543,7 @@ func (n *Node) Close() error {
 		n.cns.Close()
 	}
 	n.coord.Close()
+	n.compactWG.Wait()
 	serr := n.store.Close()
 	if terr != nil {
 		return terr

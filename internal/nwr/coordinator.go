@@ -272,9 +272,9 @@ func (c *Coordinator) write(ctx context.Context, rec Record) (err error) {
 	bctx := context.WithoutCancel(ctx)
 	acksCh := make(chan bool, len(targets))
 	for _, target := range targets {
-		go func(target string) {
+		transport.Go(func() {
 			acksCh <- c.writeReplicaWithRecovery(bctx, targets, target, rec)
-		}(target)
+		})
 	}
 	acks := 0
 	for done := 0; done < len(targets); done++ {

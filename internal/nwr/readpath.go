@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"mystore/internal/trace"
+	"mystore/internal/transport"
 )
 
 // minHedgeDelay floors the adaptive hedge delay: below ~1ms the timer fires
@@ -102,7 +103,7 @@ func (c *Coordinator) coalescedRead(ctx context.Context, key string) ([]byte, er
 		c.bump(func(s *Stats) { s.CoalescedReads++ })
 	} else {
 		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*c.cfg.CallTimeout)
-		go func() {
+		transport.Go(func() {
 			defer cancel()
 			res, err := c.read(fctx, []string{key})
 			if err != nil {
@@ -113,7 +114,7 @@ func (c *Coordinator) coalescedRead(ctx context.Context, key string) ([]byte, er
 			c.flightMu.Unlock()
 			f.res = res[0]
 			close(f.done)
-		}()
+		})
 	}
 	select {
 	case <-f.done:
@@ -253,20 +254,20 @@ func (c *Coordinator) read(ctx context.Context, keys []string) ([]KeyResult, err
 			s.ReadQuorumViolations++ // the loop counted a key settled below R
 		}
 	})
-	go op.finish()
+	transport.Go(op.finish)
 	return results, nil
 }
 
 // dispatch launches one replica read; its answer lands on op.answers.
 func (op *readOp) dispatch(r peerRead) {
 	op.inflight++
-	go func() {
+	transport.Go(func() {
 		rctx, sp := trace.Start(op.bctx, "nwr.replica.read")
 		sp.SetPeer(r.peer)
 		recs, err := op.c.ReadRecords(rctx, r.peer, r.keys, false)
 		sp.End(err)
 		op.answers <- peerAnswer{peerRead: r, recs: recs, err: err}
-	}()
+	})
 }
 
 // take files a successful peer answer under each of its keys and returns

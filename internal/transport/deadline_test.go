@@ -3,6 +3,8 @@ package transport
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -37,6 +39,12 @@ func TestDeadlineRidesTheWire(t *testing.T) {
 			t.Fatalf("handler deadline = %v, want %v", got, want)
 		}
 	})
+}
+
+// handleRequest is serveRequest's response alone.
+func (t *TCPTransport) handleRequest(payload []byte) bson.D {
+	resp, _ := t.serveRequest(payload)
+	return resp
 }
 
 // TestExpiredDeadlineDroppedServerSide exercises the server-side shed: a
@@ -114,5 +122,70 @@ func TestMemExpiredDeadlineDropped(t *testing.T) {
 	}
 	if invoked.Load() != 1 {
 		t.Fatalf("handler invocations = %d, want 1", invoked.Load())
+	}
+}
+
+// TestStalledReaderLosesItsConnection: a peer that stops reading its
+// responses cannot park the server. The response write gives up at the
+// request's deadline and closes that peer's connection, and another peer's
+// calls are answered throughout.
+func TestStalledReaderLosesItsConnection(t *testing.T) {
+	cli, srv := tcpPair(t)
+	big := make([]byte, 1<<20)
+	srv.SetHandler(func(ctx context.Context, msg Message) (bson.D, error) {
+		if msg.Type == "big" {
+			return bson.D{{Key: "v", Value: big}}, nil
+		}
+		return echoHandler(ctx, msg)
+	})
+	ping := func() {
+		t.Helper()
+		if _, err := cli.Call(context.Background(), srv.Addr(), Message{Type: "ping"}); err != nil {
+			t.Fatalf("call from the reading peer: %v", err)
+		}
+	}
+	serving := func() int {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return len(srv.serving)
+	}
+	ping() // the reading peer's connection is served first
+
+	// Sixteen 1 MiB responses overfill both sockets' buffers unless read.
+	const reqs = 16
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	dl := time.Now().Add(300 * time.Millisecond)
+	frames := []byte(muxMagic)
+	for rid := uint64(1); rid <= reqs; rid++ {
+		req := bson.D{{Key: "type", Value: "big"}, {Key: "from", Value: "stalled"}, {Key: "dl", Value: dl.UnixNano()}}
+		if frames, err = appendMuxFrame(frames, rid, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "the stalled peer is served", func() bool { return serving() == 2 })
+	for serving() == 2 {
+		if time.Now().After(dl.Add(2 * time.Second)) {
+			t.Fatalf("the stalled peer's connection is still open %v after its deadline", time.Since(dl))
+		}
+		ping()
+	}
+	ping()
+
+	// Reading now finds the end of the stream after what the buffers held.
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	n, err := io.Copy(io.Discard, conn)
+	var nerr net.Error
+	if errors.As(err, &nerr) && nerr.Timeout() {
+		t.Fatalf("read %d bytes and then waited: the server kept the connection open", n)
+	}
+	if n >= reqs<<20 {
+		t.Fatalf("read %d bytes: every response was written after its deadline", n)
 	}
 }

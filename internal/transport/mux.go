@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -27,8 +28,10 @@ import (
 // waiting for responses, a single demux reader routes each response to its
 // caller by request id, and per-call deadlines are enforced by the waiting
 // caller itself (a timed-out call abandons its id; a late response to an
-// abandoned id is dropped). The server handles each request in its own
-// goroutine, so one slow handler does not head-of-line-block the stream.
+// abandoned id is dropped). The server hands each request to a worker (Go),
+// so one slow handler does not head-of-line-block the stream, and bounds
+// each response write by the request's deadline. Both sides read through a
+// bufio.Reader: a frame costs one read syscall, or less.
 
 const (
 	muxMagic      = "MUX1"
@@ -115,8 +118,9 @@ func (mc *muxConn) fail(err error) {
 // readLoop is the demux reader: it routes each response frame to the caller
 // registered under its request id.
 func (mc *muxConn) readLoop() {
+	br := bufio.NewReader(mc.conn)
 	for {
-		payload, rid, err := readMuxFrame(mc.conn)
+		payload, rid, err := readMuxFrame(br)
 		if err != nil {
 			mc.fail(err)
 			return
@@ -298,62 +302,71 @@ func (t *TCPTransport) callMux(ctx context.Context, to string, msg Message, dead
 // --- server side ---
 
 // serveMux serves one multiplexed connection: each request frame is handled
-// in its own goroutine and responses are written back under a write mutex in
-// completion order, matched to callers by request id.
+// on a worker and responses are written back under a write mutex in
+// completion order, matched to callers by request id. A response write is
+// bounded by the request's deadline, so a peer that stops reading cannot
+// park the worker and every later response behind wmu. A response past its
+// deadline, whose caller has abandoned the id, is dropped; a failed or
+// partial write leaves the stream unframed and closes the connection.
 func (t *TCPTransport) serveMux(conn net.Conn) {
 	var wmu sync.Mutex
 	var wg sync.WaitGroup
 	defer wg.Wait()
+	br := bufio.NewReader(conn)
 	for {
-		payload, rid, err := readMuxFrame(conn)
+		payload, rid, err := readMuxFrame(br)
 		if err != nil {
 			return
 		}
 		wg.Add(1)
-		go func(rid uint64, payload []byte) {
+		Go(func() {
 			defer wg.Done()
-			resp := t.handleRequest(payload)
+			resp, writeBy := t.serveRequest(payload)
 			bufp := framePool.Get().(*[]byte)
+			defer framePool.Put(bufp)
 			frame, err := appendMuxFrame((*bufp)[:0], rid, resp)
-			if err != nil {
-				framePool.Put(bufp)
+			*bufp = frame[:0]
+			wmu.Lock()
+			defer wmu.Unlock()
+			if err != nil || !time.Now().Before(writeBy) {
 				return
 			}
-			wmu.Lock()
-			conn.Write(frame) //nolint:errcheck // conn torn down by reader
-			wmu.Unlock()
-			*bufp = frame[:0]
-			framePool.Put(bufp)
-		}(rid, payload)
+			conn.SetWriteDeadline(writeBy) //nolint:errcheck // a closed conn fails the write below
+			if _, err := conn.Write(frame); err != nil {
+				conn.Close()
+			}
+		})
 	}
 }
 
-// handleRequest decodes one request payload and runs the handler, producing
-// the response document. A propagated deadline ("dl") bounds the handler's
-// context; a request whose deadline already passed is dropped without
-// invoking the handler at all — the caller has given up, so the work would
-// be wasted.
-func (t *TCPTransport) handleRequest(payload []byte) bson.D {
+// serveRequest decodes one request payload and runs the handler, producing
+// the response document and the time its write must finish by: the
+// propagated deadline ("dl"), else CallTimeout from now. The deadline also
+// bounds the handler's context; a request whose deadline already passed is
+// dropped without invoking the handler at all — the caller has given up, so
+// the work would be wasted.
+func (t *TCPTransport) serveRequest(payload []byte) (resp bson.D, writeBy time.Time) {
+	writeBy = time.Now().Add(t.opts.CallTimeout)
 	req, err := bson.Unmarshal(payload)
 	if err != nil {
-		return bson.D{{Key: "err", Value: "transport: malformed request"}}
+		return bson.D{{Key: "err", Value: "transport: malformed request"}}, writeBy
 	}
 	t.mu.Lock()
 	h := t.handler
 	t.mu.Unlock()
 	if h == nil {
-		return bson.D{{Key: "err", Value: ErrNoHandler.Error()}}
+		return bson.D{{Key: "err", Value: ErrNoHandler.Error()}}, writeBy
 	}
 	ctx := context.Background()
 	if v, ok := req.Get("dl"); ok {
 		if nanos, isInt := v.(int64); isInt && nanos > 0 {
-			deadline := time.Unix(0, nanos)
-			if !time.Now().Before(deadline) {
+			writeBy = time.Unix(0, nanos)
+			if !time.Now().Before(writeBy) {
 				t.deadlineDropped.Add(1)
-				return bson.D{{Key: "err", Value: deadlineExpiredMsg}}
+				return bson.D{{Key: "err", Value: deadlineExpiredMsg}}, writeBy
 			}
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithDeadline(ctx, deadline)
+			ctx, cancel = context.WithDeadline(ctx, writeBy)
 			defer cancel()
 		}
 	}
@@ -382,7 +395,7 @@ func (t *TCPTransport) handleRequest(payload []byte) bson.D {
 	}
 	body, herr := h(ctx, msg)
 	if herr != nil {
-		return bson.D{{Key: "err", Value: herr.Error()}}
+		return bson.D{{Key: "err", Value: herr.Error()}}, writeBy
 	}
-	return bson.D{{Key: "body", Value: body}}
+	return bson.D{{Key: "body", Value: body}}, writeBy
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -77,22 +78,27 @@ func TestNonMuxConnectionIsClosedUnserved(t *testing.T) {
 }
 
 // FuzzMuxServe feeds arbitrary bytes after a valid preamble to the server
-// side of a connection: it must never panic, and the handler must run only
-// for frames whose payload decodes.
+// side of a connection, in writes of a fuzzed size: it must never panic, and
+// the handler must run only for frames whose payload decodes.
 func FuzzMuxServe(f *testing.F) {
 	good, err := appendMuxFrame(nil, 1, poolTestDoc())
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(good)
-	f.Add(append(append([]byte{}, good...), good...))
-	f.Add(good[:len(good)-3])                                                 // truncated payload
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1})             // length over the frame limit
-	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0})          // empty BSON document
-	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 3, 0xde, 0xad, 0xbe, 0xef}) // payload that is not BSON
-	f.Add([]byte{})
+	// chunk is the size of the writes the bytes arrive in (0: one write), so
+	// frames also reach the server's buffered reader split at any byte.
+	two := append(append([]byte{}, good...), good...)
+	f.Add(good, uint8(0))
+	f.Add(two, uint8(0))                                                                // two frames in one write
+	f.Add(good[:len(good)-3], uint8(0))                                                 // truncated payload
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 1}, uint8(0))             // length over the frame limit
+	f.Add([]byte{0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 2, 5, 0, 0, 0, 0}, uint8(0))          // empty BSON document
+	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 3, 0xde, 0xad, 0xbe, 0xef}, uint8(0)) // payload that is not BSON
+	f.Add([]byte{}, uint8(0))
+	f.Add(good, uint8(1))            // a frame a byte at a time
+	f.Add(two, uint8(muxHeaderSize)) // each header apart from its payload
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, chunk uint8) {
 		srv := &TCPTransport{
 			opts:    TCPOptions{}.withDefaults(),
 			serving: make(map[net.Conn]struct{}),
@@ -113,7 +119,16 @@ func FuzzMuxServe(f *testing.F) {
 			io.Copy(io.Discard, client) //nolint:errcheck
 		}()
 		// A write error means the server stopped reading (oversized frame).
-		client.Write(append([]byte(muxMagic), data...)) //nolint:errcheck
+		for rest := append([]byte(muxMagic), data...); len(rest) > 0; {
+			n := len(rest)
+			if chunk > 0 && int(chunk) < n {
+				n = int(chunk)
+			}
+			if _, err := client.Write(rest[:n]); err != nil {
+				break
+			}
+			rest = rest[n:]
+		}
 		client.Close()
 		srv.wg.Wait()
 		<-drained
@@ -140,4 +155,57 @@ func decodableFrames(data []byte) int64 {
 		data = data[muxHeaderSize+int(size):]
 	}
 	return n
+}
+
+// TestMuxFramesAcrossReadBoundaries: the server frames requests however
+// their bytes arrive — two frames in one write, a frame a byte at a time, a
+// header apart from its payload — and answers each under its request id.
+func TestMuxFramesAcrossReadBoundaries(t *testing.T) {
+	_, srv := tcpPair(t)
+	srv.SetHandler(echoHandler)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	frame := func(rid uint64, typ string) []byte {
+		t.Helper()
+		f, err := appendMuxFrame(nil, rid, bson.D{{Key: "type", Value: typ}, {Key: "from", Value: "raw"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	writes := [][]byte{[]byte(muxMagic), append(frame(1, "one"), frame(2, "two")...)}
+	for _, b := range frame(3, "three") {
+		writes = append(writes, []byte{b})
+	}
+	split := frame(4, "four")
+	writes = append(writes, split[:muxHeaderSize], split[muxHeaderSize:])
+	for _, w := range writes {
+		if _, err := conn.Write(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	want := map[uint64]string{1: "one", 2: "two", 3: "three", 4: "four"}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck
+	br := bufio.NewReader(conn)
+	for len(want) > 0 {
+		payload, rid, err := readMuxFrame(br)
+		if err != nil {
+			t.Fatalf("reading responses, %d unanswered: %v", len(want), err)
+		}
+		resp, err := bson.Unmarshal(payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := resp.Get("body")
+		doc, _ := body.(bson.D)
+		typ, ok := want[rid]
+		if got := doc.StringOr("echo", ""); !ok || got != typ {
+			t.Fatalf("response to id %d echoes %q, want %q", rid, got, typ)
+		}
+		delete(want, rid)
+	}
 }

@@ -12,7 +12,9 @@
 # race detector on the write path (docstore, wal, transport, nwr), the
 # resilience-bearing packages (cluster, gossip, cache, dispatch, resilience),
 # the CP tier (consensus), the repair path (merkle), the observability
-# packages (metrics, trace); then short native-fuzz smokes of the four readers
+# packages (metrics, trace), and twenty race runs of the transport's worker
+# hand-off tests (every replica RPC runs on those workers); then short
+# native-fuzz smokes of the four readers
 # that take bytes they did not just write — the wire frame reader, the
 # replica record protocol (nwr.put.replica / nwr.get.replica bodies), the
 # docstore's WAL replay and the WAL's segment scan-and-repair on open — and
@@ -43,6 +45,7 @@ go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurviv
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
+go test -race -count=20 -run '^TestWorker' ./internal/transport
 go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzReplicaMessage -fuzztime 5s ./internal/nwr
 go test -run '^$' -fuzz FuzzReplayRecord -fuzztime 5s ./internal/docstore
