@@ -8,19 +8,19 @@ test:
 
 # loc prints non-test Go lines per package, then the two totals ROADMAP
 # item 3 tracks: everything outside bench/, and the same without the
-# harness and entry points (internal/experiments, cmd, examples).
+# harness and entry points (internal/experiments, cmd).
 GO_SRC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*'
 loc:
 	@$(GO_SRC) | xargs wc -l | \
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1 } END { for (d in n) printf "%7d %s\n", n[d], d }' | sort -k2
 	@printf '%7d total outside bench/\n' "$$($(GO_SRC) | xargs cat | wc -l)"
-	@printf '%7d total also excluding internal/experiments, cmd, examples\n' "$$($(GO_SRC) -not -path './internal/experiments/*' -not -path './cmd/*' -not -path './examples/*' | xargs cat | wc -l)"
+	@printf '%7d total also excluding internal/experiments and cmd\n' "$$($(GO_SRC) -not -path './internal/experiments/*' -not -path './cmd/*' | xargs cat | wc -l)"
 
 # LOC_CEILING caps loc's total outside bench/ (ROADMAP item 3: make growth
 # visible), and loc-check, which verify.sh runs, fails above it. A change that
 # needs more lines raises the ceiling in its own diff and says why in
 # CHANGES.md.
-LOC_CEILING = 22209
+LOC_CEILING = 21380
 loc-check:
 	@n=$$($(GO_SRC) | xargs cat | wc -l); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -138,6 +138,13 @@ func NewGateway(backend rest.Backend, opts GatewayOptions) *Gateway {
 // NewTokenDB creates an authentication database for gateway options.
 func NewTokenDB() *auth.TokenDB { return auth.NewTokenDB(0) }
 
+// AuthorizeURI is the client's half of the gateway's authentication (paper
+// Fig 2): it returns uri with token and the signature of (token, uri,
+// secret) attached.
+func AuthorizeURI(uri, token, secret string) (string, error) {
+	return auth.AuthorizeURI(uri, token, secret)
+}
+
 var _ rest.Backend = ClusterBackend{}
 var _ rest.BatchBackend = ClusterBackend{}
 var _ rest.StrongBackend = ClusterBackend{}

@@ -163,7 +163,7 @@ func TestStrongWritesSurviveLosingTheStoreWALTail(t *testing.T) {
 }
 
 // markerEvery is how many applied entries a consensus group spaces its
-// compaction markers by: consensus.Options.MaxLogEntries at its default.
+// compaction markers by: the consensus log bound, 1024 entries.
 const markerEvery = 1024
 
 // TestStrongWritesSurviveCrashAfterLogCompaction: enough writes into one range

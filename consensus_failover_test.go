@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"mystore/internal/consensus"
 )
 
 // TestStrongFailoverAcrossLeaderKill loads a consensus range's leader with
@@ -165,4 +167,92 @@ func TestStrongClientGoesStraightToTheLeader(t *testing.T) {
 	if bounced := rejects() - before; bounced != 0 {
 		t.Fatalf("%d NotLeader rejections over 400 strong ops on ranges whose leaders the client had met", bounced)
 	}
+}
+
+// TestStrongNonMemberRedirectsAfterLongFailure: a range's pinned replica set
+// is the only source of its group's membership. Once gossip long-fails a
+// pinned member and the ring drops it, the ring walk for the range reaches a
+// node outside the pinned set. That node must neither create a group nor
+// wait for a leader: it redirects at once to a pinned member that is not
+// down.
+func TestStrongNonMemberRedirectsAfterLongFailure(t *testing.T) {
+	const et = 100 * time.Millisecond
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, StrongRanges: 4, StrongElectionTimeout: et})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const keys = 32
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("pin-%d", i)
+		if err := client.StrongPut(ctx, key, []byte(key)); err != nil {
+			t.Fatalf("StrongPut %s: %v", key, err)
+		}
+	}
+	const victim = 2
+	dead := c.Nodes()[victim].Addr()
+	if err := c.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	// Wait until every live node has long-failed the victim out of its ring.
+	deadline := time.Now().Add(5 * time.Second)
+	for shrunk := false; !shrunk; {
+		if time.Now().After(deadline) {
+			t.Fatal("the killed node never left the live nodes' rings")
+		}
+		time.Sleep(20 * time.Millisecond)
+		shrunk = true
+		for i, n := range c.Nodes() {
+			if i != victim && n.Ring().Len() != 4 {
+				shrunk = false
+			}
+		}
+	}
+
+	checked := 0
+	for i := 0; i < keys; i++ {
+		key := fmt.Sprintf("pin-%d", i)
+		var members, outsiders []int
+		for j, n := range c.Nodes() {
+			if j == victim {
+				continue
+			}
+			if n.Consensus().ReplicatesKey(key) {
+				members = append(members, j)
+			} else {
+				outsiders = append(outsiders, j)
+			}
+		}
+		if len(members) == 3 {
+			continue // the victim was not pinned for this key's range
+		}
+		live := map[string]bool{}
+		for _, j := range members {
+			live[c.Nodes()[j].Addr()] = true
+		}
+		for _, j := range outsiders {
+			node := c.Nodes()[j]
+			opCtx, cancel := context.WithTimeout(ctx, 4*et)
+			start := time.Now()
+			err := node.StrongPut(opCtx, key, []byte("outsider"))
+			took := time.Since(start)
+			cancel()
+			leader, redirected := consensus.ParseNotLeader(err)
+			if !redirected || !live[leader] {
+				t.Errorf("node %d, outside %s's pinned set: StrongPut = %v (took %v); want a redirect to a live pinned member %v, not %s",
+					j, key, err, took, members, dead)
+			} else if took >= et {
+				t.Errorf("node %d took %v to redirect %s; want no leaderless wait", j, took, key)
+			}
+			if node.Consensus().ReplicatesKey(key) {
+				t.Errorf("node %d, outside %s's pinned set, created a group for it", j, key)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no key's pinned set held the killed node")
+	}
+	t.Logf("%d non-member strong puts redirected", checked)
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"mystore"
-	"mystore/internal/auth"
 )
 
 // TestFullStackUnderChurn drives the complete paper Fig 1 stack — REST
@@ -56,7 +55,7 @@ func TestFullStackUnderChurn(t *testing.T) {
 		}
 		tok, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		authorized, err := auth.AuthorizeURI(uri, string(tok), secret)
+		authorized, err := mystore.AuthorizeURI(uri, string(tok), secret)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,13 +85,6 @@ func NewTokenDB(ttl time.Duration) *TokenDB {
 	}
 }
 
-// SetClock injects a clock for deterministic tests.
-func (db *TokenDB) SetClock(now func() time.Time) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.now = now
-}
-
 // Register creates a user and returns their generated secret key.
 func (db *TokenDB) Register(user string) (string, error) {
 	var buf [16]byte
@@ -105,8 +98,8 @@ func (db *TokenDB) Register(user string) (string, error) {
 	return secret, nil
 }
 
-// Secret returns the user's secret key.
-func (db *TokenDB) Secret(user string) (string, error) {
+// secret returns the user's secret key.
+func (db *TokenDB) secret(user string) (string, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	s, ok := db.secrets[user]
@@ -187,8 +180,8 @@ func AuthorizeURI(rawURI, token, secret string) (string, error) {
 	return u.String(), nil
 }
 
-// PruneExpired removes expired tokens, for long-running gateways.
-func (db *TokenDB) PruneExpired() int {
+// pruneExpired removes expired tokens.
+func (db *TokenDB) pruneExpired() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	now := db.now()

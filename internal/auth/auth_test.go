@@ -12,11 +12,11 @@ func TestRegisterAndSecret(t *testing.T) {
 	if err != nil || secret == "" {
 		t.Fatalf("Register = %q, %v", secret, err)
 	}
-	got, err := db.Secret("alice")
+	got, err := db.secret("alice")
 	if err != nil || got != secret {
 		t.Fatalf("Secret = %q, %v", got, err)
 	}
-	if _, err := db.Secret("bob"); !errors.Is(err, ErrUnknownUser) {
+	if _, err := db.secret("bob"); !errors.Is(err, ErrUnknownUser) {
 		t.Fatalf("Secret(bob) err = %v", err)
 	}
 }
@@ -104,7 +104,7 @@ func TestTokenSingleUse(t *testing.T) {
 func TestTokenExpiry(t *testing.T) {
 	db := NewTokenDB(time.Minute)
 	now := time.Unix(1000, 0)
-	db.SetClock(func() time.Time { return now })
+	db.now = func() time.Time { return now }
 	secret, _ := db.Register("alice")
 	token, _ := db.IssueToken("alice")
 	authorized, _ := AuthorizeURI("/data/x", token, secret)
@@ -117,18 +117,18 @@ func TestTokenExpiry(t *testing.T) {
 func TestPruneExpired(t *testing.T) {
 	db := NewTokenDB(time.Minute)
 	now := time.Unix(1000, 0)
-	db.SetClock(func() time.Time { return now })
+	db.now = func() time.Time { return now }
 	db.Register("alice") //nolint:errcheck
 	for i := 0; i < 5; i++ {
 		db.IssueToken("alice") //nolint:errcheck
 	}
 	now = now.Add(2 * time.Minute)
 	fresh, _ := db.IssueToken("alice")
-	if removed := db.PruneExpired(); removed != 5 {
+	if removed := db.pruneExpired(); removed != 5 {
 		t.Fatalf("PruneExpired = %d, want 5", removed)
 	}
 	// The fresh token remains usable.
-	secret, _ := db.Secret("alice")
+	secret, _ := db.secret("alice")
 	authorized, _ := AuthorizeURI("/data/x", fresh, secret)
 	if _, err := db.Verify(authorized); err != nil {
 		t.Fatalf("fresh token rejected after prune: %v", err)

@@ -122,10 +122,3 @@ func (s *Store) Delete(_ context.Context, key string) error {
 	}
 	return err
 }
-
-// Len returns the number of indexed objects.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.index)
-}

@@ -50,8 +50,8 @@ func TestOverwrite(t *testing.T) {
 	if string(v) != "v2" {
 		t.Fatalf("Get = %q", v)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if len(s.index) != 1 {
+		t.Fatalf("Len = %d", len(s.index))
 	}
 }
 
@@ -68,8 +68,8 @@ func TestIndexRebuiltOnReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s2.Len() != 20 {
-		t.Fatalf("reopened Len = %d, want 20", s2.Len())
+	if len(s2.index) != 20 {
+		t.Fatalf("reopened Len = %d, want 20", len(s2.index))
 	}
 	if v, err := s2.Get(ctx, "key/7 with spaces"); err != nil || string(v) != "v" {
 		t.Fatalf("Get after reopen = %q, %v", v, err)
@@ -98,8 +98,8 @@ func TestConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 400 {
-		t.Fatalf("Len = %d, want 400", s.Len())
+	if len(s.index) != 400 {
+		t.Fatalf("Len = %d, want 400", len(s.index))
 	}
 }
 

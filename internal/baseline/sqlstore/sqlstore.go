@@ -160,9 +160,3 @@ func (s *Store) Delete(_ context.Context, key string) error {
 	}
 	return nil
 }
-
-// Len returns the master's row count.
-func (s *Store) Len() int { return s.master.len() }
-
-// SlaveLen returns slave i's row count (tests).
-func (s *Store) SlaveLen(i int) int { return s.slaves[i].len() }

@@ -42,11 +42,11 @@ func TestSynchronousReplication(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s.Len() != 10 || s.SlaveLen(0) != 10 || s.SlaveLen(1) != 10 {
-		t.Fatalf("row counts: master=%d slaves=%d/%d", s.Len(), s.SlaveLen(0), s.SlaveLen(1))
+	if s.master.len() != 10 || s.slaves[0].len() != 10 || s.slaves[1].len() != 10 {
+		t.Fatalf("row counts: master=%d slaves=%d/%d", s.master.len(), s.slaves[0].len(), s.slaves[1].len())
 	}
 	s.Delete(ctx, "k0") //nolint:errcheck
-	if s.SlaveLen(0) != 9 {
+	if s.slaves[0].len() != 9 {
 		t.Fatal("delete not replicated")
 	}
 }
@@ -113,8 +113,8 @@ func TestWritesSerialize(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if s.Len() != 800 {
-		t.Fatalf("Len = %d, want 800", s.Len())
+	if s.master.len() != 800 {
+		t.Fatalf("Len = %d, want 800", s.master.len())
 	}
 }
 

@@ -94,12 +94,6 @@ func (d D) Delete(key string) D {
 	return d
 }
 
-// Has reports whether key is present.
-func (d D) Has(key string) bool {
-	_, ok := d.Get(key)
-	return ok
-}
-
 // StringOr returns the string value for key, or fallback when the key is
 // absent or holds a non-string.
 func (d D) StringOr(key, fallback string) string {

@@ -13,7 +13,7 @@ import (
 )
 
 func paperRecord() D {
-	id, _ := uuid.ParseObjectId("4ee4462739a8727afc917ee6")
+	id := uuid.ObjectId{0x4e, 0xe4, 0x46, 0x27, 0x39, 0xa8, 0x72, 0x7a, 0xfc, 0x91, 0x7e, 0xe6}
 	return D{
 		{Key: "_id", Value: id},
 		{Key: "self-key", Value: "Resistor5"},
@@ -171,10 +171,10 @@ func TestGetSetDelete(t *testing.T) {
 		t.Fatalf("Set duplicated key: %s", d)
 	}
 	d = d.Delete("a")
-	if d.Has("a") {
+	if has(d, "a") {
 		t.Fatal("Delete left key behind")
 	}
-	if !d.Has("b") {
+	if !has(d, "b") {
 		t.Fatal("Delete removed wrong key")
 	}
 	d = d.Delete("missing") // must be a no-op
@@ -289,4 +289,10 @@ func BenchmarkUnmarshalPaperRecord(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// has reports whether key is present in d.
+func has(d D, key string) bool {
+	_, ok := d.Get(key)
+	return ok
 }

@@ -280,8 +280,8 @@ func (n *node) ascend(lo, hi []byte, fn func(Item) bool) bool {
 	return true
 }
 
-// Min returns the smallest item, or a zero Item and false when empty.
-func (t *Tree) Min() (Item, bool) {
+// min returns the smallest item, or a zero Item and false when empty.
+func (t *Tree) min() (Item, bool) {
 	if t.length == 0 {
 		return Item{}, false
 	}
@@ -292,16 +292,16 @@ func (t *Tree) Min() (Item, bool) {
 	return n.items[0], true
 }
 
-// Max returns the largest item, or a zero Item and false when empty.
-func (t *Tree) Max() (Item, bool) {
+// max returns the largest item, or a zero Item and false when empty.
+func (t *Tree) max() (Item, bool) {
 	if t.length == 0 {
 		return Item{}, false
 	}
 	return t.root.max(), true
 }
 
-// Height returns the number of levels in the tree; an empty tree has height 1.
-func (t *Tree) Height() int {
+// height returns the number of levels in the tree; an empty tree has height 1.
+func (t *Tree) height() int {
 	h := 1
 	for n := t.root; n.children != nil; n = n.children[0] {
 		h++

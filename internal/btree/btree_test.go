@@ -172,24 +172,24 @@ func TestAscendRange(t *testing.T) {
 
 func TestMinMaxHeight(t *testing.T) {
 	tr := New()
-	if _, ok := tr.Min(); ok {
+	if _, ok := tr.min(); ok {
 		t.Fatal("Min on empty = true")
 	}
-	if _, ok := tr.Max(); ok {
+	if _, ok := tr.max(); ok {
 		t.Fatal("Max on empty = true")
 	}
-	if tr.Height() != 1 {
-		t.Fatalf("empty Height = %d, want 1", tr.Height())
+	if tr.height() != 1 {
+		t.Fatalf("empty Height = %d, want 1", tr.height())
 	}
 	for i := 0; i < 10000; i++ {
 		tr.Set(key(i), i)
 	}
-	mn, _ := tr.Min()
-	mx, _ := tr.Max()
+	mn, _ := tr.min()
+	mx, _ := tr.max()
 	if !bytes.Equal(mn.Key, key(0)) || !bytes.Equal(mx.Key, key(9999)) {
 		t.Fatalf("Min/Max = %s/%s", mn.Key, mx.Key)
 	}
-	if h := tr.Height(); h < 2 || h > 5 {
+	if h := tr.height(); h < 2 || h > 5 {
 		t.Fatalf("Height = %d for 10000 keys, want small", h)
 	}
 }

@@ -168,17 +168,6 @@ func (s *Server) Delete(key string) {
 	}
 }
 
-// Len returns the number of cached items.
-func (s *Server) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
 // UsedBytes returns the bytes of cached values.
 func (s *Server) UsedBytes() int64 {
 	var used int64
@@ -189,9 +178,6 @@ func (s *Server) UsedBytes() int64 {
 	}
 	return used
 }
-
-// Shards returns the segment count (tests, stats).
-func (s *Server) Shards() int { return len(s.shards) }
 
 // Stats summarize server activity.
 type Stats struct {

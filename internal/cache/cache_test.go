@@ -34,8 +34,8 @@ func TestSetOverwriteAdjustsUsage(t *testing.T) {
 	if got := s.UsedBytes(); got != 30 {
 		t.Fatalf("UsedBytes after shrink = %d", got)
 	}
-	if s.Len() != 1 {
-		t.Fatalf("Len = %d", s.Len())
+	if s.Stats().Items != 1 {
+		t.Fatalf("Len = %d", s.Stats().Items)
 	}
 }
 
@@ -134,14 +134,14 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestShardedSpreadsSegments(t *testing.T) {
 	s := NewServer(1 << 20)
-	if s.Shards() != DefaultShards {
-		t.Fatalf("Shards = %d, want %d", s.Shards(), DefaultShards)
+	if len(s.shards) != DefaultShards {
+		t.Fatalf("Shards = %d, want %d", len(s.shards), DefaultShards)
 	}
 	for i := 0; i < 2000; i++ {
 		s.Set(fmt.Sprintf("key-%d", i), []byte("v"))
 	}
-	if s.Len() != 2000 {
-		t.Fatalf("Len = %d, want 2000", s.Len())
+	if s.Stats().Items != 2000 {
+		t.Fatalf("Len = %d, want 2000", s.Stats().Items)
 	}
 	// Every segment should hold a reasonable share of 2000 uniform keys.
 	for i, sh := range s.shards {
@@ -213,7 +213,7 @@ func TestTierPartitionsKeys(t *testing.T) {
 	// Every key must be on exactly one server.
 	total := 0
 	for _, s := range tier.Servers() {
-		n := s.Len()
+		n := s.Stats().Items
 		total += n
 		if n == 0 {
 			t.Error("a tier server received no keys")

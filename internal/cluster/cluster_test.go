@@ -25,8 +25,10 @@ type harness struct {
 	quorum nwr.Config
 	eps    []*transport.MemTransport
 	nodes  []*Node
-	mu     sync.Mutex
-	now    time.Time
+	// weights, when set, is each node's capacity weight (default 1).
+	weights []int
+	mu      sync.Mutex
+	now     time.Time
 }
 
 func addr(i int) string { return fmt.Sprintf("10.0.0.%d:19870", i+1) }
@@ -43,7 +45,7 @@ func newHarness(t *testing.T, n int) *harness {
 func newHarnessNWR(t *testing.T, nodes, n, w, r int) *harness {
 	t.Helper()
 	h := &harness{t: t, net: transport.NewMemNetwork(), now: time.Unix(5000, 0),
-		quorum: nwr.Config{N: n, W: w, R: r, Retries: 1, CallTimeout: time.Second}}
+		quorum: nwr.Config{N: n, W: w, R: r, CallTimeout: time.Second}}
 	seeds := []string{addr(0)}
 	for i := 0; i < nodes; i++ {
 		h.addNode(i, seeds)
@@ -63,9 +65,13 @@ func (h *harness) addNode(i int, seeds []string) *Node {
 	if err != nil {
 		h.t.Fatal(err)
 	}
+	weight := 1
+	if i < len(h.weights) {
+		weight = h.weights[i]
+	}
 	node, err := NewNode(ep, Config{
 		Seeds:          seeds,
-		Weight:         1,
+		Weight:         weight,
 		NWR:            h.quorum,
 		GossipInterval: time.Second,
 		Now:            h.clock,
@@ -126,6 +132,29 @@ func TestMembershipConvergence(t *testing.T) {
 		if got := n.Ring().Len(); got != 5 {
 			t.Fatalf("node %d ring has %d members, want 5", i, got)
 		}
+	}
+}
+
+// TestWeightedCluster: a node's capacity weight (mystore-server -weight)
+// scales its share of the ring, so a heavier node holds more records.
+func TestWeightedCluster(t *testing.T) {
+	h := &harness{t: t, net: transport.NewMemNetwork(), now: time.Unix(5000, 0),
+		quorum: nwr.Config{N: 1, W: 1, R: 1, CallTimeout: time.Second}, weights: []int{1, 2, 3}}
+	for i := range h.weights {
+		h.addNode(i, []string{addr(0)})
+	}
+	h.converge(12)
+	client := h.client(t)
+	ctx := context.Background()
+	for i := 0; i < 300; i++ {
+		client.Put(ctx, fmt.Sprintf("w-key-%04d", i), []byte("v")) //nolint:errcheck
+	}
+	// With one replica per key, the heaviest node should hold more records
+	// than the lightest (probabilistic, wide margin).
+	l0 := h.nodes[0].Store().C(nwr.RecordCollection).Len()
+	l2 := h.nodes[2].Store().C(nwr.RecordCollection).Len()
+	if l2 <= l0/2 {
+		t.Fatalf("weight-3 node holds %d, weight-1 node %d", l2, l0)
 	}
 }
 

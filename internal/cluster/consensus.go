@@ -6,7 +6,7 @@ package cluster
 import (
 	"context"
 	"path/filepath"
-	"time"
+	"sort"
 
 	"mystore/internal/bson"
 	"mystore/internal/consensus"
@@ -45,11 +45,17 @@ func (n *Node) startConsensus() error {
 		Read: func(key string) (nwr.Record, bool, error) {
 			return n.coord.GetLocal(key)
 		},
+		// The walk is over the pinned ring, so a long-failed member stays in
+		// its ranges' sets. A node outside a set redirects to its first
+		// member, so the members the peer view holds down go last.
 		Replicas: func(lo uint32) ([]string, error) {
-			if n.ring.Len() < rf {
+			if n.pinned.Len() < rf {
 				return nil, consensus.ErrRingNotReady
 			}
-			return n.ring.SuccessorsAt(lo, rf)
+			peers, err := n.pinned.SuccessorsAt(lo, rf)
+			up := n.coord.Peers().IsUp
+			sort.SliceStable(peers, func(i, j int) bool { return up(peers[i]) && !up(peers[j]) })
+			return peers, err
 		},
 		StreamRange: func(ctx context.Context, target string, lo, hi uint32) bool {
 			return n.streamRangeTo(ctx, target, lo, hi)
@@ -148,17 +154,4 @@ func (n *Node) streamRangeTo(ctx context.Context, target string, lo, hi uint32) 
 	})
 	_, _, ok := n.pushNewer(ctx, target, keys)
 	return ok
-}
-
-// strongTimeout derives a default deadline for strong ops arriving without
-// one (transport deadlines normally provide it).
-func (n *Node) strongTimeout(ctx context.Context) (context.Context, context.CancelFunc) {
-	if _, ok := ctx.Deadline(); ok {
-		return ctx, func() {}
-	}
-	et := n.cfg.StrongElectionTimeout
-	if et <= 0 {
-		et = 150 * time.Millisecond
-	}
-	return context.WithTimeout(ctx, 10*et)
 }

@@ -28,7 +28,7 @@ func newSeededHarness(t *testing.T, n int, mod func(i int, cfg *Config)) *harnes
 		cfg := Config{
 			Seeds:          seeds,
 			Weight:         1,
-			NWR:            nwr.Config{N: 3, W: 2, R: 1, Retries: 1, CallTimeout: time.Second},
+			NWR:            nwr.Config{N: 3, W: 2, R: 1, CallTimeout: time.Second},
 			GossipInterval: time.Second,
 			Now:            h.clock,
 			Seed:           int64(i + 1),

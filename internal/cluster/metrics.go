@@ -37,8 +37,6 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 
 	r.Register("mystore_nwr_hedged_reads_total", "Reserve replica reads launched early by the hedge timer or a failed read, one per key and reserve.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().HedgedReads) })
-	r.Register("mystore_nwr_coalesced_reads_total", "Reads served by joining an in-flight fan-out for the same key.", metrics.TypeCounter, "node").
-		Add(addr, func() float64 { return float64(coord.Stats().CoalescedReads) })
 	r.Register("mystore_nwr_batch_gets_total", "Batched multi-get operations coordinated on this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().BatchGets) })
 	r.Register("mystore_nwr_repair_backlog", "Read-repair jobs queued or in flight on the async repair pool.", metrics.TypeGauge, "node").
@@ -156,7 +154,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		// only place a stalled applier shows.
 		lagFamily := r.Register("mystore_consensus_apply_lag", "Committed log entries not yet applied to the local store, per range.", metrics.TypeGauge, "node_range")
 		// A follower that stops acking pins its range's log: the range's
-		// entries stay near MaxLogEntries instead of the few in flight.
+		// entries stay near the 1024-entry log bound instead of the few in flight.
 		heldFamily := r.Register("mystore_consensus_log_entries", "Log entries held in memory, per range.", metrics.TypeGauge, "node_range")
 		for rid := 0; rid < n.cfg.StrongRanges; rid++ {
 			label := fmt.Sprintf("%s r%d", addr, rid)

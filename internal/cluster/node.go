@@ -107,10 +107,15 @@ func (c Config) withDefaults() Config {
 
 // Node is one MyStore storage process.
 type Node struct {
-	cfg      Config
-	tr       transport.Transport
-	store    *docstore.Store
-	ring     *ring.Ring
+	cfg   Config
+	tr    transport.Transport
+	store *docstore.Store
+	ring  *ring.Ring
+	// pinned holds every node that ever joined this node's ring; a long
+	// failure shrinks ring but not pinned. The consensus tier derives each
+	// range's replica set from it, because until reconfiguration exists a
+	// range's membership must not move with the ring.
+	pinned   *ring.Ring
 	gossiper *gossip.Gossiper
 	coord    *nwr.Coordinator
 	cns      *consensus.Manager // nil unless cfg.StrongRanges > 0
@@ -132,7 +137,6 @@ type Node struct {
 	closed             bool
 	rebalanceWanted    bool
 	rebalanceNotBefore time.Time // retry cool-down after an incomplete pass
-	inRing             map[string]bool
 	tickCount          uint64
 	compacting         atomic.Bool    // a forced compaction is in flight
 	compactWG          sync.WaitGroup // Close and Kill wait for it
@@ -156,7 +160,7 @@ func NewNode(tr transport.Transport, cfg Config) (*Node, error) {
 		tr:     tr,
 		store:  store,
 		ring:   ring.New(),
-		inRing: map[string]bool{},
+		pinned: ring.New(),
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -226,13 +230,14 @@ func (n *Node) Breakers() *resilience.Peers { return n.coord.Peers() }
 func (n *Node) addToRing(addr string, weight int) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.inRing[addr] {
+	if n.ring.Contains(addr) {
 		return nil
 	}
-	if err := n.ring.AddNode(ring.Node{ID: addr, Weight: weight}); err != nil && !errors.Is(err, ring.ErrNodeExists) {
-		return err
+	for _, r := range []*ring.Ring{n.ring, n.pinned} {
+		if err := r.AddNode(ring.Node{ID: addr, Weight: weight}); err != nil && !errors.Is(err, ring.ErrNodeExists) {
+			return err
+		}
 	}
-	n.inRing[addr] = true
 	n.rebalanceWanted = true
 	n.rebalanceNotBefore = time.Time{} // a real ring change rebalances now
 	n.ae.markDirty()                   // ownership moved; the Merkle forest must be rebuilt
@@ -242,15 +247,12 @@ func (n *Node) addToRing(addr string, weight int) error {
 func (n *Node) removeFromRing(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.inRing[addr] {
-		return
+	if n.ring.RemoveNode(addr) != nil {
+		return // not a member
 	}
-	if err := n.ring.RemoveNode(addr); err == nil || errors.Is(err, ring.ErrNodeUnknown) {
-		delete(n.inRing, addr)
-		n.rebalanceWanted = true
-		n.rebalanceNotBefore = time.Time{}
-		n.ae.markDirty()
-	}
+	n.rebalanceWanted = true
+	n.rebalanceNotBefore = time.Time{}
+	n.ae.markDirty()
 }
 
 // onGossipEvent feeds gossip's verdicts into the peer view, so every RPC
@@ -367,9 +369,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 			return nil, errors.New("cluster: put requires self-key and binary val")
 		}
 		if msg.Body.StringOr("consistency", "") == "strong" {
-			sctx, cancel := n.strongTimeout(ctx)
-			err := n.StrongPut(sctx, key, b)
-			cancel()
+			err := n.StrongPut(ctx, key, b)
 			if err != nil {
 				return nil, err
 			}
@@ -382,9 +382,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 	case MsgGet:
 		key := msg.Body.StringOr("self-key", "")
 		if msg.Body.StringOr("consistency", "") == "strong" {
-			sctx, cancel := n.strongTimeout(ctx)
-			val, err := n.StrongGet(sctx, key)
-			cancel()
+			val, err := n.StrongGet(ctx, key)
 			if errors.Is(err, consensus.ErrNotFound) {
 				return n.strongReply(bson.E{Key: "found", Value: false}), nil
 			}
@@ -406,9 +404,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 	case MsgDelete:
 		key := msg.Body.StringOr("self-key", "")
 		if msg.Body.StringOr("consistency", "") == "strong" {
-			sctx, cancel := n.strongTimeout(ctx)
-			err := n.StrongDelete(sctx, key)
-			cancel()
+			err := n.StrongDelete(ctx, key)
 			if err != nil {
 				return nil, err
 			}

@@ -74,7 +74,7 @@ func TestCompactionMarkerDurableBeforeSegmentsDrop(t *testing.T) {
 	opts := Options{
 		Ranges: 1, ReplicationFactor: 1,
 		ElectionTimeout: 30 * time.Millisecond,
-		MaxLogEntries:   8,
+		maxLogEntries:   8,
 		WALDir:          dir, SyncEveryAppend: true,
 		Seed: 7,
 	}

@@ -60,12 +60,6 @@ func (e *ErrNotLeader) Error() string {
 	return fmt.Sprintf("%s; leader=%s", notLeaderMarker, e.Leader)
 }
 
-// IsNotLeader reports whether err is a local ErrNotLeader.
-func IsNotLeader(err error) bool {
-	var nl *ErrNotLeader
-	return errors.As(err, &nl)
-}
-
 // ParseNotLeader recognizes a (possibly remote-wrapped) not-leader error by
 // its wire text and extracts the leader hint ("" when the rejecting node
 // knew no leader). The cluster client uses it to redirect strong calls.
@@ -182,11 +176,6 @@ type Options struct {
 	// leader still believes its lease, because followers refuse votes while
 	// they hear a leader.
 	ElectionTimeout time.Duration
-	// MaxLogEntries bounds how many entries a follower that stops acking
-	// keeps in each group's in-memory log (past it, the follower catches up
-	// by snapshot), and spaces the WAL's compaction markers: one per
-	// MaxLogEntries applied entries. Default 1024.
-	MaxLogEntries int
 	// WALDir is the directory of the consensus log. Required.
 	WALDir string
 	// SyncEveryAppend makes log appends durable before they count toward
@@ -196,6 +185,13 @@ type Options struct {
 	Seed int64
 	// Now injects a clock for deterministic tests.
 	Now func() time.Time
+
+	// maxLogEntries bounds how many entries a follower that stops acking
+	// keeps in each group's in-memory log (past it, the follower catches up
+	// by snapshot), and spaces the WAL's compaction markers: one per
+	// maxLogEntries applied entries. Default 1024; only this package's tests
+	// lower it.
+	maxLogEntries int
 }
 
 func (o Options) withDefaults() Options {
@@ -208,8 +204,8 @@ func (o Options) withDefaults() Options {
 	if o.ElectionTimeout <= 0 {
 		o.ElectionTimeout = 150 * time.Millisecond
 	}
-	if o.MaxLogEntries <= 0 {
-		o.MaxLogEntries = 1024
+	if o.maxLogEntries <= 0 {
+		o.maxLogEntries = 1024
 	}
 	if o.Now == nil {
 		o.Now = time.Now

@@ -292,7 +292,7 @@ func TestElectionAndStrongRoundTrip(t *testing.T) {
 			continue
 		}
 		_, err := tn.m.Get(ctx, key)
-		if !IsNotLeader(err) {
+		if !errors.As(err, new(*ErrNotLeader)) {
 			t.Fatalf("follower strong get: got %v, want ErrNotLeader", err)
 		}
 		if hint, ok := ParseNotLeader(err); ok && hint != "" && hint != leader.addr {

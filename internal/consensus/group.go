@@ -53,7 +53,7 @@ type group struct {
 	// above it stay in memory so this replica can feed them if it leads.
 	floor uint64
 	// markIdx is the snapshot index of the latest compaction marker: replay
-	// starts there, and the next marker is due MaxLogEntries applies later.
+	// starts there, and the next marker is due maxLogEntries applies later.
 	markIdx uint64
 
 	commitIndex  uint64
@@ -988,7 +988,7 @@ func (g *group) handleSnapshot(body bson.D) (bson.D, error) {
 
 // trimLocked drops from memory the log prefix no replica needs from this one
 // any more: applied here and held by every follower (floor). A follower that
-// stops acking pins at most MaxLogEntries entries; past that the trim goes to
+// stops acking pins at most maxLogEntries entries; past that the trim goes to
 // appliedIndex and that follower catches up by snapshot. Memory only: the WAL
 // keeps the entries until the next compaction marker. The dropped slots are
 // cleared, or the backing array would keep their payloads reachable.
@@ -1002,7 +1002,7 @@ func (g *group) trimLocked() {
 		}
 	}
 	upto := max(min(g.appliedIndex, g.floor), g.snapIdx)
-	if g.lastIndex()-upto > uint64(g.m.opts.MaxLogEntries) {
+	if g.lastIndex()-upto > uint64(g.m.opts.maxLogEntries) {
 		upto = g.appliedIndex
 	}
 	if upto <= g.snapIdx {
@@ -1016,7 +1016,7 @@ func (g *group) trimLocked() {
 }
 
 // checkpointLocked writes a compaction marker at the trim point once
-// MaxLogEntries entries have applied since the last one. The document store
+// maxLogEntries entries have applied since the last one. The document store
 // is the snapshot; the WAL keeps the marker (plus the in-memory tail,
 // re-appended) so replay can start from it and the segments before it become
 // removable. A marker is a promise that the store holds everything at or
@@ -1025,7 +1025,7 @@ func (g *group) trimLocked() {
 // moves appliedIndex, except a snapshot install, which writes its own marker
 // and is checked for).
 func (g *group) checkpointLocked() {
-	if g.appliedIndex < g.markIdx+uint64(g.m.opts.MaxLogEntries) {
+	if g.appliedIndex < g.markIdx+uint64(g.m.opts.maxLogEntries) {
 		return
 	}
 	upto := g.appliedIndex

@@ -152,7 +152,7 @@ func memLeader(tb testing.TB, nodes []*memNode, key string) *memNode {
 // TestLogHoldsOnlyWhatAReplicaNeeds: with every member acking, no replica
 // keeps in memory more than the entries still in flight to some follower —
 // the WAL and the store hold the rest. Before the memory trim, each replica
-// kept every entry until MaxLogEntries (1024) piled up.
+// kept every entry until maxLogEntries (1024) piled up.
 func TestLogHoldsOnlyWhatAReplicaNeeds(t *testing.T) {
 	_, nodes := newMemGroup(t, 3, Options{ElectionTimeout: 200 * time.Millisecond})
 	const proposers, puts = 4, 5000
@@ -185,12 +185,12 @@ func TestLogHoldsOnlyWhatAReplicaNeeds(t *testing.T) {
 }
 
 // TestLaggingPeerPinsLogUpToCap: a member that stops acking keeps the
-// leader's memory from being trimmed past it, but only up to MaxLogEntries;
+// leader's memory from being trimmed past it, but only up to maxLogEntries;
 // then the trim goes to the applied index and the member, once back, catches
 // up by snapshot with every value.
 func TestLaggingPeerPinsLogUpToCap(t *testing.T) {
 	const maxLog = 32
-	net, nodes := newMemGroup(t, 3, Options{ElectionTimeout: 100 * time.Millisecond, MaxLogEntries: maxLog})
+	net, nodes := newMemGroup(t, 3, Options{ElectionTimeout: 100 * time.Millisecond, maxLogEntries: maxLog})
 	keys := keysInRangeOf("pinned", 3*maxLog)
 	rid := RangeOf(ring.Hash(keys[0]), 4)
 	leader := memLeader(t, nodes, keys[0])
@@ -237,7 +237,7 @@ func TestLaggingPeerPinsLogUpToCap(t *testing.T) {
 	// The snapshot streams the records before it installs its marker, and a
 	// marker refused for a stale term is sent again, so the values can be
 	// readable a moment before the install counts.
-	waitFor(t, 5*time.Second, "the faulted member to install a snapshot, not catch up from the log (the leader kept more than MaxLogEntries for it)", func() bool {
+	waitFor(t, 5*time.Second, "the faulted member to install a snapshot, not catch up from the log (the leader kept more than maxLogEntries for it)", func() bool {
 		return lagger.m.Stats().SnapshotsInstalled > 0
 	})
 }

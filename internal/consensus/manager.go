@@ -670,7 +670,7 @@ func (m *Manager) ApplyLag(rid int) uint64 {
 
 // LogEntries reports how many log entries of range rid this replica holds in
 // memory (0 when it holds no group for the range). A follower that stops
-// acking shows as a range stuck near MaxLogEntries.
+// acking shows as a range stuck near maxLogEntries.
 func (m *Manager) LogEntries(rid int) int {
 	m.mu.Lock()
 	g, ok := m.groups[rid]

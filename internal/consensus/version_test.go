@@ -35,7 +35,7 @@ func TestReplayedMarkerKeepsVersionsAboveTheClock(t *testing.T) {
 	opts := Options{
 		Ranges: 1, ReplicationFactor: 1,
 		ElectionTimeout: 30 * time.Millisecond,
-		MaxLogEntries:   8,
+		maxLogEntries:   8,
 		WALDir:          t.TempDir(), SyncEveryAppend: true,
 		Seed: 5,
 	}

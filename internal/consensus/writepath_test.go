@@ -254,7 +254,7 @@ func TestFailedLogWriteIsNotDurable(t *testing.T) {
 	cancel()
 	// ErrNoQuorum when the deadline fires first, ErrNotLeader when the lease
 	// (no acks any more) does.
-	if !errors.Is(err, ErrNoQuorum) && !IsNotLeader(err) {
+	if !errors.Is(err, ErrNoQuorum) && !errors.As(err, new(*ErrNotLeader)) {
 		t.Fatalf("put with both followers' logs gone: %v, want ErrNoQuorum or ErrNotLeader", err)
 	}
 	for _, tn := range tc.nodes {
@@ -306,7 +306,7 @@ func TestCompactionSyncsStoreBeforeMarker(t *testing.T) {
 		Ranges:            1,
 		ReplicationFactor: 1,
 		ElectionTimeout:   20 * time.Millisecond,
-		MaxLogEntries:     16,
+		maxLogEntries:     16,
 		WALDir:            t.TempDir(),
 		SyncEveryAppend:   true,
 		Seed:              3,

@@ -10,7 +10,7 @@ import (
 // A small aggregation facility in the spirit of MongoDB's group stage —
 // part of the "complex query functions" the paper keeps from MongoDB that
 // key-value stores give up. A GroupSpec names a grouping field and a set
-// of accumulators; Aggregate filters, groups and reduces in one pass.
+// of accumulators; GroupDocuments groups and reduces in one pass.
 
 // Accumulator kinds.
 const (
@@ -50,18 +50,6 @@ type groupState struct {
 	maxs   map[string]any
 }
 
-// Aggregate filters the collection, groups matching documents by spec.By
-// and reduces each group with the accumulators. Results are one document
-// per group — {"_id": groupValue, <name>: <value>, ...} — ordered by group
-// value.
-func (c *Collection) Aggregate(filter Filter, spec GroupSpec) ([]bson.D, error) {
-	docs, err := c.Find(filter, FindOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return GroupDocuments(docs, spec)
-}
-
 // validateSpec checks a group specification.
 func validateSpec(spec GroupSpec) error {
 	for _, acc := range spec.Accumulators {
@@ -80,9 +68,9 @@ func validateSpec(spec GroupSpec) error {
 	return nil
 }
 
-// GroupDocuments groups and reduces an in-memory document slice. It is the
-// shared core under Collection.Aggregate and the cluster's distributed
-// aggregation (which merges deduplicated documents from every node first).
+// GroupDocuments groups and reduces an in-memory document slice. The
+// cluster's distributed aggregation runs it over the deduplicated documents
+// it merged from every node.
 func GroupDocuments(docs []bson.D, spec GroupSpec) ([]bson.D, error) {
 	if err := validateSpec(spec); err != nil {
 		return nil, err

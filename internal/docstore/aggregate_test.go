@@ -7,6 +7,16 @@ import (
 	"mystore/internal/bson"
 )
 
+// aggregate filters c and groups the matches, as the cluster's distributed
+// aggregation does over the documents it gathered.
+func aggregate(c *Collection, filter Filter, spec GroupSpec) ([]bson.D, error) {
+	docs, err := c.Find(filter, FindOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return GroupDocuments(docs, spec)
+}
+
 func aggFixture(t *testing.T) *Collection {
 	t.Helper()
 	s := scratchStore(t)
@@ -36,7 +46,7 @@ func aggFixture(t *testing.T) *Collection {
 
 func TestAggregateGroupCountSum(t *testing.T) {
 	c := aggFixture(t)
-	rows, err := c.Aggregate(nil, GroupSpec{
+	rows, err := aggregate(c, nil, GroupSpec{
 		By: "kind",
 		Accumulators: []AccumulatorSpec{
 			{Name: "n", Op: AccCount},
@@ -65,7 +75,7 @@ func TestAggregateGroupCountSum(t *testing.T) {
 
 func TestAggregateAvgMinMax(t *testing.T) {
 	c := aggFixture(t)
-	rows, err := c.Aggregate(Filter{{Key: "kind", Value: "video"}}, GroupSpec{
+	rows, err := aggregate(c, Filter{{Key: "kind", Value: "video"}}, GroupSpec{
 		By: "kind",
 		Accumulators: []AccumulatorSpec{
 			{Name: "avgScore", Op: AccAvg, Field: "score"},
@@ -93,7 +103,7 @@ func TestAggregateAvgMinMax(t *testing.T) {
 
 func TestAggregateFloatSum(t *testing.T) {
 	c := aggFixture(t)
-	rows, err := c.Aggregate(nil, GroupSpec{
+	rows, err := aggregate(c, nil, GroupSpec{
 		By:           "kind",
 		Accumulators: []AccumulatorSpec{{Name: "s", Op: AccSum, Field: "score"}},
 	})
@@ -112,7 +122,7 @@ func TestAggregateMissingGroupField(t *testing.T) {
 	c := s.C("x")
 	c.Insert(bson.D{{Key: "a", Value: int64(1)}})                             //nolint:errcheck
 	c.Insert(bson.D{{Key: "a", Value: int64(2)}, {Key: "g", Value: "named"}}) //nolint:errcheck
-	rows, err := c.Aggregate(nil, GroupSpec{
+	rows, err := aggregate(c, nil, GroupSpec{
 		By:           "g",
 		Accumulators: []AccumulatorSpec{{Name: "n", Op: AccCount}},
 	})
@@ -136,19 +146,19 @@ func TestAggregateErrors(t *testing.T) {
 		{By: "kind", Accumulators: []AccumulatorSpec{{Name: "x", Op: AccSum}}},
 	}
 	for i, spec := range cases {
-		if _, err := c.Aggregate(nil, spec); !errors.Is(err, ErrBadAggregate) {
+		if _, err := aggregate(c, nil, spec); !errors.Is(err, ErrBadAggregate) {
 			t.Errorf("case %d: err = %v", i, err)
 		}
 	}
 	// Summing a non-numeric field.
-	if _, err := c.Aggregate(nil, GroupSpec{
+	if _, err := aggregate(c, nil, GroupSpec{
 		By:           "kind",
 		Accumulators: []AccumulatorSpec{{Name: "x", Op: AccSum, Field: "kind"}},
 	}); !errors.Is(err, ErrBadAggregate) {
 		t.Errorf("non-numeric sum err = %v", err)
 	}
 	// Bad filter propagates.
-	if _, err := c.Aggregate(Filter{{Key: "x", Value: bson.D{{Key: "$bogus", Value: 1}}}},
+	if _, err := aggregate(c, Filter{{Key: "x", Value: bson.D{{Key: "$bogus", Value: 1}}}},
 		GroupSpec{By: "kind", Accumulators: []AccumulatorSpec{{Name: "n", Op: AccCount}}}); err == nil {
 		t.Error("bad filter accepted")
 	}
@@ -156,7 +166,7 @@ func TestAggregateErrors(t *testing.T) {
 
 func TestAggregateEmptyCollection(t *testing.T) {
 	s := scratchStore(t)
-	rows, err := s.C("empty").Aggregate(nil, GroupSpec{
+	rows, err := aggregate(s.C("empty"), nil, GroupSpec{
 		By:           "kind",
 		Accumulators: []AccumulatorSpec{{Name: "n", Op: AccCount}},
 	})

@@ -38,9 +38,6 @@ func newCollection(s *Store, name string) *Collection {
 	}
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
 // Len returns the number of documents.
 func (c *Collection) Len() int {
 	c.mu.RLock()
@@ -309,18 +306,6 @@ func (c *Collection) EachSynced(begin func(), fn func(doc bson.D) bool) {
 		return fn(doc)
 	})
 	c.store.statScans.Add(1)
-}
-
-// Count returns the number of documents matching filter.
-func (c *Collection) Count(filter Filter) (int, error) {
-	if len(filter) == 0 {
-		return c.Len(), nil
-	}
-	docs, err := c.Find(filter, FindOptions{})
-	if err != nil {
-		return 0, err
-	}
-	return len(docs), nil
 }
 
 // Find returns the documents matching filter, shaped by opts. Each is decoded

@@ -193,36 +193,6 @@ func (s *Store) saveIndexDef(coll, field string, unique bool, lsn uint64) error 
 	return s.engine.Apply(indexDefKey(coll, field), val, lsn)
 }
 
-// dropCollLSM tombstones every key belonging to a dropped collection:
-// documents, the collection marker, and its index definitions. Caller holds
-// writeMu.
-func (s *Store) dropCollLSM(name string, lsn uint64) error {
-	var keys [][]byte
-	collect := func(lo, hi []byte) error {
-		return s.engine.Iter(lo, hi, func(k, v []byte) bool {
-			keys = append(keys, append([]byte(nil), k...))
-			return true
-		})
-	}
-	lo, hi := collRange(name)
-	if err := collect(lo, hi); err != nil {
-		return err
-	}
-	ixLo := indexDefKey(name, "")
-	ixHi := append([]byte(nil), ixLo...)
-	ixHi[len(ixHi)-1] = 1 // 0x00 terminator -> 0x01: covers every field suffix
-	if err := collect(ixLo, ixHi); err != nil {
-		return err
-	}
-	keys = append(keys, collMarkerKey(name))
-	for _, k := range keys {
-		if err := s.engine.Delete(k, lsn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // indexDef is one recovered index definition.
 type indexDef struct {
 	coll   string

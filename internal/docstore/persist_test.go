@@ -161,23 +161,6 @@ func TestRejectedOpsNotPersisted(t *testing.T) {
 	}
 }
 
-func TestDropCollectionPersists(t *testing.T) {
-	dir := t.TempDir()
-	s := diskStore(t, dir)
-	s.C("gone").Insert(record("x", 8))  //nolint:errcheck
-	s.C("stays").Insert(record("y", 8)) //nolint:errcheck
-	s.DropCollection("gone")            //nolint:errcheck
-	s.Close()
-	s2 := diskStore(t, dir)
-	defer s2.Close()
-	if s2.C("gone").Len() != 0 {
-		t.Fatal("dropped collection resurrected")
-	}
-	if s2.C("stays").Len() != 1 {
-		t.Fatal("surviving collection lost")
-	}
-}
-
 // TestOpenRefusesMapEngineDirectory: the retired map engine kept its documents
 // in a snapshot file over a WAL truncated below it. Opening such a directory
 // as lsm would serve a store missing the snapshot's contents, so Open refuses

@@ -77,7 +77,7 @@ func TestReplayLegacyWAL(t *testing.T) {
 			"hints":   {"7": 2},
 		}
 		if len(got) != len(want) {
-			t.Fatalf("collections = %v", s.Collections())
+			t.Fatalf("collections = %v", s.collections())
 		}
 		for coll, docs := range want {
 			if len(got[coll]) != len(docs) {

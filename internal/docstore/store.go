@@ -55,7 +55,7 @@ type Options struct {
 // validating. Logs written before this layout hold "insert" and "update"
 // records; both replay as "put".
 type Op struct {
-	Kind   string // "put", "delete", "index", "dropcoll"
+	Kind   string // "put", "delete", "index"
 	Coll   string
 	Doc    bson.D // put: full document
 	Id     any    // delete: primary key
@@ -220,8 +220,8 @@ func (s *Store) C(name string) *Collection {
 	return c
 }
 
-// Collections returns the names of existing collections.
-func (s *Store) Collections() []string {
+// collections returns the names of existing collections.
+func (s *Store) collections() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.colls))
@@ -229,13 +229,6 @@ func (s *Store) Collections() []string {
 		out = append(out, name)
 	}
 	return out
-}
-
-// DropCollection removes a collection and its documents.
-func (s *Store) DropCollection(name string) error {
-	_, err := s.mutate(context.Background(), Op{Kind: "dropcoll", Coll: name}, nil,
-		func(lsn uint64) error { return s.applyDropColl(name, lsn) }, waitSync)
-	return err
 }
 
 func (s *Store) isClosed() bool {
@@ -320,21 +313,9 @@ func (s *Store) replayOp(op Op, lsn uint64) error {
 		return s.C(op.Coll).blindSet(op.Id, nil, lsn)
 	case "index":
 		return s.C(op.Coll).applyEnsureIndex(op.Field, op.Unique, lsn)
-	case "dropcoll":
-		return s.applyDropColl(op.Coll, lsn)
 	default:
 		return fmt.Errorf("docstore: unknown op kind %q", op.Kind)
 	}
-}
-
-func (s *Store) applyDropColl(name string, lsn uint64) error {
-	if err := s.dropCollLSM(name, lsn); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	delete(s.colls, name)
-	s.mu.Unlock()
-	return nil
 }
 
 // Stats summarize the store for monitoring and tests.

@@ -95,7 +95,7 @@ func TestConcurrentWritePathReplayEquivalence(t *testing.T) {
 func dumpStore(t *testing.T, s *Store) map[string]map[string]string {
 	t.Helper()
 	out := map[string]map[string]string{}
-	for _, name := range s.Collections() {
+	for _, name := range s.collections() {
 		docs, err := s.C(name).Find(nil, FindOptions{})
 		if err != nil {
 			t.Fatalf("Find %s: %v", name, err)

@@ -48,8 +48,8 @@ func (k Kind) String() string {
 	}
 }
 
-// IsShort reports whether the kind is a short failure (self-recovering).
-func (k Kind) IsShort() bool { return k != NodeBreakdown }
+// isShort reports whether the kind is a short failure (self-recovering).
+func (k Kind) isShort() bool { return k != NodeBreakdown }
 
 // Errors injected by the framework. Injection sites wrap these so callers
 // can classify with errors.Is.
@@ -89,9 +89,6 @@ func PaperTable2() Plan {
 		NodeBreakdown:    0.001,
 	}
 }
-
-// None returns an empty plan (the "no-fault" arm of Fig 16/17).
-func None() Plan { return Plan{} }
 
 // Injector rolls the plan's dice per operation and tracks which nodes are
 // broken down. It is safe for concurrent use.
@@ -197,8 +194,8 @@ func (in *Injector) Down() []string {
 	return out
 }
 
-// Break forces a node into breakdown (for directed failure tests).
-func (in *Injector) Break(node string) {
+// breakDown forces a node into breakdown.
+func (in *Injector) breakDown(node string) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	in.down[node] = true

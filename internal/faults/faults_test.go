@@ -34,10 +34,10 @@ func TestKindStringsAndShortness(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", k, k.String(), want)
 		}
 	}
-	if !NetworkException.IsShort() || !DiskIOError.IsShort() || !BlockingProcess.IsShort() {
+	if !NetworkException.isShort() || !DiskIOError.isShort() || !BlockingProcess.isShort() {
 		t.Error("short failures misclassified")
 	}
-	if NodeBreakdown.IsShort() {
+	if NodeBreakdown.isShort() {
 		t.Error("NodeBreakdown classified as short")
 	}
 	if !strings.Contains(Kind(99).String(), "99") {
@@ -118,10 +118,10 @@ func TestNodeBreakdownSticks(t *testing.T) {
 }
 
 func TestBreakForcesBreakdown(t *testing.T) {
-	in := NewInjector(None(), 1)
-	in.Break("n")
+	in := NewInjector(Plan{}, 1)
+	in.breakDown("n")
 	if _, err := in.Roll("n"); !errors.Is(err, ErrNodeDown) {
-		t.Fatalf("err = %v after Break", err)
+		t.Fatalf("err = %v after breakDown", err)
 	}
 }
 
@@ -155,7 +155,7 @@ func TestNetworkExceptionCostsItsTimeout(t *testing.T) {
 }
 
 func TestNoneNeverFires(t *testing.T) {
-	in := NewInjector(None(), 3)
+	in := NewInjector(Plan{}, 3)
 	for i := 0; i < 10000; i++ {
 		if k, err := in.Roll("n"); k != 0 || err != nil {
 			t.Fatalf("None plan fired %v/%v", k, err)

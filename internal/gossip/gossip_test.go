@@ -31,12 +31,10 @@ func newCluster(t *testing.T, n int, seeds []string) *cluster {
 			t.Fatal(err)
 		}
 		g := New(ep, Config{
-			Seeds:          seeds,
-			Interval:       time.Second,
-			ShortFailAfter: 3 * time.Second,
-			LongFailAfter:  10 * time.Second,
-			Now:            func() time.Time { c.mu.Lock(); defer c.mu.Unlock(); return c.now },
-			Seed:           int64(i + 1),
+			Seeds:    seeds,
+			Interval: time.Second,
+			Now:      func() time.Time { c.mu.Lock(); defer c.mu.Unlock(); return c.now },
+			Seed:     int64(i + 1),
 			OnEvent: func(e Event) {
 				c.mu.Lock()
 				c.evts = append(c.evts, e)
@@ -131,15 +129,15 @@ func TestHeartbeatAdvances(t *testing.T) {
 	for r := 0; r < 6; r++ {
 		c.round(nil)
 	}
-	before := c.gs[0].Heartbeat("node-2")
+	before := c.gs[0].heartbeat("node-2")
 	for r := 0; r < 6; r++ {
 		c.round(nil)
 	}
-	after := c.gs[0].Heartbeat("node-2")
+	after := c.gs[0].heartbeat("node-2")
 	if after <= before {
 		t.Fatalf("node-2 heartbeat as seen by node-0: %d -> %d, want increase", before, after)
 	}
-	if c.gs[0].Heartbeat("ghost") != 0 {
+	if c.gs[0].heartbeat("ghost") != 0 {
 		t.Fatal("unknown endpoint heartbeat should be 0")
 	}
 }
@@ -233,7 +231,7 @@ func TestDeclareAndReadmit(t *testing.T) {
 	if got := c.gs[1].StatusOf("node-2"); got != StatusLongFail {
 		t.Fatalf("removal did not spread: node-1 sees %v", got)
 	}
-	c.gs[0].Readmit("node-2")
+	c.gs[0].readmit("node-2")
 	for r := 0; r < 10; r++ {
 		c.round(nil)
 	}
@@ -246,7 +244,7 @@ func TestSeedAutoReadmitsReturningNode(t *testing.T) {
 	// A node removed as long-failed comes back (crash-restart or healed
 	// partition) and resumes gossiping. The seed hears from it directly —
 	// proof of life — and must retract the removal on its own; no operator
-	// Readmit call. The retraction then spreads to every node.
+	// readmit call. The retraction then spreads to every node.
 	c := newCluster(t, 4, []string{"node-0"})
 	for r := 0; r < 10; r++ {
 		c.round(nil)
@@ -297,26 +295,6 @@ func TestDigestString(t *testing.T) {
 	d := digest{Addr: "10.0.0.1:7000", Generation: 5, MaxVersion: 9}
 	if got := d.String(); got != "10.0.0.1:7000;bootGeneration:5;maxVersion:9" {
 		t.Fatalf("digest.String() = %q", got)
-	}
-}
-
-func TestRunLoopStopsOnCancel(t *testing.T) {
-	net := transport.NewMemNetwork()
-	ep, _ := net.Endpoint("solo")
-	g := New(ep, Config{Interval: 5 * time.Millisecond})
-	ep.SetHandler(g.HandleMessage)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		g.RunLoop(ctx)
-		close(done)
-	}()
-	time.Sleep(30 * time.Millisecond)
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("RunLoop did not stop on cancel")
 	}
 }
 

@@ -24,19 +24,20 @@ type Event struct {
 	New  Status
 }
 
+// The failure detector's thresholds, in gossip intervals of silence.
+const (
+	shortFailTicks = 3
+	longFailTicks  = 10
+)
+
 // Config tunes a Gossiper.
 type Config struct {
 	// Seeds are the cluster's seed addresses. A node is a seed if its own
 	// address appears here. Seeds confirm long failures (§5.2.4).
 	Seeds []string
-	// ShortFailAfter is the silence after which an endpoint is believed
-	// short-failed. Zero means 3 gossip intervals.
-	ShortFailAfter time.Duration
-	// LongFailAfter is the silence after which a *seed* declares the
-	// endpoint long-failed. Zero means 10 gossip intervals.
-	LongFailAfter time.Duration
-	// Interval is the tick period, used only to derive the defaults above
-	// and by RunLoop. Zero means 1s.
+	// Interval is the tick period. An endpoint silent for shortFailTicks of
+	// them is believed short-failed, and a *seed* declares one silent for
+	// longFailTicks long-failed. Zero means 1s.
 	Interval time.Duration
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
@@ -50,12 +51,6 @@ type Config struct {
 func (c Config) withDefaults(self string) Config {
 	if c.Interval <= 0 {
 		c.Interval = time.Second
-	}
-	if c.ShortFailAfter <= 0 {
-		c.ShortFailAfter = 3 * c.Interval
-	}
-	if c.LongFailAfter <= 0 {
-		c.LongFailAfter = 10 * c.Interval
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -71,8 +66,8 @@ func (c Config) withDefaults(self string) Config {
 }
 
 // Gossiper runs the protocol for one node. Wire it to a transport by
-// routing MsgSyn and MsgAck2 messages to HandleMessage, then call Tick
-// periodically (or RunLoop).
+// routing MsgSyn and MsgAck2 messages to HandleMessage, then call Tick once
+// per Interval (the cluster node's RunLoop does).
 type Gossiper struct {
 	mu        sync.Mutex
 	self      string
@@ -109,9 +104,6 @@ func New(tr transport.Transport, cfg Config) *Gossiper {
 	g.lastHeard[self] = now
 	return g
 }
-
-// Self returns this node's address.
-func (g *Gossiper) Self() string { return g.self }
 
 // IsSeed reports whether this node is a seed.
 func (g *Gossiper) IsSeed() bool {
@@ -181,8 +173,8 @@ func (g *Gossiper) LiveEndpoints() []string {
 	return out
 }
 
-// Heartbeat returns addr's last seen heartbeat version (tests/stats).
-func (g *Gossiper) Heartbeat(addr string) int64 {
+// heartbeat returns addr's last seen heartbeat version.
+func (g *Gossiper) heartbeat(addr string) int64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if es, ok := g.states[addr]; ok {
@@ -397,7 +389,7 @@ func (g *Gossiper) applyRemovalLocked(addr string, removed bool) {
 // markHeard refreshes the liveness clock for addr and revives it from
 // ShortFail if needed. A seed hearing *directly* from an address it removed
 // has proof the node is back (a crash-restart or healed partition that
-// outlasted LongFailAfter), so it retracts the removal assertion — without
+// outlasted longFailTicks intervals), so it retracts the removal assertion — without
 // this, a long-failed node that returns stays exiled forever because every
 // revival path checks the removed set first.
 func (g *Gossiper) markHeard(addr string) {
@@ -445,9 +437,9 @@ func (g *Gossiper) detectFailures(now time.Time) {
 		silence := now.Sub(heard)
 		cur := g.status[addr]
 		switch {
-		case silence >= g.cfg.LongFailAfter && isSeed:
+		case silence >= longFailTicks*g.cfg.Interval && isSeed:
 			toRemove = append(toRemove, addr)
-		case silence >= g.cfg.ShortFailAfter && cur == StatusUp:
+		case silence >= shortFailTicks*g.cfg.Interval && cur == StatusUp:
 			events = append(events, Event{Addr: addr, Old: cur, New: StatusShortFail})
 			g.status[addr] = StatusShortFail
 		}
@@ -484,9 +476,9 @@ func (g *Gossiper) DeclareLongFail(addr string) {
 	}
 }
 
-// Readmit clears a removal assertion for addr (operator action after
+// readmit clears a removal assertion for addr (operator action after
 // replacing a node) so it can rejoin.
-func (g *Gossiper) Readmit(addr string) {
+func (g *Gossiper) readmit(addr string) {
 	g.mu.Lock()
 	es := g.states[g.self]
 	next := es.maxVersion() + 1
@@ -496,19 +488,4 @@ func (g *Gossiper) Readmit(addr string) {
 		g.status[addr] = StatusUnknown
 	}
 	g.mu.Unlock()
-}
-
-// RunLoop ticks until ctx is cancelled, for production deployments; the
-// simulations call Tick directly on a virtual clock.
-func (g *Gossiper) RunLoop(ctx context.Context) {
-	t := time.NewTicker(g.cfg.Interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			g.Tick(ctx)
-		}
-	}
 }

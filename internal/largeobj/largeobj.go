@@ -40,16 +40,14 @@ type Store interface {
 type Config struct {
 	// ChunkSize is the segment size in bytes. Zero means 1 MiB.
 	ChunkSize int
-	// Concurrency bounds parallel chunk transfers. Zero means 4.
-	Concurrency int
 }
+
+// concurrency bounds parallel chunk transfers.
+const concurrency = 4
 
 func (c Config) withDefaults() Config {
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = 1 << 20
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 4
 	}
 	return c
 }
@@ -111,7 +109,7 @@ func Upload(ctx context.Context, s Store, key string, r io.Reader, cfg Config) (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
-		sem      = make(chan struct{}, cfg.Concurrency)
+		sem      = make(chan struct{}, concurrency)
 	)
 	fail := func(err error) {
 		mu.Lock()
@@ -188,7 +186,7 @@ func Stat(ctx context.Context, s Store, key string) (Manifest, error) {
 }
 
 // DownloadTo streams the object to w in order, fetching up to
-// cfg.Concurrency chunks ahead, and verifies the whole-object checksum.
+// concurrency chunks ahead, and verifies the whole-object checksum.
 func DownloadTo(ctx context.Context, s Store, key string, w io.Writer, cfg Config) (Manifest, error) {
 	cfg = cfg.withDefaults()
 	m, err := Stat(ctx, s, key)
@@ -200,7 +198,7 @@ func DownloadTo(ctx context.Context, s Store, key string, w io.Writer, cfg Confi
 		err  error
 	}
 	results := make([]chan fetched, m.Chunks)
-	sem := make(chan struct{}, cfg.Concurrency)
+	sem := make(chan struct{}, concurrency)
 	for i := 0; i < m.Chunks; i++ {
 		results[i] = make(chan fetched, 1)
 		go func(i int) {
@@ -258,7 +256,7 @@ func Remove(ctx context.Context, s Store, key string, cfg Config) error {
 		return err
 	}
 	cfg = cfg.withDefaults()
-	sem := make(chan struct{}, cfg.Concurrency)
+	sem := make(chan struct{}, concurrency)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

@@ -219,7 +219,7 @@ func TestDownloadToWriter(t *testing.T) {
 	payload := randomPayload(1<<20, 8)
 	Upload(ctx, s, "k", bytes.NewReader(payload), Config{ChunkSize: 128 << 10}) //nolint:errcheck
 	var buf bytes.Buffer
-	m, err := DownloadTo(ctx, s, "k", &buf, Config{Concurrency: 2})
+	m, err := DownloadTo(ctx, s, "k", &buf, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

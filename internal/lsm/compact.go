@@ -7,11 +7,11 @@ import (
 )
 
 // Leveled compaction. L0 tables overlap (each is one flushed memtable);
-// once L0CompactTrigger of them accumulate, all of L0 merges with the
+// once l0CompactTrigger of them accumulate, all of L0 merges with the
 // overlapping span of L1. Deeper levels are sorted non-overlapping runs
 // with geometric size limits; when level n outgrows its limit, one of its
 // tables merges with the overlapping tables of level n+1. Output runs are
-// split at TargetFileBytes.
+// split at targetFileBytes.
 
 // levelFanout is the size ratio between adjacent levels.
 const levelFanout = 10
@@ -62,7 +62,7 @@ func (e *Engine) maybeScheduleCompaction() {
 }
 
 func (e *Engine) needsCompactionLocked() bool {
-	if len(e.levels) > 0 && len(e.levels[0]) >= e.opts.L0CompactTrigger {
+	if len(e.levels) > 0 && len(e.levels[0]) >= l0CompactTrigger {
 		return true
 	}
 	for n := 1; n < len(e.levels); n++ {
@@ -83,7 +83,7 @@ func (e *Engine) levelBytesLocked(n int) int64 {
 
 // levelLimit returns level n's byte budget (n >= 1).
 func (e *Engine) levelLimit(n int) int64 {
-	limit := e.opts.LevelBaseBytes
+	limit := e.opts.levelBaseBytes
 	for i := 1; i < n; i++ {
 		limit *= levelFanout
 	}
@@ -105,7 +105,7 @@ func (c *compaction) allInputs() []*table {
 // pickCompactionLocked chooses the next merge, or ok=false when the tree is
 // in shape. Caller holds mu; picked tables are pinned before returning.
 func (e *Engine) pickCompactionLocked() (compaction, bool) {
-	if len(e.levels) > 0 && len(e.levels[0]) >= e.opts.L0CompactTrigger {
+	if len(e.levels) > 0 && len(e.levels[0]) >= l0CompactTrigger {
 		c := compaction{srcLevel: 0, inputs: append([]*table(nil), e.levels[0]...)}
 		lo, hi := keySpan(c.inputs)
 		c.overlaps = e.overlapping(1, lo, hi)
@@ -274,7 +274,7 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 			num = e.nextFile
 			e.nextFile++
 			e.mu.Unlock()
-			tw, err = newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
+			tw, err = newTableWriter(e.opts.Dir, num, e.opts.blockBytes, DefaultBloomBitsPerKey)
 			if err != nil {
 				break
 			}
@@ -287,7 +287,7 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 		if err = tw.add(m.key(), m.val(), m.tombstone()); err != nil {
 			break
 		}
-		if tw.off >= e.opts.TargetFileBytes {
+		if tw.off >= e.opts.targetFileBytes {
 			var t *table
 			t, err = tw.finish()
 			if err != nil {

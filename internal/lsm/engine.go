@@ -35,46 +35,41 @@ type Tuning struct {
 	// MemtableBytes rotates the mutable memtable to the flush queue once its
 	// payload crosses this budget. Default 4 MiB.
 	MemtableBytes int64
-	// BlockBytes is the SSTable data-block target size. Default 4 KiB.
-	BlockBytes int
 	// BlockCacheBytes bounds the shared block cache. Default 32 MiB.
 	BlockCacheBytes int64
-	// L0CompactTrigger is the L0 table count that starts an L0→L1
-	// compaction. Default 4.
-	L0CompactTrigger int
-	// LevelBaseBytes is the L1 size limit; each deeper level is levelFanout
-	// times larger. Default 8 MiB.
-	LevelBaseBytes int64
-	// TargetFileBytes splits compaction output runs into tables of roughly
-	// this size. Default 2 MiB.
-	TargetFileBytes int64
-	// MaxImmutable is the flush-queue depth at which writers stall (the
-	// write-stall backpressure every LSM needs so an overrun flusher cannot
-	// accumulate unbounded frozen memtables). Default 4.
-	MaxImmutable int
+
+	// The table shape. Only this package's tests shrink it, so that small
+	// workloads still span blocks, levels and split compaction output.
+	blockBytes      int   // SSTable data-block target size; default 4 KiB
+	levelBaseBytes  int64 // L1 size limit, ×levelFanout per deeper level; default 8 MiB
+	targetFileBytes int64 // compaction output table size; default 2 MiB
 }
+
+const (
+	// l0CompactTrigger is the L0 table count that starts an L0→L1
+	// compaction.
+	l0CompactTrigger = 4
+	// maxImmutable is the flush-queue depth at which writers stall (the
+	// write-stall backpressure every LSM needs so an overrun flusher cannot
+	// accumulate unbounded frozen memtables).
+	maxImmutable = 4
+)
 
 func (t Tuning) withDefaults() Tuning {
 	if t.MemtableBytes <= 0 {
 		t.MemtableBytes = 4 << 20
 	}
-	if t.BlockBytes <= 0 {
-		t.BlockBytes = DefaultBlockBytes
+	if t.blockBytes <= 0 {
+		t.blockBytes = DefaultBlockBytes
 	}
 	if t.BlockCacheBytes <= 0 {
 		t.BlockCacheBytes = 32 << 20
 	}
-	if t.L0CompactTrigger <= 0 {
-		t.L0CompactTrigger = 4
+	if t.levelBaseBytes <= 0 {
+		t.levelBaseBytes = 8 << 20
 	}
-	if t.LevelBaseBytes <= 0 {
-		t.LevelBaseBytes = 8 << 20
-	}
-	if t.TargetFileBytes <= 0 {
-		t.TargetFileBytes = 2 << 20
-	}
-	if t.MaxImmutable <= 0 {
-		t.MaxImmutable = 4
+	if t.targetFileBytes <= 0 {
+		t.targetFileBytes = 2 << 20
 	}
 	return t
 }
@@ -221,7 +216,7 @@ func (e *Engine) put(key, val []byte, tombstone bool, lsn uint64) error {
 		}
 		return ErrClosed
 	}
-	for len(e.imm) >= e.opts.MaxImmutable && !e.closed && e.flushErr == nil {
+	for len(e.imm) >= maxImmutable && !e.closed && e.flushErr == nil {
 		e.cond.Wait()
 	}
 	if e.flushErr != nil {
@@ -379,7 +374,15 @@ func (e *Engine) Iter(lo, hi []byte, fn func(key, val []byte) bool) error {
 			break
 		}
 	}
-	return iterErr(srcs)
+	err := iterErr(srcs)
+	if err != nil {
+		e.mu.Lock()
+		if e.closed {
+			err = ErrClosed // Close or Crash released the table files under the scan
+		}
+		e.mu.Unlock()
+	}
+	return err
 }
 
 // flusher drains the immutable-memtable queue in arrival order.
@@ -471,7 +474,7 @@ func (e *Engine) flushOne() bool {
 
 // writeMemtable streams one frozen memtable into a new SSTable.
 func (e *Engine) writeMemtable(m *memtable, num uint64) (*table, error) {
-	tw, err := newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
+	tw, err := newTableWriter(e.opts.Dir, num, e.opts.blockBytes, DefaultBloomBitsPerKey)
 	if err != nil {
 		return nil, err
 	}

@@ -281,9 +281,9 @@ func testEngine(t *testing.T, tune Tuning) *Engine {
 func smallTuning() Tuning {
 	return Tuning{
 		MemtableBytes:   8 << 10,
-		BlockBytes:      512,
-		LevelBaseBytes:  16 << 10,
-		TargetFileBytes: 8 << 10,
+		blockBytes:      512,
+		levelBaseBytes:  16 << 10,
+		targetFileBytes: 8 << 10,
 	}
 }
 
@@ -567,6 +567,35 @@ func TestFlushDoesNotWaitForLaterMemtables(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Flush waited for a memtable frozen after it began")
+	}
+}
+
+// TestIterAcrossCrashReturnsErrClosed: a crash closes the table files under
+// a scan that is still reading them. The scan must end with ErrClosed, the
+// error a caller expects from a closed engine, not with the file error (the
+// docstore panics on any other scan error).
+func TestIterAcrossCrashReturnsErrClosed(t *testing.T) {
+	e, err := Open(Options{Dir: t.TempDir(), Tuning: smallTuning()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if err := e.Apply([]byte(fmt.Sprintf("k%06d", i)), bytes.Repeat([]byte("v"), 64), uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	err = e.Iter(nil, nil, func(k, v []byte) bool {
+		if seen++; seen == 1 {
+			e.Crash()
+		}
+		return true
+	})
+	if err != ErrClosed {
+		t.Fatalf("Iter across a crash = %v after %d entries, want ErrClosed", err, seen)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 // tombstones record deletions that mask older tables until compaction):
 //
 //	file   := block* index bloom props footer
-//	block  := entry* crc32            (≈ BlockBytes of entries per block)
+//	block  := entry* crc32            (≈ blockBytes of entries per block)
 //	entry  := uvarint(klen) key flag  (flag 0: uvarint(vlen) val; flag 1: tombstone)
 //	index  := idx* crc32              (idx = uvarint(klen) firstKey uvarint(off) uvarint(len))
 //	bloom  := filterBytes k crc32

@@ -87,12 +87,6 @@ func (h *BucketedHistogram) Observe(v int64) {
 // ObserveDuration records a duration in nanoseconds.
 func (h *BucketedHistogram) ObserveDuration(d time.Duration) { h.Observe(int64(d)) }
 
-// Count returns the number of observations.
-func (h *BucketedHistogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the running sum of observed values.
-func (h *BucketedHistogram) Sum() int64 { return h.sum.Load() }
-
 // Snapshot captures a point-in-time copy. Buckets are read individually, so
 // a snapshot taken during concurrent observation may lag the in-flight
 // handful — fine for monitoring, which is its only consumer. Buckets are

@@ -71,8 +71,8 @@ func TestBucketedQuantileAccuracy(t *testing.T) {
 						time.Duration(want), bucketIndex(bounds, want))
 				}
 			}
-			if snap.Count != n || snap.Count != bucketed.Count() {
-				t.Fatalf("count = %d / %d, want %d", snap.Count, bucketed.Count(), n)
+			if snap.Count != n || snap.Count != bucketed.count.Load() {
+				t.Fatalf("count = %d / %d, want %d", snap.Count, bucketed.count.Load(), n)
 			}
 			exactMean := float64(sum / n)
 			if m := snap.Mean(); m < exactMean*0.999 || m > exactMean*1.001 {
@@ -97,8 +97,8 @@ func pow2(x float64) float64 {
 func TestHistogramEmpty(t *testing.T) {
 	for _, bounds := range [][]int64{nil, DefaultLatencyBounds(), DefaultSizeBounds(), {10, 100}} {
 		h := NewBucketedHistogram(bounds)
-		if h.Count() != 0 || h.Sum() != 0 {
-			t.Fatalf("bounds %v: empty Count/Sum = %d/%d, want 0/0", bounds, h.Count(), h.Sum())
+		if h.count.Load() != 0 || h.sum.Load() != 0 {
+			t.Fatalf("bounds %v: empty Count/Sum = %d/%d, want 0/0", bounds, h.count.Load(), h.sum.Load())
 		}
 		s := h.Snapshot()
 		if s.Count != 0 || s.Sum != 0 || s.Mean() != 0 {

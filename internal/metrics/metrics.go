@@ -97,6 +97,3 @@ func (ts *TimeSeries) Buckets() []int64 {
 	copy(out, ts.counts)
 	return out
 }
-
-// BucketWidth returns the configured bucket width.
-func (ts *TimeSeries) BucketWidth() time.Duration { return ts.bucket }

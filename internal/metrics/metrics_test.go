@@ -58,8 +58,8 @@ func TestTimeSeries(t *testing.T) {
 			t.Errorf("bucket[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if ts.BucketWidth() != time.Second {
-		t.Errorf("BucketWidth = %v, want 1s", ts.BucketWidth())
+	if ts.bucket != time.Second {
+		t.Errorf("BucketWidth = %v, want 1s", ts.bucket)
 	}
 }
 
@@ -74,7 +74,7 @@ func TestTimeSeriesBeforeStartClamps(t *testing.T) {
 
 func TestTimeSeriesZeroBucketDefaults(t *testing.T) {
 	ts := NewTimeSeries(time.Now(), 0)
-	if ts.BucketWidth() != time.Second {
-		t.Fatalf("zero bucket width should default to 1s, got %v", ts.BucketWidth())
+	if ts.bucket != time.Second {
+		t.Fatalf("zero bucket width should default to 1s, got %v", ts.bucket)
 	}
 }

@@ -25,15 +25,16 @@ const (
 	MsgHintStore  = "nwr.hint.store"
 )
 
+// replicaRetries is how many additional attempts a failed replica write
+// gets before the coordinator hands the data off as a hint ("try to write
+// several times", §5.1).
+const replicaRetries = 2
+
 // Config is the paper's (N, W, R) plus operational knobs.
 type Config struct {
 	// N is the replication factor; W and R the write and read quorums.
 	// The paper's evaluation runs (3, 2, 1).
 	N, W, R int
-	// Retries is how many additional attempts a failed replica write gets
-	// before the coordinator hands the data off as a hint ("try to write
-	// several times", §5.1). Zero means 2.
-	Retries int
 	// CallTimeout bounds each replica RPC. Zero means 2s.
 	CallTimeout time.Duration
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
@@ -55,9 +56,6 @@ func (c Config) Validate() error {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
 	if c.CallTimeout <= 0 {
 		c.CallTimeout = 2 * time.Second
 	}
@@ -75,8 +73,7 @@ var (
 )
 
 // Stats counts coordinator activity. Gets counts keys read through a replica
-// fan-out; CoalescedReads counts Get callers served by joining one, so
-// client-visible key reads are Gets + CoalescedReads.
+// fan-out.
 type Stats struct {
 	Puts, PutFailures    int64
 	Gets, GetFailures    int64
@@ -88,8 +85,8 @@ type Stats struct {
 	// HedgedReads counts reserve replica reads launched early by the hedge
 	// timer or a failed read, one per key and reserve.
 	HedgedReads int64
-	// CoalescedReads counts reads served by an in-flight fan-out for the
-	// same key instead of their own.
+	// CoalescedReads is always 0: reads are no longer coalesced per key.
+	// It stays for the benchmark, which reads it.
 	CoalescedReads int64
 	// BatchGets counts GetMany operations coordinated here.
 	BatchGets int64
@@ -141,11 +138,6 @@ type Coordinator struct {
 	putLatency *metrics.BucketedHistogram
 	getLatency *metrics.BucketedHistogram
 
-	// Per-key singleflight coalescer: one replica fan-out per in-flight
-	// generation per key, no matter how many callers pile on.
-	flightMu sync.Mutex
-	flights  map[string]*flight
-
 	// Async read-repair pool. Workers start lazily on the first enqueue;
 	// the quit channel (not a channel close) stops them so a late enqueue
 	// after Close can never panic.
@@ -177,7 +169,6 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 		budget:     resilience.NewRetryBudget(),
 		putLatency: metrics.NewBucketedHistogram(nil),
 		getLatency: metrics.NewBucketedHistogram(nil),
-		flights:    make(map[string]*flight),
 		repairQ:    make(chan repairJob, repairQueue),
 		repairQuit: make(chan struct{}),
 	}
@@ -317,7 +308,7 @@ func (c *Coordinator) writeReplicaWithRecovery(ctx context.Context, targets []st
 		}
 	}()
 	err := c.writeReplica(ctx, target, rec)
-	for attempt := 0; err != nil && attempt < c.cfg.Retries; attempt++ {
+	for attempt := 0; err != nil && attempt < replicaRetries; attempt++ {
 		if errors.Is(err, errPeerUnusable) || !c.budget.Spend() {
 			break
 		}
@@ -471,14 +462,14 @@ func (c *Coordinator) storeHintLocal(ctx context.Context, target string, rec Rec
 	return err
 }
 
-// PurgeTombstones physically removes tombstoned records whose deletion is
+// purgeTombstones physically removes tombstoned records whose deletion is
 // older than cutoff, returning how many were purged. The paper's DELETE
 // only flips isDel ("not physically remove the record from disk"), so
 // tombstones accumulate; purging ones old enough that every replica has
 // long since seen them (hint writeback, read repair and anti-entropy all
 // propagate tombstones) reclaims the space. Choose a cutoff comfortably
 // larger than the longest plausible partition.
-func (c *Coordinator) PurgeTombstones(cutoff time.Time) (int, error) {
+func (c *Coordinator) purgeTombstones(cutoff time.Time) (int, error) {
 	coll := c.store.C(RecordCollection)
 	docs, err := coll.Find(docstore.Filter{
 		{Key: "isDel", Value: "1"},

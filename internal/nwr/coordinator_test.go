@@ -101,7 +101,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func defaultCfg() Config {
-	return Config{N: 3, W: 2, R: 1, Retries: 1, CallTimeout: time.Second}
+	return Config{N: 3, W: 2, R: 1, CallTimeout: time.Second}
 }
 
 // overlapCfg is defaultCfg with R raised so that W + R > N. A test that reads
@@ -231,7 +231,7 @@ func TestStaleWriteIgnored(t *testing.T) {
 }
 
 func TestWriteQuorumFailure(t *testing.T) {
-	tc := newTestCluster(t, 5, Config{N: 3, W: 3, R: 1, Retries: 1})
+	tc := newTestCluster(t, 5, Config{N: 3, W: 3, R: 1})
 	ctx := context.Background()
 	// Find the replica set for a key, kill two replicas AND enough of the
 	// cluster that no hint target remains.
@@ -274,7 +274,7 @@ func TestReadQuorumFailure(t *testing.T) {
 	// A read that does reach a replica, but fewer than R, fails too: with
 	// N = 3 on three nodes the coordinator holds a replica, so exactly its
 	// local answer arrives, 1 < R = 2.
-	tc2 := newTestCluster(t, 3, Config{N: 3, W: 3, R: 2, Retries: 1, CallTimeout: time.Second})
+	tc2 := newTestCluster(t, 3, Config{N: 3, W: 3, R: 2, CallTimeout: time.Second})
 	if err := tc2.coords[0].Put(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -484,7 +484,7 @@ func TestPurgeTombstones(t *testing.T) {
 	coord.Put(ctx, "fresh-dead", []byte("v")) //nolint:errcheck
 	coord.Delete(ctx, "fresh-dead")           //nolint:errcheck
 
-	purged, err := coord.PurgeTombstones(cutoff)
+	purged, err := coord.purgeTombstones(cutoff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestPurgeTombstones(t *testing.T) {
 		t.Fatal("live record purged")
 	}
 	// Idempotent.
-	if again, _ := coord.PurgeTombstones(cutoff); again != 0 {
+	if again, _ := coord.purgeTombstones(cutoff); again != 0 {
 		t.Fatalf("second purge removed %d", again)
 	}
 }
@@ -544,7 +544,7 @@ func TestPurgeSparesWriteAfterScan(t *testing.T) {
 		}
 		rewritten <- nil
 	}()
-	purged, err := coord.PurgeTombstones(time.Unix(0, 15))
+	purged, err := coord.purgeTombstones(time.Unix(0, 15))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,8 +62,7 @@ func (c *Coordinator) hedgeDelay() time.Duration {
 	return d
 }
 
-// Get reads key with the read quorum: the one read over a set of one key,
-// behind the per-key coalescer.
+// Get reads key with the read quorum: the one read over a set of one key.
 func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err error) {
 	ctx, sp := trace.Start(ctx, "nwr.read")
 	start := c.cfg.Now()
@@ -71,58 +70,11 @@ func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err erro
 		c.getLatency.ObserveDuration(c.cfg.Now().Sub(start))
 		sp.End(err)
 	}()
-	return c.coalescedRead(ctx, key)
-}
-
-// flight is one in-progress replica fan-out generation for a key; readers
-// arriving while it is in flight wait on done instead of fanning out again.
-type flight struct {
-	done chan struct{}
-	res  KeyResult
-}
-
-// coalescedRead is the per-key singleflight in front of the read path: the
-// first reader of a key starts a fan-out generation, readers arriving while
-// it is in flight share its outcome, so a hot key costs one fan-out per
-// generation instead of one per client. The flight is unregistered before
-// its result publishes, so a reader arriving after completion starts a fresh
-// generation and never sees a stale answer. The generation runs detached
-// from the leader's context — a follower may outlive the leader — bounded by
-// its own timeout; every caller, leader included, waits under its own
-// context.
-func (c *Coordinator) coalescedRead(ctx context.Context, key string) ([]byte, error) {
-	c.flightMu.Lock()
-	f, joined := c.flights[key]
-	if !joined {
-		f = &flight{done: make(chan struct{})}
-		c.flights[key] = f
+	res, err := c.read(ctx, []string{key})
+	if err != nil {
+		return nil, err
 	}
-	c.flightMu.Unlock()
-
-	if joined {
-		c.bump(func(s *Stats) { s.CoalescedReads++ })
-	} else {
-		fctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), 2*c.cfg.CallTimeout)
-		transport.Go(func() {
-			defer cancel()
-			res, err := c.read(fctx, []string{key})
-			if err != nil {
-				res = []KeyResult{{Key: key, Err: err}}
-			}
-			c.flightMu.Lock()
-			delete(c.flights, key)
-			c.flightMu.Unlock()
-			f.res = res[0]
-			close(f.done)
-		})
-	}
-	select {
-	case <-f.done:
-		return f.res.Val, f.res.Err
-	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: abandoned coalesced read for key %q: %v",
-			ErrQuorumRead, key, ctx.Err())
-	}
+	return res[0].Val, res[0].Err
 }
 
 // replicaAnswer is one replica's successful answer for one key.
@@ -182,8 +134,7 @@ func addRead(reads []peerRead, peer, key string, i int) []peerRead {
 	return append(reads, peerRead{peer: peer, keys: []string{key}, idx: []int{i}})
 }
 
-// read is the one quorum read, behind Get (through the coalescer, with one
-// key) and GetMany. A key's primaries are its first R ring successors: each
+// read is the one quorum read, behind Get (with one key) and GetMany. A key's primaries are its first R ring successors: each
 // primary peer gets one read naming every key it is primary for, and these
 // go out at once. The other N−R replicas are parked per peer and launched
 // when the hedge timer fires, when any read fails, or — by the finisher —

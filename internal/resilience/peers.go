@@ -135,6 +135,13 @@ func (v *Peers) Usable(addr string) bool {
 	return false
 }
 
+// IsUp reports whether the view holds addr up, neither suspect nor down. It
+// grants no probe.
+func (v *Peers) IsUp(addr string) bool {
+	p := v.lookup(addr)
+	return p == nil || p.state.Load() == peerUp
+}
+
 // Report records a call's outcome. ok is true whenever addr answered at the
 // transport layer: a remote application error still proves the peer alive.
 func (v *Peers) Report(addr string, ok bool) {

@@ -75,8 +75,6 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds each worker's backlog (default 64).
 	QueueDepth int
-	// MaxBodyBytes bounds uploads (default 16 MiB).
-	MaxBodyBytes int64
 	// RequestTimeout is the per-request deadline the gateway attaches to
 	// each /data operation; it propagates through the worker pool into the
 	// storage RPCs, and a queued request that can no longer meet it is shed
@@ -95,6 +93,10 @@ type Config struct {
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ (off by default:
 	// profiles expose more than operators usually want on a data port).
 	EnablePprof bool
+
+	// maxBodyBytes bounds uploads (default 16 MiB); only this package's
+	// tests lower it.
+	maxBodyBytes int64
 }
 
 func (c Config) withDefaults() Config {
@@ -104,8 +106,8 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 16 << 20
+	if c.maxBodyBytes <= 0 {
+		c.maxBodyBytes = 16 << 20
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -442,12 +444,12 @@ func (g *Gateway) handleBatchGet(w http.ResponseWriter, r *http.Request) {
 		sp.End(nil)
 	}()
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.maxBodyBytes+1))
 	if err != nil {
 		g.fail(w, err)
 		return
 	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
+	if int64(len(body)) > g.cfg.maxBodyBytes {
 		g.errs.Add(1)
 		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
 		return
@@ -584,12 +586,12 @@ func (g *Gateway) handleGet(w http.ResponseWriter, r *http.Request, key string, 
 }
 
 func (g *Gateway) handlePost(w http.ResponseWriter, r *http.Request, key string, strong bool) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, g.cfg.maxBodyBytes+1))
 	if err != nil {
 		g.fail(w, err)
 		return
 	}
-	if int64(len(body)) > g.cfg.MaxBodyBytes {
+	if int64(len(body)) > g.cfg.maxBodyBytes {
 		g.errs.Add(1)
 		http.Error(w, "body too large", http.StatusRequestEntityTooLarge)
 		return

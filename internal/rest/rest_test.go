@@ -202,7 +202,7 @@ func TestAuthRequired(t *testing.T) {
 }
 
 func TestBodyTooLarge(t *testing.T) {
-	_, _, srv := newTestGateway(t, Config{MaxBodyBytes: 10})
+	_, _, srv := newTestGateway(t, Config{maxBodyBytes: 10})
 	resp, _ := http.Post(srv.URL+"/data/k", "application/octet-stream",
 		bytes.NewReader(make([]byte, 100)))
 	resp.Body.Close()

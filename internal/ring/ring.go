@@ -200,11 +200,11 @@ func (r *Ring) SuccessorsAt(h uint32, n int) ([]string, error) {
 	return r.successorsFromLocked(h, n)
 }
 
-// SuccessorsAfterNode returns the first n distinct physical nodes clockwise
+// successorsAfterNode returns the first n distinct physical nodes clockwise
 // after any of node's virtual points — used to find supplementary replica
 // targets when a node departs (§5.2.4, Fig 9). The walk starts at the
 // node's first virtual point and skips the node itself.
-func (r *Ring) SuccessorsAfterNode(id string, n int) ([]string, error) {
+func (r *Ring) successorsAfterNode(id string, n int) ([]string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.points) == 0 {
@@ -253,8 +253,8 @@ func (r *Ring) successorsFromLocked(h uint32, n int) ([]string, error) {
 	return out, nil
 }
 
-// PointCount returns the number of virtual points (for tests and stats).
-func (r *Ring) PointCount() int {
+// pointCount returns the number of virtual points (for tests and stats).
+func (r *Ring) pointCount() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return len(r.points)

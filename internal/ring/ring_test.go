@@ -41,7 +41,7 @@ func TestAddRemoveNodes(t *testing.T) {
 	if !r.Contains("a") || r.Len() != 1 {
 		t.Fatal("Contains/Len wrong after add")
 	}
-	if got := r.PointCount(); got != DefaultVNodesPerWeight {
+	if got := r.pointCount(); got != DefaultVNodesPerWeight {
 		t.Fatalf("PointCount = %d, want %d", got, DefaultVNodesPerWeight)
 	}
 	if err := r.RemoveNode("a"); err != nil {
@@ -50,7 +50,7 @@ func TestAddRemoveNodes(t *testing.T) {
 	if err := r.RemoveNode("a"); !errors.Is(err, ErrNodeUnknown) {
 		t.Fatalf("remove absent err = %v", err)
 	}
-	if r.PointCount() != 0 {
+	if r.pointCount() != 0 {
 		t.Fatal("points remain after removal")
 	}
 }
@@ -63,7 +63,7 @@ func TestEmptyRingErrors(t *testing.T) {
 	if _, err := r.Successors("k", 3); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("Successors on empty = %v", err)
 	}
-	if _, err := r.SuccessorsAfterNode("x", 1); !errors.Is(err, ErrEmpty) {
+	if _, err := r.successorsAfterNode("x", 1); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("SuccessorsAfterNode on empty = %v", err)
 	}
 }
@@ -72,7 +72,7 @@ func TestWeightScalesVNodes(t *testing.T) {
 	r := New(WithVNodesPerWeight(100))
 	r.AddNode(Node{ID: "light", Weight: 1}) //nolint:errcheck
 	r.AddNode(Node{ID: "heavy", Weight: 4}) //nolint:errcheck
-	if got := r.PointCount(); got != 500 {
+	if got := r.pointCount(); got != 500 {
 		t.Fatalf("PointCount = %d, want 500", got)
 	}
 	// The heavy node should own roughly 4x the keys.
@@ -151,7 +151,7 @@ func TestSuccessorsFirstEqualsPrimary(t *testing.T) {
 
 func TestSuccessorsAfterNodeExcludesSelf(t *testing.T) {
 	r := fiveNodeRing(t)
-	succ, err := r.SuccessorsAfterNode("node-3", 3)
+	succ, err := r.successorsAfterNode("node-3", 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,8 +80,8 @@ func (d *Disk) Access(bytes int) {
 	d.mu.Unlock()
 }
 
-// Stats reports requests served and cumulative busy time.
-func (d *Disk) Stats() (requests int64, busy time.Duration) {
+// stats reports requests served and cumulative busy time.
+func (d *Disk) stats() (requests int64, busy time.Duration) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.requests, d.busyTotal

@@ -51,7 +51,7 @@ func TestStats(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		d.Access(100)
 	}
-	reqs, busy := d.Stats()
+	reqs, busy := d.stats()
 	if reqs != 5 {
 		t.Fatalf("requests = %d, want 5", reqs)
 	}

@@ -11,8 +11,8 @@ func WithCollector(ctx context.Context, c *Collector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, ctxInfo{c: c})
 }
 
-// FromContext returns the collector carried by ctx, or nil.
-func FromContext(ctx context.Context) *Collector {
+// fromContext returns the collector carried by ctx, or nil.
+func fromContext(ctx context.Context) *Collector {
 	info, _ := ctx.Value(ctxKey{}).(ctxInfo)
 	return info.c
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -216,15 +217,13 @@ func TestSlowOpLogEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var mu sync.Mutex
-	var lines []string
+	// The slow-op log goes to the standard logger.
+	var out lockedBuffer
+	prev := log.Writer()
+	log.SetOutput(&out)
+	t.Cleanup(func() { log.SetOutput(prev) })
 	collector := trace.NewCollector(trace.Config{
 		SlowThreshold: time.Nanosecond, // everything is slow
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			lines = append(lines, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
 	})
 	gw := mystore.NewGateway(mystore.ClusterBackend{Client: client}, mystore.GatewayOptions{Trace: collector})
 	defer gw.Close()
@@ -238,15 +237,37 @@ func TestSlowOpLogEndToEnd(t *testing.T) {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(lines) == 0 {
+	var line string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.Contains(l, "slow-op") {
+			line = l
+			break
+		}
+	}
+	if line == "" {
 		t.Fatal("no slow-op lines emitted")
 	}
-	line := lines[0]
 	for _, want := range []string{"slow-op", "op=rest.post", "nwr.write"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("slow-op line %q missing %q", line, want)
 		}
 	}
+}
+
+// lockedBuffer is an io.Writer the logger and the test share.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

@@ -82,35 +82,31 @@ type Span struct {
 
 // Config tunes a Collector.
 type Config struct {
-	// Capacity bounds the completed-trace ring buffer. Zero means 256.
-	Capacity int
-	// MaxSpans bounds the spans retained per trace; spans beyond it are
-	// counted as dropped instead of growing memory. Zero means 512.
-	MaxSpans int
-	// MaxActive bounds concurrently open traces; beyond it new root spans
-	// are not tracked (their sub-spans become no-ops). Zero means 4096.
-	MaxActive int
 	// SlowThreshold sends any trace at least this long to the slow-op log.
 	// Zero disables the log.
 	SlowThreshold time.Duration
-	// Logf receives slow-op lines. Nil means the stdlib default logger.
-	Logf func(format string, args ...any)
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
+
+	// The bounds and the log sink. Only this package's tests change them.
+	capacity  int                              // completed-trace ring buffer; default 256
+	maxSpans  int                              // spans kept per trace, the rest counted dropped; default 512
+	maxActive int                              // open traces; past it new roots go untracked; default 4096
+	logf      func(format string, args ...any) // slow-op lines; default log.Printf
 }
 
 func (c Config) withDefaults() Config {
-	if c.Capacity <= 0 {
-		c.Capacity = 256
+	if c.capacity <= 0 {
+		c.capacity = 256
 	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = 512
+	if c.maxSpans <= 0 {
+		c.maxSpans = 512
 	}
-	if c.MaxActive <= 0 {
-		c.MaxActive = 4096
+	if c.maxActive <= 0 {
+		c.maxActive = 4096
 	}
-	if c.Logf == nil {
-		c.Logf = log.Printf
+	if c.logf == nil {
+		c.logf = log.Printf
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -124,10 +120,10 @@ type Stats struct {
 	Finished int64
 	// Slow counts finished traces that crossed SlowThreshold.
 	Slow int64
-	// DroppedSpans counts spans lost to the MaxSpans cap or to ending after
+	// DroppedSpans counts spans lost to the maxSpans cap or to ending after
 	// their trace finalized (a quorum write's background replications).
 	DroppedSpans int64
-	// DroppedTraces counts root spans not tracked because MaxActive open
+	// DroppedTraces counts root spans not tracked because maxActive open
 	// traces already existed.
 	DroppedTraces int64
 }
@@ -139,7 +135,7 @@ type activeTrace struct {
 }
 
 // Collector assembles spans into traces and retains the most recent
-// Capacity completed traces in a ring buffer. It is safe for concurrent use.
+// capacity completed traces in a ring buffer. It is safe for concurrent use.
 type Collector struct {
 	cfg Config
 
@@ -174,8 +170,8 @@ func NewCollector(cfg Config) *Collector {
 		cfg:    cfg,
 		seed:   uint64(cfg.Now().UnixNano()),
 		active: make(map[ID]*activeTrace),
-		ring:   make([]Trace, cfg.Capacity),
-		strays: make([]SpanRecord, cfg.Capacity),
+		ring:   make([]Trace, cfg.capacity),
+		strays: make([]SpanRecord, cfg.capacity),
 	}
 }
 
@@ -285,7 +281,7 @@ func (c *Collector) record(sp *Span, end time.Time, errMsg string) {
 		c.droppedSpans.Add(1)
 		return
 	}
-	if len(at.spans) < c.cfg.MaxSpans {
+	if len(at.spans) < c.cfg.maxSpans {
 		at.spans = append(at.spans, rec)
 	} else if !sp.root {
 		c.mu.Unlock()
@@ -321,7 +317,7 @@ func (c *Collector) record(sp *Span, end time.Time, errMsg string) {
 	c.finished.Add(1)
 	if slow {
 		c.slow.Add(1)
-		c.cfg.Logf("slow-op trace=%016x op=%s dur=%s %s",
+		c.cfg.logf("slow-op trace=%016x op=%s dur=%s %s",
 			uint64(tr.ID), tr.Root, tr.Duration.Round(time.Microsecond), summarize(tr.Spans))
 	}
 }
@@ -364,7 +360,7 @@ func (c *Collector) open(trace ID, parent uint64, name string) *Span {
 		sp.root = true
 		sp.id = c.nextSpan.Add(1)
 		c.mu.Lock()
-		if len(c.active) >= c.cfg.MaxActive {
+		if len(c.active) >= c.cfg.maxActive {
 			c.mu.Unlock()
 			c.droppedTraces.Add(1)
 			return nil
@@ -398,8 +394,8 @@ func (s *Span) SetPeer(peer string) {
 	}
 }
 
-// TraceID returns the span's trace id (0 on a nil span).
-func (s *Span) TraceID() ID {
+// traceID returns the span's trace id (0 on a nil span).
+func (s *Span) traceID() ID {
 	if s == nil {
 		return 0
 	}

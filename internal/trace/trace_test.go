@@ -79,13 +79,13 @@ func TestNilSpanAndNoCollector(t *testing.T) {
 	// All methods are no-ops on nil.
 	sp.SetPeer("x")
 	sp.End(errors.New("ignored"))
-	if id := sp.TraceID(); id != 0 {
+	if id := sp.traceID(); id != 0 {
 		t.Fatalf("nil span trace id = %x", id)
 	}
 	if _, _, ok := Wire(ctx); ok {
 		t.Fatal("Wire reported a live trace on a bare context")
 	}
-	if FromContext(ctx) != nil {
+	if fromContext(ctx) != nil {
 		t.Fatal("FromContext on bare context")
 	}
 }
@@ -102,7 +102,7 @@ func TestErrorOutcomeRecorded(t *testing.T) {
 }
 
 func TestRingEviction(t *testing.T) {
-	c := NewCollector(Config{Capacity: 4, Now: newFakeClock().Now})
+	c := NewCollector(Config{capacity: 4, Now: newFakeClock().Now})
 	ctx := WithCollector(context.Background(), c)
 	for i := 0; i < 10; i++ {
 		_, sp := Start(ctx, fmt.Sprintf("op%d", i))
@@ -132,7 +132,7 @@ func TestSlowOpLog(t *testing.T) {
 	c := NewCollector(Config{
 		SlowThreshold: 2 * time.Millisecond,
 		Now:           clock.Now,
-		Logf:          func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+		logf:          func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
 	})
 	ctx := WithCollector(context.Background(), c)
 
@@ -184,7 +184,7 @@ func TestLateSpanBecomesStray(t *testing.T) {
 }
 
 func TestMaxSpansCap(t *testing.T) {
-	c := NewCollector(Config{MaxSpans: 3, Now: newFakeClock().Now})
+	c := NewCollector(Config{maxSpans: 3, Now: newFakeClock().Now})
 	ctx := WithCollector(context.Background(), c)
 	rctx, root := Start(ctx, "root")
 	for i := 0; i < 5; i++ {
@@ -216,8 +216,8 @@ func TestJoinAndWire(t *testing.T) {
 	// Remote node re-joins the ids against its own collector.
 	remoteCtx := Join(context.Background(), nodeC, id, parent)
 	_, remote := Start(remoteCtx, "docstore.apply")
-	if remote.TraceID() != id {
-		t.Fatalf("remote trace id %x != %x", remote.TraceID(), id)
+	if remote.traceID() != id {
+		t.Fatalf("remote trace id %x != %x", remote.traceID(), id)
 	}
 	remote.End(nil)
 	root.End(nil)
@@ -233,7 +233,7 @@ func TestJoinAndWire(t *testing.T) {
 	}
 
 	// Join with a nil collector or zero id is inert.
-	if got := Join(context.Background(), nil, id, parent); FromContext(got) != nil {
+	if got := Join(context.Background(), nil, id, parent); fromContext(got) != nil {
 		t.Fatal("Join(nil collector) installed state")
 	}
 	if _, _, ok := Wire(Join(context.Background(), nodeC, 0, 9)); ok {
@@ -242,7 +242,7 @@ func TestJoinAndWire(t *testing.T) {
 }
 
 func TestMaxActiveBound(t *testing.T) {
-	c := NewCollector(Config{MaxActive: 2, Now: newFakeClock().Now})
+	c := NewCollector(Config{maxActive: 2, Now: newFakeClock().Now})
 	ctx := WithCollector(context.Background(), c)
 	_, s1 := Start(ctx, "a")
 	_, s2 := Start(ctx, "b")
@@ -267,7 +267,7 @@ func TestMaxActiveBound(t *testing.T) {
 // TestConcurrentTraces hammers one collector from many goroutines; run under
 // -race via verify.sh.
 func TestConcurrentTraces(t *testing.T) {
-	c := NewCollector(Config{Capacity: 64})
+	c := NewCollector(Config{capacity: 64})
 	ctx := WithCollector(context.Background(), c)
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -40,12 +40,6 @@ func (n *MemNetwork) SetLatencyModel(fn func(from, to string, size int) time.Dur
 	n.latency = fn
 }
 
-// ConstantLatency is a convenience model: the same one-way delay for every
-// message.
-func ConstantLatency(d time.Duration) func(string, string, int) time.Duration {
-	return func(string, string, int) time.Duration { return d }
-}
-
 // LANLatency models the paper's gigabit-switch testbed: a fixed per-message
 // overhead plus transmission time at the given bytes/sec.
 func LANLatency(base time.Duration, bytesPerSec float64) func(string, string, int) time.Duration {

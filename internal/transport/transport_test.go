@@ -157,7 +157,7 @@ func TestMemLatencyAppliedAndCancellable(t *testing.T) {
 	a, _ := net.Endpoint("a")
 	b, _ := net.Endpoint("b")
 	b.SetHandler(echoHandler)
-	net.SetLatencyModel(ConstantLatency(30 * time.Millisecond))
+	net.SetLatencyModel(func(string, string, int) time.Duration { return 30 * time.Millisecond })
 	start := time.Now()
 	if _, err := a.Call(context.Background(), "b", Message{Type: "x"}); err != nil {
 		t.Fatal(err)

@@ -76,22 +76,22 @@ func (id ObjectId) String() string {
 	return fmt.Sprintf("ObjectId(%q)", id.Hex())
 }
 
-// Timestamp returns the creation time recorded in the id, at second
+// timestamp returns the creation time recorded in the id, at second
 // granularity.
-func (id ObjectId) Timestamp() time.Time {
+func (id ObjectId) timestamp() time.Time {
 	return time.Unix(int64(binary.BigEndian.Uint32(id[0:4])), 0)
 }
 
-// IsZero reports whether the id is the all-zero (unset) ObjectId.
-func (id ObjectId) IsZero() bool {
+// isZero reports whether the id is the all-zero (unset) ObjectId.
+func (id ObjectId) isZero() bool {
 	return id == ObjectId{}
 }
 
-// ErrBadObjectId is returned by ParseObjectId for malformed input.
+// ErrBadObjectId is returned by parseObjectId for malformed input.
 var ErrBadObjectId = errors.New("uuid: malformed ObjectId hex string")
 
-// ParseObjectId parses the 24-character hex form produced by Hex.
-func ParseObjectId(s string) (ObjectId, error) {
+// parseObjectId parses the 24-character hex form produced by Hex.
+func parseObjectId(s string) (ObjectId, error) {
 	var id ObjectId
 	if len(s) != 24 {
 		return id, ErrBadObjectId
@@ -127,8 +127,8 @@ func (u UUID) String() string {
 	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
 }
 
-// ParseUUID parses the canonical form produced by String.
-func ParseUUID(s string) (UUID, error) {
+// parseUUID parses the canonical form produced by String.
+func parseUUID(s string) (UUID, error) {
 	var u UUID
 	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
 		return u, fmt.Errorf("uuid: malformed UUID %q", s)

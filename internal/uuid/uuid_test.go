@@ -49,16 +49,16 @@ func TestNewObjectIdConcurrentUnique(t *testing.T) {
 func TestObjectIdTimestamp(t *testing.T) {
 	at := time.Date(2013, 1, 31, 12, 0, 0, 0, time.UTC)
 	id := NewObjectIdAt(at)
-	if got := id.Timestamp().UTC(); !got.Equal(at) {
+	if got := id.timestamp().UTC(); !got.Equal(at) {
 		t.Fatalf("Timestamp() = %v, want %v", got, at)
 	}
 }
 
 func TestObjectIdHexRoundTrip(t *testing.T) {
 	id := NewObjectId()
-	parsed, err := ParseObjectId(id.Hex())
+	parsed, err := parseObjectId(id.Hex())
 	if err != nil {
-		t.Fatalf("ParseObjectId(%q): %v", id.Hex(), err)
+		t.Fatalf("parseObjectId(%q): %v", id.Hex(), err)
 	}
 	if parsed != id {
 		t.Fatalf("round trip changed id: %s != %s", parsed, id)
@@ -67,8 +67,8 @@ func TestObjectIdHexRoundTrip(t *testing.T) {
 
 func TestParseObjectIdErrors(t *testing.T) {
 	for _, bad := range []string{"", "abc", strings.Repeat("z", 24), strings.Repeat("a", 23)} {
-		if _, err := ParseObjectId(bad); err == nil {
-			t.Errorf("ParseObjectId(%q) succeeded, want error", bad)
+		if _, err := parseObjectId(bad); err == nil {
+			t.Errorf("parseObjectId(%q) succeeded, want error", bad)
 		}
 	}
 }
@@ -82,10 +82,10 @@ func TestObjectIdString(t *testing.T) {
 }
 
 func TestObjectIdIsZero(t *testing.T) {
-	if !(ObjectId{}).IsZero() {
+	if !(ObjectId{}).isZero() {
 		t.Error("zero ObjectId not reported as zero")
 	}
-	if NewObjectId().IsZero() {
+	if NewObjectId().isZero() {
 		t.Error("fresh ObjectId reported as zero")
 	}
 }
@@ -108,9 +108,9 @@ func TestUUIDStringRoundTrip(t *testing.T) {
 	if len(s) != 36 {
 		t.Fatalf("String() length = %d, want 36", len(s))
 	}
-	parsed, err := ParseUUID(s)
+	parsed, err := parseUUID(s)
 	if err != nil {
-		t.Fatalf("ParseUUID(%q): %v", s, err)
+		t.Fatalf("parseUUID(%q): %v", s, err)
 	}
 	if parsed != u {
 		t.Fatalf("round trip changed UUID: %s != %s", parsed, u)
@@ -119,8 +119,8 @@ func TestUUIDStringRoundTrip(t *testing.T) {
 
 func TestParseUUIDErrors(t *testing.T) {
 	for _, bad := range []string{"", "not-a-uuid", strings.Repeat("a", 36)} {
-		if _, err := ParseUUID(bad); err == nil {
-			t.Errorf("ParseUUID(%q) succeeded, want error", bad)
+		if _, err := parseUUID(bad); err == nil {
+			t.Errorf("parseUUID(%q) succeeded, want error", bad)
 		}
 	}
 }
@@ -139,7 +139,7 @@ func TestUUIDUnique(t *testing.T) {
 func TestObjectIdHexPropertyRoundTrip(t *testing.T) {
 	f := func(raw [12]byte) bool {
 		id := ObjectId(raw)
-		parsed, err := ParseObjectId(id.Hex())
+		parsed, err := parseObjectId(id.Hex())
 		return err == nil && parsed == id
 	}
 	if err := quick.Check(f, nil); err != nil {

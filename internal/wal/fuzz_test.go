@@ -57,7 +57,7 @@ func FuzzOpenSegment(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		opts := Options{MaxRecordSize: 1 << 12}
+		opts := Options{maxRecordSize: 1 << 12}
 		if err := os.WriteFile(filepath.Join(dir, segmentName(first)), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func FuzzOpenSegment(f *testing.F) {
 			t.Fatalf("Open: %v", err)
 		}
 		holdCold(l) // no background fill per input
-		want := wellFormedPrefix(data, first, opts.MaxRecordSize)
+		want := wellFormedPrefix(data, first, opts.maxRecordSize)
 		sameRecords(t, "replay", replayAll(t, l), want)
 		if got := l.NextLSN(); got != first+LSN(len(want)) {
 			t.Fatalf("NextLSN = %d after %d records from %d", got, len(want), first)

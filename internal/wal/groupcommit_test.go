@@ -104,8 +104,8 @@ func TestGroupCommitAcrossSegmentRoll(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if n, _ := l.SegmentCount(); n < 2 {
-		t.Fatalf("SegmentCount = %d, want >= 2 (segment size too big for test)", n)
+	if n, _ := l.segmentCount(); n < 2 {
+		t.Fatalf("segmentCount = %d, want >= 2 (segment size too big for test)", n)
 	}
 	recs := collect(t, l, 1)
 	if len(recs) != 8*30 {

@@ -318,8 +318,8 @@ func TestTruncateBeforeLeavesAtMostOneSpare(t *testing.T) {
 		// Through the prepared segment, the spare after it, and into a cold one:
 		// two full-size segments and a short one behind the active segment.
 		holdCold(l)
-		before, _ := l.SegmentCount()
-		for n := before; n < before+2; n, _ = l.SegmentCount() {
+		before, _ := l.segmentCount()
+		for n := before; n < before+2; n, _ = l.segmentCount() {
 			mustAppend(t, l, rec)
 		}
 		setPreparing(l, false)
@@ -331,7 +331,7 @@ func TestTruncateBeforeLeavesAtMostOneSpare(t *testing.T) {
 		for _, e := range entries {
 			names = append(names, e.Name())
 		}
-		if n, _ := l.SegmentCount(); n != 1 || len(names) != 2 || names[1] != spareName {
+		if n, _ := l.segmentCount(); n != 1 || len(names) != 2 || names[1] != spareName {
 			t.Fatalf("round %d: directory holds %v, want the active segment and one spare", round, names)
 		}
 		if got := l.Stats().SegmentsReused; got != int64(round+1) {
@@ -602,7 +602,7 @@ func TestUnsyncedLogPreparesNoSpare(t *testing.T) {
 			t.Fatalf("append %d: %s exists (stat: %v)", i, spareName, err)
 		}
 	}
-	if n, _ := l.SegmentCount(); n < 5 {
+	if n, _ := l.segmentCount(); n < 5 {
 		t.Fatalf("the log rolled into %d segments, want several", n)
 	}
 	if got := l.Stats().SegmentsPrepared; got != 0 {

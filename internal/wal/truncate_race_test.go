@@ -76,7 +76,7 @@ func TestTruncateAppendRace(t *testing.T) {
 						}
 					}
 				}
-				if _, err := l.SegmentCount(); err != nil {
+				if _, err := l.segmentCount(); err != nil {
 					t.Errorf("SegmentCount: %v", err)
 					return
 				}

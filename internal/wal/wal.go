@@ -83,16 +83,17 @@ type Options struct {
 	// turn it on. With it on, concurrent appenders share fsyncs through
 	// group commit (see WaitDurable).
 	SyncEveryAppend bool
-	// MaxRecordSize bounds one record. Zero means 32 MiB.
-	MaxRecordSize int
+	// maxRecordSize bounds one record; default 32 MiB. Only this package's
+	// tests lower it.
+	maxRecordSize int
 }
 
 func (o Options) withDefaults() Options {
 	if o.SegmentSize <= 0 {
 		o.SegmentSize = 8 << 20
 	}
-	if o.MaxRecordSize <= 0 {
-		o.MaxRecordSize = 32 << 20
+	if o.maxRecordSize <= 0 {
+		o.maxRecordSize = 32 << 20
 	}
 	return o
 }
@@ -100,7 +101,7 @@ func (o Options) withDefaults() Options {
 // Errors returned by the log.
 var (
 	ErrClosed       = errors.New("wal: log is closed")
-	ErrRecordTooBig = errors.New("wal: record exceeds MaxRecordSize")
+	ErrRecordTooBig = errors.New("wal: record exceeds the record size limit")
 	ErrCorrupt      = errors.New("wal: corrupt record")
 )
 
@@ -202,7 +203,7 @@ func Open(dir string, opts Options) (*Log, error) {
 	// Count records in every segment; the last one is repaired and appended to.
 	var validBytes int64
 	for _, s := range segs {
-		n, end, err := readSegment(filepath.Join(dir, s.name), s.first, 0, opts.MaxRecordSize, nil)
+		n, end, err := readSegment(filepath.Join(dir, s.name), s.first, 0, opts.maxRecordSize, nil)
 		if err != nil {
 			return nil, fmt.Errorf("wal: segment %s: %w", s.name, err)
 		}
@@ -487,7 +488,7 @@ func (l *Log) AppendNoWait(rec []byte) (LSN, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if len(rec) > l.opts.MaxRecordSize {
+	if len(rec) > l.opts.maxRecordSize {
 		return 0, ErrRecordTooBig
 	}
 	// Roll when the record would not fit in what is left of the segment, and
@@ -671,7 +672,7 @@ func (l *Log) Replay(from LSN, fn func(lsn LSN, rec []byte) error) error {
 		l.mu.Unlock()
 		return err
 	}
-	dir, maxRecord := l.dir, l.opts.MaxRecordSize
+	dir, maxRecord := l.dir, l.opts.maxRecordSize
 	l.mu.Unlock()
 
 	segs, err := listSegments(dir)
@@ -736,8 +737,8 @@ func (l *Log) keepAsSpare(path string) bool {
 	return true
 }
 
-// SegmentCount reports how many segment files exist, for tests and stats.
-func (l *Log) SegmentCount() (int, error) {
+// segmentCount reports how many segment files exist, for tests and stats.
+func (l *Log) segmentCount() (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	segs, err := listSegments(l.dir)

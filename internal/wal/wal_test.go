@@ -116,12 +116,12 @@ func TestSegmentRolling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := l.SegmentCount()
+	n, err := l.segmentCount()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n < 3 {
-		t.Fatalf("SegmentCount = %d, want several after rolling", n)
+		t.Fatalf("segmentCount = %d, want several after rolling", n)
 	}
 	recs := collect(t, l, 1)
 	if len(recs) != 20 {
@@ -220,14 +220,14 @@ func TestTruncateBefore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, _ := l.SegmentCount()
+	before, _ := l.segmentCount()
 	if before < 4 {
 		t.Fatalf("segments before truncate = %d, want several", before)
 	}
 	if err := l.TruncateBefore(last); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := l.SegmentCount()
+	after, _ := l.segmentCount()
 	if after >= before {
 		t.Fatalf("TruncateBefore removed nothing: %d -> %d", before, after)
 	}
@@ -240,7 +240,7 @@ func TestTruncateBefore(t *testing.T) {
 }
 
 func TestRecordTooBig(t *testing.T) {
-	l, _ := openTestLog(t, Options{MaxRecordSize: 10})
+	l, _ := openTestLog(t, Options{maxRecordSize: 10})
 	if _, err := l.Append(bytes.Repeat([]byte("a"), 11)); !errors.Is(err, ErrRecordTooBig) {
 		t.Fatalf("err = %v, want ErrRecordTooBig", err)
 	}

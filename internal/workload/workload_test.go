@@ -146,8 +146,8 @@ func TestRunRequestBudget(t *testing.T) {
 	if res.Throughput.Bytes != 1000 {
 		t.Fatalf("bytes = %d", res.Throughput.Bytes)
 	}
-	if res.TTLB.Count() != 100 {
-		t.Fatalf("TTLB samples = %d", res.TTLB.Count())
+	if res.TTLB.Snapshot().Count != 100 {
+		t.Fatalf("TTLB samples = %d", res.TTLB.Snapshot().Count)
 	}
 }
 
@@ -200,8 +200,8 @@ func TestRunTTFBSubstitution(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 			return OpResult{Bytes: 1} // no explicit TTFB
 		})
-	if res.TTFB.Count() != 3 {
-		t.Fatalf("TTFB samples = %d", res.TTFB.Count())
+	if res.TTFB.Snapshot().Count != 3 {
+		t.Fatalf("TTFB samples = %d", res.TTFB.Snapshot().Count)
 	}
 	if res.TTFB.Snapshot().Quantile(0) <= 0 {
 		t.Fatal("TTFB not substituted with total latency")

@@ -15,8 +15,8 @@ import (
 // LargeObjectManifest describes a stored large object.
 type LargeObjectManifest = largeobj.Manifest
 
-// LargeObjectConfig tunes segmentation; the zero value uses 1 MiB chunks
-// with 4-way transfer concurrency.
+// LargeObjectConfig tunes segmentation; the zero value uses 1 MiB chunks.
+// Chunks transfer four at a time.
 type LargeObjectConfig = largeobj.Config
 
 // PutLarge streams r into the cluster as a segmented object under key.

@@ -103,9 +103,6 @@ type ClusterOptions struct {
 	// N, W, R are the replication factor and quorums (default 3, 2, 1 —
 	// the paper's evaluation setting).
 	N, W, R int
-	// Weights, when non-nil, returns the capacity weight for node i
-	// (default: all 1).
-	Weights func(i int) int
 	// GossipInterval is the background tick period (default 200ms for
 	// in-process clusters).
 	GossipInterval time.Duration
@@ -219,12 +216,6 @@ func StartCluster(opts ClusterOptions) (*Cluster, error) {
 func nodeAddr(i int) string { return fmt.Sprintf("10.0.0.%d:19870", i+1) }
 
 func (c *Cluster) nodeConfig(i int) cluster.Config {
-	weight := 1
-	if c.opts.Weights != nil {
-		if w := c.opts.Weights(i); w > 0 {
-			weight = w
-		}
-	}
 	dir := ""
 	if c.opts.DataDir != "" {
 		dir = fmt.Sprintf("%s/node-%d", c.opts.DataDir, i)
@@ -234,8 +225,7 @@ func (c *Cluster) nodeConfig(i int) cluster.Config {
 		seed = c.opts.Seed + int64(i)
 	}
 	return cluster.Config{
-		Seeds:  c.seeds,
-		Weight: weight,
+		Seeds: c.seeds,
 		NWR: nwr.Config{
 			N: c.opts.N, W: c.opts.W, R: c.opts.R,
 			CallTimeout: c.opts.ReplicaCallTimeout,

@@ -509,25 +509,6 @@ func TestConnectFailsWithNoNodes(t *testing.T) {
 	}
 }
 
-func TestWeightedCluster(t *testing.T) {
-	c := startTestCluster(t, ClusterOptions{
-		Nodes:   3,
-		Weights: func(i int) int { return i + 1 }, // capacities 1, 2, 3
-	})
-	client, _ := c.Client()
-	ctx := context.Background()
-	for i := 0; i < 300; i++ {
-		client.Put(ctx, fmt.Sprintf("w-key-%04d", i), []byte("v")) //nolint:errcheck
-	}
-	// The heaviest node should hold at least as many records as the
-	// lightest (probabilistic, wide margin).
-	l0 := c.Nodes()[0].Store().C("records").Len()
-	l2 := c.Nodes()[2].Store().C("records").Len()
-	if l2 <= l0/2 {
-		t.Fatalf("weight-3 node holds %d, weight-1 node %d", l2, l0)
-	}
-}
-
 func TestLargeObjectOverCluster(t *testing.T) {
 	c := startTestCluster(t, ClusterOptions{Nodes: 5, R: 2})
 	client, _ := c.Client()

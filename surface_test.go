@@ -25,26 +25,36 @@ import (
 // only) and fails when
 //
 //   - (a) a field of a struct named *Options, *Config or Tuning in the root
-//     package or internal/ is written nowhere — by no composite-literal key,
-//     assignment, increment or address-of, tests included — other than by its
-//     own package's withDefaults. A value nothing sets is a constant: make it
-//     one. unsetAllowed lists the exceptions.
+//     package or internal/ is written by no non-test code — by no
+//     composite-literal key, assignment, increment or address-of — other
+//     than its own package's withDefaults. A value nothing sets is a
+//     constant: make it one. unsetAllowed lists the exceptions. A field
+//     only tests set is a constant too, or an unexported variable the
+//     package's tests set; testSetAllowed lists the exceptions.
 //   - (b) an exported package-level identifier, or an exported method of an
 //     exported type, in internal/ has no use in non-test code (bench/, cmd/
 //     and examples/ count as callers) and is not in testOnlyExports. That
 //     list may shrink but not grow; an entry that gained a caller or no
 //     longer exists fails too, so it gets deleted.
 //
-// A file planted in internal/ring, which exists only in memory, holds one
-// unset Config field and one unused exported func: the scan must report
-// exactly those, which keeps the checker honest.
+// Files planted in internal/ring, which exist only in memory, hold one
+// unset Config field, one Config field only a test sets, and one unused
+// exported func: the scan must report exactly those, which keeps the
+// checker honest.
 func TestSurface(t *testing.T) {
 	start := time.Now()
-	m := loadModule(t, map[string]string{"mystore/internal/ring": plantedSource})
+	m := loadModule(t, map[string]map[string]string{"mystore/internal/ring": {
+		"planted.go":      plantedSource,
+		"planted_test.go": plantedTestSource,
+	}})
 
-	unset := map[string]bool{}
-	for _, k := range m.unsetFields() {
+	unset, testSet := map[string]bool{}, map[string]bool{}
+	unsetList, testSetList := m.unsetFields()
+	for _, k := range unsetList {
 		unset[k] = true
+	}
+	for _, k := range testSetList {
+		testSet[k] = true
 	}
 	unused := map[string]bool{}
 	for _, k := range m.unusedExports() {
@@ -55,6 +65,12 @@ func TestSurface(t *testing.T) {
 			t.Errorf("(a) the planted field %s is not reported: the scan is broken", planted)
 		}
 		delete(unset, planted)
+	}
+	for _, planted := range []string{"ring.plantedConfig.Dial"} {
+		if !testSet[planted] {
+			t.Errorf("(a) the planted field %s, which only a test sets, is not reported: the scan is broken", planted)
+		}
+		delete(testSet, planted)
 	}
 	for _, planted := range []string{"ring.PlantedExport"} {
 		if !unused[planted] {
@@ -73,6 +89,16 @@ func TestSurface(t *testing.T) {
 			t.Errorf("(a) option %s has a caller now: drop it from unsetAllowed", k)
 		}
 	}
+	for _, k := range sortedKeys(testSet) {
+		if testSetAllowed[k] == "" {
+			t.Errorf("(a) option %s: only tests set it; make it a constant, or an unexported variable its package's tests set", k)
+		}
+	}
+	for k := range testSetAllowed {
+		if !testSet[k] {
+			t.Errorf("(a) option %s has a non-test caller now, or is gone: drop it from testSetAllowed", k)
+		}
+	}
 	for _, k := range sortedKeys(unused) {
 		if !testOnlyExports[k] {
 			t.Errorf("(b) %s: exported from internal/ but no non-test code uses it; delete it (with its tests) or use it", k)
@@ -86,12 +112,18 @@ func TestSurface(t *testing.T) {
 	t.Logf("scanned %d packages in %v", len(m.pkgs), time.Since(start).Round(time.Millisecond))
 }
 
-// plantedSource is the checker's own test input (see TestSurface).
+// plantedSource and plantedTestSource are the checker's own test input (see
+// TestSurface).
 const plantedSource = `package ring
 
-type plantedConfig struct{ Knob int }
+type plantedConfig struct{ Knob, Dial int }
 
 func PlantedExport() plantedConfig { return plantedConfig{} }
+`
+
+const plantedTestSource = `package ring
+
+var plantedDial = plantedConfig{Dial: 1}
 `
 
 // unsetAllowed are the option fields nothing sets that stay, each with why.
@@ -104,51 +136,48 @@ var unsetAllowed = map[string]string{
 	"transport.TCPOptions.CallTimeout":     "sockettimeoutms on the wire, as ClientOptions.CallTimeout",
 }
 
+// testSetAllowed are the option fields only tests set that stay, each with
+// why. The list may shrink, never grow.
+var testSetAllowed = map[string]string{
+	"cluster.Config.Now":                           "ROADMAP item 17 replaces the Now fields with one injected clock",
+	"trace.Config.Now":                             "ROADMAP item 17 replaces the Now fields with one injected clock",
+	"mystore.ClusterOptions.StrongElectionTimeout": "mirrors mystore-server's -strong-election flag for in-process clusters",
+	"wal.Options.SegmentSize":                      "docstore's WAL-truncation tests roll 4 KiB segments from outside the wal package",
+	"largeobj.Config.ChunkSize":                    "the public PutLarge's chunk size (mystore.LargeObjectConfig)",
+}
+
 // testOnlyExports are the exported identifiers in internal/ that only tests
-// use today: methods reachable through the mystore.Client, Node and
-// TraceCollector aliases, methods called only through an interface, and
-// TCPTransport.SetTracer, which node.go finds by interface assertion — plus
-// what ROADMAP item 3(f) has yet to decide. The list may shrink, never grow.
+// use today: String and Error methods; methods called only through an
+// interface, and TCPTransport.SetTracer, which node.go finds by interface
+// assertion; the methods of the types mystore aliases (Client, Node,
+// TraceCollector, MetricsRegistry), which are the public API; and what
+// tests in other packages need (bson.D.Set, lsm.Engine.CompactNow,
+// nwr.Coordinator.ApplyLocal, ring.Ring.Clone and Nodes). The list may
+// shrink, never grow.
 var testOnlyExports = setOf(`
-auth.TokenDB.PruneExpired auth.TokenDB.Secret auth.TokenDB.SetClock
-bson.D.Has bson.D.Set
-btree.Tree.Height btree.Tree.Max btree.Tree.Min
-cache.Server.Len cache.Server.Shards
+bson.D.Set
 cluster.Client.Aggregate cluster.Client.GetDoc cluster.Client.Nodes
+cluster.Client.PutDoc
 cluster.Node.AEStats cluster.Node.Gossiper cluster.Node.Tracer
-consensus.ErrNotLeader.Error consensus.IsNotLeader
-docstore.Collection.Aggregate docstore.Collection.Count
-docstore.Collection.Name
-docstore.Store.Collections docstore.Store.DropCollection
+consensus.ErrNotLeader.Error
 experiments.AblationResult.String experiments.ContextResult.String
 experiments.Fig11Result.String experiments.Fig12Result.String
 experiments.Fig13Result.String experiments.Fig15Result.String
 experiments.Fig16Result.String experiments.Fig17Result.String
 experiments.SoakResult.String
-faults.Injector.Break faults.Kind.IsShort faults.Kind.String faults.None
-fsstore.Store.Len
-gossip.Gossiper.Heartbeat gossip.Gossiper.Readmit gossip.Gossiper.RunLoop
-gossip.Gossiper.Self gossip.Status.String
+faults.Kind.String
+gossip.Status.String
 lsm.Engine.CompactNow
-metrics.BucketedHistogram.Count metrics.BucketedHistogram.Sum
-metrics.Registry.GaugeFunc
-metrics.Throughput.String metrics.TimeSeries.BucketWidth
-nwr.Coordinator.ApplyLocal nwr.Coordinator.PurgeTombstones
-ring.Ring.Clone ring.Ring.Nodes ring.Ring.PointCount
-ring.Ring.SuccessorsAfterNode
-simdisk.Disk.Stats
-sqlstore.Store.Len sqlstore.Store.SlaveLen
-trace.Collector.Stats trace.Collector.Strays trace.FromContext
-trace.Span.TraceID
-transport.ConstantLatency transport.MemTransport.Addr
-transport.MemTransport.Call transport.MemTransport.DeadlineDropped
-transport.MemTransport.RPCLatency transport.RemoteError.Error
+metrics.Registry.GaugeFunc metrics.Throughput.String
+nwr.Coordinator.ApplyLocal
+ring.Ring.Clone ring.Ring.Nodes
+trace.Collector.Stats trace.Collector.Strays
+transport.MemTransport.Addr transport.MemTransport.Call
+transport.MemTransport.DeadlineDropped transport.MemTransport.RPCLatency
+transport.RemoteError.Error
 transport.TCPTransport.Addr transport.TCPTransport.Call
 transport.TCPTransport.DeadlineDropped transport.TCPTransport.RPCLatency
 transport.TCPTransport.SetHandler transport.TCPTransport.SetTracer
-uuid.ObjectId.IsZero uuid.ObjectId.Timestamp uuid.ParseObjectId
-uuid.ParseUUID
-wal.Log.SegmentCount
 `)
 
 // module is the type-checked module: every package's non-test files, and
@@ -179,8 +208,8 @@ type listedPackage struct {
 
 // loadModule lists the module and its dependencies, parses them, and
 // type-checks the standard library's declarations and the module's packages
-// in full. extra adds an in-memory source file to a package.
-func loadModule(t *testing.T, extra map[string]string) *module {
+// in full. extra adds in-memory source files, by name, to a package.
+func loadModule(t *testing.T, extra map[string]map[string]string) *module {
 	t.Helper()
 	cmd := exec.Command("go", "list", "-deps", "-test", "-json", "./...")
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
@@ -293,7 +322,7 @@ type parsedPackage struct {
 
 // parseAll parses every listed file on a few goroutines; the standard
 // library's test files are not needed.
-func parseAll(t *testing.T, fset *token.FileSet, listed []*listedPackage, extra map[string]string) map[string]*parsedPackage {
+func parseAll(t *testing.T, fset *token.FileSet, listed []*listedPackage, extra map[string]map[string]string) map[string]*parsedPackage {
 	srcs := map[string]any{} // file name -> in-memory source, or nil to read it
 	for _, p := range listed {
 		for _, names := range [][]string{p.GoFiles, p.TestGoFiles, p.XTestGoFiles} {
@@ -304,8 +333,8 @@ func parseAll(t *testing.T, fset *token.FileSet, listed []*listedPackage, extra 
 				break
 			}
 		}
-		if src, ok := extra[p.ImportPath]; ok {
-			srcs[filepath.Join(p.Dir, "planted.go")] = src
+		for name, src := range extra[p.ImportPath] {
+			srcs[filepath.Join(p.Dir, name)] = src
 		}
 	}
 	var (
@@ -349,12 +378,16 @@ func parseAll(t *testing.T, fset *token.FileSet, listed []*listedPackage, extra 
 	}
 	for _, p := range listed {
 		pp := &parsedPackage{goFiles: pick(p.Dir, p.GoFiles)}
-		if _, ok := extra[p.ImportPath]; ok {
-			pp.goFiles = append(pp.goFiles, files[filepath.Join(p.Dir, "planted.go")])
-		}
 		if !p.Standard {
 			pp.testFiles = pick(p.Dir, p.TestGoFiles)
 			pp.xtestFiles = pick(p.Dir, p.XTestGoFiles)
+		}
+		for name := range extra[p.ImportPath] {
+			if strings.HasSuffix(name, "_test.go") {
+				pp.testFiles = append(pp.testFiles, files[filepath.Join(p.Dir, name)])
+			} else {
+				pp.goFiles = append(pp.goFiles, files[filepath.Join(p.Dir, name)])
+			}
 		}
 		out[p.ImportPath] = pp
 	}
@@ -377,8 +410,9 @@ func fieldKey(pkg *types.Package, typeName, field string) string {
 	return pkg.Name() + "." + typeName + "." + field
 }
 
-// unsetFields returns (a)'s findings.
-func (m *module) unsetFields() []string {
+// unsetFields returns (a)'s findings: the fields nothing sets, and those
+// only tests set.
+func (m *module) unsetFields() (unset, testSet []string) {
 	fields := map[*types.Var]string{} // every checked copy of every option field
 	var all []string
 	for _, cp := range m.pkgs {
@@ -396,6 +430,9 @@ func (m *module) unsetFields() []string {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
+				if !st.Field(i).Exported() {
+					continue // a package's own tests may set its unexported fields
+				}
 				k := fieldKey(cp.types, name, st.Field(i).Name())
 				if _, seen := fields[st.Field(i)]; !seen && !cp.test {
 					all = append(all, k)
@@ -404,12 +441,15 @@ func (m *module) unsetFields() []string {
 			}
 		}
 	}
-	written := map[string]bool{}
+	written, writtenOutsideTests := map[string]bool{}, map[string]bool{}
 	for _, cp := range m.pkgs {
 		write := func(obj types.Object) {
 			if v, ok := obj.(*types.Var); ok {
 				if k, ok := fields[v.Origin()]; ok {
 					written[k] = true
+					if !cp.test && !strings.HasPrefix(cp.path, "mystore/examples/") {
+						writtenOutsideTests[k] = true
+					}
 				}
 			}
 		}
@@ -456,13 +496,15 @@ func (m *module) unsetFields() []string {
 			}
 		}
 	}
-	var unset []string
 	for _, k := range all {
-		if !written[k] {
+		switch {
+		case !written[k]:
 			unset = append(unset, k)
+		case !writtenOutsideTests[k]:
+			testSet = append(testSet, k)
 		}
 	}
-	return unset
+	return unset, testSet
 }
 
 // typeOf is the underlying type of a composite literal, through a pointer.

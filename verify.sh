@@ -40,7 +40,7 @@ if [ -n "$scratch_leaked" ]; then
 fi
 go test -count=20 ./internal/nwr ./internal/cluster
 go test -count=20 -run 'TestPublicAPICrud' .
-go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
+go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongNonMemberRedirectsAfterLongFailure|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
 	. ./internal/consensus
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
