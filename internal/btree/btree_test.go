@@ -280,3 +280,32 @@ func BenchmarkGet(b *testing.B) {
 		tr.Get(key(i % 100000))
 	}
 }
+
+// min returns the smallest item, or a zero Item and false when empty.
+func (t *Tree) min() (Item, bool) {
+	if t.length == 0 {
+		return Item{}, false
+	}
+	n := t.root
+	for n.children != nil {
+		n = n.children[0]
+	}
+	return n.items[0], true
+}
+
+// max returns the largest item, or a zero Item and false when empty.
+func (t *Tree) max() (Item, bool) {
+	if t.length == 0 {
+		return Item{}, false
+	}
+	return t.root.max(), true
+}
+
+// height returns the number of levels in the tree; an empty tree has height 1.
+func (t *Tree) height() int {
+	h := 1
+	for n := t.root; n.children != nil; n = n.children[0] {
+		h++
+	}
+	return h
+}

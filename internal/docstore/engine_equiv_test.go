@@ -16,9 +16,15 @@ import (
 )
 
 // Tiny lsm tuning so small test workloads still exercise flushes, multiple
-// tables, and compaction.
+// tables, deeper levels and split compaction output.
 func testTuning() lsm.Tuning {
-	return lsm.Tuning{MemtableBytes: 8 << 10, BlockCacheBytes: 64 << 10}
+	return lsm.Tuning{
+		MemtableBytes:   8 << 10,
+		BlockBytes:      512,
+		BlockCacheBytes: 64 << 10,
+		LevelBaseBytes:  32 << 10,
+		TargetFileBytes: 16 << 10,
+	}
 }
 
 func lsmStore(t *testing.T, dir string) *Store {
@@ -52,10 +58,10 @@ func contents(s *Store) map[string]map[string]bson.D {
 
 // TestEngineEquivalence drives a store with the tiny test tuning and a
 // reference store with one randomized op sequence and checks they agree:
-// after every round, after a memtable flush plus a full compaction, after a
-// collection drop and after reopen. The reference runs the default tuning,
-// whose memtable the workload never fills, so it answers from the memtable
-// alone while the store under test crosses tables, compaction and restart.
+// after every round, after a memtable flush plus a full compaction, and
+// after reopen. The reference runs the default tuning, whose memtable the
+// workload never fills, so it answers from the memtable alone while the
+// store under test crosses tables, compaction into L2 and restart.
 // The seeds are fixed, and every failure names its seed, so a divergence
 // replays.
 func TestEngineEquivalence(t *testing.T) {
@@ -170,9 +176,13 @@ func testEngineEquivalence(t *testing.T, seed int64) {
 		}
 	}
 
-	// The comparison must have spanned tables and compaction.
-	if st := ls.Engine().Stats(); st.Flushes == 0 || st.Compactions == 0 {
+	// The comparison must have spanned tables and compaction, down to L2.
+	st := ls.Engine().Stats()
+	if st.Flushes == 0 || st.Compactions == 0 {
 		t.Fatalf("seed %d: the store under test flushed %d times and compacted %d times, want both", seed, st.Flushes, st.Compactions)
+	}
+	if len(st.TableCounts) < 3 || st.TableCounts[2] == 0 {
+		t.Fatalf("seed %d: the store under test holds tables %v per level, want some in L2", seed, st.TableCounts)
 	}
 	// Reopen the lsm store; its state and index definitions must survive.
 	if err := ls.Close(); err != nil {
@@ -276,4 +286,15 @@ func TestLSMCrashDuringFlushRecovers(t *testing.T) {
 	if err := s2.Engine().Scrub(); err != nil {
 		t.Fatalf("post-recovery scrub: %v", err)
 	}
+}
+
+// collections returns the names of existing collections.
+func (s *Store) collections() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, 0, len(s.colls))
+	for name := range s.colls {
+		out = append(out, name)
+	}
+	return out
 }

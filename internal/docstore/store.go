@@ -220,17 +220,6 @@ func (s *Store) C(name string) *Collection {
 	return c
 }
 
-// collections returns the names of existing collections.
-func (s *Store) collections() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.colls))
-	for name := range s.colls {
-		out = append(out, name)
-	}
-	return out
-}
-
 func (s *Store) isClosed() bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

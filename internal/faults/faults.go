@@ -48,9 +48,6 @@ func (k Kind) String() string {
 	}
 }
 
-// isShort reports whether the kind is a short failure (self-recovering).
-func (k Kind) isShort() bool { return k != NodeBreakdown }
-
 // Errors injected by the framework. Injection sites wrap these so callers
 // can classify with errors.Is.
 var (
@@ -192,13 +189,6 @@ func (in *Injector) Down() []string {
 		}
 	}
 	return out
-}
-
-// breakDown forces a node into breakdown.
-func (in *Injector) breakDown(node string) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.down[node] = true
 }
 
 // Recover clears a node's breakdown.

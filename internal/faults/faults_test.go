@@ -188,3 +188,13 @@ func TestConcurrentRolls(t *testing.T) {
 		t.Fatal("no faults fired across 8000 rolls of Table 2")
 	}
 }
+
+// isShort reports whether the kind is a short failure (self-recovering).
+func (k Kind) isShort() bool { return k != NodeBreakdown }
+
+// breakDown forces a node into breakdown.
+func (in *Injector) breakDown(node string) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.down[node] = true
+}

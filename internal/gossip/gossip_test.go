@@ -280,7 +280,7 @@ func TestIsSeed(t *testing.T) {
 
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{
-		StatusUnknown:   "unknown",
+		statusUnknown:   "unknown",
 		StatusUp:        "up",
 		StatusShortFail: "short-fail",
 		StatusLongFail:  "long-fail",
@@ -325,4 +325,28 @@ func TestConvergenceRounds(t *testing.T) {
 		t.Fatal("marker did not converge in 40 rounds")
 	}
 	t.Logf("converged in %d rounds on 8 nodes", rounds+1)
+}
+
+// heartbeat returns addr's last seen heartbeat version.
+func (g *Gossiper) heartbeat(addr string) int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if es, ok := g.states[addr]; ok {
+		return es.Heartbeat
+	}
+	return 0
+}
+
+// readmit retracts the removal assertion for addr, as a seed's markHeard
+// does when it hears from the node again.
+func (g *Gossiper) readmit(addr string) {
+	g.mu.Lock()
+	es := g.states[g.self]
+	next := es.maxVersion() + 1
+	es.States[removedKey(addr)] = VersionedValue{Value: "0", Version: next}
+	delete(g.removed, addr)
+	if g.status[addr] == StatusLongFail {
+		g.status[addr] = statusUnknown
+	}
+	g.mu.Unlock()
 }

@@ -173,16 +173,6 @@ func (g *Gossiper) LiveEndpoints() []string {
 	return out
 }
 
-// heartbeat returns addr's last seen heartbeat version.
-func (g *Gossiper) heartbeat(addr string) int64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if es, ok := g.states[addr]; ok {
-		return es.Heartbeat
-	}
-	return 0
-}
-
 // Tick runs one gossip round: bump own heartbeat, exchange with one random
 // live peer (preferring a seed when this node is not one), then run the
 // failure detector.
@@ -474,18 +464,4 @@ func (g *Gossiper) DeclareLongFail(addr string) {
 	if ev != nil && cb != nil {
 		cb(*ev)
 	}
-}
-
-// readmit clears a removal assertion for addr (operator action after
-// replacing a node) so it can rejoin.
-func (g *Gossiper) readmit(addr string) {
-	g.mu.Lock()
-	es := g.states[g.self]
-	next := es.maxVersion() + 1
-	es.States[removedKey(addr)] = VersionedValue{Value: "0", Version: next}
-	delete(g.removed, addr)
-	if g.status[addr] == StatusLongFail {
-		g.status[addr] = StatusUnknown
-	}
-	g.mu.Unlock()
 }

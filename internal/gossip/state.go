@@ -26,7 +26,7 @@ type Status int
 // self-recovering short failure (the node has merely gone quiet); LongFail
 // is a seed-confirmed departure requiring re-replication.
 const (
-	StatusUnknown Status = iota
+	statusUnknown Status = iota // the zero value: nothing heard of the node yet
 	StatusUp
 	StatusShortFail
 	StatusLongFail

@@ -11,7 +11,7 @@ import (
 // overlapping span of L1. Deeper levels are sorted non-overlapping runs
 // with geometric size limits; when level n outgrows its limit, one of its
 // tables merges with the overlapping tables of level n+1. Output runs are
-// split at targetFileBytes.
+// split at TargetFileBytes.
 
 // levelFanout is the size ratio between adjacent levels.
 const levelFanout = 10
@@ -83,7 +83,7 @@ func (e *Engine) levelBytesLocked(n int) int64 {
 
 // levelLimit returns level n's byte budget (n >= 1).
 func (e *Engine) levelLimit(n int) int64 {
-	limit := e.opts.levelBaseBytes
+	limit := e.opts.LevelBaseBytes
 	for i := 1; i < n; i++ {
 		limit *= levelFanout
 	}
@@ -274,7 +274,7 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 			num = e.nextFile
 			e.nextFile++
 			e.mu.Unlock()
-			tw, err = newTableWriter(e.opts.Dir, num, e.opts.blockBytes, DefaultBloomBitsPerKey)
+			tw, err = newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
 			if err != nil {
 				break
 			}
@@ -287,7 +287,7 @@ func (e *Engine) mergeTables(c compaction) ([]*table, error) {
 		if err = tw.add(m.key(), m.val(), m.tombstone()); err != nil {
 			break
 		}
-		if tw.off >= e.opts.targetFileBytes {
+		if tw.off >= e.opts.TargetFileBytes {
 			var t *table
 			t, err = tw.finish()
 			if err != nil {

@@ -38,11 +38,18 @@ type Tuning struct {
 	// BlockCacheBytes bounds the shared block cache. Default 32 MiB.
 	BlockCacheBytes int64
 
-	// The table shape. Only this package's tests shrink it, so that small
-	// workloads still span blocks, levels and split compaction output.
-	blockBytes      int   // SSTable data-block target size; default 4 KiB
-	levelBaseBytes  int64 // L1 size limit, ×levelFanout per deeper level; default 8 MiB
-	targetFileBytes int64 // compaction output table size; default 2 MiB
+	// The table shape. Production runs the defaults; tests shrink it so
+	// that small workloads still span blocks, levels and split compaction
+	// output.
+	//
+	// BlockBytes is the SSTable data-block target size. Default 4 KiB.
+	BlockBytes int
+	// LevelBaseBytes is the L1 size limit; each deeper level is levelFanout
+	// times larger. Default 8 MiB.
+	LevelBaseBytes int64
+	// TargetFileBytes splits compaction output runs into tables of roughly
+	// this size. Default 2 MiB.
+	TargetFileBytes int64
 }
 
 const (
@@ -59,17 +66,17 @@ func (t Tuning) withDefaults() Tuning {
 	if t.MemtableBytes <= 0 {
 		t.MemtableBytes = 4 << 20
 	}
-	if t.blockBytes <= 0 {
-		t.blockBytes = DefaultBlockBytes
+	if t.BlockBytes <= 0 {
+		t.BlockBytes = DefaultBlockBytes
 	}
 	if t.BlockCacheBytes <= 0 {
 		t.BlockCacheBytes = 32 << 20
 	}
-	if t.levelBaseBytes <= 0 {
-		t.levelBaseBytes = 8 << 20
+	if t.LevelBaseBytes <= 0 {
+		t.LevelBaseBytes = 8 << 20
 	}
-	if t.targetFileBytes <= 0 {
-		t.targetFileBytes = 2 << 20
+	if t.TargetFileBytes <= 0 {
+		t.TargetFileBytes = 2 << 20
 	}
 	return t
 }
@@ -474,7 +481,7 @@ func (e *Engine) flushOne() bool {
 
 // writeMemtable streams one frozen memtable into a new SSTable.
 func (e *Engine) writeMemtable(m *memtable, num uint64) (*table, error) {
-	tw, err := newTableWriter(e.opts.Dir, num, e.opts.blockBytes, DefaultBloomBitsPerKey)
+	tw, err := newTableWriter(e.opts.Dir, num, e.opts.BlockBytes, DefaultBloomBitsPerKey)
 	if err != nil {
 		return nil, err
 	}

@@ -281,9 +281,9 @@ func testEngine(t *testing.T, tune Tuning) *Engine {
 func smallTuning() Tuning {
 	return Tuning{
 		MemtableBytes:   8 << 10,
-		blockBytes:      512,
-		levelBaseBytes:  16 << 10,
-		targetFileBytes: 8 << 10,
+		BlockBytes:      512,
+		LevelBaseBytes:  16 << 10,
+		TargetFileBytes: 8 << 10,
 	}
 }
 

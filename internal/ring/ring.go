@@ -200,33 +200,6 @@ func (r *Ring) SuccessorsAt(h uint32, n int) ([]string, error) {
 	return r.successorsFromLocked(h, n)
 }
 
-// successorsAfterNode returns the first n distinct physical nodes clockwise
-// after any of node's virtual points — used to find supplementary replica
-// targets when a node departs (§5.2.4, Fig 9). The walk starts at the
-// node's first virtual point and skips the node itself.
-func (r *Ring) successorsAfterNode(id string, n int) ([]string, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil, ErrEmpty
-	}
-	start := Hash(vnodeLabel(id, 0))
-	owners, err := r.successorsFromLocked(start, n+1)
-	if err != nil {
-		return nil, err
-	}
-	out := owners[:0]
-	for _, o := range owners {
-		if o != id {
-			out = append(out, o)
-		}
-	}
-	if len(out) > n {
-		out = out[:n]
-	}
-	return out, nil
-}
-
 // successorsFromLocked walks clockwise from hash h collecting distinct
 // physical nodes. Caller holds mu.
 func (r *Ring) successorsFromLocked(h uint32, n int) ([]string, error) {
@@ -251,13 +224,6 @@ func (r *Ring) successorsFromLocked(h uint32, n int) ([]string, error) {
 		}
 	}
 	return out, nil
-}
-
-// pointCount returns the number of virtual points (for tests and stats).
-func (r *Ring) pointCount() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.points)
 }
 
 // Clone returns an independent copy of the ring, used to compute membership

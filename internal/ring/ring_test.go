@@ -319,3 +319,35 @@ func BenchmarkSuccessors3(b *testing.B) {
 		}
 	}
 }
+
+// successorsAfterNode returns the first n distinct physical nodes clockwise
+// after node's first virtual point, skipping the node itself.
+func (r *Ring) successorsAfterNode(id string, n int) ([]string, error) {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if len(r.points) == 0 {
+		return nil, ErrEmpty
+	}
+	start := Hash(vnodeLabel(id, 0))
+	owners, err := r.successorsFromLocked(start, n+1)
+	if err != nil {
+		return nil, err
+	}
+	out := owners[:0]
+	for _, o := range owners {
+		if o != id {
+			out = append(out, o)
+		}
+	}
+	if len(out) > n {
+		out = out[:n]
+	}
+	return out, nil
+}
+
+// pointCount returns the number of virtual points.
+func (r *Ring) pointCount() int {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	return len(r.points)
+}

@@ -79,10 +79,3 @@ func (d *Disk) Access(bytes int) {
 	d.busyTotal += st
 	d.mu.Unlock()
 }
-
-// stats reports requests served and cumulative busy time.
-func (d *Disk) stats() (requests int64, busy time.Duration) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.requests, d.busyTotal
-}

@@ -70,3 +70,10 @@ func TestDefaults(t *testing.T) {
 		t.Fatalf("ServiceTime(100MB) = %v, want >= 1s", st)
 	}
 }
+
+// stats reports requests served and cumulative busy time.
+func (d *Disk) stats() (requests int64, busy time.Duration) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.requests, d.busyTotal
+}

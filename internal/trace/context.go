@@ -11,12 +11,6 @@ func WithCollector(ctx context.Context, c *Collector) context.Context {
 	return context.WithValue(ctx, ctxKey{}, ctxInfo{c: c})
 }
 
-// fromContext returns the collector carried by ctx, or nil.
-func fromContext(ctx context.Context) *Collector {
-	info, _ := ctx.Value(ctxKey{}).(ctxInfo)
-	return info.c
-}
-
 // Start opens a span named name as a child of the span enclosing ctx. With
 // no collector installed it returns (ctx, nil); the nil span's methods are
 // no-ops, so call sites need no conditionals.

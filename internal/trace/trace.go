@@ -393,11 +393,3 @@ func (s *Span) SetPeer(peer string) {
 		s.peer = peer
 	}
 }
-
-// traceID returns the span's trace id (0 on a nil span).
-func (s *Span) traceID() ID {
-	if s == nil {
-		return 0
-	}
-	return s.trace
-}

@@ -292,3 +292,17 @@ func TestConcurrentTraces(t *testing.T) {
 		}
 	}
 }
+
+// fromContext returns the collector carried by ctx, or nil.
+func fromContext(ctx context.Context) *Collector {
+	info, _ := ctx.Value(ctxKey{}).(ctxInfo)
+	return info.c
+}
+
+// traceID returns the span's trace id (0 on a nil span).
+func (s *Span) traceID() ID {
+	if s == nil {
+		return 0
+	}
+	return s.trace
+}

@@ -9,7 +9,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"os"
 	"sync/atomic"
@@ -76,34 +75,6 @@ func (id ObjectId) String() string {
 	return fmt.Sprintf("ObjectId(%q)", id.Hex())
 }
 
-// timestamp returns the creation time recorded in the id, at second
-// granularity.
-func (id ObjectId) timestamp() time.Time {
-	return time.Unix(int64(binary.BigEndian.Uint32(id[0:4])), 0)
-}
-
-// isZero reports whether the id is the all-zero (unset) ObjectId.
-func (id ObjectId) isZero() bool {
-	return id == ObjectId{}
-}
-
-// ErrBadObjectId is returned by parseObjectId for malformed input.
-var ErrBadObjectId = errors.New("uuid: malformed ObjectId hex string")
-
-// parseObjectId parses the 24-character hex form produced by Hex.
-func parseObjectId(s string) (ObjectId, error) {
-	var id ObjectId
-	if len(s) != 24 {
-		return id, ErrBadObjectId
-	}
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return id, ErrBadObjectId
-	}
-	copy(id[:], b)
-	return id, nil
-}
-
 // UUID is an RFC 4122 random (version 4) UUID.
 type UUID [16]byte
 
@@ -125,19 +96,4 @@ func NewUUID() UUID {
 // String renders the canonical 8-4-4-4-12 form.
 func (u UUID) String() string {
 	return fmt.Sprintf("%x-%x-%x-%x-%x", u[0:4], u[4:6], u[6:8], u[8:10], u[10:16])
-}
-
-// parseUUID parses the canonical form produced by String.
-func parseUUID(s string) (UUID, error) {
-	var u UUID
-	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
-		return u, fmt.Errorf("uuid: malformed UUID %q", s)
-	}
-	clean := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
-	b, err := hex.DecodeString(clean)
-	if err != nil {
-		return u, fmt.Errorf("uuid: malformed UUID %q: %w", s, err)
-	}
-	copy(u[:], b)
-	return u, nil
 }

@@ -1,6 +1,10 @@
 package uuid
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -145,4 +149,47 @@ func TestObjectIdHexPropertyRoundTrip(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// timestamp returns the creation time recorded in the id, at second
+// granularity.
+func (id ObjectId) timestamp() time.Time {
+	return time.Unix(int64(binary.BigEndian.Uint32(id[0:4])), 0)
+}
+
+// isZero reports whether the id is the all-zero (unset) ObjectId.
+func (id ObjectId) isZero() bool {
+	return id == ObjectId{}
+}
+
+// errBadObjectId is returned by parseObjectId for malformed input.
+var errBadObjectId = errors.New("uuid: malformed ObjectId hex string")
+
+// parseObjectId parses the 24-character hex form produced by Hex.
+func parseObjectId(s string) (ObjectId, error) {
+	var id ObjectId
+	if len(s) != 24 {
+		return id, errBadObjectId
+	}
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		return id, errBadObjectId
+	}
+	copy(id[:], b)
+	return id, nil
+}
+
+// parseUUID parses the canonical form produced by String.
+func parseUUID(s string) (UUID, error) {
+	var u UUID
+	if len(s) != 36 || s[8] != '-' || s[13] != '-' || s[18] != '-' || s[23] != '-' {
+		return u, fmt.Errorf("uuid: malformed UUID %q", s)
+	}
+	clean := s[0:8] + s[9:13] + s[14:18] + s[19:23] + s[24:36]
+	b, err := hex.DecodeString(clean)
+	if err != nil {
+		return u, fmt.Errorf("uuid: malformed UUID %q: %w", s, err)
+	}
+	copy(u[:], b)
+	return u, nil
 }

@@ -737,14 +737,6 @@ func (l *Log) keepAsSpare(path string) bool {
 	return true
 }
 
-// segmentCount reports how many segment files exist, for tests and stats.
-func (l *Log) segmentCount() (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	segs, err := listSegments(l.dir)
-	return len(segs), err
-}
-
 // Close syncs and closes the active segment and waits for the preparer to
 // exit, so nothing writes into the directory after it returns. Further
 // operations return ErrClosed.

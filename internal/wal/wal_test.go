@@ -385,3 +385,11 @@ func BenchmarkAppend(b *testing.B) {
 		}
 	}
 }
+
+// segmentCount reports how many segment files exist.
+func (l *Log) segmentCount() (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	segs, err := listSegments(l.dir)
+	return len(segs), err
+}

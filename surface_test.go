@@ -28,19 +28,21 @@ import (
 //     package or internal/ is written by no non-test code — by no
 //     composite-literal key, assignment, increment or address-of — other
 //     than its own package's withDefaults. A value nothing sets is a
-//     constant: make it one. unsetAllowed lists the exceptions. A field
-//     only tests set is a constant too, or an unexported variable the
-//     package's tests set; testSetAllowed lists the exceptions.
+//     constant: make it one. unsetAllowed lists the exceptions. An
+//     exported field only tests set is a constant too, or an unexported
+//     field the package's own tests set; testSetAllowed lists the
+//     exceptions.
 //   - (b) an exported package-level identifier, or an exported method of an
-//     exported type, in internal/ has no use in non-test code (bench/, cmd/
-//     and examples/ count as callers) and is not in testOnlyExports. That
+//     exported type, in internal/ has no use in non-test code (bench/ and
+//     cmd/ count as callers) and is not in testOnlyExports. That
 //     list may shrink but not grow; an entry that gained a caller or no
 //     longer exists fails too, so it gets deleted.
 //
-// Files planted in internal/ring, which exist only in memory, hold one
-// unset Config field, one Config field only a test sets, and one unused
-// exported func: the scan must report exactly those, which keeps the
-// checker honest.
+// Files planted in internal/ring, which exist only in memory, hold an
+// exported and an unexported Config field nothing sets, an exported Config
+// field only a test sets, an unexported one its package's test sets, and
+// one unused exported func: the scan must report exactly the first three
+// and the func, which keeps the checker honest.
 func TestSurface(t *testing.T) {
 	start := time.Now()
 	m := loadModule(t, map[string]map[string]string{"mystore/internal/ring": {
@@ -60,7 +62,7 @@ func TestSurface(t *testing.T) {
 	for _, k := range m.unusedExports() {
 		unused[k] = true
 	}
-	for _, planted := range []string{"ring.plantedConfig.Knob"} {
+	for _, planted := range []string{"ring.plantedConfig.Knob", "ring.plantedConfig.knob"} {
 		if !unset[planted] {
 			t.Errorf("(a) the planted field %s is not reported: the scan is broken", planted)
 		}
@@ -71,6 +73,9 @@ func TestSurface(t *testing.T) {
 			t.Errorf("(a) the planted field %s, which only a test sets, is not reported: the scan is broken", planted)
 		}
 		delete(testSet, planted)
+	}
+	if unset["ring.plantedConfig.dial"] || testSet["ring.plantedConfig.dial"] {
+		t.Errorf("(a) the planted unexported field ring.plantedConfig.dial, which its package's test sets, is reported: the scan is broken")
 	}
 	for _, planted := range []string{"ring.PlantedExport"} {
 		if !unused[planted] {
@@ -116,14 +121,14 @@ func TestSurface(t *testing.T) {
 // TestSurface).
 const plantedSource = `package ring
 
-type plantedConfig struct{ Knob, Dial int }
+type plantedConfig struct{ Knob, Dial, knob, dial int }
 
 func PlantedExport() plantedConfig { return plantedConfig{} }
 `
 
 const plantedTestSource = `package ring
 
-var plantedDial = plantedConfig{Dial: 1}
+var plantedDial = plantedConfig{Dial: 1, dial: 1}
 `
 
 // unsetAllowed are the option fields nothing sets that stay, each with why.
@@ -144,6 +149,9 @@ var testSetAllowed = map[string]string{
 	"mystore.ClusterOptions.StrongElectionTimeout": "mirrors mystore-server's -strong-election flag for in-process clusters",
 	"wal.Options.SegmentSize":                      "docstore's WAL-truncation tests roll 4 KiB segments from outside the wal package",
 	"largeobj.Config.ChunkSize":                    "the public PutLarge's chunk size (mystore.LargeObjectConfig)",
+	"lsm.Tuning.BlockBytes":                        "docstore's equivalence test shrinks the table shape from outside lsm",
+	"lsm.Tuning.LevelBaseBytes":                    "docstore's equivalence test shrinks the table shape from outside lsm",
+	"lsm.Tuning.TargetFileBytes":                   "docstore's equivalence test shrinks the table shape from outside lsm",
 }
 
 // testOnlyExports are the exported identifiers in internal/ that only tests
@@ -415,6 +423,7 @@ func fieldKey(pkg *types.Package, typeName, field string) string {
 func (m *module) unsetFields() (unset, testSet []string) {
 	fields := map[*types.Var]string{} // every checked copy of every option field
 	var all []string
+	unexported := map[string]bool{}
 	for _, cp := range m.pkgs {
 		if !inScope(cp.path) || cp.types == nil {
 			continue
@@ -430,12 +439,12 @@ func (m *module) unsetFields() (unset, testSet []string) {
 				continue
 			}
 			for i := 0; i < st.NumFields(); i++ {
-				if !st.Field(i).Exported() {
-					continue // a package's own tests may set its unexported fields
-				}
 				k := fieldKey(cp.types, name, st.Field(i).Name())
 				if _, seen := fields[st.Field(i)]; !seen && !cp.test {
 					all = append(all, k)
+					if !st.Field(i).Exported() {
+						unexported[k] = true
+					}
 				}
 				fields[st.Field(i)] = k
 			}
@@ -447,7 +456,7 @@ func (m *module) unsetFields() (unset, testSet []string) {
 			if v, ok := obj.(*types.Var); ok {
 				if k, ok := fields[v.Origin()]; ok {
 					written[k] = true
-					if !cp.test && !strings.HasPrefix(cp.path, "mystore/examples/") {
+					if !cp.test {
 						writtenOutsideTests[k] = true
 					}
 				}
@@ -500,7 +509,7 @@ func (m *module) unsetFields() (unset, testSet []string) {
 		switch {
 		case !written[k]:
 			unset = append(unset, k)
-		case !writtenOutsideTests[k]:
+		case !writtenOutsideTests[k] && !unexported[k]: // a package's own tests may set its unexported fields
 			testSet = append(testSet, k)
 		}
 	}
