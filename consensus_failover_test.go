@@ -256,3 +256,34 @@ func TestStrongNonMemberRedirectsAfterLongFailure(t *testing.T) {
 	}
 	t.Logf("%d non-member strong puts redirected", checked)
 }
+
+// TestStrongElectionReachesSuspectPeers: a vote request is not refused for a
+// peer the view holds suspect. With every node holding every other suspect
+// for the view's one-second window (ten election timeouts here), a strong
+// write still finds or elects a leader and acks well inside that window:
+// the votes that reach their peers return them to up, and the appends
+// follow.
+func TestStrongElectionReachesSuspectPeers(t *testing.T) {
+	const et = 100 * time.Millisecond
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, StrongRanges: 1, StrongElectionTimeout: et})
+	if !c.WaitConverged(5 * time.Second) {
+		t.Fatal("cluster did not converge")
+	}
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes() {
+		for _, p := range c.Nodes() {
+			if p != n {
+				n.Breakers().Suspect(p.Addr())
+			}
+		}
+	}
+	start := time.Now()
+	ctx, cancel := context.WithTimeout(context.Background(), 8*et)
+	defer cancel()
+	if err := client.StrongPut(ctx, "suspect-key", []byte("v")); err != nil {
+		t.Fatalf("StrongPut with every peer suspect failed after %v: %v", time.Since(start), err)
+	}
+}

@@ -63,6 +63,10 @@ type TokenDB struct {
 	tokens  map[string]tokenInfo
 	ttl     time.Duration
 	now     func() time.Time
+	// pruneAt is the token count at which IssueToken next drops expired
+	// tokens: twice what the last prune left (at least 64), so a prune's
+	// cost is amortized over as many issues as there are tokens.
+	pruneAt int
 }
 
 type tokenInfo struct {
@@ -115,6 +119,10 @@ func (db *TokenDB) IssueToken(user string) (string, error) {
 	defer db.mu.Unlock()
 	if _, ok := db.secrets[user]; !ok {
 		return "", fmt.Errorf("%w: %q", ErrUnknownUser, user)
+	}
+	if len(db.tokens) >= db.pruneAt {
+		db.pruneExpiredLocked()
+		db.pruneAt = max(2*len(db.tokens), 64)
 	}
 	token := uuid.NewUUID().String()
 	db.tokens[token] = tokenInfo{user: user, issued: db.now()}
@@ -184,6 +192,10 @@ func AuthorizeURI(rawURI, token, secret string) (string, error) {
 func (db *TokenDB) pruneExpired() int {
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	return db.pruneExpiredLocked()
+}
+
+func (db *TokenDB) pruneExpiredLocked() int {
 	now := db.now()
 	removed := 0
 	for tok, info := range db.tokens {

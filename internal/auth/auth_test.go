@@ -135,6 +135,33 @@ func TestPruneExpired(t *testing.T) {
 	}
 }
 
+// TestIssueTokenPrunesExpired: tokens that are issued and never used do not
+// pile up. Once the TTL has passed, later issues drop the expired ones.
+func TestIssueTokenPrunesExpired(t *testing.T) {
+	db := NewTokenDB(time.Minute)
+	now := time.Unix(1000, 0)
+	db.now = func() time.Time { return now }
+	db.Register("alice") //nolint:errcheck
+	const batch = 1000
+	for round := 0; round < 5; round++ {
+		for i := 0; i < batch; i++ {
+			if _, err := db.IssueToken("alice"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now = now.Add(2 * time.Minute)
+	}
+	db.mu.Lock()
+	held := len(db.tokens)
+	db.mu.Unlock()
+	// Only the tokens issued since the last prune can be held: at most one
+	// batch of live ones plus the expired ones since the map last doubled.
+	if held > 2*batch {
+		t.Fatalf("token map holds %d tokens after %d issues of which %d are live, want at most %d",
+			held, 5*batch, batch, 2*batch)
+	}
+}
+
 func TestSignDeterministicAndSensitive(t *testing.T) {
 	a := Sign("tok", "/data/x", "secret")
 	if a != Sign("tok", "/data/x", "secret") {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mystore/internal/bson"
@@ -18,8 +19,10 @@ import (
 
 // Client talks to a MyStore cluster from outside: it connects to any node
 // ("all physical nodes have open service interfaces over TCP, which lets
-// clients can connect to any node in the system to get/put data", §6.2) and
-// rotates across the nodes it knows, skipping ones that fail.
+// clients can connect to any node in the system to get/put data", §6.2).
+// An eventual get, put or delete goes to its key's primary on the client's
+// copy of the ring; other operations rotate across the nodes it knows,
+// skipping ones that fail.
 //
 // Connect follows the paper's three-step procedure (§5.1): the transport
 // supplies the connection pool, ClientOptions carry the connection
@@ -39,6 +42,11 @@ type Client struct {
 	// never holds more entries than that.
 	ranges  int
 	leaders map[int]string
+	// The ring as the last version answer listed it, its ringFingerprint,
+	// and whether a refresh (checkRing) is running.
+	ring       *ring.Ring
+	ringFp     int64
+	refreshing atomic.Bool
 }
 
 // ClientOptions are the connection parameters (the paper's
@@ -95,6 +103,7 @@ func Connect(ctx context.Context, tr transport.Transport, nodes []string, opts C
 			lastErr = fmt.Errorf("cluster: node %s returned no version", node)
 			continue
 		}
+		c.setRing(resp)
 		return c, nil
 	}
 	return nil, fmt.Errorf("%w: connection test failed everywhere: %v", ErrNoNodes, lastErr)
@@ -121,17 +130,73 @@ func (c *Client) pick(avoid map[string]bool) string {
 	return node
 }
 
+// setRing adopts the ring members a version answer lists.
+func (c *Client) setRing(resp bson.D) {
+	v, _ := resp.Get("ring")
+	arr, _ := v.(bson.A)
+	r := ring.New()
+	for _, e := range arr {
+		d, _ := e.(bson.D)
+		w, _ := d.Get("weight")
+		weight, _ := w.(int64)
+		r.AddNode(ring.Node{ID: d.StringOr("addr", ""), Weight: int(weight)}) //nolint:errcheck // a malformed member is skipped
+	}
+	fp := ringFingerprint(r.Nodes())
+	c.mu.Lock()
+	c.ring, c.ringFp = r, fp
+	c.mu.Unlock()
+}
+
+// route picks the node for attempt i of an operation on key: the key's i-th
+// ring successor, so the first attempt goes to its primary and a retry to
+// its next replica. With no key, no ring, or once that successor has failed,
+// it falls back to the rotation.
+func (c *Client) route(key string, i int, failed map[string]bool) string {
+	c.mu.Lock()
+	r := c.ring
+	c.mu.Unlock()
+	if key != "" && r != nil {
+		if succ, err := r.Successors(key, i+1); err == nil && len(succ) > i && !failed[succ[i]] {
+			return succ[i]
+		}
+	}
+	return c.pick(failed)
+}
+
+// checkRing starts a refresh of the client's ring from node when node's
+// answer carries another ring fingerprint, at most one refresh at a time.
+// A stale ring costs a hop, never correctness: any node coordinates any key.
+func (c *Client) checkRing(node string, resp bson.D) {
+	v, _ := resp.Get("ringFp")
+	fp, ok := v.(int64)
+	c.mu.Lock()
+	stale := ok && fp != c.ringFp
+	c.mu.Unlock()
+	if !stale || !c.refreshing.CompareAndSwap(false, true) {
+		return
+	}
+	go func() {
+		defer c.refreshing.Store(false)
+		ctx, cancel := context.WithTimeout(context.Background(), c.opts.ConnectTimeout)
+		defer cancel()
+		if resp, err := c.tr.Call(ctx, node, transport.Message{Type: MsgVersion}); err == nil {
+			c.setRing(resp)
+		}
+	}()
+}
+
 // call performs one operation with up to c.attempts tries, jittered
 // exponential backoff between them, skipping nodes that already failed this
-// operation while others remain.
-func (c *Client) call(ctx context.Context, msgType string, body bson.D) (bson.D, error) {
+// operation while others remain. An operation on a key ("" for none) goes
+// where route sends it.
+func (c *Client) call(ctx context.Context, msgType, key string, body bson.D) (bson.D, error) {
 	ctx, sp := trace.Start(ctx, "cluster.call")
-	resp, err := c.callAttempts(ctx, msgType, body)
+	resp, err := c.callAttempts(ctx, msgType, key, body)
 	sp.End(err)
 	return resp, err
 }
 
-func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) (bson.D, error) {
+func (c *Client) callAttempts(ctx context.Context, msgType, key string, body bson.D) (bson.D, error) {
 	var failed map[string]bool
 	var lastErr error
 	for i := 0; i < c.attempts; i++ {
@@ -140,11 +205,14 @@ func (c *Client) callAttempts(ctx context.Context, msgType string, body bson.D) 
 				break // caller gave up mid-backoff
 			}
 		}
-		node := c.pick(failed)
+		node := c.route(key, i, failed)
 		cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 		resp, err := c.tr.Call(cctx, node, transport.Message{Type: msgType, Body: body})
 		cancel()
 		if err == nil {
+			if key != "" {
+				c.checkRing(node, resp)
+			}
 			return resp, nil
 		}
 		lastErr = err
@@ -299,7 +367,7 @@ func (c *Client) StrongDelete(ctx context.Context, key string) error {
 
 // Put stores val under key.
 func (c *Client) Put(ctx context.Context, key string, val []byte) error {
-	_, err := c.call(ctx, MsgPut, bson.D{
+	_, err := c.call(ctx, MsgPut, key, bson.D{
 		{Key: "self-key", Value: key},
 		{Key: "val", Value: val},
 	})
@@ -318,7 +386,7 @@ func (c *Client) PutDoc(ctx context.Context, key string, doc bson.D) error {
 
 // Get fetches the value stored under key.
 func (c *Client) Get(ctx context.Context, key string) ([]byte, error) {
-	resp, err := c.call(ctx, MsgGet, bson.D{{Key: "self-key", Value: key}})
+	resp, err := c.call(ctx, MsgGet, key, bson.D{{Key: "self-key", Value: key}})
 	if err != nil {
 		return nil, err
 	}
@@ -347,7 +415,7 @@ func (c *Client) GetMany(ctx context.Context, keys []string) (found map[string][
 	for i, k := range keys {
 		arr[i] = k
 	}
-	resp, err := c.call(ctx, MsgGetMany, bson.D{{Key: "keys", Value: arr}})
+	resp, err := c.call(ctx, MsgGetMany, "", bson.D{{Key: "keys", Value: arr}})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -393,14 +461,14 @@ func (c *Client) GetDoc(ctx context.Context, key string) (bson.D, error) {
 
 // Delete tombstones key.
 func (c *Client) Delete(ctx context.Context, key string) error {
-	_, err := c.call(ctx, MsgDelete, bson.D{{Key: "self-key", Value: key}})
+	_, err := c.call(ctx, MsgDelete, key, bson.D{{Key: "self-key", Value: key}})
 	return err
 }
 
 // Query runs a distributed query. Filters address record fields (self-key,
 // size, isDel) and stored-document fields as "doc.<field>".
 func (c *Client) Query(ctx context.Context, filter docstore.Filter, opts docstore.FindOptions) ([]QueryResult, error) {
-	resp, err := c.call(ctx, MsgQuery, encodeQuery(filter, opts))
+	resp, err := c.call(ctx, MsgQuery, "", encodeQuery(filter, opts))
 	if err != nil {
 		return nil, err
 	}
@@ -446,7 +514,7 @@ func (c *Client) Aggregate(ctx context.Context, filter docstore.Filter, spec doc
 		}
 	}
 	body = append(body, bson.E{Key: "accs", Value: accs})
-	resp, err := c.call(ctx, MsgAggregate, body)
+	resp, err := c.call(ctx, MsgAggregate, "", body)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +534,7 @@ func (c *Client) Aggregate(ctx context.Context, filter docstore.Filter, spec doc
 
 // Status fetches a node status snapshot (round-robin across nodes).
 func (c *Client) Status(ctx context.Context) (bson.D, error) {
-	return c.call(ctx, MsgStatus, nil)
+	return c.call(ctx, MsgStatus, "", nil)
 }
 
 // Transport exposes the client's transport (metrics registration: the

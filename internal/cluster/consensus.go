@@ -10,8 +10,10 @@ import (
 
 	"mystore/internal/bson"
 	"mystore/internal/consensus"
+	"mystore/internal/gossip"
 	"mystore/internal/nwr"
 	"mystore/internal/ring"
+	"mystore/internal/transport"
 )
 
 // startConsensus builds the consensus manager over the node's environment.
@@ -28,11 +30,16 @@ func (n *Node) startConsensus() error {
 		Now:               cfg.Now,
 	}, consensus.Env{
 		Self: n.tr.Addr(),
-		// All consensus RPCs — elections included — ride the coordinator's
-		// CallPeer, deadline-bounded and gated by the peer view, so probes
-		// against a dead peer fast-fail instead of burning a CallTimeout each.
+		// Consensus RPCs ride CallPeer, gated by the peer view, except a vote:
+		// a suspect window outlasts several election timeouts, so a vote goes
+		// to any peer not long-failed, and its outcome still feeds the view.
 		Call: func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
-			return n.coord.CallPeer(ctx, target, msgType, body)
+			if msgType != consensus.MsgVote || n.gossiper.StatusOf(target) == gossip.StatusLongFail {
+				return n.coord.CallPeer(ctx, target, msgType, body)
+			}
+			resp, err := n.tr.Call(ctx, target, transport.Message{Type: msgType, Body: body})
+			n.coord.Peers().Report(target, err == nil || transport.IsRemote(err))
+			return resp, err
 		},
 		// A committed entry is durable in a majority's consensus logs and is
 		// re-applied from there after a crash, so its apply logs into the

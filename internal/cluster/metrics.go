@@ -41,7 +41,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		Add(addr, func() float64 { return float64(coord.Stats().BatchGets) })
 	r.Register("mystore_nwr_repair_backlog", "Read-repair jobs queued or in flight on the async repair pool.", metrics.TypeGauge, "node").
 		Add(addr, func() float64 { return float64(coord.RepairBacklog()) })
-	r.Register("mystore_nwr_read_repair_dropped_total", "Read-repair jobs dropped because the repair queue was full.", metrics.TypeCounter, "node").
+	r.Register("mystore_nwr_read_repair_dropped_total", "Read repairs left to anti-entropy: the repair queue was full, or the newest record a digest named could not be fetched.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().ReadRepairDropped) })
 
 	r.Register("mystore_gossip_live_peers", "Peers this node currently believes are up.", metrics.TypeGauge, "node").

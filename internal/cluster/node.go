@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -119,6 +120,9 @@ type Node struct {
 	gossiper *gossip.Gossiper
 	coord    *nwr.Coordinator
 	cns      *consensus.Manager // nil unless cfg.StrongRanges > 0
+	// ringFp is ringFingerprint of ring, kept with it under mu; every
+	// eventual get, put and delete answer carries it (Client.checkRing).
+	ringFp atomic.Int64
 
 	// rng drives anti-entropy peer selection; seeded from cfg.Seed for
 	// reproducible runs. Guarded by mu.
@@ -238,6 +242,7 @@ func (n *Node) addToRing(addr string, weight int) error {
 			return err
 		}
 	}
+	n.ringFp.Store(ringFingerprint(n.ring.Nodes()))
 	n.rebalanceWanted = true
 	n.rebalanceNotBefore = time.Time{} // a real ring change rebalances now
 	n.ae.markDirty()                   // ownership moved; the Merkle forest must be rebuilt
@@ -250,6 +255,7 @@ func (n *Node) removeFromRing(addr string) {
 	if n.ring.RemoveNode(addr) != nil {
 		return // not a member
 	}
+	n.ringFp.Store(ringFingerprint(n.ring.Nodes()))
 	n.rebalanceWanted = true
 	n.rebalanceNotBefore = time.Time{}
 	n.ae.markDirty()
@@ -358,7 +364,12 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 	}
 	switch msg.Type {
 	case MsgVersion:
-		return bson.D{{Key: "version", Value: Version}, {Key: "addr", Value: n.Addr()}}, nil
+		members := n.ring.Nodes()
+		arr := make(bson.A, len(members))
+		for i, m := range members {
+			arr[i] = bson.D{{Key: "addr", Value: m.ID}, {Key: "weight", Value: int64(m.Weight)}}
+		}
+		return bson.D{{Key: "version", Value: Version}, {Key: "addr", Value: n.Addr()}, {Key: "ring", Value: arr}}, nil
 	case MsgStatus:
 		return n.statusDoc(), nil
 	case MsgPut:
@@ -378,7 +389,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		if err := n.coord.Put(ctx, key, b); err != nil {
 			return nil, err
 		}
-		return bson.D{{Key: "ok", Value: true}}, nil
+		return n.eventualReply(bson.E{Key: "ok", Value: true}), nil
 	case MsgGet:
 		key := msg.Body.StringOr("self-key", "")
 		if msg.Body.StringOr("consistency", "") == "strong" {
@@ -393,12 +404,12 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		}
 		val, err := n.coord.Get(ctx, key)
 		if errors.Is(err, nwr.ErrNotFound) {
-			return bson.D{{Key: "found", Value: false}}, nil
+			return n.eventualReply(bson.E{Key: "found", Value: false}), nil
 		}
 		if err != nil {
 			return nil, err
 		}
-		return bson.D{{Key: "found", Value: true}, {Key: "val", Value: val}}, nil
+		return n.eventualReply(bson.E{Key: "found", Value: true}, bson.E{Key: "val", Value: val}), nil
 	case MsgGetMany:
 		return n.handleGetMany(ctx, msg.Body)
 	case MsgDelete:
@@ -413,7 +424,7 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 		if err := n.coord.Delete(ctx, key); err != nil {
 			return nil, err
 		}
-		return bson.D{{Key: "ok", Value: true}}, nil
+		return n.eventualReply(bson.E{Key: "ok", Value: true}), nil
 	case MsgQuery:
 		return n.handleQuery(ctx, msg.Body)
 	case MsgQueryLocal:
@@ -427,6 +438,23 @@ func (n *Node) handleMessage(ctx context.Context, msg transport.Message) (bson.D
 	default:
 		return nil, fmt.Errorf("cluster: unknown message type %q", msg.Type)
 	}
+}
+
+// eventualReply is the answer to a served eventual get, put or delete. It
+// carries this node's ring fingerprint, so a client routing by a stale ring
+// learns of it (Client.checkRing).
+func (n *Node) eventualReply(fields ...bson.E) bson.D {
+	return append(bson.D(fields), bson.E{Key: "ringFp", Value: n.ringFp.Load()})
+}
+
+// ringFingerprint names a ring membership: FNV-64a over its (addr, weight)
+// pairs in address order, as ring.Nodes lists them.
+func ringFingerprint(members []ring.Node) int64 {
+	h := fnv.New64a()
+	for _, m := range members {
+		fmt.Fprintf(h, "%s=%d;", m.ID, m.Weight)
+	}
+	return int64(h.Sum64())
 }
 
 // handleGetMany serves MsgGetMany: this node coordinates a batched quorum

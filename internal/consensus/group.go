@@ -210,7 +210,11 @@ func (g *group) startElectionLocked(now time.Time) {
 		g.m.spawn(func(ctx context.Context) {
 			ctx, sp := trace.Start(ctx, "cns.election")
 			sp.SetPeer(peer)
+			// An answer later than one election timeout is useless: by then
+			// this node, or another, stands again.
+			ctx, cancel := context.WithTimeout(ctx, g.m.opts.ElectionTimeout)
 			resp, err := g.m.env.Call(ctx, peer, MsgVote, body)
+			cancel()
 			sp.End(err)
 			if err != nil {
 				return

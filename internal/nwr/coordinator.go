@@ -90,7 +90,9 @@ type Stats struct {
 	CoalescedReads int64
 	// BatchGets counts GetMany operations coordinated here.
 	BatchGets int64
-	// ReadRepairDropped counts repair jobs lost to a full repair queue.
+	// ReadRepairDropped counts repairs left to anti-entropy: jobs lost to a
+	// full repair queue, and repairs whose newest record, named by a digest,
+	// could not be fetched whole.
 	ReadRepairDropped int64
 	// ReadQuorumViolations is a defensive tripwire: incremented if a read
 	// ever counted a key settled below R successful responses. The chaos

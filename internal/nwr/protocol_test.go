@@ -200,7 +200,8 @@ func TestHintWritebackDrainsThroughIntermittentApplyFailures(t *testing.T) {
 
 // FuzzReplicaMessage feeds arbitrary bodies to HandleMessage as
 // nwr.put.replica and nwr.get.replica: every body must produce an error or
-// an answer that encodes cleanly — never a panic.
+// an answer that encodes cleanly — never a panic — and a digest-form get
+// answer must carry no value bytes.
 func FuzzReplicaMessage(f *testing.F) {
 	store, err := docstore.Open(docstore.Options{})
 	if err != nil {
@@ -234,8 +235,17 @@ func FuzzReplicaMessage(f *testing.F) {
 			t.Fatalf("%s answer does not encode: %v", typ, err)
 		}
 		if get {
-			if _, err := RecordList(resp); err != nil {
+			recs, err := RecordList(resp)
+			if err != nil {
 				t.Fatalf("%s answer carries malformed records: %v", typ, err)
+			}
+			// A digest answer moves no value bytes: that is its whole point.
+			if digest, _ := doc.Get("digest"); digest == true {
+				for _, rec := range recs {
+					if len(rec.Val) != 0 {
+						t.Fatalf("digest answer carries %d value bytes for %q", len(rec.Val), rec.Key)
+					}
+				}
 			}
 		}
 	})

@@ -9,7 +9,10 @@ package nwr
 // a detached context and feed the async repair pool, so every read still
 // drives repair and replica supplementation across all N replicas ("if
 // replications are less than N ... some more replications are supplemented",
-// §5.2.2) without paying max-over-N latency for it.
+// §5.2.2) without paying max-over-N latency for it. A repair probe asks for
+// the digest form: version, origin and tombstone decide whether a replica is
+// stale, and a value moves only when a probe finds a replica newer than
+// every full answer.
 
 import (
 	"context"
@@ -77,11 +80,13 @@ func (c *Coordinator) Get(ctx context.Context, key string) (val []byte, err erro
 	return res[0].Val, res[0].Err
 }
 
-// replicaAnswer is one replica's successful answer for one key.
+// replicaAnswer is one replica's successful answer for one key. A digest
+// answer's record carries no value.
 type replicaAnswer struct {
 	target string
 	rec    Record
 	found  bool
+	digest bool
 }
 
 // KeyResult is one key's outcome within a read.
@@ -92,11 +97,12 @@ type KeyResult struct {
 }
 
 // peerRead is one replica read: a peer, the keys asked of it and their
-// positions in the read, in key order.
+// positions in the read, in key order, and whether it asks for digests.
 type peerRead struct {
-	peer string
-	keys []string
-	idx  []int
+	peer   string
+	keys   []string
+	idx    []int
+	digest bool
 }
 
 // peerAnswer is a peerRead's outcome: the records the peer holds for its
@@ -192,10 +198,10 @@ func (c *Coordinator) read(ctx context.Context, keys []string) ([]KeyResult, err
 		if ok := len(op.perKey[i]); ok < c.cfg.R {
 			failed++
 			results[i].Err = fmt.Errorf("%w: %d/%d replicas answered for key %q", ErrQuorumRead, ok, c.cfg.R, k)
-		} else if newest, have := newestOf(op.perKey[i]); !have || newest.Deleted {
+		} else if at := newestAt(op.perKey[i]); at < 0 || op.perKey[i][at].rec.Deleted {
 			results[i].Err = fmt.Errorf("%w: %q", ErrNotFound, k)
 		} else {
-			results[i].Val = newest.Val
+			results[i].Val = op.perKey[i][at].rec.Val
 		}
 	}
 	c.bump(func(s *Stats) {
@@ -215,7 +221,7 @@ func (op *readOp) dispatch(r peerRead) {
 	transport.Go(func() {
 		rctx, sp := trace.Start(op.bctx, "nwr.replica.read")
 		sp.SetPeer(r.peer)
-		recs, err := op.c.ReadRecords(rctx, r.peer, r.keys, false)
+		recs, err := op.c.ReadRecords(rctx, r.peer, r.keys, r.digest)
 		sp.End(err)
 		op.answers <- peerAnswer{peerRead: r, recs: recs, err: err}
 	})
@@ -230,7 +236,7 @@ func (op *readOp) take(a peerAnswer) (settled int) {
 	}
 	recs := a.recs
 	for _, i := range a.idx {
-		ans := replicaAnswer{target: a.peer}
+		ans := replicaAnswer{target: a.peer, digest: a.digest}
 		if len(recs) > 0 && recs[0].Key == op.keys[i] {
 			ans.rec, ans.found, recs = recs[0], true, recs[1:]
 		}
@@ -242,11 +248,14 @@ func (op *readOp) take(a peerAnswer) (settled int) {
 }
 
 // launchReserves dispatches the parked reserves. hedge marks launches made
-// while the caller still waits (timer or failure): those count as hedged
-// reads, one per key and reserve; the finisher's launch does not.
+// while the caller still waits (timer or failure): those may settle the
+// caller's answer, so they read values, and they count as hedged reads, one
+// per key and reserve. The finisher's launch only probes for repair, so it
+// reads digests.
 func (op *readOp) launchReserves(hedge bool) {
 	n := 0
 	for _, r := range op.reserves {
+		r.digest = !hedge
 		op.dispatch(r)
 		n += len(r.idx)
 	}
@@ -258,17 +267,16 @@ func (op *readOp) launchReserves(hedge bool) {
 	}
 }
 
-// newestOf resolves last-write-wins over the answers.
-func newestOf(answers []replicaAnswer) (Record, bool) {
-	var newest Record
-	have := false
-	for _, a := range answers {
-		if a.found && (!have || a.rec.Newer(newest)) {
-			newest = a.rec
-			have = true
+// newestAt resolves last-write-wins over the answers: the position of the
+// newest found answer, or -1.
+func newestAt(answers []replicaAnswer) int {
+	at := -1
+	for i, a := range answers {
+		if a.found && (at < 0 || a.rec.Newer(answers[at].rec)) {
+			at = i
 		}
 	}
-	return newest, have
+	return at
 }
 
 // finish runs after the caller has its answer: it launches the reserves the
@@ -297,12 +305,24 @@ drain:
 
 // repairFromAnswers compares the collected answers and enqueues one repair
 // job covering every responder that is stale (read repair) or missing the
-// record entirely (replica supplementation).
+// record entirely (replica supplementation). When the newest answer is a
+// digest of a live record, that record is first fetched whole from the
+// replica that holds it; if the fetch fails the repair is left to
+// anti-entropy and counted as dropped.
 func (c *Coordinator) repairFromAnswers(bctx context.Context, key string, answers []replicaAnswer) {
-	newest, have := newestOf(answers)
-	if !have {
+	at := newestAt(answers)
+	if at < 0 {
 		return
 	}
+	if src := answers[at]; src.digest && !src.rec.Deleted {
+		recs, err := c.ReadRecords(bctx, src.target, []string{key}, false)
+		if err != nil || len(recs) == 0 || src.rec.Newer(recs[0]) {
+			c.bump(func(s *Stats) { s.ReadRepairDropped++ })
+			return
+		}
+		answers[at].rec = recs[0]
+	}
+	newest := answers[at].rec
 	var stale []replicaAnswer
 	for _, a := range answers {
 		if !a.found || newest.Newer(a.rec) {

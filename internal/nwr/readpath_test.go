@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"mystore/internal/bson"
+	"mystore/internal/transport"
 )
 
 // coordFor returns the coordinator running at addr.
@@ -343,4 +347,127 @@ func TestGetManyRepairsStaleReplica(t *testing.T) {
 		rec, _, _ := victim.GetLocal(key)
 		return string(rec.Val) == "v1"
 	})
+}
+
+// servedRead is one nwr.get.replica a node served, and its form.
+type servedRead struct {
+	node   string
+	digest bool
+}
+
+// logReplicaReads wraps every node's handler so it logs each
+// nwr.get.replica it serves. refuse, when non-nil, fails a read it matches.
+func (tc *testCluster) logReplicaReads(refuse func(servedRead) bool) (log func() []servedRead) {
+	var mu sync.Mutex
+	var served []servedRead
+	for i, ep := range tc.eps {
+		node, coord := tc.addrs[i], tc.coords[i]
+		ep.SetHandler(func(ctx context.Context, msg transport.Message) (bson.D, error) {
+			if msg.Type == MsgGetReplica {
+				d, _ := msg.Body.Get("digest")
+				r := servedRead{node: node, digest: d == true}
+				mu.Lock()
+				served = append(served, r)
+				mu.Unlock()
+				if refuse != nil && refuse(r) {
+					return nil, errors.New("test: read refused")
+				}
+			}
+			return coord.HandleMessage(ctx, msg)
+		})
+	}
+	return func() []servedRead {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(served)
+	}
+}
+
+// pinHedge fills co's read-latency history with 1 s reads, so the hedge
+// waits CallTimeout/2 and reserves launch only from the finisher.
+func pinHedge(co *Coordinator) {
+	for i := 0; i < 100; i++ {
+		co.GetLatency().ObserveDuration(time.Second)
+	}
+}
+
+// TestFinisherReservesReadDigests: the primary's read carries the value,
+// and the reserves the finisher launches after the caller has its answer
+// ask for digests only.
+func TestFinisherReservesReadDigests(t *testing.T) {
+	tc := newTestCluster(t, 5, defaultCfg())
+	ctx := context.Background()
+	key := "digest-key"
+	if err := tc.coords[0].Put(ctx, key, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	tc.waitReplicas(t, key, 3)
+	owners, _ := tc.ring.Successors(key, 3)
+	log := tc.logReplicaReads(nil)
+	co := tc.nonOwnerCoord(t, key)
+	pinHedge(co)
+	if val, err := co.Get(ctx, key); err != nil || string(val) != "v" {
+		t.Fatalf("Get = %q, %v", val, err)
+	}
+	waitFor(t, "the finisher's reserve reads", func() bool { return len(log()) == 3 })
+	want := map[string]bool{owners[0]: false, owners[1]: true, owners[2]: true}
+	for _, r := range log() {
+		if d, ok := want[r.node]; !ok || r.digest != d {
+			t.Fatalf("%s served a read with digest=%v; want primary %s full, reserves %v digest",
+				r.node, r.digest, owners[0], owners[1:])
+		}
+	}
+}
+
+// TestStalePrimaryRepairedByFetchOnNewer: when a reserve's digest is newer
+// than the primary's full answer, the finisher fetches that record whole
+// from the reserve and writes its bytes back to the primary. If the fetch
+// fails, the primary is left for anti-entropy and the drop is counted.
+func TestStalePrimaryRepairedByFetchOnNewer(t *testing.T) {
+	for _, refuseFetch := range []bool{false, true} {
+		t.Run(fmt.Sprintf("refuseFetch=%v", refuseFetch), func(t *testing.T) {
+			tc := newTestCluster(t, 5, defaultCfg())
+			ctx := context.Background()
+			key := "fetch-key"
+			if err := tc.coords[0].Put(ctx, key, []byte("v1")); err != nil {
+				t.Fatal(err)
+			}
+			tc.waitReplicas(t, key, 3)
+			owners, _ := tc.ring.Successors(key, 3)
+			primary := tc.coordFor(t, owners[0])
+			primary.store.C(RecordCollection).Delete(key) //nolint:errcheck
+			if err := primary.ApplyLocal(Record{Key: key, Val: []byte("ancient"), Ver: 1, Origin: "old"}); err != nil {
+				t.Fatal(err)
+			}
+			log := tc.logReplicaReads(func(r servedRead) bool { return refuseFetch && r.node != owners[0] && !r.digest })
+			co := tc.nonOwnerCoord(t, key)
+			pinHedge(co)
+			if val, err := co.Get(ctx, key); err != nil || string(val) != "ancient" {
+				t.Fatalf("Get = %q, %v; want the R = 1 primary's stale answer", val, err)
+			}
+			fetched := func() int {
+				n := 0
+				for _, r := range log() {
+					if r.node != owners[0] && !r.digest {
+						n++
+					}
+				}
+				return n
+			}
+			if refuseFetch {
+				waitFor(t, "the failed fetch counted", func() bool { return co.Stats().ReadRepairDropped == 1 })
+				if rec, _, _ := primary.GetLocal(key); string(rec.Val) != "ancient" || co.Stats().ReadRepairs != 0 {
+					t.Fatalf("primary holds %q after a failed fetch (%d repairs); want it left to anti-entropy", rec.Val, co.Stats().ReadRepairs)
+				}
+			} else {
+				waitFor(t, "the primary repaired with the newest bytes", func() bool {
+					rec, _, _ := primary.GetLocal(key)
+					return string(rec.Val) == "v1" && co.Stats().ReadRepairs == 1
+				})
+			}
+			if got := fetched(); got != 1 {
+				t.Fatalf("%d full reads of a reserve, want the one fetch", got)
+			}
+		})
+	}
 }

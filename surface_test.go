@@ -160,7 +160,7 @@ var testSetAllowed = map[string]string{
 // assertion; the methods of the types mystore aliases (Client, Node,
 // TraceCollector, MetricsRegistry), which are the public API; and what
 // tests in other packages need (bson.D.Set, lsm.Engine.CompactNow,
-// nwr.Coordinator.ApplyLocal, ring.Ring.Clone and Nodes). The list may
+// nwr.Coordinator.ApplyLocal, ring.Ring.Clone). The list may
 // shrink, never grow.
 var testOnlyExports = setOf(`
 bson.D.Set
@@ -178,7 +178,7 @@ gossip.Status.String
 lsm.Engine.CompactNow
 metrics.Registry.GaugeFunc metrics.Throughput.String
 nwr.Coordinator.ApplyLocal
-ring.Ring.Clone ring.Ring.Nodes
+ring.Ring.Clone
 trace.Collector.Stats trace.Collector.Strays
 transport.MemTransport.Addr transport.MemTransport.Call
 transport.MemTransport.DeadlineDropped transport.MemTransport.RPCLatency
