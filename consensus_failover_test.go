@@ -3,6 +3,7 @@ package mystore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,12 +258,94 @@ func TestStrongNonMemberRedirectsAfterLongFailure(t *testing.T) {
 	t.Logf("%d non-member strong puts redirected", checked)
 }
 
+// TestStrongRestartedEmptyKeepsPinnedMembers: a node restarted empty after a
+// range member long-failed must derive the range's replica set from every
+// member gossip ever announced, the dead one included, as the survivors did
+// when they created their groups. A strong op on that range through it acks
+// or redirects, and no node outside the pinned set ever holds a group for
+// the range: one that did would be a second replica set for the same range.
+func TestStrongRestartedEmptyKeepsPinnedMembers(t *testing.T) {
+	const et = 100 * time.Millisecond
+	c := startTestCluster(t, ClusterOptions{Nodes: 5, StrongRanges: 4, StrongElectionTimeout: et})
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const victim = 2
+	var key string
+	var members []int
+	for i := 0; len(members) == 0 && i < 64; i++ {
+		k := fmt.Sprintf("fresh-%d", i)
+		if err := client.StrongPut(ctx, k, []byte(k)); err != nil {
+			t.Fatalf("StrongPut %s: %v", k, err)
+		}
+		var set []int
+		for j, n := range c.Nodes() {
+			if n.Consensus().ReplicatesKey(k) {
+				set = append(set, j)
+			}
+		}
+		if slices.Contains(set, victim) && slices.ContainsFunc(set, func(j int) bool { return j != victim && j != 0 }) {
+			key, members = k, set
+		}
+	}
+	if key == "" {
+		t.Fatal("no range pinned the victim with a restartable second member")
+	}
+	fresh := members[0]
+	for _, j := range members {
+		if j != victim && j != 0 {
+			fresh = j
+		}
+	}
+
+	if err := c.KillNode(victim); err != nil {
+		t.Fatal(err)
+	}
+	waitRings := func(what string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			shrunk := true
+			for i, n := range c.Nodes() {
+				if i != victim && n.Ring().Len() != 4 {
+					shrunk = false
+				}
+			}
+			if shrunk {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the live nodes' rings never held exactly the four survivors", what)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+	waitRings("after the kill")
+	if _, err := c.RestartNodeFresh(fresh); err != nil {
+		t.Fatal(err)
+	}
+	waitRings("after the empty restart")
+
+	opCtx, cancel := context.WithTimeout(ctx, 20*et)
+	err = c.Nodes()[fresh].StrongPut(opCtx, key, []byte("after"))
+	cancel()
+	if _, redirected := consensus.ParseNotLeader(err); err != nil && !redirected {
+		t.Errorf("StrongPut %s through the restarted node %d: %v; want an ack or a redirect", key, fresh, err)
+	}
+	time.Sleep(5 * et) // let any campaign the restarted node started reach its peers
+	for j, n := range c.Nodes() {
+		if j != victim && !slices.Contains(members, j) && n.Consensus().ReplicatesKey(key) {
+			t.Errorf("node %d, outside %s's pinned set %v, holds a group for its range", j, key, members)
+		}
+	}
+}
+
 // TestStrongElectionReachesSuspectPeers: a vote request is not refused for a
 // peer the view holds suspect. With every node holding every other suspect
 // for the view's one-second window (ten election timeouts here), a strong
-// write still finds or elects a leader and acks well inside that window:
-// the votes that reach their peers return them to up, and the appends
-// follow.
+// write still finds or elects a leader and acks well inside that window.
 func TestStrongElectionReachesSuspectPeers(t *testing.T) {
 	const et = 100 * time.Millisecond
 	c := startTestCluster(t, ClusterOptions{Nodes: 3, StrongRanges: 1, StrongElectionTimeout: et})
@@ -273,17 +356,84 @@ func TestStrongElectionReachesSuspectPeers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range c.Nodes() {
-		for _, p := range c.Nodes() {
-			if p != n {
-				n.Breakers().Suspect(p.Addr())
-			}
-		}
-	}
+	suspectEveryPeer(c)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), 8*et)
 	defer cancel()
 	if err := client.StrongPut(ctx, "suspect-key", []byte("v")); err != nil {
 		t.Fatalf("StrongPut with every peer suspect failed after %v: %v", time.Since(start), err)
+	}
+}
+
+// TestStrongCommitReachesSuspectPeers: no consensus RPC is refused for a peer
+// the view holds suspect. A range that has elected a leader keeps committing
+// while every node re-marks every peer suspect every quarter election
+// timeout, the way a stale verdict arriving after a healed partition would:
+// appends and heartbeats go out regardless, and ten strong puts, half an
+// election timeout apart, ack within 8 ET between them. When the view gated
+// appends, each re-mark refused them until followers stood for election (a
+// vote briefly returned a peer to up), so every put waited out an election:
+// 1–3 ET each.
+func TestStrongCommitReachesSuspectPeers(t *testing.T) {
+	const et = 100 * time.Millisecond
+	c := startTestCluster(t, ClusterOptions{Nodes: 3, StrongRanges: 1, StrongElectionTimeout: et})
+	if !c.WaitConverged(5 * time.Second) {
+		t.Fatal("cluster did not converge")
+	}
+	client, err := c.Client()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	err = client.StrongPut(ctx, "commit-0", []byte("v"))
+	cancel()
+	if err != nil {
+		t.Fatalf("first StrongPut: %v", err)
+	}
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(et / 4)
+		defer tick.Stop()
+		for {
+			suspectEveryPeer(c)
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	defer func() { close(stop); <-done }()
+
+	var spent time.Duration
+	for i := 1; i <= 10; i++ {
+		time.Sleep(et / 2)
+		key := fmt.Sprintf("commit-%d", i)
+		start := time.Now()
+		ctx, cancel := context.WithTimeout(context.Background(), 8*et)
+		err := client.StrongPut(ctx, key, []byte("v"))
+		cancel()
+		if err != nil {
+			t.Fatalf("StrongPut %s with every peer re-marked suspect failed after %v: %v", key, time.Since(start), err)
+		}
+		spent += time.Since(start)
+	}
+	if spent > 8*et {
+		t.Fatalf("ten StrongPuts with every peer re-marked suspect took %v together, want at most 8 ET (%v)", spent, 8*et)
+	}
+}
+
+// suspectEveryPeer makes every node's view hold every other node suspect,
+// through the failed call reports that make a peer suspect.
+func suspectEveryPeer(c *Cluster) {
+	for _, n := range c.Nodes() {
+		for _, p := range c.Nodes() {
+			for i := 0; i < 10 && p != n && n.Breakers().IsUp(p.Addr()); i++ {
+				n.Breakers().Report(p.Addr(), false)
+			}
+		}
 	}
 }

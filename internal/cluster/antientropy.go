@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"slices"
 	"sort"
 	"sync"
 
@@ -164,26 +165,20 @@ func (n *Node) ensureForest() {
 }
 
 // pickAEPeer selects this round's partner with the node's seeded RNG over
-// the sorted live peers, so -seed runs reconcile in a reproducible order.
+// the other ring members in address order, so -seed runs reconcile in a
+// reproducible order.
 func (n *Node) pickAEPeer() string {
-	peers := n.gossiper.LiveEndpoints()
-	candidates := peers[:0]
-	for _, p := range peers {
-		if p != n.Addr() {
-			candidates = append(candidates, p)
-		}
-	}
+	candidates := slices.DeleteFunc(n.members(), func(p string) bool { return p == n.Addr() })
 	if len(candidates) == 0 {
 		return ""
 	}
-	sort.Strings(candidates)
 	n.mu.Lock()
 	pick := candidates[n.rng.Intn(len(candidates))]
 	n.mu.Unlock()
 	return pick
 }
 
-// AntiEntropyRound reconciles with one random live peer. It returns how
+// AntiEntropyRound reconciles with one random ring member. It returns how
 // many records were pushed to the peer and how many newer records were
 // pulled from it.
 func (n *Node) AntiEntropyRound(ctx context.Context) (pushed, pulled int) {

@@ -347,7 +347,7 @@ func TestQuerySkipsSuspectPeers(t *testing.T) {
 		}
 		return nil
 	})
-	h.nodes[0].Coordinator().Peers().Suspect(suspect)
+	suspectPeer(h.nodes[0].Coordinator().Peers(), suspect)
 	results, err := h.nodes[0].Query(ctx, docstore.Filter{}, docstore.FindOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,6 @@
 // The node's side of the CP replication tier: wiring the consensus manager
-// into the coordinator's peer-view-gated RPC path, the local store, the ring
-// walk, and the record protocol for snapshot catch-up.
+// to the transport, the local store, the ring walk, and the record protocol
+// for snapshot catch-up.
 package cluster
 
 import (
@@ -10,7 +10,6 @@ import (
 
 	"mystore/internal/bson"
 	"mystore/internal/consensus"
-	"mystore/internal/gossip"
 	"mystore/internal/nwr"
 	"mystore/internal/ring"
 	"mystore/internal/transport"
@@ -30,13 +29,14 @@ func (n *Node) startConsensus() error {
 		Now:               cfg.Now,
 	}, consensus.Env{
 		Self: n.tr.Addr(),
-		// Consensus RPCs ride CallPeer, gated by the peer view, except a vote:
-		// a suspect window outlasts several election timeouts, so a vote goes
-		// to any peer not long-failed, and its outcome still feeds the view.
+		// Consensus RPCs go straight to the transport, never refused by the
+		// peer view: Raft's heartbeats and election timer are the range's own
+		// failure detector, and a pinned member must be reached the moment it
+		// returns. Each is bounded by the replica CallTimeout (the manager
+		// bounds a vote by one election timeout) and its outcome feeds the view.
 		Call: func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error) {
-			if msgType != consensus.MsgVote || n.gossiper.StatusOf(target) == gossip.StatusLongFail {
-				return n.coord.CallPeer(ctx, target, msgType, body)
-			}
+			ctx, cancel := context.WithTimeout(ctx, cfg.NWR.CallTimeout)
+			defer cancel()
 			resp, err := n.tr.Call(ctx, target, transport.Message{Type: msgType, Body: body})
 			n.coord.Peers().Report(target, err == nil || transport.IsRemote(err))
 			return resp, err

@@ -17,7 +17,6 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	addr := n.Addr()
 	store := n.store
 	coord := n.coord
-	gossiper := n.gossiper
 
 	r.Register("mystore_store_documents", "Documents held in the local document store.", metrics.TypeGauge, "node").
 		Add(addr, func() float64 { return float64(store.Stats().Documents) })
@@ -44,8 +43,8 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 	r.Register("mystore_nwr_read_repair_dropped_total", "Read repairs left to anti-entropy: the repair queue was full, or the newest record a digest named could not be fetched.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().ReadRepairDropped) })
 
-	r.Register("mystore_gossip_live_peers", "Peers this node currently believes are up.", metrics.TypeGauge, "node").
-		Add(addr, func() float64 { return float64(len(gossiper.LiveEndpoints())) })
+	r.Register("mystore_gossip_live_peers", "Ring members this node holds, itself included: every node gossip announced and the seeds have not declared long-failed.", metrics.TypeGauge, "node").
+		Add(addr, func() float64 { return float64(n.ring.Len()) })
 
 	r.Register("mystore_ae_rounds_total", "Merkle anti-entropy rounds initiated by this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(n.aeRounds.Load()) })

@@ -55,6 +55,8 @@ type Config struct {
 	// Weight sizes this node's virtual-node count relative to others.
 	Weight int
 	// NWR is the replication configuration; the evaluation uses (3,2,1).
+	// Its CallTimeout (default 2s) bounds every replica RPC and every
+	// consensus RPC but a vote.
 	NWR nwr.Config
 	// StoreDir holds the local document store and, with StrongRanges, the
 	// consensus log. Empty gives the node a scratch directory that goes when
@@ -102,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NWR.Now == nil {
 		c.NWR.Now = c.Now
+	}
+	if c.NWR.CallTimeout <= 0 {
+		c.NWR.CallTimeout = 2 * time.Second
 	}
 	return c
 }
@@ -249,6 +254,13 @@ func (n *Node) addToRing(addr string, weight int) error {
 	return nil
 }
 
+// pin adds addr to the pinned ring only.
+func (n *Node) pin(addr string, weight int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.pinned.AddNode(ring.Node{ID: addr, Weight: weight}) //nolint:errcheck // ErrNodeExists: already pinned
+}
+
 func (n *Node) removeFromRing(addr string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -261,22 +273,31 @@ func (n *Node) removeFromRing(addr string) {
 	n.ae.markDirty()
 }
 
-// onGossipEvent feeds gossip's verdicts into the peer view, so every RPC
-// path fails over a short-failed peer at once; a long failure also shrinks
-// the ring and triggers re-replication. A returning node gets its parked
-// writes back (Fig 8) on the next Tick and, if it was removed, rejoins the
-// ring on the next sync.
+// onGossipEvent feeds the seeds' long-failure verdict into the peer view
+// and the ring: a long-failed peer is down, out of the ring, and its data
+// re-replicated. A returning node is up again, gets its parked writes back
+// (Fig 8) on the next Tick and rejoins the ring on the next sync. A short
+// failure is never gossip's verdict: only failed calls make a peer suspect.
 func (n *Node) onGossipEvent(e gossip.Event) {
 	peers := n.coord.Peers()
 	switch e.New {
 	case gossip.StatusLongFail:
 		peers.Down(e.Addr)
 		n.removeFromRing(e.Addr)
-	case gossip.StatusShortFail:
-		peers.Suspect(e.Addr)
 	case gossip.StatusUp:
 		peers.Up(e.Addr)
 	}
+}
+
+// members lists the ring's members, this node included, in address order:
+// the nodes this one treats as live, since a long failure leaves the ring.
+func (n *Node) members() []string {
+	nodes := n.ring.Nodes()
+	addrs := make([]string, len(nodes))
+	for i, m := range nodes {
+		addrs[i] = m.ID
+	}
+	return addrs
 }
 
 // Tick drives one round of background work: gossip, membership sync, hint
@@ -316,20 +337,27 @@ func (n *Node) Tick(ctx context.Context) {
 	}
 }
 
-// syncMembership folds gossip knowledge into the local ring view: every
-// non-long-failed endpoint that has announced a weight is a member.
+// syncMembership folds gossip knowledge into the local ring views: every
+// endpoint that has announced a weight is pinned, and a member of the ring
+// unless it is long-failed. A node restarted empty thus pins a member that
+// died before it came back, as the nodes that created the range groups did.
 func (n *Node) syncMembership() {
 	for _, addr := range n.gossiper.Endpoints() {
-		st := n.gossiper.StatusOf(addr)
-		if st == gossip.StatusLongFail {
+		longFailed := n.gossiper.StatusOf(addr) == gossip.StatusLongFail
+		if longFailed {
 			n.removeFromRing(addr)
+		}
+		w, ok := n.gossiper.Lookup(addr, "weight")
+		if !ok {
 			continue
 		}
-		if w, ok := n.gossiper.Lookup(addr, "weight"); ok {
-			weight, err := strconv.Atoi(w)
-			if err != nil || weight <= 0 {
-				weight = 1
-			}
+		weight, err := strconv.Atoi(w)
+		if err != nil || weight <= 0 {
+			weight = 1
+		}
+		if longFailed {
+			n.pin(addr, weight)
+		} else {
 			n.addToRing(addr, weight) //nolint:errcheck // best-effort; next tick retries
 		}
 	}
@@ -501,7 +529,7 @@ func (n *Node) handleGetMany(ctx context.Context, body bson.D) (bson.D, error) {
 func (n *Node) statusDoc() bson.D {
 	st := n.store.Stats()
 	cs := n.coord.Stats()
-	live := n.gossiper.LiveEndpoints()
+	live := n.members()
 	liveArr := make(bson.A, len(live))
 	for i, a := range live {
 		liveArr[i] = a

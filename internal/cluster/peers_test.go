@@ -13,6 +13,7 @@ import (
 	"mystore/internal/bson"
 	"mystore/internal/gossip"
 	"mystore/internal/nwr"
+	"mystore/internal/resilience"
 	"mystore/internal/transport"
 )
 
@@ -29,6 +30,14 @@ func (h *harness) failCallsTo(addr string) (calls *atomic.Int64, heal func()) {
 		return nil
 	})
 	return calls, func() { h.net.SetFault(nil) }
+}
+
+// suspectPeer makes v hold addr suspect the way failed calls do: it reports
+// failures until the peer is no longer up.
+func suspectPeer(v *resilience.Peers, addr string) {
+	for i := 0; i < 10 && v.IsUp(addr); i++ {
+		v.Report(addr, false)
+	}
 }
 
 // sharedKeys returns n keys whose replica sets hold both node 0 and peer.
@@ -160,5 +169,35 @@ func TestReturningPeerGetsHintsOnFirstTick(t *testing.T) {
 		if _, found, _ := h.nodes[2].Coordinator().GetLocal(key); !found {
 			t.Fatalf("hinted record %q not on the returned peer", key)
 		}
+	}
+}
+
+// TestCallOutcomeOutranksGossipSilence: gossip's silence about a peer does not
+// move the peer view. A partition between a and b heals before any long
+// failure, leaving a's gossip five intervals behind on b; a call that b
+// answers proves it up, and a's next Tick, whose gossip round goes to another
+// peer, leaves it up. Only failed calls make a peer suspect.
+func TestCallOutcomeOutranksGossipSilence(t *testing.T) {
+	h := newHarness(t, 3)
+	h.converge(8)
+	ctx := context.Background()
+	a, b := h.nodes[0], addr(2) // after these rounds a's gossip goes to addr(1)
+	var gossipedWith atomic.Value
+	h.net.SetFault(func(from, to, msgType string) error {
+		if from == a.Addr() && msgType == gossip.MsgSyn {
+			gossipedWith.Store(to)
+		}
+		return nil
+	})
+	h.advance(5 * time.Second) // five gossip intervals: no exchange, no long failure
+	if _, err := a.Coordinator().CallPeer(ctx, b, MsgVersion, nil); err != nil {
+		t.Fatalf("call from a to b after the heal: %v", err)
+	}
+	a.Tick(ctx)
+	if to, _ := gossipedWith.Load().(string); to == "" || to == b {
+		t.Fatalf("a's gossip round went to %q; the test needs a round to a peer other than b", to)
+	}
+	if !a.Breakers().IsUp(b) {
+		t.Fatal("a's view holds b suspect or down after a successful call and a Tick; want up")
 	}
 }

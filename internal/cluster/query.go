@@ -12,7 +12,7 @@ import (
 
 // Distributed queries: the feature MyStore keeps from MongoDB that Dynamo
 // and Cassandra lack (paper §2). A record's value may be a BSON document;
-// Query scatters a filter to every live node, each node matches its local
+// Query scatters a filter to every ring member, each node matches its local
 // records (against the record fields and, when the value decodes as BSON,
 // the embedded document), and the coordinator merges answers last-write-
 // wins, drops tombstones, then sorts and windows the result.
@@ -24,7 +24,7 @@ type QueryResult struct {
 	Val []byte // raw value bytes
 }
 
-// handleQuery serves MsgQuery: scatter to live nodes, merge, shape.
+// handleQuery serves MsgQuery: scatter to the ring members, merge, shape.
 func (n *Node) handleQuery(ctx context.Context, body bson.D) (bson.D, error) {
 	filter, opts, err := decodeQuery(body)
 	if err != nil {
@@ -47,10 +47,7 @@ func (n *Node) handleQuery(ctx context.Context, body bson.D) (bson.D, error) {
 
 // Query runs a distributed query from this node.
 func (n *Node) Query(ctx context.Context, filter docstore.Filter, opts docstore.FindOptions) ([]QueryResult, error) {
-	targets := n.gossiper.LiveEndpoints()
-	if len(targets) == 0 {
-		targets = []string{n.Addr()}
-	}
+	targets := n.members()
 	shards := make([][]nwr.Record, len(targets))
 	var wg sync.WaitGroup
 	reqBody := encodeQuery(filter, docstore.FindOptions{}) // shaping happens after merge

@@ -233,14 +233,14 @@ func RangeBounds(rid, ranges int) (lo, hi uint32) {
 
 // Env is the cluster's side of the contract: every closure the manager
 // needs to talk to peers, the local store, and the membership view. All
-// RPCs go through Call, which the cluster wires to its coordinator's one
-// peer path, deadline-bounded and gated by the peer view, except that a vote
-// request, which the manager bounds by one election timeout, also reaches a
-// peer the view holds suspect.
+// RPCs go through Call, which the cluster wires straight to its transport:
+// bounded by the replica call timeout (the manager bounds a vote by one
+// election timeout), its outcome reported to the peer view, and never
+// refused by it.
 type Env struct {
 	// Self is this node's address.
 	Self string
-	// Call performs one RPC to target (gated by the peer view but for votes).
+	// Call performs one RPC to target.
 	Call func(ctx context.Context, target, msgType string, body bson.D) (bson.D, error)
 	// Apply merges one committed record into the local store (LWW merge,
 	// idempotent across replay). It need not be durable on return: the entry

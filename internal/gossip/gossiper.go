@@ -24,20 +24,17 @@ type Event struct {
 	New  Status
 }
 
-// The failure detector's thresholds, in gossip intervals of silence.
-const (
-	shortFailTicks = 3
-	longFailTicks  = 10
-)
+// longFailTicks is the failure detector's one threshold: a seed declares an
+// endpoint silent for this many gossip intervals long-failed.
+const longFailTicks = 10
 
 // Config tunes a Gossiper.
 type Config struct {
 	// Seeds are the cluster's seed addresses. A node is a seed if its own
 	// address appears here. Seeds confirm long failures (§5.2.4).
 	Seeds []string
-	// Interval is the tick period. An endpoint silent for shortFailTicks of
-	// them is believed short-failed, and a *seed* declares one silent for
-	// longFailTicks long-failed. Zero means 1s.
+	// Interval is the tick period. A *seed* declares an endpoint silent for
+	// longFailTicks of them long-failed. Zero means 1s.
 	Interval time.Duration
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
@@ -154,20 +151,6 @@ func (g *Gossiper) Endpoints() []string {
 	out := make([]string, 0, len(g.states))
 	for a := range g.states {
 		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LiveEndpoints lists addresses currently believed Up, sorted.
-func (g *Gossiper) LiveEndpoints() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]string, 0, len(g.states))
-	for a := range g.states {
-		if g.status[a] == StatusUp {
-			out = append(out, a)
-		}
 	}
 	sort.Strings(out)
 	return out
@@ -376,8 +359,8 @@ func (g *Gossiper) applyRemovalLocked(addr string, removed bool) {
 	}
 }
 
-// markHeard refreshes the liveness clock for addr and revives it from
-// ShortFail if needed. A seed hearing *directly* from an address it removed
+// markHeard refreshes the liveness clock for addr and marks it up. A seed
+// hearing *directly* from an address it removed
 // has proof the node is back (a crash-restart or healed partition that
 // outlasted longFailTicks intervals), so it retracts the removal assertion — without
 // this, a long-failed node that returns stays exiled forever because every
@@ -406,13 +389,15 @@ func (g *Gossiper) markHeard(addr string) {
 	}
 }
 
-// detectFailures applies the staleness thresholds. Every node can believe a
-// peer short-failed; only seeds escalate to long failure, publishing the
-// removal so it spreads (§5.2.4: "the seed nodes are responsible for
-// detecting 'long failure' node, instead of normal").
+// detectFailures applies the staleness threshold. Only seeds judge silence,
+// escalating it to long failure and publishing the removal so it spreads
+// (§5.2.4: "the seed nodes are responsible for detecting 'long failure'
+// node, instead of normal"). A short failure is the callers' own verdict
+// (resilience.Peers), not gossip's.
 func (g *Gossiper) detectFailures(now time.Time) {
-	isSeed := g.IsSeed()
-	var events []Event
+	if !g.IsSeed() {
+		return
+	}
 	var toRemove []string
 	g.mu.Lock()
 	for addr := range g.states {
@@ -424,23 +409,11 @@ func (g *Gossiper) detectFailures(now time.Time) {
 			g.lastHeard[addr] = now
 			continue
 		}
-		silence := now.Sub(heard)
-		cur := g.status[addr]
-		switch {
-		case silence >= longFailTicks*g.cfg.Interval && isSeed:
+		if now.Sub(heard) >= longFailTicks*g.cfg.Interval {
 			toRemove = append(toRemove, addr)
-		case silence >= shortFailTicks*g.cfg.Interval && cur == StatusUp:
-			events = append(events, Event{Addr: addr, Old: cur, New: StatusShortFail})
-			g.status[addr] = StatusShortFail
 		}
 	}
-	cb := g.cfg.OnEvent
 	g.mu.Unlock()
-	for _, e := range events {
-		if cb != nil {
-			cb(e)
-		}
-	}
 	for _, addr := range toRemove {
 		g.DeclareLongFail(addr)
 	}

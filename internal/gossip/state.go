@@ -22,13 +22,12 @@ import (
 // Status is a node's health as locally believed.
 type Status int
 
-// Statuses a node can hold. ShortFail corresponds to the paper's
-// self-recovering short failure (the node has merely gone quiet); LongFail
-// is a seed-confirmed departure requiring re-replication.
+// Statuses a node can hold. LongFail is a seed-confirmed departure
+// requiring re-replication. The paper's self-recovering short failure is not
+// a gossip status: callers judge it from their own calls (resilience.Peers).
 const (
 	statusUnknown Status = iota // the zero value: nothing heard of the node yet
 	StatusUp
-	StatusShortFail
 	StatusLongFail
 )
 
@@ -37,8 +36,6 @@ func (s Status) String() string {
 	switch s {
 	case StatusUp:
 		return "up"
-	case StatusShortFail:
-		return "short-fail"
 	case StatusLongFail:
 		return "long-fail"
 	default:

@@ -35,13 +35,15 @@ type Config struct {
 	// N is the replication factor; W and R the write and read quorums.
 	// The paper's evaluation runs (3, 2, 1).
 	N, W, R int
-	// CallTimeout bounds each replica RPC. Zero means 2s.
+	// CallTimeout bounds each replica RPC; it must be positive. The cluster
+	// node sets it (cluster.Config's default is 2s) and bounds its consensus
+	// RPCs by the same value.
 	CallTimeout time.Duration
 	// Now overrides the clock (deterministic tests). Nil means time.Now.
 	Now func() time.Time
 }
 
-// Validate checks quorum sanity.
+// Validate checks quorum sanity and that CallTimeout is set.
 func (c Config) Validate() error {
 	if c.N < 1 {
 		return errors.New("nwr: N must be >= 1")
@@ -52,13 +54,13 @@ func (c Config) Validate() error {
 	if c.R < 1 || c.R > c.N {
 		return fmt.Errorf("nwr: R=%d out of range [1,%d]", c.R, c.N)
 	}
+	if c.CallTimeout <= 0 {
+		return errors.New("nwr: CallTimeout must be > 0")
+	}
 	return nil
 }
 
 func (c Config) withDefaults() Config {
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 2 * time.Second
-	}
 	if c.Now == nil {
 		c.Now = time.Now
 	}
@@ -462,45 +464,6 @@ func (c *Coordinator) storeHintLocal(ctx context.Context, target string, rec Rec
 		{Key: "record", Value: rec.ToDoc()},
 	})
 	return err
-}
-
-// purgeTombstones physically removes tombstoned records whose deletion is
-// older than cutoff, returning how many were purged. The paper's DELETE
-// only flips isDel ("not physically remove the record from disk"), so
-// tombstones accumulate; purging ones old enough that every replica has
-// long since seen them (hint writeback, read repair and anti-entropy all
-// propagate tombstones) reclaims the space. Choose a cutoff comfortably
-// larger than the longest plausible partition.
-func (c *Coordinator) purgeTombstones(cutoff time.Time) (int, error) {
-	coll := c.store.C(RecordCollection)
-	docs, err := coll.Find(docstore.Filter{
-		{Key: "isDel", Value: "1"},
-		{Key: "_ver", Value: bson.D{{Key: "$lt", Value: cutoff.UnixNano()}}},
-	}, docstore.FindOptions{})
-	if err != nil {
-		return 0, err
-	}
-	// The scan is only a list of candidates: a write may have landed since, so
-	// each one goes only if what is stored now is still an old tombstone.
-	stillPurgeable := func(stored bson.D) (bool, error) {
-		rec, err := RecordFromDoc(stored)
-		return err == nil && rec.Deleted && rec.Ver < cutoff.UnixNano(), nil
-	}
-	purged := 0
-	for _, doc := range docs {
-		id, ok := doc.Get("_id")
-		if !ok {
-			continue
-		}
-		removed, err := coll.DeleteIf(id, stillPurgeable)
-		if err != nil {
-			return purged, err
-		}
-		if removed {
-			purged++
-		}
-	}
-	return purged, nil
 }
 
 // HintCount returns the number of hints currently parked on this node.

@@ -4,12 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
-	"mystore/internal/bson"
 	"mystore/internal/docstore"
 	"mystore/internal/ring"
 	"mystore/internal/transport"
@@ -26,8 +23,13 @@ type testCluster struct {
 	addrs  []string
 }
 
+// newTestCluster wires n coordinators over a MemNetwork; a cfg without a
+// CallTimeout gets one second.
 func newTestCluster(t *testing.T, n int, cfg Config) *testCluster {
 	t.Helper()
+	if cfg.CallTimeout == 0 {
+		cfg.CallTimeout = time.Second
+	}
 	tc := &testCluster{net: transport.NewMemNetwork(), ring: ring.New()}
 	for i := 0; i < n; i++ {
 		addr := fmt.Sprintf("node-%d", i)
@@ -121,6 +123,7 @@ func TestConfigValidate(t *testing.T) {
 		{N: 3, W: 4, R: 1},
 		{N: 3, W: 2, R: 0},
 		{N: 3, W: 2, R: 4},
+		{N: 3, W: 2, R: 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -467,98 +470,6 @@ func TestLiveGateSkipsDeadPeers(t *testing.T) {
 	// node-3 must have received nothing: the gate filtered it out.
 	if got := tc.stores[3].C(RecordCollection).Len(); got != 0 {
 		t.Fatalf("dead-gated node received %d records", got)
-	}
-}
-
-func TestPurgeTombstones(t *testing.T) {
-	tc := newTestCluster(t, 3, Config{N: 3, W: 3, R: 1})
-	ctx := context.Background()
-	coord := tc.coords[0]
-	// Live record, old tombstone, fresh tombstone.
-	coord.Put(ctx, "alive", []byte("v"))    //nolint:errcheck
-	coord.Put(ctx, "old-dead", []byte("v")) //nolint:errcheck
-	coord.Delete(ctx, "old-dead")           //nolint:errcheck
-	time.Sleep(5 * time.Millisecond)
-	cutoff := time.Now()
-	time.Sleep(5 * time.Millisecond)
-	coord.Put(ctx, "fresh-dead", []byte("v")) //nolint:errcheck
-	coord.Delete(ctx, "fresh-dead")           //nolint:errcheck
-
-	purged, err := coord.purgeTombstones(cutoff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if purged != 1 {
-		t.Fatalf("purged = %d, want 1 (only the old tombstone)", purged)
-	}
-	if _, found, _ := coord.GetLocal("old-dead"); found {
-		t.Fatal("old tombstone survived the purge")
-	}
-	if rec, found, _ := coord.GetLocal("fresh-dead"); !found || !rec.Deleted {
-		t.Fatal("fresh tombstone must survive")
-	}
-	if _, found, _ := coord.GetLocal("alive"); !found {
-		t.Fatal("live record purged")
-	}
-	// Idempotent.
-	if again, _ := coord.purgeTombstones(cutoff); again != 0 {
-		t.Fatalf("second purge removed %d", again)
-	}
-}
-
-// TestPurgeSparesWriteAfterScan: the purge picks its victims in a scan and
-// deletes them one by one afterwards; a key rewritten in between must keep
-// its new record. A writer starts the moment the first victim goes — the scan
-// is over by then — and rewrites every key from the far end, so it reaches
-// most keys after the scan and before their delete.
-func TestPurgeSparesWriteAfterScan(t *testing.T) {
-	store, err := docstore.Open(docstore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	coord := localCoordinator(t, store)
-	const keys = 400
-	key := func(i int) string { return fmt.Sprintf("gone-%03d", i) }
-	for i := 0; i < keys; i++ {
-		if err := coord.ApplyLocal(Record{Key: key(i), IsData: true, Deleted: true, Ver: 10, Origin: "a"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scanned := make(chan struct{})
-	var once sync.Once
-	store.C(RecordCollection).SetApplyObserver(func(old, new bson.D) {
-		if new == nil {
-			once.Do(func() { close(scanned) })
-			runtime.Gosched() // let the writer in even on one core
-		}
-	})
-	rewritten := make(chan error, 1)
-	go func() {
-		<-scanned
-		for i := keys - 1; i >= 0; i-- {
-			if err := coord.ApplyLocal(Record{Key: key(i), Val: []byte("back"), IsData: true, Ver: 20, Origin: "a"}); err != nil {
-				rewritten <- err
-				return
-			}
-		}
-		rewritten <- nil
-	}()
-	purged, err := coord.purgeTombstones(time.Unix(0, 15))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-rewritten; err != nil {
-		t.Fatal(err)
-	}
-	lost := 0
-	for i := 0; i < keys; i++ {
-		if rec, found, _ := coord.GetLocal(key(i)); !found || rec.Ver != 20 || rec.Deleted {
-			lost++
-		}
-	}
-	if lost > 0 {
-		t.Fatalf("purge deleted %d of %d records written after its scan (it purged %d)", lost, keys, purged)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mystore/internal/docstore"
 	"mystore/internal/lsm"
@@ -36,7 +37,7 @@ func lsmStore(tb testing.TB, dir string, durable bool) *docstore.Store {
 
 func localCoordinator(tb testing.TB, store *docstore.Store) *Coordinator {
 	tb.Helper()
-	coord, err := NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", nil, nil, store)
+	coord, err := NewCoordinator(Config{N: 1, W: 1, R: 1, CallTimeout: time.Second}, "self", nil, nil, store)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestOldRecordLayoutRefused(t *testing.T) {
 	if err := store.C(RecordCollection).EnsureIndex("self-key", true); err != nil {
 		t.Fatal(err)
 	}
-	_, err = NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", nil, nil, store)
+	_, err = NewCoordinator(Config{N: 1, W: 1, R: 1, CallTimeout: time.Second}, "self", nil, nil, store)
 	if err == nil {
 		t.Fatal("NewCoordinator accepted a store in the previous record layout")
 	}

@@ -100,7 +100,7 @@ func BenchmarkApplyLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer store.Close()
-	coord, err := NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", nil, nil, store)
+	coord, err := NewCoordinator(Config{N: 1, W: 1, R: 1, CallTimeout: time.Second}, "self", nil, nil, store)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -208,7 +208,7 @@ func FuzzReplicaMessage(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { store.Close() })
-	c, err := NewCoordinator(Config{N: 1, W: 1, R: 1}, "self", ring.New(), nil, store)
+	c, err := NewCoordinator(Config{N: 1, W: 1, R: 1, CallTimeout: time.Second}, "self", ring.New(), nil, store)
 	if err != nil {
 		f.Fatal(err)
 	}

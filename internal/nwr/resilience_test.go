@@ -8,11 +8,21 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mystore/internal/resilience"
 )
 
-// TestOpenBreakerSkipsDeadPeerOnWritePath: with a replica gossip reports
-// short-failed, a quorum write must complete fast via the hint path instead
-// of burning CallTimeout (or retries) against the dead peer.
+// suspectPeer makes v hold addr suspect the way failed calls do: it reports
+// failures until the peer is no longer up.
+func suspectPeer(v *resilience.Peers, addr string) {
+	for i := 0; i < 10 && v.IsUp(addr); i++ {
+		v.Report(addr, false)
+	}
+}
+
+// TestOpenBreakerSkipsDeadPeerOnWritePath: with a replica the view holds
+// suspect, a quorum write must complete fast via the hint path instead of
+// burning CallTimeout (or retries) against the dead peer.
 func TestOpenBreakerSkipsDeadPeerOnWritePath(t *testing.T) {
 	now := time.Unix(5000, 0)
 	cfg := defaultCfg()
@@ -23,10 +33,11 @@ func TestOpenBreakerSkipsDeadPeerOnWritePath(t *testing.T) {
 	key := "breaker-key"
 	owners, _ := tc.ring.Successors(key, 3)
 	// Coordinate from a non-owner so every replica write goes remote; kill
-	// the last replica and tell the coordinator's view, as gossip would.
+	// the last replica and let the coordinator's view learn it, as failed
+	// calls would.
 	co := tc.nonOwnerCoord(t, key)
 	tc.eps[tc.index(owners[2])].Close()
-	co.Peers().Suspect(owners[2])
+	suspectPeer(co.Peers(), owners[2])
 
 	start := time.Now()
 	if err := co.Put(ctx, key, []byte("v")); err != nil {

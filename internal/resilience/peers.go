@@ -6,10 +6,10 @@
 // costs its callers almost nothing: instead of burning a full CallTimeout
 // per attempt per caller, a short run of failures makes the peer suspect
 // and every caller fails over in microseconds until one real request, once
-// a second, proves it back. The verdict has two inputs — call outcomes and
-// gossip's short/long failure classification (paper §5) — and every RPC
-// path asks the same question of it, so no two paths can disagree about a
-// peer.
+// a second, proves it back. The verdict has two witnesses: call outcomes,
+// which make a peer suspect, and the seeds' long failure (paper §5.2.4),
+// which makes it down. Every gated RPC path asks the same question of it, so
+// no two paths can disagree about a peer.
 package resilience
 
 import (
@@ -58,11 +58,12 @@ type PeerStats struct {
 // Peers is one node's health verdict per peer. A peer is up, suspect until
 // a time, or down:
 //
-//   - up → suspect after suspectAfter consecutive transport failures or on
-//     gossip short failure, for suspectFor;
-//   - any → down on gossip long failure; only gossip Up leaves down;
+//   - up → suspect after suspectAfter consecutive transport failures, for
+//     suspectFor;
 //   - suspect → up on a successful call (a remote application error is one:
-//     the peer answered) or on gossip Up.
+//     the peer answered); the once-a-second probe is that call;
+//   - any → down on the seeds' long failure; only gossip Up, when the node
+//     returns, leaves down.
 //
 // Usable is the one question callers ask and Report the one outcome they
 // give. It is safe for concurrent use.
@@ -166,17 +167,7 @@ func (v *Peers) Report(addr string, ok bool) {
 	}
 }
 
-// Suspect records gossip's short failure of addr. A down peer stays down.
-func (v *Peers) Suspect(addr string) {
-	p := v.get(addr)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.state.Load() != peerDown {
-		v.setLocked(p, peerSuspect)
-	}
-}
-
-// Down records gossip's long failure of addr: no call goes until Up.
+// Down records the seeds' long failure of addr: Usable refuses it until Up.
 func (v *Peers) Down(addr string) {
 	p := v.get(addr)
 	p.mu.Lock()
@@ -184,7 +175,7 @@ func (v *Peers) Down(addr string) {
 	v.setLocked(p, peerDown)
 }
 
-// Up records gossip hearing from addr again.
+// Up records gossip hearing from addr again after a long failure.
 func (v *Peers) Up(addr string) {
 	p := v.get(addr)
 	p.mu.Lock()

@@ -18,6 +18,14 @@ func newView() (*Peers, *fakeClock) {
 	return NewPeers("self", clk.now), clk
 }
 
+// suspect reports suspectAfter failed calls to addr, which makes an up peer
+// suspect.
+func suspect(v *Peers, addr string) {
+	for i := 0; i < suspectAfter; i++ {
+		v.Report(addr, false)
+	}
+}
+
 func TestBreakerTripsAfterThreshold(t *testing.T) {
 	v, _ := newView()
 	if !v.Usable("b") {
@@ -54,7 +62,7 @@ func TestBreakerSuccessClearsFailureRun(t *testing.T) {
 // opens a fresh window, and a successful one makes the peer up.
 func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 	v, clk := newView()
-	v.Suspect("b")
+	suspect(v, "b")
 	clk.advance(suspectFor - time.Millisecond)
 	if v.Usable("b") {
 		t.Fatal("a suspect peer must be refused inside its window")
@@ -88,7 +96,7 @@ func TestBreakerHalfOpenProbeCycle(t *testing.T) {
 // suspect peer whose window has ended, exactly one goes.
 func TestOneProbePerWindowUnderConcurrency(t *testing.T) {
 	v, clk := newView()
-	v.Suspect("b")
+	suspect(v, "b")
 	clk.advance(suspectFor)
 	var admitted atomic.Int64
 	var wg sync.WaitGroup
@@ -107,14 +115,14 @@ func TestOneProbePerWindowUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestBreakerSetGossipFeed: gossip's short failure makes a peer suspect,
-// its long failure down until gossip reports it up, whatever calls report;
-// this node itself is always usable.
+// TestBreakerSetGossipFeed: gossip Up makes a suspect peer up; the seeds'
+// long failure makes a peer down until gossip reports it up, whatever calls
+// report; this node itself is always usable.
 func TestBreakerSetGossipFeed(t *testing.T) {
 	v, clk := newView()
-	v.Suspect("b")
+	suspect(v, "b")
 	if v.Usable("b") {
-		t.Fatal("a short-failed peer must be refused")
+		t.Fatal("a suspect peer must be refused")
 	}
 	v.Up("b")
 	if !v.Usable("b") {
@@ -122,7 +130,7 @@ func TestBreakerSetGossipFeed(t *testing.T) {
 	}
 	v.Down("c")
 	v.Report("c", true)
-	v.Suspect("c")
+	suspect(v, "c")
 	clk.advance(time.Hour)
 	if v.Usable("c") {
 		t.Fatal("a long-failed peer must stay refused until gossip reports it up")
@@ -147,7 +155,7 @@ func TestBreakerSetGossipFeed(t *testing.T) {
 // millisecond, instead of burning a multi-second CallTimeout per attempt.
 func TestOpenBreakerCostsCallersMicroseconds(t *testing.T) {
 	v, _ := newView()
-	v.Suspect("dead:19870")
+	suspect(v, "dead:19870")
 
 	const calls = 1000
 	start := time.Now()

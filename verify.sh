@@ -6,7 +6,10 @@
 # repeats of the packages whose tests read their own writes through a quorum
 # (a read-your-writes flake shows up within twenty runs, not in one), five of
 # the strong tier's failover and crash-recovery tests (commits are applied off
-# the reply path, so their timing is what a regression there moves) and of its
+# the reply path, so their timing is what a regression there moves), of its
+# membership and peer-health tests (a restarted-empty node's pinned members,
+# commits while the peer view holds every peer suspect, a call outcome
+# outranking gossip's silence) and of its
 # log-horizon tests (what each replica keeps in memory, and the versions a
 # restarted or snapshotted leader stamps), and the
 # race detector on the write path (docstore, wal, transport, nwr), the
@@ -40,8 +43,8 @@ if [ -n "$scratch_leaked" ]; then
 fi
 go test -count=20 ./internal/nwr ./internal/cluster
 go test -count=20 -run 'TestPublicAPICrud' .
-go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongNonMemberRedirectsAfterLongFailure|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
-	. ./internal/consensus
+go test -count=5 -run 'TestStrongFailoverAcrossLeaderKill|TestStrongNonMemberRedirectsAfterLongFailure|TestStrongRestartedEmptyKeepsPinnedMembers|TestStrongCommitReachesSuspectPeers|TestCallOutcomeOutranksGossipSilence|TestStrongWritesSurvive|TestLogHoldsOnlyWhatAReplicaNeeds|TestLaggingPeerPinsLogUpToCap|TestNewLeaderFeedsCurrentFollowerFromItsLog|KeepsVersionsAboveTheClock' \
+	. ./internal/consensus ./internal/cluster
 go test -race ./internal/docstore ./internal/lsm ./internal/wal ./internal/transport ./internal/nwr \
 	./internal/cluster ./internal/gossip ./internal/cache ./internal/dispatch ./internal/resilience \
 	./internal/consensus ./internal/merkle ./internal/metrics ./internal/trace
