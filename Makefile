@@ -20,7 +20,7 @@ loc:
 # visible), and loc-check, which verify.sh runs, fails above it. A change that
 # needs more lines raises the ceiling in its own diff and says why in
 # CHANGES.md.
-LOC_CEILING = 21291
+LOC_CEILING = 21373
 loc-check:
 	@n=$$($(GO_SRC) | xargs cat | wc -l); \
 	if [ "$$n" -gt $(LOC_CEILING) ]; then \

@@ -323,6 +323,11 @@ func TestStrongRestartedEmptyKeepsPinnedMembers(t *testing.T) {
 		}
 	}
 	waitRings("after the kill")
+	// RestartNodeFresh replaces a crashed node: crash the co-member first, so
+	// the node it replaces stops and removes its store directory.
+	if err := c.KillNode(fresh); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.RestartNodeFresh(fresh); err != nil {
 		t.Fatal(err)
 	}

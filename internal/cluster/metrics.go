@@ -38,7 +38,7 @@ func (n *Node) RegisterMetrics(r *metrics.Registry) {
 		Add(addr, func() float64 { return float64(coord.Stats().HedgedReads) })
 	r.Register("mystore_nwr_batch_gets_total", "Batched multi-get operations coordinated on this node.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().BatchGets) })
-	r.Register("mystore_nwr_repair_backlog", "Read-repair jobs queued or in flight on the async repair pool.", metrics.TypeGauge, "node").
+	r.Register("mystore_nwr_repair_backlog", "Read-repair jobs queued or in flight on the async repair pool, plus repair probes queued for or riding a batched digest read.", metrics.TypeGauge, "node").
 		Add(addr, func() float64 { return float64(coord.RepairBacklog()) })
 	r.Register("mystore_nwr_read_repair_dropped_total", "Read repairs left to anti-entropy: the repair queue was full, or the newest record a digest named could not be fetched.", metrics.TypeCounter, "node").
 		Add(addr, func() float64 { return float64(coord.Stats().ReadRepairDropped) })

@@ -181,13 +181,8 @@ func (t *table) blockFor(key []byte) int {
 
 // parseEntry decodes one entry, returning the consumed byte count.
 func parseEntry(b []byte) (key, val []byte, tombstone bool, n int, err error) {
-	klen, kn := binary.Uvarint(b)
-	if kn <= 0 || int(klen) > len(b)-kn {
-		return nil, nil, false, 0, ErrTableCorrupt
-	}
-	n = kn + int(klen)
-	key = b[kn:n]
-	if n >= len(b) {
+	key, n, ok := prefixed(b)
+	if !ok || n >= len(b) {
 		return nil, nil, false, 0, ErrTableCorrupt
 	}
 	flag := b[n]
@@ -198,13 +193,29 @@ func parseEntry(b []byte) (key, val []byte, tombstone bool, n int, err error) {
 	if flag != entryValue {
 		return nil, nil, false, 0, ErrTableCorrupt
 	}
-	vlen, vn := binary.Uvarint(b[n:])
-	if vn <= 0 || int(vlen) > len(b)-n-vn {
+	val, vn, ok := prefixed(b[n:])
+	if !ok {
 		return nil, nil, false, 0, ErrTableCorrupt
 	}
-	val = b[n+vn : n+vn+int(vlen)]
-	n += vn + int(vlen)
-	return key, val, false, n, nil
+	return key, val, false, n + vn, nil
+}
+
+// prefixed splits a uvarint-length-prefixed field off the front of b and
+// returns it with the bytes consumed. The length is compared as a uint64
+// with what is left, so no varint wraps into a negative int.
+func prefixed(b []byte) (field []byte, n int, ok bool) {
+	l, ln := binary.Uvarint(b)
+	if ln <= 0 || l > uint64(len(b)-ln) {
+		return nil, 0, false
+	}
+	n = ln + int(l)
+	return b[ln:n], n, true
+}
+
+// within reports whether length bytes at off fit in size bytes, without the
+// wrap an off+length sum can make.
+func within(off, length uint64, size int64) bool {
+	return length <= uint64(size) && off <= uint64(size)-length
 }
 
 // checkCRC verifies a section's trailing crc32 and returns the payload.
@@ -261,7 +272,7 @@ func (t *table) loadMeta() error {
 		return fmt.Errorf("%w: footer crc", ErrTableCorrupt)
 	}
 	read := func(off, length uint64) ([]byte, error) {
-		if off+length > uint64(t.size) {
+		if !within(off, length, t.size) {
 			return nil, ErrTableCorrupt
 		}
 		sec := make([]byte, length)
@@ -283,19 +294,18 @@ func (t *table) loadMeta() error {
 		return fmt.Errorf("props: %w", err)
 	}
 	for pos := 0; pos < len(idx); {
-		klen, kn := binary.Uvarint(idx[pos:])
-		if kn <= 0 || pos+kn+int(klen) > len(idx) {
+		key, kn, ok := prefixed(idx[pos:])
+		if !ok {
 			return fmt.Errorf("%w: index entry", ErrTableCorrupt)
 		}
-		key := idx[pos+kn : pos+kn+int(klen)]
-		pos += kn + int(klen)
+		pos += kn
 		off, on := binary.Uvarint(idx[pos:])
 		if on <= 0 {
 			return fmt.Errorf("%w: index offset", ErrTableCorrupt)
 		}
 		pos += on
 		length, ln := binary.Uvarint(idx[pos:])
-		if ln <= 0 {
+		if ln <= 0 || !within(off, length, t.size) {
 			return fmt.Errorf("%w: index length", ErrTableCorrupt)
 		}
 		pos += ln
@@ -310,12 +320,12 @@ func (t *table) loadMeta() error {
 	t.maxLSN = binary.LittleEndian.Uint64(props[8:])
 	pos := 16
 	for _, dst := range []*[]byte{&t.minKey, &t.maxKey} {
-		klen, kn := binary.Uvarint(props[pos:])
-		if kn <= 0 || pos+kn+int(klen) > len(props) {
+		key, kn, ok := prefixed(props[pos:])
+		if !ok {
 			return fmt.Errorf("%w: props keys", ErrTableCorrupt)
 		}
-		*dst = props[pos+kn : pos+kn+int(klen)]
-		pos += kn + int(klen)
+		*dst = key
+		pos += kn
 	}
 	return nil
 }

@@ -152,6 +152,12 @@ type Coordinator struct {
 	repairWG       sync.WaitGroup
 	pendingRepairs atomic.Int64
 
+	// Repair probes per peer, waiting for that peer's batched digest read
+	// (readpath.go); queuedProbes counts them until their answers land.
+	probeMu      sync.Mutex
+	probes       map[string][]probe
+	queuedProbes atomic.Int64
+
 	// Cached adaptive hedge delay: recomputing p95 snapshots per read would
 	// put an allocation back on the hot path.
 	hedgeCached atomic.Int64
@@ -175,6 +181,7 @@ func NewCoordinator(cfg Config, self string, rg *ring.Ring, tr transport.Transpo
 		getLatency: metrics.NewBucketedHistogram(nil),
 		repairQ:    make(chan repairJob, repairQueue),
 		repairQuit: make(chan struct{}),
+		probes:     make(map[string][]probe),
 	}
 	for _, field := range store.C(RecordCollection).Indexes() {
 		if field == "self-key" {

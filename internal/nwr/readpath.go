@@ -12,7 +12,9 @@ package nwr
 // §5.2.2) without paying max-over-N latency for it. A repair probe asks for
 // the digest form: version, origin and tombstone decide whether a replica is
 // stale, and a value moves only when a probe finds a replica newer than
-// every full answer.
+// every full answer. Probes do not go out one per read: each waits in its
+// peer's queue, and one digest read per peer per probeLinger carries them
+// all.
 
 import (
 	"context"
@@ -39,6 +41,12 @@ const (
 	repairWorkers = 2
 	repairQueue   = 256
 )
+
+// probeLinger is how long the first repair probe queued for a peer waits for
+// others to join its batch. Batching without a wait would send what happens
+// to be queued, which under a closed loop is one probe per batch. It is a
+// constant: it only delays repair, never an answer.
+const probeLinger = 5 * time.Millisecond
 
 // stragglerGrace is how long past a replica call's own timeout the
 // background finisher keeps draining answers before repairing with what it
@@ -247,16 +255,20 @@ func (op *readOp) take(a peerAnswer) (settled int) {
 	return settled
 }
 
-// launchReserves dispatches the parked reserves. hedge marks launches made
+// launchReserves launches the parked reserves. hedge marks launches made
 // while the caller still waits (timer or failure): those may settle the
-// caller's answer, so they read values, and they count as hedged reads, one
-// per key and reserve. The finisher's launch only probes for repair, so it
-// reads digests.
+// caller's answer, so they read values at once, and they count as hedged
+// reads, one per key and reserve. The finisher's launch only probes for
+// repair, so it queues digest reads for each peer's next batch.
 func (op *readOp) launchReserves(hedge bool) {
 	n := 0
 	for _, r := range op.reserves {
-		r.digest = !hedge
-		op.dispatch(r)
+		if hedge {
+			op.dispatch(r)
+		} else {
+			op.inflight++
+			op.c.queueProbe(op, r)
+		}
 		n += len(r.idx)
 	}
 	op.reserves = nil
@@ -265,6 +277,56 @@ func (op *readOp) launchReserves(hedge bool) {
 		_, hsp := trace.Start(op.bctx, "nwr.read.hedge")
 		hsp.End(nil)
 	}
+}
+
+// probe is one finisher's digest read of a reserve, waiting in its peer's
+// queue.
+type probe struct {
+	op *readOp
+	r  peerRead
+}
+
+// queueProbe files r as a digest read in its peer's queue; the first probe
+// queued for a peer arms that peer's batch.
+func (c *Coordinator) queueProbe(op *readOp, r peerRead) {
+	r.digest = true
+	c.queuedProbes.Add(1)
+	c.probeMu.Lock()
+	first := len(c.probes[r.peer]) == 0
+	c.probes[r.peer] = append(c.probes[r.peer], probe{op: op, r: r})
+	c.probeMu.Unlock()
+	if first {
+		time.AfterFunc(probeLinger, func() { transport.Go(func() { c.sendProbes(r.peer) }) })
+	}
+}
+
+// sendProbes sends every probe queued for peer as one digest read and files
+// each read's share of the answer, in key order, on that read's answers
+// channel. A failed batch is a failed probe for every read in it.
+func (c *Coordinator) sendProbes(peer string) {
+	c.probeMu.Lock()
+	batch := c.probes[peer]
+	delete(c.probes, peer)
+	c.probeMu.Unlock()
+	var keys []string
+	for _, p := range batch {
+		keys = append(keys, p.r.keys...)
+	}
+	recs, err := c.ReadRecords(context.Background(), peer, keys, true)
+	for _, p := range batch {
+		a := peerAnswer{peerRead: p.r, err: err}
+		if err == nil {
+			n := 0
+			for _, k := range p.r.keys {
+				if n < len(recs) && recs[n].Key == k {
+					n++
+				}
+			}
+			a.recs, recs = recs[:n:n], recs[n:]
+		}
+		p.op.answers <- a
+	}
+	c.queuedProbes.Add(-int64(len(batch)))
 }
 
 // newestAt resolves last-write-wins over the answers: the position of the
@@ -279,10 +341,10 @@ func newestAt(answers []replicaAnswer) int {
 	return at
 }
 
-// finish runs after the caller has its answer: it launches the reserves the
-// hedge never reached (keeping read-all-N repair without its latency),
-// drains the stragglers bounded by their own RPC timeout, and hands each
-// key's replica picture to the repair pool.
+// finish runs after the caller has its answer: it queues digest probes of
+// the reserves the hedge never reached (keeping read-all-N repair without its
+// latency), drains the stragglers bounded by their own RPC timeout, and hands
+// each key's replica picture to the repair pool.
 func (op *readOp) finish() {
 	op.launchReserves(false)
 	timeout := time.NewTimer(op.c.cfg.CallTimeout + stragglerGrace)
@@ -401,9 +463,12 @@ func (c *Coordinator) runRepair(job repairJob) {
 	sp.End(firstErr)
 }
 
-// RepairBacklog returns queued plus in-flight repair jobs — the repair-queue
-// depth gauge; tests also use it to wait for repairs to settle.
-func (c *Coordinator) RepairBacklog() int64 { return c.pendingRepairs.Load() }
+// RepairBacklog returns queued plus in-flight repair jobs, and repair probes
+// queued for a batch or riding one — the repair backlog gauge; tests also
+// use it to wait for repairs to settle.
+func (c *Coordinator) RepairBacklog() int64 {
+	return c.pendingRepairs.Load() + c.queuedProbes.Load()
+}
 
 // Close stops the repair workers. It never closes the job channel, so a read
 // that settles after Close still enqueues safely (the job just no longer

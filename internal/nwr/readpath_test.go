@@ -349,10 +349,12 @@ func TestGetManyRepairsStaleReplica(t *testing.T) {
 	})
 }
 
-// servedRead is one nwr.get.replica a node served, and its form.
+// servedRead is one nwr.get.replica a node served: its form and the keys
+// asked.
 type servedRead struct {
 	node   string
 	digest bool
+	keys   []string
 }
 
 // logReplicaReads wraps every node's handler so it logs each
@@ -366,6 +368,10 @@ func (tc *testCluster) logReplicaReads(refuse func(servedRead) bool) (log func()
 			if msg.Type == MsgGetReplica {
 				d, _ := msg.Body.Get("digest")
 				r := servedRead{node: node, digest: d == true}
+				kv, _ := msg.Body.Get("keys")
+				for _, k := range kv.(bson.A) {
+					r.keys = append(r.keys, k.(string))
+				}
 				mu.Lock()
 				served = append(served, r)
 				mu.Unlock()
@@ -470,4 +476,167 @@ func TestStalePrimaryRepairedByFetchOnNewer(t *testing.T) {
 			}
 		})
 	}
+}
+
+// keysSharingReserve writes n keys, each held by all three replicas, that
+// share one reserve, and returns them, that reserve and a coordinator that
+// replicates none of them.
+func (tc *testCluster) keysSharingReserve(t *testing.T, prefix string, n int) (keys []string, reserve string, co *Coordinator) {
+	t.Helper()
+	reserve, co = tc.addrs[0], tc.coords[1]
+	for i := 0; len(keys) < n; i++ {
+		k := fmt.Sprintf("%s-%d", prefix, i)
+		owners, _ := tc.ring.Successors(k, 3)
+		if slices.Contains(owners[1:], reserve) && !slices.Contains(owners, co.self) {
+			keys = append(keys, k)
+		}
+	}
+	for _, k := range keys {
+		if err := tc.coords[0].Put(context.Background(), k, []byte("v-"+k)); err != nil {
+			t.Fatal(err)
+		}
+		tc.waitReplicas(t, k, 3)
+	}
+	return keys, reserve, co
+}
+
+// getAll reads every key through co at once, one Get per key, and checks
+// each answer.
+func getAll(t *testing.T, co *Coordinator, keys []string) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for _, k := range keys {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if val, err := co.Get(context.Background(), k); err != nil || string(val) != "v-"+k {
+				t.Errorf("Get(%q) = %q, %v", k, val, err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// digestReads returns the digest reads node served in log.
+func digestReads(log []servedRead, node string) (reads []servedRead) {
+	for _, r := range log {
+		if r.node == node && r.digest {
+			reads = append(reads, r)
+		}
+	}
+	return reads
+}
+
+// TestRepairProbesShareOneDigestRead: the finishers of several one-key reads
+// probe a reserve they share in fewer digest reads than there are reads, and
+// between them those reads ask exactly the reads' keys.
+func TestRepairProbesShareOneDigestRead(t *testing.T) {
+	tc := newTestCluster(t, 5, defaultCfg())
+	keys, reserve, co := tc.keysSharingReserve(t, "probe-batch", 8)
+	log := tc.logReplicaReads(nil)
+	pinHedge(co)
+	getAll(t, co, keys)
+	asked := func() (n int, keys []string) {
+		for _, r := range digestReads(log(), reserve) {
+			n++
+			keys = append(keys, r.keys...)
+		}
+		return n, keys
+	}
+	waitFor(t, "every read's probe of the shared reserve", func() bool {
+		_, ks := asked()
+		return len(ks) >= len(keys)
+	})
+	waitFor(t, "the probes answered", func() bool { return co.RepairBacklog() == 0 })
+	n, got := asked()
+	want := slices.Clone(keys)
+	slices.Sort(got)
+	slices.Sort(want)
+	if !slices.Equal(got, want) {
+		t.Fatalf("the reserve was asked %v; want the reads' keys %v", got, want)
+	}
+	if n >= len(keys) {
+		t.Fatalf("%d reads probed the shared reserve in %d digest reads; want fewer", len(keys), n)
+	}
+}
+
+// TestBatchedProbeRepairsOnlyTheStaleKey: two reads whose probes of a
+// reserve ride one digest read, the reserve stale for the first key and
+// current for the second: exactly the first key is repaired. A pair that
+// happens to land in two batches is retried on fresh keys.
+func TestBatchedProbeRepairsOnlyTheStaleKey(t *testing.T) {
+	for attempt := 0; attempt < 5; attempt++ {
+		tc := newTestCluster(t, 5, defaultCfg())
+		keys, reserve, co := tc.keysSharingReserve(t, fmt.Sprintf("probe-stale-%d", attempt), 2)
+		stale := tc.coordFor(t, reserve)
+		stale.store.C(RecordCollection).Delete(keys[0]) //nolint:errcheck
+		if err := stale.ApplyLocal(Record{Key: keys[0], Val: []byte("ancient"), Ver: 1, Origin: "old"}); err != nil {
+			t.Fatal(err)
+		}
+		log := tc.logReplicaReads(nil)
+		pinHedge(co)
+		getAll(t, co, keys)
+		waitFor(t, "the stale reserve repaired", func() bool {
+			rec, _, _ := stale.GetLocal(keys[0])
+			return string(rec.Val) == "v-"+keys[0]
+		})
+		waitFor(t, "the repair settled", func() bool { return co.RepairBacklog() == 0 })
+		if st := co.Stats(); st.ReadRepairs != 1 || st.ReplicaSupplements != 0 {
+			t.Fatalf("%d read repairs and %d supplements; want exactly the stale key repaired", st.ReadRepairs, st.ReplicaSupplements)
+		}
+		if rec, _, _ := stale.GetLocal(keys[1]); string(rec.Val) != "v-"+keys[1] {
+			t.Fatalf("the reserve holds %q for the current key", rec.Val)
+		}
+		if len(digestReads(log(), reserve)) == 1 {
+			return
+		}
+	}
+	t.Fatal("two concurrent reads never shared a probe batch in 5 attempts")
+}
+
+// TestFailedProbeBatchFailsEachRead: a reserve refuses digest reads. Every
+// read in its batch still finishes (each read's other, stale reserve is
+// repaired), the backlog drains, and the failed probe writes nothing: the
+// refusing reserve is not taken for a replica missing the record.
+func TestFailedProbeBatchFailsEachRead(t *testing.T) {
+	tc := newTestCluster(t, 5, defaultCfg())
+	keys, reserve, co := tc.keysSharingReserve(t, "probe-fail", 4)
+	for _, k := range keys {
+		owners, _ := tc.ring.Successors(k, 3)
+		other := owners[1]
+		if other == reserve {
+			other = owners[2]
+		}
+		victim := tc.coordFor(t, other)
+		victim.store.C(RecordCollection).Delete(k) //nolint:errcheck
+		if err := victim.ApplyLocal(Record{Key: k, Val: []byte("ancient"), Ver: 1, Origin: "old"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := tc.logReplicaReads(func(r servedRead) bool { return r.node == reserve && r.digest })
+	pinHedge(co)
+	getAll(t, co, keys)
+	waitFor(t, "every read's finisher repaired its stale reserve", func() bool {
+		return co.Stats().ReadRepairs == int64(len(keys)) && co.RepairBacklog() == 0
+	})
+	if st := co.Stats(); st.ReplicaSupplements != 0 {
+		t.Fatalf("%d supplements after a refused probe; want none", st.ReplicaSupplements)
+	}
+	if len(digestReads(log(), reserve)) == 0 {
+		t.Fatal("the refusing reserve was never probed")
+	}
+}
+
+// TestCloseWithQueuedProbes: Close returns while a read's probes wait for
+// their batch, the batch still goes out and lands, and the coordinator keeps
+// answering reads.
+func TestCloseWithQueuedProbes(t *testing.T) {
+	tc := newTestCluster(t, 5, defaultCfg())
+	keys, _, co := tc.keysSharingReserve(t, "probe-close", 2)
+	pinHedge(co)
+	getAll(t, co, keys[:1])
+	co.Close()
+	waitFor(t, "the queued probes answered", func() bool { return co.RepairBacklog() == 0 })
+	getAll(t, co, keys[1:])
+	waitFor(t, "the later read's probes answered", func() bool { return co.RepairBacklog() == 0 })
 }

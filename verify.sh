@@ -17,10 +17,11 @@
 # the CP tier (consensus), the repair path (merkle), the observability
 # packages (metrics, trace), and twenty race runs of the transport's worker
 # hand-off tests (every replica RPC runs on those workers); then short
-# native-fuzz smokes of the four readers
+# native-fuzz smokes of the five readers
 # that take bytes they did not just write — the wire frame reader, the
 # replica record protocol (nwr.put.replica / nwr.get.replica bodies), the
-# docstore's WAL replay and the WAL's segment scan-and-repair on open — and
+# docstore's WAL replay, the WAL's segment scan-and-repair on open and the
+# SSTable footer/index/block readers (their section CRCs re-stamped) — and
 # the switch guard: the system has one
 # configuration, so a Disable*/WaitForAllReads/SerializeWritePath switch in
 # non-test code fails the gate (bench/ is the frozen benchmark driver and is
@@ -53,6 +54,7 @@ go test -run '^$' -fuzz FuzzMuxServe -fuzztime 5s ./internal/transport
 go test -run '^$' -fuzz FuzzReplicaMessage -fuzztime 5s ./internal/nwr
 go test -run '^$' -fuzz FuzzReplayRecord -fuzztime 5s ./internal/docstore
 go test -run '^$' -fuzz FuzzOpenSegment -fuzztime 5s ./internal/wal
+go test -run '^$' -fuzz FuzzOpenTable -fuzztime 5s ./internal/lsm
 
 set +x
 if grep -rnE '\b(Disable[A-Z][A-Za-z]*|WaitForAllReads|SerializeWritePath)\b' --include='*.go' . |
